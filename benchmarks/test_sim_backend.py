@@ -2,8 +2,15 @@
 mega-lane vector backend, cold vs warm sessions, and thread- vs
 process-grid scaling.
 
-Seeds the repository's perf trajectory with ``BENCH_sim.json`` (written
-at the repo root): per-design simulation throughput for both scalar
+Writes ``BENCH_sim.json`` under the test's ``tmp_path``, so a test run
+never rewrites the committed copy at the repo root; refresh that copy
+by hand with a fixed base directory and a copy::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_sim_backend.py -q \
+        --basetemp /tmp/bench
+    cp /tmp/bench/test_sim_backend_benchmark0/BENCH_sim.json .
+
+It records per-design simulation throughput for both scalar
 backends, the batched multi-lane throughput sweep (lanes in
 {1, 4, 16, 64}, measured in *lane-cycles* per second — cycles times
 lanes — the honest unit for batch mode), the vector backend's lane
@@ -34,7 +41,6 @@ with sorted keys, so regeneration churns digits, never structure.
 import json
 import math
 import os
-import pathlib
 import time
 
 from repro.designs.catalog import DESIGNS, design_point
@@ -75,7 +81,6 @@ MIN_VECTOR_SPEEDUP = float(
 #: design.  Fusion's win is real but modest (and jittery at CI cycle
 #: counts), so the default bar is deliberately lenient.
 MIN_O3_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_O3_SPEEDUP", "1.02"))
-BENCH_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_sim.json"
 
 #: The cold/warm pair sweeps a slice of the catalog through the full
 #: pipeline (synthesize + simulate at -O2) — enough stages to be
@@ -282,7 +287,8 @@ def test_sim_backend_benchmark(tmp_path):
             "results_identical": True,
         },
     }
-    BENCH_PATH.write_text(
+    bench_path = tmp_path / "BENCH_sim.json"
+    bench_path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
@@ -321,6 +327,7 @@ def test_sim_backend_benchmark(tmp_path):
         f"  grid over {len(DESIGNS)} designs: thread {thread_seconds:.2f}s, "
         f"process {process_seconds:.2f}s (results identical)"
     )
+    print(f"  wrote {bench_path}")
 
     # Acceptance: the compiled backend is ≥3x interpreter on the largest
     # design, 16 batched lanes multiply its throughput again, the vector

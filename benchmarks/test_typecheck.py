@@ -1,7 +1,14 @@
 """Benchmark: the SMT-backed type checker, cold vs warm vs parallel.
 
-Writes ``BENCH_typecheck.json`` (repo root) alongside ``BENCH_sim.json``:
-per-design wall clocks for
+Writes ``BENCH_typecheck.json`` under the test's ``tmp_path``, so a test
+run never rewrites the committed copy at the repo root; refresh that
+copy by hand with a fixed base directory and a copy::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_typecheck.py -q \
+        --basetemp /tmp/bench
+    cp /tmp/bench/test_typecheck_benchmark0/BENCH_typecheck.json .
+
+It records per-design wall clocks for
 
 * ``legacy`` — the pre-PR5 pipeline, reachable in-binary via
   ``$REPRO_SMT_LEGACY=1`` (one-shot discharge, monolithic theory checks,
@@ -31,7 +38,6 @@ Assertions encode the acceptance bars with CI-tunable thresholds:
 import json
 import math
 import os
-import pathlib
 import time
 
 from repro import smt
@@ -40,10 +46,6 @@ from repro.driver import CacheStats, CompileSession, DiskCache, ObligationStore
 from repro.lilac.stdlib import stdlib_program
 from repro.lilac.typecheck import check_program
 from repro.lilac.typecheck import check as check_mod
-
-BENCH_PATH = (
-    pathlib.Path(__file__).resolve().parent.parent / "BENCH_typecheck.json"
-)
 
 DESIGNS = tuple(
     name.strip()
@@ -182,7 +184,8 @@ def test_typecheck_benchmark(tmp_path):
             "speedup_cold_vs_legacy": headline["speedup_cold_vs_legacy"],
             "speedup_warm_vs_legacy": headline["speedup_warm_vs_legacy"],
         }
-    BENCH_PATH.write_text(
+    bench_path = tmp_path / "BENCH_typecheck.json"
+    bench_path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 
@@ -205,6 +208,7 @@ def test_typecheck_benchmark(tmp_path):
             f"{h['speedup_cold_vs_pr4_recorded']:.2f}x, warm "
             f"{h['speedup_warm_vs_pr4_recorded']:.0f}x"
         )
+    print(f"  wrote {bench_path}")
 
     for row in rows:
         if row["name"] != HEADLINE:

@@ -91,6 +91,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from typing import Protocol, runtime_checkable
@@ -101,6 +102,7 @@ from .simulate import (
     derive_lane_seed,
     random_stimulus,
     random_stimulus_batch,
+    run_lanes,
 )
 
 #: Version of the *generated code's* shape.  Part of every persisted
@@ -1495,6 +1497,7 @@ class BatchedCompiledSimulator:
         )
         stride = self.program.stride
         self._shifts = tuple(range(0, self.lanes * stride, stride))
+        self._field_bytes = stride // 8  # strides are multiples of 64
         slot_of = self.program.slot_of
         # Nets wider than a lane field live as per-lane lists; packed
         # nets as one integer (see _generate_batched_source).
@@ -1539,10 +1542,21 @@ class BatchedCompiledSimulator:
 
     # ------------------------------------------------------------------
 
+    def _pack(self, values: Sequence[int], mask: int) -> int:
+        """Masked lane values → one packed integer (lane ``k`` in the
+        ``k``-th ``stride``-bit field)."""
+        size = self._field_bytes
+        return int.from_bytes(
+            b"".join(
+                [(int(value) & mask).to_bytes(size, "little")
+                 for value in values]
+            ),
+            "little",
+        )
+
     def poke(self, inputs: Dict[str, Sequence[int]]) -> None:
         """Drive ports with per-lane value lists (one value per lane)."""
         slots = self._slots
-        shifts = self._shifts
         for name, values in inputs.items():
             entry = self._input_slots.get(name)
             if entry is None:
@@ -1557,11 +1571,8 @@ class BatchedCompiledSimulator:
             index, mask = entry
             if index in self._wide_slots:
                 slots[index] = [int(value) & mask for value in values]
-                continue
-            packed = 0
-            for shift, value in zip(shifts, values):
-                packed |= (int(value) & mask) << shift
-            slots[index] = packed
+            else:
+                slots[index] = self._pack(values, mask)
 
     def _poke_vectors(self, vectors: Sequence[Dict[str, int]]) -> None:
         """Per-lane input dicts (lane k's ports in ``vectors[k]``).
@@ -1588,15 +1599,11 @@ class BatchedCompiledSimulator:
                         f"{self.module.name}: no input port {name!r}"
                     )
                 index, mask = entry
+                values = [vector[name] for vector in vectors]
                 if index in self._wide_slots:
-                    slots[index] = [
-                        int(vector[name]) & mask for vector in vectors
-                    ]
-                    continue
-                packed = 0
-                for shift, vector in zip(shifts, vectors):
-                    packed |= (int(vector[name]) & mask) << shift
-                slots[index] = packed
+                    slots[index] = [int(value) & mask for value in values]
+                else:
+                    slots[index] = self._pack(values, mask)
             return
         names = set(first)
         for vector in vectors[1:]:
@@ -1684,28 +1691,48 @@ class BatchedCompiledSimulator:
         self.cycle += 1
         return outputs
 
+    def _feed(self, index: int, mask: int, values: List[int]):
+        """Per-cycle slot values of one input port (see ``run_lanes``).
+
+        Packed one cycle at a time: packing the whole run up front
+        measured no faster.
+        """
+        lanes = self.lanes
+        chunks = (
+            values[start:start + lanes]
+            for start in range(0, len(values), lanes)
+        )
+        if index in self._wide_slots:
+            return ([int(value) & mask for value in chunk] for chunk in chunks)
+        return (self._pack(chunk, mask) for chunk in chunks)
+
+    def _readers(self):
+        """Per output port: (name, slot, take, finish) for ``run_lanes``.
+
+        Packed integers are immutable and per-lane lists are rebound,
+        never mutated, so every slot value is kept by reference.
+        """
+        shifts = self._shifts
+
+        def unpack(mask: int):
+            return lambda kept: [
+                (packed >> shift) & mask
+                for packed in kept
+                for shift in shifts
+            ]
+
+        return [
+            (name, index, None,
+             chain.from_iterable if is_wide else unpack(mask))
+            for name, index, mask, is_wide in self._output_slots
+        ]
+
     def run(
         self, input_streams: Sequence[List[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
-        """Feed K equal-length streams; returns K per-lane traces."""
-        streams = [list(stream) for stream in input_streams]
-        if len(streams) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(streams)} streams for "
-                f"{self.lanes} lanes"
-            )
-        lengths = {len(stream) for stream in streams}
-        if len(lengths) > 1:
-            raise NetlistError(
-                f"{self.module.name}: lane streams differ in length: "
-                f"{sorted(lengths)}"
-            )
-        traces: List[List[Dict[str, int]]] = [[] for _ in streams]
-        step = self.step
-        for vectors in zip(*streams):
-            for trace, outputs in zip(traces, step(vectors)):
-                trace.append(outputs)
-        return traces
+        """Feed K equal-length streams; returns K per-lane traces
+        (marshalled once per run, see :func:`run_lanes`)."""
+        return run_lanes(self, input_streams)
 
     def run_random(
         self, cycles: int, seed: int = 0, bias: float = 0.0

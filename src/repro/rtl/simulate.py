@@ -17,6 +17,8 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import deque
+from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from .netlist import Cell, Module, Net, NetlistError, comb_topo_order, flatten
@@ -156,6 +158,114 @@ def random_stimulus_batch(
         random_stimulus(module, cycles, derive_lane_seed(seed, lane), bias)
         for lane in range(lanes)
     ]
+
+
+def _lane_streams(engine, input_streams) -> List[List[Dict[str, int]]]:
+    """One list per lane, all the same length, or a :class:`NetlistError`."""
+    streams = [list(stream) for stream in input_streams]
+    if len(streams) != engine.lanes:
+        raise NetlistError(
+            f"{engine.module.name}: got {len(streams)} streams for "
+            f"{engine.lanes} lanes"
+        )
+    lengths = {len(stream) for stream in streams}
+    if len(lengths) > 1:
+        raise NetlistError(
+            f"{engine.module.name}: lane streams differ in length: "
+            f"{sorted(lengths)}"
+        )
+    return streams
+
+
+def step_lanes(
+    engine, input_streams: Sequence[List[Dict[str, int]]]
+) -> List[List[Dict[str, int]]]:
+    """Drive a lane engine one ``step`` per cycle; one trace per lane.
+
+    ``input_streams`` holds one stream per lane (the format
+    :func:`random_stimulus_batch` produces).  ``step`` defines what lanes
+    driving different port subsets mean (a port a lane omits keeps that
+    lane's previous value), which is why :func:`run_lanes` falls back to
+    this path for such streams.
+    """
+    streams = _lane_streams(engine, input_streams)
+    traces: List[List[Dict[str, int]]] = [[] for _ in streams]
+    step = engine.step
+    for vectors in zip(*streams):
+        for trace, outputs in zip(traces, step(vectors)):
+            trace.append(outputs)
+    return traces
+
+
+def run_lanes(
+    engine, input_streams: Sequence[List[Dict[str, int]]]
+) -> List[List[Dict[str, int]]]:
+    """Drive a lane engine over whole streams, like :func:`step_lanes`.
+
+    Same traces and end state, but marshalling happens once per run
+    instead of once per cycle: each driven port's values are pulled out
+    of every lane dict in one pass, the engine packs them, the cycle
+    loop only rebinds input slots and calls the generated
+    evaluate/latch, and the per-lane output dicts are built at the end.
+    Output slot values are kept per cycle by reference, which is sound
+    only because generated code rebinds slots and never writes into a
+    column or packed value.  Runs in which the lane dicts do not all
+    drive the same ports go through ``step``.
+
+    The engine supplies, besides the ``step`` surface and its generated
+    ``_evaluate``/``_latch`` over ``_slots``/``_regs``/``_fifos``:
+
+    * ``_input_slots``: input port → ``(slot, mask)``;
+    * ``_feed(slot, mask, values)``: the per-cycle slot values for one
+      port, given its values in ``flat`` order (below), masked exactly
+      like ``poke``;
+    * ``_readers()``: ``(port, slot, take, finish)`` per output port —
+      ``take`` converts the slot value each cycle (None keeps it by
+      reference) and ``finish`` turns the kept values into every lane's
+      value in ``flat`` order.
+    """
+    streams = _lane_streams(engine, input_streams)
+    lanes = engine.lanes
+    # flat[cycle * lanes + lane] is lane ``lane``'s input dict at ``cycle``.
+    flat = list(chain.from_iterable(zip(*streams)))
+    if not flat:
+        return [[] for _ in streams]
+    ports = list(flat[0])
+    # Equal sizes plus every dict holding every port (itemgetter raises
+    # otherwise) means every dict drives exactly the same ports.
+    if set(map(len, flat)) != {len(ports)}:
+        return step_lanes(engine, streams)
+    try:
+        columns = [list(map(itemgetter(port), flat)) for port in ports]
+    except KeyError:
+        return step_lanes(engine, streams)
+    feeds = []
+    for port, values in zip(ports, columns):
+        entry = engine._input_slots.get(port)
+        if entry is None:
+            raise NetlistError(
+                f"{engine.module.name}: no input port {port!r}"
+            )
+        index, mask = entry
+        feeds.append((index, iter(engine._feed(index, mask, values))))
+    readers = engine._readers()
+    kept: List[list] = [[] for _ in readers]
+    slots, regs, fifos = engine._slots, engine._regs, engine._fifos
+    evaluate, latch = engine._evaluate, engine._latch
+    for _ in range(len(streams[0])):
+        for index, feed in feeds:
+            slots[index] = next(feed)
+        evaluate(slots, regs, fifos)
+        for keep, (_, index, take, _) in zip(kept, readers):
+            value = slots[index]
+            keep.append(value if take is None else take(value))
+        latch(slots, regs, fifos)
+        engine.cycle += 1
+    records: List[Dict[str, int]] = [{} for _ in flat]
+    for (port, _, _, finish), keep in zip(readers, kept):
+        for record, value in zip(records, finish(keep)):
+            record[port] = value
+    return [records[lane::lanes] for lane in range(lanes)]
 
 
 class _FifoState:

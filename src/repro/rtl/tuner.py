@@ -47,8 +47,9 @@ from .vectorize import VectorCompiledSimulator, vector_flavor
 #: Version of the calibration/choice policy.  Part of every persisted
 #: tuner entry's key: bump it whenever the measured quantities or the
 #: decision rule change, so stale profiles become cache misses instead
-#: of steering backend selection with incomparable numbers.
-TUNER_VERSION = 1
+#: of steering backend selection with incomparable numbers.  v2: lane
+#: engines marshal whole runs, which changes the measured lane rates.
+TUNER_VERSION = 2
 
 #: Default calibration cycles per candidate configuration.
 DEFAULT_TUNER_CYCLES = 32

@@ -27,12 +27,19 @@ Two flavors share one code shape, selected by :func:`vector_flavor`:
   ``repro`` degrades cleanly instead of failing (install the
   ``repro[vector]`` extra for the fast path).
 
-Nets wider than 64 bits live as per-lane Python-int lists in both
-flavors (the same escape hatch the SWAR generator uses), and FIFOs keep
-one deque per lane.  The generated code never mutates a column in
-place — slots are only ever rebound to fresh columns — which is what
-makes a register latch a single reference copy and lets constant columns
-be shared.
+Nets wider than 64 bits are lists of word columns in the numpy flavor
+and per-lane Python-int lists in the stdlib flavor (the same escape
+hatch the SWAR generator uses), and FIFOs keep one deque per lane.
+
+**Requirement: generated code never writes into a column.**  Every
+emitted statement rebinds a slot or register to a fresh (or shared,
+unmodified) column and never mutates one in place.  Three things rely
+on it: a register latch is a single reference copy, constant columns
+are shared across slots and cycles, and ``run`` keeps each cycle's
+output columns by reference until it builds the traces at the end of
+the run (:func:`~repro.rtl.simulate.run_lanes`) — an in-place write
+would silently rewrite earlier cycles' outputs.  The vector tests run
+the kernels over columns marked read-only to hold generators to it.
 
 :class:`VectorCompiledSimulator` presents the same vectorized surface as
 :class:`~repro.rtl.compile.BatchedCompiledSimulator` (per-lane poke
@@ -50,10 +57,11 @@ import os
 import threading
 import time
 from collections import deque
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .netlist import Cell, Module, NetlistError, comb_topo_order
-from .simulate import random_stimulus_batch
+from .simulate import random_stimulus_batch, run_lanes, step_lanes
 
 #: Lane-column word width: nets at or below it are packed (uint64 /
 #: array('Q') columns), wider nets fall back to per-lane int lists.
@@ -215,9 +223,10 @@ def _generate_vector_source(
 ) -> Tuple[str, List[str], List[int], List[str], List[int]]:
     """Generate the lane-column evaluate/latch pair for one flavor.
 
-    The invariant every emitted statement preserves (exactly as in the
+    The invariants every emitted statement preserves (exactly as in the
     SWAR generator): lane values are *clean* — strictly below
-    ``2^width`` — and columns are never mutated in place, only rebound.
+    ``2^width`` — and columns are never written into, only rebound (the
+    module docstring's requirement).
     """
     numpy_flavor = flavor == "numpy"
     consts = _VecConsts(flavor, lanes)
@@ -1169,25 +1178,22 @@ class VectorCompiledSimulator:
     def _pack_wide(self, values: Sequence[int], mask: int, n_words: int):
         """Masked lane ints → little-endian uint64 word columns."""
         np = self._np
-        masked = [int(value) & mask for value in values]
-        return [
-            np.array(
-                [(value >> (VECTOR_WORD * word)) & _WORD_MASK
-                 for value in masked],
-                np.uint64,
-            )
-            for word in range(n_words)
-        ]
+        size = VECTOR_WORD // 8 * n_words
+        raw = b"".join(
+            [(int(value) & mask).to_bytes(size, "little") for value in values]
+        )
+        words = np.frombuffer(raw, "<u8").reshape(len(values), n_words)
+        return list(np.ascontiguousarray(words.T, np.uint64))
 
     def _unpack_wide(self, words) -> List[int]:
         """Word columns back to per-lane Python ints."""
-        out = words[0].tolist()
-        for word, column in enumerate(words[1:], 1):
-            shift = VECTOR_WORD * word
-            for lane, piece in enumerate(column.tolist()):
-                if piece:
-                    out[lane] |= piece << shift
-        return out
+        size = VECTOR_WORD // 8 * len(words)
+        # One little-endian byte string per lane, then one int each.
+        fields = (
+            self._np.stack(words, axis=1).astype("<u8", copy=False)
+            .view(f"V{size}").ravel().tolist()
+        )
+        return list(map(int.from_bytes, fields, repeat("little")))
 
     def _lanes_of(self, value, is_wide: bool):
         """Per-lane Python ints of one slot's current column."""
@@ -1340,28 +1346,57 @@ class VectorCompiledSimulator:
         self.cycle += 1
         return outputs
 
+    def _feed(self, index: int, mask: int, values: List[int]):
+        """Per-cycle columns of one input port (see ``run_lanes``)."""
+        np = self._np
+        lanes = self.lanes
+        n_words = self._wide_slots.get(index)
+        if n_words is not None:
+            # Split into words one cycle at a time: a whole-run word
+            # table for 256-/512-bit ports costs more memory than it
+            # saves time.
+            return (
+                self._pack_wide(values[start:start + lanes], mask, n_words)
+                for start in range(0, len(values), lanes)
+            )
+        try:
+            table = np.array(values, np.uint64)
+        except OverflowError:  # negative or wider than a word
+            table = np.array(
+                [int(value) & mask for value in values], np.uint64
+            )
+        else:
+            table &= np.uint64(mask)
+        return table.reshape(-1, lanes)
+
+    def _readers(self):
+        """Per output port: (name, slot, take, finish) for ``run_lanes``.
+
+        Packed columns are kept by reference (generated code never
+        writes into one); wide ports are joined to lane ints each cycle.
+        """
+        concatenate = self._np.concatenate
+
+        def lane_values(columns) -> List[int]:
+            return concatenate(columns).tolist()
+
+        return [
+            (name, index, self._unpack_wide, chain.from_iterable)
+            if is_wide else (name, index, None, lane_values)
+            for name, index, is_wide in self._output_slots
+        ]
+
     def run(
         self, input_streams: Sequence[List[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
-        """Feed K equal-length streams; returns K per-lane traces."""
-        streams = [list(stream) for stream in input_streams]
-        if len(streams) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(streams)} streams for "
-                f"{self.lanes} lanes"
-            )
-        lengths = {len(stream) for stream in streams}
-        if len(lengths) > 1:
-            raise NetlistError(
-                f"{self.module.name}: lane streams differ in length: "
-                f"{sorted(lengths)}"
-            )
-        traces: List[List[Dict[str, int]]] = [[] for _ in streams]
-        step = self.step
-        for vectors in zip(*streams):
-            for trace, outputs in zip(traces, step(vectors)):
-                trace.append(outputs)
-        return traces
+        """Feed K equal-length streams; returns K per-lane traces.
+
+        The numpy flavor marshals whole runs (:func:`run_lanes`); the
+        stdlib flavor steps cycle by cycle.
+        """
+        if self._np is None:
+            return step_lanes(self, input_streams)
+        return run_lanes(self, input_streams)
 
     def run_random(
         self, cycles: int, seed: int = 0, bias: float = 0.0

@@ -28,6 +28,8 @@ from repro.rtl import (
     random_stimulus_batch,
 )
 
+from .lane_runs import LANE_RUN_CASES, assert_run_matches_steps, lane_run_cases
+
 
 def _alu(width=8) -> Module:
     module = Module("alu")
@@ -222,6 +224,33 @@ def test_batched_rejects_ragged_streams():
         sim.run([good, good[:2]])
     with pytest.raises(NetlistError):
         sim.run([good])  # wrong lane count
+    with pytest.raises(NetlistError, match="no input port 'nope'"):
+        sim.run([[{"a": 1, "nope": 2}], [{"a": 3, "nope": 4}]])
+
+
+# -- whole-run marshalling: run() == step() cycle by cycle ---------------
+
+
+@pytest.mark.parametrize("case", LANE_RUN_CASES)
+@pytest.mark.parametrize(
+    "make_module",
+    [
+        _alu,
+        lambda: _alu(width=65),
+        lambda: _alu(width=100),
+        lambda: _alu(width=512),
+        _registered_counter,
+        lambda: _wide_datapath(width=200, narrow_cells=8),
+        lambda: fifo_pipeline(stages=3, width=16, depth=2),
+    ],
+    ids=["w8", "w65", "w100", "w512", "counter", "lane-lists", "fifo"],
+)
+def test_batched_run_matches_step_by_step(make_module, case):
+    module = make_module()
+    assert_run_matches_steps(
+        lambda: BatchedCompiledSimulator(module, 3),
+        lane_run_cases(module, 3, seed=5)[case],
+    )
 
 
 # -- compilation and memoization ----------------------------------------
@@ -276,3 +305,7 @@ def test_catalog_designs_batched_bit_identical(name, opt_level):
         source, component, params, generators
     ).value.module
     assert differential_check(module, cycles=24, seed=0xA5, lanes=3)
+    assert_run_matches_steps(
+        lambda: BatchedCompiledSimulator(module, 3),
+        random_stimulus_batch(module, 24, 3, seed=0xA5),
+    )

@@ -31,6 +31,8 @@ from repro.rtl import (
 )
 from repro.rtl import vectorize
 
+from .lane_runs import LANE_RUN_CASES, assert_run_matches_steps, lane_run_cases
+
 
 @pytest.fixture(autouse=True)
 def _fresh_memo():
@@ -80,11 +82,44 @@ def _alu(width: int) -> Module:
     return m
 
 
+def _freeze(values) -> None:
+    for value in values:
+        if isinstance(value, list):  # a wide net's word columns
+            _freeze(value)
+        elif hasattr(value, "flags"):
+            value.flags.writeable = False
+
+
+def _read_only(engine: VectorCompiledSimulator) -> VectorCompiledSimulator:
+    """Mark every numpy column in the engine's slots and registers
+    read-only after each evaluate and latch: ``run`` keeps output columns
+    by reference, so a generated in-place write must raise here instead
+    of silently rewriting an earlier cycle's outputs."""
+    if engine.flavor != "numpy":
+        return engine
+
+    def frozen(kernel):
+        def call(s, r, f):
+            kernel(s, r, f)
+            _freeze(s)
+            _freeze(r)
+        return call
+
+    _freeze(engine._slots)
+    _freeze(engine._regs)
+    engine._evaluate = frozen(engine._evaluate)
+    engine._latch = frozen(engine._latch)
+    return engine
+
+
 def _parity(module: Module, lanes: int, flavor: str, cycles=48, seed=0,
             bias=0.0) -> bool:
-    """Interpreter vs. an explicit-flavor vector engine."""
+    """Interpreter vs. an explicit-flavor vector engine (read-only
+    columns on the numpy flavor)."""
     interp = Simulator(module)
-    engine = VectorCompiledSimulator(interp.module, lanes, flavor=flavor)
+    engine = _read_only(
+        VectorCompiledSimulator(interp.module, lanes, flavor=flavor)
+    )
     streams = random_stimulus_batch(interp.module, cycles, lanes, seed, bias)
     return interp.run_batch(streams) == engine.run(streams)
 
@@ -100,6 +135,11 @@ def test_catalog_designs_bit_identical_under_vector(name, opt_level):
     module = session.optimize(source, component, params, generators).value.module
     assert differential_check(module, cycles=48, seed=0xA5, lanes=3,
                               backend="vector")
+    # Whole-run marshalling agrees with stepping, over read-only columns.
+    assert_run_matches_steps(
+        lambda: _read_only(VectorCompiledSimulator(module, 3)),
+        random_stimulus_batch(module, 24, 3, seed=0xA5),
+    )
 
 
 @pytest.mark.parametrize("name", sorted(DESIGNS))
@@ -145,6 +185,36 @@ def test_vector_matches_interpreter_on_fifo_pipeline(flavor):
     # Corner-biased stimulus stresses full/empty transitions harder.
     assert _parity(module, lanes=4, flavor=flavor, cycles=200, seed=11,
                    bias=0.5)
+
+
+# -- whole-run marshalling: run() == step() cycle by cycle ---------------
+
+
+@pytest.mark.parametrize("case", LANE_RUN_CASES)
+@pytest.mark.parametrize(
+    "make_module",
+    [lambda width=width: _alu(width) for width in (1, 7, 64, 65, 100, 512)]
+    + [lambda: fifo_pipeline(stages=3, width=16, depth=2)],
+    ids=["w1", "w7", "w64", "w65", "w100", "w512", "fifo"],
+)
+def test_run_matches_step_by_step(make_module, case):
+    module = make_module()
+    assert_run_matches_steps(
+        lambda: _read_only(VectorCompiledSimulator(module, 3)),
+        lane_run_cases(module, 3, seed=5)[case],
+    )
+
+
+def test_run_rejects_unknown_ports_and_ragged_streams():
+    module = _alu(8)
+    sim = VectorCompiledSimulator(module, 2)
+    with pytest.raises(NetlistError, match="no input port 'nope'"):
+        sim.run([[{"a": 1, "nope": 2}], [{"a": 3, "nope": 4}]])
+    good = random_stimulus_batch(module, 4, 2, seed=0)
+    with pytest.raises(NetlistError):
+        sim.run([good[0], good[1][:2]])
+    with pytest.raises(NetlistError):
+        sim.run(good[:1])  # wrong lane count
 
 
 # -- flavor resolution and the numpy-less fallback ----------------------
