@@ -27,10 +27,7 @@ the interpreter on the largest catalog design, the 16-lane batched mode
 via ``$REPRO_BENCH_MIN_LANE_SPEEDUP`` for reduced-cycle CI smoke runs),
 the vector backend's best lane count ≥3x the 64-lane SWAR batched
 throughput on that same design (``$REPRO_BENCH_MIN_VECTOR_SPEEDUP``;
-numpy flavor only), the profile-guided ``-O3`` program beating the
-plain ``-O2`` compiled program on that same design
-(``$REPRO_BENCH_MIN_O3_SPEEDUP``, lenient by default — fusion wins are
-real but modest), and the warm session served almost entirely from
+numpy flavor only), and the warm session served almost entirely from
 disk.  Cycle counts scale down via ``$REPRO_BENCH_CYCLES``.
 
 Every measured figure in the committed JSON is rounded to a fixed
@@ -50,14 +47,12 @@ from repro.rtl import (
     CompiledSimulator,
     Simulator,
     VectorCompiledSimulator,
-    collect_profile,
     compile_netlist,
     random_stimulus,
     random_stimulus_batch,
     tune,
     vector_flavor,
 )
-from repro.rtl.passes import build_plan
 
 CYCLES = int(os.environ.get("REPRO_BENCH_CYCLES", "256"))
 SEED = 0xBE
@@ -77,10 +72,6 @@ MIN_LANE_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_LANE_SPEEDUP", "3.0"))
 MIN_VECTOR_SPEEDUP = float(
     os.environ.get("REPRO_BENCH_MIN_VECTOR_SPEEDUP", "3.0")
 )
-#: Profile-guided -O3 vs plain -O2 compiled throughput on the largest
-#: design.  Fusion's win is real but modest (and jittery at CI cycle
-#: counts), so the default bar is deliberately lenient.
-MIN_O3_SPEEDUP = float(os.environ.get("REPRO_BENCH_MIN_O3_SPEEDUP", "1.02"))
 
 #: The cold/warm pair sweeps a slice of the catalog through the full
 #: pipeline (synthesize + simulate at -O2) — enough stages to be
@@ -107,20 +98,6 @@ def _throughput(sim_cls, module, stimulus) -> float:
     simulator.run(stimulus)
     seconds = time.perf_counter() - start
     return len(stimulus) / seconds if seconds else float("inf")
-
-
-def _best_cps(simulator, stimulus, reps: int = 3) -> float:
-    """Best-of-``reps`` cycles/sec — the -O3-vs-O2 differential compares
-    two programs whose gap is smaller than scheduler noise on a single
-    shot, so both sides take their fastest of a few runs."""
-    best = 0.0
-    for _ in range(reps):
-        start = time.perf_counter()
-        simulator.run(stimulus)
-        seconds = time.perf_counter() - start
-        cps = len(stimulus) / seconds if seconds else float("inf")
-        best = max(best, cps)
-    return best
 
 
 def _lane_throughput(module, lanes, cycles) -> float:
@@ -169,17 +146,6 @@ def _design_rows(session):
             for k in vector_sweep
         }
         tuned = tune(module, max(vector_sweep))
-        # The profile-guided differential pair: -O2 compiled program vs
-        # the same netlist specialized against its activity profile.
-        o2_module = session.optimize(
-            source, component, params, generators, opt_level=2
-        ).value.module
-        plan = build_plan(o2_module, collect_profile(o2_module))
-        o2_stimulus = random_stimulus(o2_module, CYCLES, SEED)
-        o2_cps = _best_cps(CompiledSimulator(o2_module), o2_stimulus)
-        o3_cps = _best_cps(
-            CompiledSimulator(o2_module, plan=plan), o2_stimulus
-        )
         rows.append(
             {
                 "name": name,
@@ -194,10 +160,6 @@ def _design_rows(session):
                 "vector_flavor": flavor,
                 "vector_cycles": VECTOR_CYCLES,
                 "tuned_backend": tuned.backend,
-                "o2_cycles_per_sec": _sig(o2_cps),
-                "o3_cycles_per_sec": _sig(o3_cps),
-                "o3_speedup_vs_o2": _sig(o3_cps / o2_cps),
-                "pgo_fused_nets": len(plan.fuse_nets),
                 "compile_seconds": _sig(
                     compile_netlist(module).compile_seconds
                 ),
@@ -266,7 +228,6 @@ def test_sim_backend_benchmark(tmp_path):
         "largest_design_speedup": largest["speedup"],
         "largest_design_lane16_speedup": largest["lane16_speedup_vs_scalar"],
         "largest_design_vector_vs_swar64": vector_vs_swar64,
-        "largest_design_o3_speedup_vs_o2": largest["o3_speedup_vs_o2"],
         "vector_flavor": largest["vector_flavor"],
         "warm_vs_cold": {
             "designs": list(WARM_DESIGNS),
@@ -312,12 +273,6 @@ def test_sim_backend_benchmark(tmp_path):
             + "  ".join(f"{k}: {cps:.0f}" for k, cps in vector.items())
             + f"  -> auto picks {row['tuned_backend']}"
         )
-        print(
-            f"           pgo -O3 {row['o3_cycles_per_sec']:.0f} vs "
-            f"-O2 {row['o2_cycles_per_sec']:.0f} "
-            f"({row['o3_speedup_vs_o2']:.2f}x, "
-            f"{row['pgo_fused_nets']} nets fused)"
-        )
     print(
         f"\n  cold session {cold_seconds:.2f}s -> warm session "
         f"{warm_seconds:.2f}s ({cold_seconds / warm_seconds:.1f}x, "
@@ -332,13 +287,11 @@ def test_sim_backend_benchmark(tmp_path):
     # Acceptance: the compiled backend is ≥3x interpreter on the largest
     # design, 16 batched lanes multiply its throughput again, the vector
     # backend's best lane count leaves 64-lane SWAR behind (numpy flavor
-    # only — the stdlib fallback exists for correctness, not speed), the
-    # profile-guided program beats plain -O2 on the largest design, and
+    # only — the stdlib fallback exists for correctness, not speed), and
     # the disk cache makes the second session nearly free.
     assert largest["speedup"] >= 3.0, largest
     assert largest["lane16_speedup_vs_scalar"] >= MIN_LANE_SPEEDUP, largest
     if largest["vector_flavor"] == "numpy":
         assert vector_vs_swar64 >= MIN_VECTOR_SPEEDUP, largest
-    assert largest["o3_speedup_vs_o2"] >= MIN_O3_SPEEDUP, largest
     assert disk["hit_rate"] >= 0.9, disk
     assert warm_seconds < cold_seconds, (warm_seconds, cold_seconds)

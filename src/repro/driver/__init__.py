@@ -32,7 +32,6 @@ from .cache import (
     CodegenStore,
     DiskCache,
     ObligationStore,
-    ProfileStore,
     TunerStore,
     freeze_params,
     source_digest,
@@ -101,7 +100,6 @@ __all__ = [
     "LeaseManager",
     "ObligationStore",
     "OptimizedNetlist",
-    "ProfileStore",
     "RunLedger",
     "RunProfiler",
     "RunReport",

@@ -100,25 +100,13 @@ class StageArtifact:
 
 class OptimizedNetlist:
     """Value of the ``optimize`` stage: a flat netlist after the pass
-    pipeline, plus what every pass did to it.
+    pipeline, plus what every pass did to it."""
 
-    At ``-O3`` the artifact additionally carries the
-    :class:`~repro.rtl.passes.pgo.PgoPlan` derived from the design's
-    activity profile (``pgo_plan``); the simulate stage hands it to
-    :func:`repro.rtl.make_simulator` so the scalar engines specialize.
-    ``pgo_plan`` is None below ``-O3`` and when ``-O3`` degraded to
-    ``-O2`` because no profile was available.
-    """
-
-    def __init__(
-        self, module, opt_level: int, cells_before: int, pass_stats,
-        pgo_plan=None,
-    ):
+    def __init__(self, module, opt_level: int, cells_before: int, pass_stats):
         self.module = module
         self.opt_level = opt_level
         self.cells_before = cells_before
         self.pass_stats = list(pass_stats)
-        self.pgo_plan = pgo_plan
 
     @property
     def cells_after(self) -> int:

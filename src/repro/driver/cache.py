@@ -22,6 +22,7 @@ entries are deleted and treated as misses, never served.
 
 from __future__ import annotations
 
+import atexit
 import errno
 import hashlib
 import json
@@ -58,11 +59,16 @@ from .artifact import StageArtifact
 #: now that three generators (scalar/SWAR/vector) share the stage.
 #:
 #: v5: new ``"profile"`` pseudo-stage (persistent per-net activity
-#: profiles keyed ``(structural_hash, PROFILE_VERSION)`` — see
-#: :class:`ProfileStore`), ``optimize``/``simulate`` keys distinguish
-#: the profile-guided ``-O3`` pipeline, and ``CODEGEN_VERSION`` → 3
-#: (payloads gained ``extra_slots``/``inlined_nets``).
-SCHEMA_VERSION = 5
+#: profiles keyed ``(structural_hash, PROFILE_VERSION)``),
+#: ``optimize``/``simulate`` keys distinguish the profile-guided
+#: ``-O3`` pipeline, and ``CODEGEN_VERSION`` → 3 (payloads gained
+#: ``extra_slots``/``inlined_nets``).
+#:
+#: v6: the ``"profile"`` pseudo-stage is gone, and ``optimize``/
+#: ``simulate`` keys no longer have an ``-O3`` shape (simulate keys
+#: dropped the explicit level; the pipeline fingerprint separates
+#: ``-O0``/``-O1``/``-O2``).
+SCHEMA_VERSION = 6
 
 #: Soft size bound for a cache root, in bytes; the oldest entries are
 #: trimmed at attach time once the tree exceeds it.  Overridable via
@@ -450,10 +456,15 @@ class DiskCache:
             raise
 
     def _ensure_lease(self) -> None:
-        """Hold this process's writer lease (idempotent, first write)."""
+        """Hold this process's writer lease (idempotent, first write).
+
+        A clean interpreter exit releases it, so only a writer that died
+        mid-run leaves a lease for fsck to report as stale.
+        """
         if not self._lease_held:
             self.leases.acquire()
             self._lease_held = True
+            atexit.register(self.leases.release)
 
     def _store(self, key: Tuple, artifact: StageArtifact) -> bool:
         try:
@@ -724,56 +735,6 @@ class TunerStore:
         )
         if stored:
             self.disk.stats.bump("tuner.store")
-        return stored
-
-
-class ProfileStore:
-    """Persists per-net activity profiles in a :class:`DiskCache`.
-
-    The adapter the profile-guided ``-O3`` pipeline plugs into:
-    profile payloads (toggle counts, observed-constant nets and mux
-    select skew from :meth:`repro.rtl.profile.SimProfile.to_payload`,
-    plain picklable dicts) are wrapped in a ``StageArtifact`` under the
-    pseudo-stage ``"profile"`` and keyed by ``(structural_hash,
-    PROFILE_VERSION)``.  The structural hash identifies the optimized
-    netlist the activity was observed on, and the profile version
-    retires profiles whose recorded quantities changed shape.  One
-    profiling run per design per machine; every later ``-O3`` compile
-    specializes from disk without re-simulating.
-
-    Counters on the shared :class:`CacheStats`: ``profile.disk_hit`` /
-    ``profile.disk_miss`` per lookup, ``profile.store`` per write-back.
-    """
-
-    def __init__(self, disk: DiskCache):
-        self.disk = disk
-
-    @staticmethod
-    def _key(structural_hash: str) -> Tuple:
-        from ..rtl.profile import PROFILE_VERSION
-
-        return ("profile", structural_hash, PROFILE_VERSION)
-
-    def load(self, structural_hash: str) -> Optional[dict]:
-        from ..rtl.profile import valid_profile_payload
-
-        artifact = self.disk.load(self._key(structural_hash))
-        # Validate before counting: a hit means a usable profile.
-        if artifact is None or not valid_profile_payload(
-            artifact.value, structural_hash
-        ):
-            self.disk.stats.bump("profile.disk_miss")
-            return None
-        self.disk.stats.bump("profile.disk_hit")
-        return artifact.value
-
-    def save(self, payload: dict) -> bool:
-        key = self._key(payload["structural_hash"])
-        stored = self.disk.store(
-            key, StageArtifact("profile", key, payload, 0.0)
-        )
-        if stored:
-            self.disk.stats.bump("profile.store")
         return stored
 
 

@@ -9,8 +9,7 @@ fresh throwaway disk cache, and holds the run to three obligations:
 1. **Bit-identical** — every design's trace (and typecheck report)
    digest equals the fault-free baseline's.  The degradation ladders
    (disk→memory, process→thread→serial, vector→compiled→interp,
-   incremental→one-shot solver, -O3→-O2) are allowed to cost time,
-   never bits.
+   incremental→one-shot solver) are allowed to cost time, never bits.
 2. **Accounted** — every fault the plan fired shows up as a
    ``fault.injected.<site>`` counter on the session's stats, so no
    injection was silently swallowed (or silently skipped).

@@ -37,10 +37,8 @@ that name, serving its checkpoints verbatim (bit-identical by
 construction) and computing only what is missing.  SIGINT/SIGTERM
 drain gracefully — the ledger is flushed, exit code 130.
 
-Every subcommand accepts ``-O{0,1,2,3}`` to select the netlist
-optimization level (the pass pipeline of :mod:`repro.rtl.passes`;
-``-O3`` is profile-guided — it specializes against persisted activity
-profiles and degrades to ``-O2`` when none exist),
+Every subcommand accepts ``-O{0,1,2}`` to select the netlist
+optimization level (the pass pipeline of :mod:`repro.rtl.passes`),
 ``--sim-backend {auto,batched,compiled,interp,vector}`` to pick the
 simulation engine (``auto`` resolves per design from persisted tuner
 calibrations), ``--sim-lanes K`` to batch K stimulus lanes through
@@ -710,8 +708,7 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "-O", dest="opt_level", type=int, choices=OPT_LEVELS, default=0,
             metavar="LEVEL",
-            help="netlist optimization level (default: 0 — no passes; "
-                 "3 = profile-guided, degrades to 2 without a profile)",
+            help="netlist optimization level (default: 0 — no passes)",
         )
     for command in (compile_, typecheck, table, figure, ablation, profile,
                     all_, sweep):

@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the whole accelerator stack.
 
 The reliability mirror of the perf work: every layer that got a fast
-path (disk cache, codegen/profile/tuner/obligation stores, batched and
+path (disk cache, codegen/tuner/obligation stores, batched and
 vectorized simulation, the incremental solver, the process grid) also
 has a *failure* path, and nothing short of injecting the failures
 proves those paths degrade gracefully instead of corrupting results.
@@ -9,7 +9,7 @@ This module is the injection substrate: a :class:`FaultPlan` names
 *sites* (fixed strings compiled into the hardened code) and decides —
 deterministically, from explicit counts and skip offsets or from a
 seed — which invocations of each site fail.  The hardened layers then
-recover along the degradation ladder (disk→memory, -O3→-O2,
+recover along the degradation ladder (disk→memory,
 vector→compiled→interp, incremental→one-shot solver, process→thread→
 serial grid), all of whose rungs are bit-identical by the differential
 contracts PRs 2–8 established, so an injected fault costs speed, never

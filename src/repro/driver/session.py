@@ -55,9 +55,7 @@ from ..lilac.typecheck import check_component, check_program
 from ..rtl import (
     BACKEND_FALLBACKS,
     SimBackendUnavailable,
-    SimProfile,
     backend_fingerprint,
-    collect_profile,
     emit_verilog,
     flatten,
     make_simulator,
@@ -65,13 +63,7 @@ from ..rtl import (
     random_stimulus_batch,
     tune,
 )
-from ..rtl.passes import (
-    PGO_VERSION,
-    PassManager,
-    PassStats,
-    pgo_passes,
-    pipeline_for_level,
-)
+from ..rtl.passes import PassManager, PassStats, pipeline_for_level
 from ..synth import synthesize
 from . import faults
 from .artifact import (
@@ -87,7 +79,6 @@ from .cache import (
     CodegenStore,
     DiskCache,
     ObligationStore,
-    ProfileStore,
     TunerStore,
     freeze_params,
     source_digest,
@@ -138,10 +129,8 @@ class CompileSession:
         sim_lanes: int = 1,
         typecheck_jobs: Optional[int] = None,
         typecheck_executor: str = "thread",
-        profile_auto: bool = True,
         fault_plan: Union["faults.FaultPlan", str, None] = None,
     ):
-        self.profile_auto = bool(profile_auto)
         self.verify = verify
         self.opt_level = int(opt_level)
         pipeline_for_level(self.opt_level)  # reject bad levels eagerly
@@ -207,21 +196,10 @@ class CompileSession:
             if self.cache.disk is not None
             else None
         )
-        #: persistent activity-profile store for the -O3 pipeline; warm
-        #: sessions specialize from the persisted profile (the "profile"
-        #: pseudo-stage) without re-simulating the design.
-        self._profile_store = (
-            ProfileStore(self.cache.disk)
-            if self.cache.disk is not None
-            else None
-        )
         #: run ledger for checkpoint/resume (attached by the CLI's
         #: ``--run-id``/``--resume`` plumbing; grids pick it up via
         #: ``getattr(session, "ledger", None)``).
         self.ledger = None
-        #: in-session profile memo keyed by structural hash (value None
-        #: caches the *absence* of a profile when auto-collection is off).
-        self._profiles: Dict[str, Optional[SimProfile]] = {}
         self._mutex = threading.Lock()
         #: every PassStats any optimize stage produced, in completion
         #: order — the CLI's end-of-run per-pass report reads this.
@@ -251,7 +229,6 @@ class CompileSession:
             # oversubscribe, and the outer grid already parallelizes.
             "typecheck_jobs": None,
             "typecheck_executor": self.typecheck_executor,
-            "profile_auto": self.profile_auto,
             # Workers rebuild the plan from its grammar spelling with
             # fresh counters — each process schedules its own failures.
             "fault_plan": (
@@ -471,20 +448,9 @@ class CompileSession:
         At ``-O0`` the pipeline is empty: the artifact is the flattened
         netlist exactly as lowered, which is what the differential
         checks compare optimized netlists against.
-
-        ``-O3`` is the profile-guided level: it first produces the
-        ``-O2`` artifact (cached like any other), then specializes it
-        against the design's activity profile — persisted in the
-        ``"profile"`` pseudo-stage, or collected on the spot when
-        ``profile_auto`` is set.  Without a profile the level degrades
-        to ``-O2`` semantics exactly (``pgo_plan`` stays None).
         """
         registry = self._registry_of(generators)
         level, pipeline = self._pipeline(opt_level)
-        if level >= 3:
-            return self._optimize_pgo(
-                source, component, params, registry, stdlib, level
-            )
         key = (
             "optimize",
             self._source_key(source, stdlib),
@@ -513,107 +479,6 @@ class CompileSession:
             value = OptimizedNetlist(module, level, cells_before, pass_stats)
             return StageArtifact(
                 "optimize", key, value, seconds, sub_timings=sub_timings
-            )
-
-        return self.cache.get_or_compute(key, compute)
-
-    def _profile_for(self, module, structural: str) -> Optional[SimProfile]:
-        """The activity profile for ``module``, or None.
-
-        Resolution order: in-session memo → persistent
-        :class:`~repro.driver.cache.ProfileStore` → fresh collection
-        (256 profiling cycles on the compiled engine) when
-        ``profile_auto`` is set.  A fresh collection is written back to
-        the store, so one profiling run serves every later process.
-        """
-        with self._mutex:
-            if structural in self._profiles:
-                return self._profiles[structural]
-        profile: Optional[SimProfile] = None
-        if self._profile_store is not None:
-            payload = self._profile_store.load(structural)
-            if payload is not None:
-                profile = SimProfile.from_payload(payload)
-        if profile is None and self.profile_auto:
-            start = time.perf_counter()
-            try:
-                profile = collect_profile(
-                    module, codegen_store=self._codegen_store
-                )
-            except Exception as error:
-                # -O3 without a profile *is* -O2 (pgo_plan stays None),
-                # so a failed profiling run degrades, never fails.
-                self.stats.bump("degrade.pgo")
-                warnings.warn(
-                    f"activity profiling failed ({error!r}); "
-                    "-O3 degrading to -O2 semantics",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                profile = None
-            else:
-                self.stats.bump("profile.collected")
-                if self._profile_store is not None:
-                    self._profile_store.save(profile.to_payload())
-            self.stats.add_seconds(
-                "profile.collect", time.perf_counter() - start
-            )
-        with self._mutex:
-            self._profiles[structural] = profile
-        return profile
-
-    def _optimize_pgo(
-        self, source, component, params, registry, stdlib, level: int
-    ) -> StageArtifact:
-        """The ``-O3`` optimize stage: ``-O2`` plus a profile-guided
-        specialization plan.
-
-        The cache key extends the ``-O2`` pipeline fingerprint with
-        ``("pgo", PGO_VERSION, <profile digest>)`` — a new profile (or
-        losing the profile) re-specializes exactly the artifacts that
-        depended on it, while the underlying ``-O2`` artifact stays
-        warm.  The PGO passes are annotation-only, so the ``-O3``
-        artifact shares the ``-O2`` module object unchanged.
-        """
-        base = self.optimize(
-            source, component, params, registry, stdlib, opt_level=2
-        ).value
-        module = base.module
-        structural = module.structural_hash()
-        profile = self._profile_for(module, structural)
-        digest = profile.digest() if profile is not None else "none"
-        key = (
-            "optimize",
-            self._source_key(source, stdlib),
-            component,
-            freeze_params(params),
-            registry.fingerprint(),
-            self.verify,
-            pipeline_for_level(2).fingerprint(),
-            ("pgo", PGO_VERSION, digest),
-        )
-
-        def compute() -> StageArtifact:
-            start = time.perf_counter()
-            plan = None
-            pass_stats: List[PassStats] = []
-            if profile is not None:
-                passes, builder = pgo_passes(profile)
-                pass_stats = PassManager(passes).run(module)
-                plan = builder.plan
-                with self._mutex:
-                    self._pass_log.extend(pass_stats)
-            sub_timings: Dict[str, float] = {}
-            for stat in pass_stats:
-                name = f"pass.{stat.name}"
-                sub_timings[name] = sub_timings.get(name, 0.0) + stat.seconds
-            value = OptimizedNetlist(
-                module, level, base.cells_before,
-                base.pass_stats + pass_stats, pgo_plan=plan,
-            )
-            return StageArtifact(
-                "optimize", key, value, time.perf_counter() - start,
-                sub_timings=sub_timings,
             )
 
         return self.cache.get_or_compute(key, compute)
@@ -667,11 +532,6 @@ class CompileSession:
             registry.fingerprint(),
             self.verify,
             pipeline.fingerprint(),
-            # The explicit level keeps -O2 and -O3 apart: both resolve
-            # to the same static pass fingerprint (PGO passes enter the
-            # pipeline only once a profile is in hand), but the -O3
-            # trace's perf figures come from a specialized engine.
-            int(level),
             int(cycles),
             int(seed),
             # name@version, mirroring the pass-pipeline fingerprint: a
@@ -715,7 +575,6 @@ class CompileSession:
                         optimized.module, resolved,
                         lanes=n_lanes,
                         codegen_store=self._codegen_store,
-                        plan=getattr(optimized, "pgo_plan", None),
                     )
                     break
                 except SimBackendUnavailable as error:
@@ -975,24 +834,6 @@ class CompileSession:
             },
         }
 
-    def profile_stats(self) -> Dict[str, object]:
-        """The -O3 activity-profile picture: reuse vs fresh collection.
-
-        ``collected`` counts fresh profiling runs this session paid
-        for; ``disk_hits`` were served from the persistent "profile"
-        pseudo-stage without re-simulating.
-        """
-        snap = self.stats.snapshot()
-        counters = snap["counters"]
-        return {
-            "auto": self.profile_auto,
-            "collected": counters.get("profile.collected", 0),
-            "collect_seconds": snap["timers"].get("profile.collect", 0.0),
-            "disk_hits": counters.get("profile.disk_hit", 0),
-            "disk_misses": counters.get("profile.disk_miss", 0),
-            "disk_stores": counters.get("profile.store", 0),
-        }
-
     def fault_stats(self) -> Dict[str, object]:
         """The robustness picture: injected faults and how the stack
         absorbed them.
@@ -1001,8 +842,8 @@ class CompileSession:
         session, ``retries`` counts in-place recoveries, and
         ``degrades`` counts rungs taken down the degradation ladders
         (disk→memory, process→thread→serial, vector→compiled→interp,
-        incremental→one-shot solver, -O3→-O2).  All zero / empty in a
-        fault-free run.
+        incremental→one-shot solver).  All zero / empty in a fault-free
+        run.
         """
         counters = self.stats.snapshot()["counters"]
 
@@ -1064,7 +905,6 @@ class CompileSession:
             "passes": self.pass_summary(),
             "typecheck": self.typecheck_stats(),
             "tuner": self.tuner_stats(),
-            "profile": self.profile_stats(),
             "faults": self.fault_stats(),
             "checkpoint": self.checkpoint_stats(),
         }

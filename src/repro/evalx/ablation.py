@@ -16,17 +16,14 @@ with K stimulus lanes in one pass, which must agree lane for lane with
 K independent single-lane runs at the derived lane seeds — the SWAR
 batched engine in the "Lanes" column and the word-packed vector
 backend in the "Vector" column, both against the same per-lane
-reference traces.  The profile-guided level rides the same gate: the
-"O3" column re-simulates each design at ``-O3`` (activity-profiled
-specialization) on the compiled engine and must reproduce the ``-O0``
-interpreter trace exactly.
+reference traces.
 
 :func:`check_shape` asserts the claims this artifact exists for:
 
-* **soundness** — every design is output-equivalent across levels
-  (including the profile-guided ``-O3``), the compiled backend is
-  output-equivalent to the interpreter, and both lane engines (SWAR
-  batched, vectorized) are output-equivalent to sequential runs;
+* **soundness** — every design is output-equivalent across levels,
+  the compiled backend is output-equivalent to the interpreter, and
+  both lane engines (SWAR batched, vectorized) are output-equivalent to
+  sequential runs;
 * **profit** — dead-cell elimination plus common-cell sharing reduce
   the total cell count on at least three designs.
 """
@@ -67,7 +64,6 @@ class AblationRow:
         backends_agree: bool = True,
         lanes_agree: bool = True,
         vector_agree: bool = True,
-        o3_agree: bool = True,
     ):
         self.name = name
         self.cells_base = cells_base
@@ -86,10 +82,6 @@ class AblationRow:
         #: word-packed vector run bit-identical, lane for lane, to the
         #: same independent single-lane reference traces.
         self.vector_agree = vector_agree
-        #: profile-guided -O3 run (compiled engine, specialized against
-        #: the design's activity profile) bit-identical to the -O0
-        #: interpreter trace.
-        self.o3_agree = o3_agree
 
     @property
     def reduction(self) -> float:
@@ -120,7 +112,6 @@ class AblationRow:
             "yes" if self.backends_agree else "NO",
             "yes" if self.lanes_agree else "NO",
             "yes" if self.vector_agree else "NO",
-            "yes" if self.o3_agree else "NO",
         ]
 
 
@@ -188,15 +179,6 @@ def _build_row(
         lanes=lanes,
     ).value
     vector_agree = list(vector.outputs) == lane_refs
-    # The profile-guided differential: -O3 specializes the compiled
-    # program against the design's activity profile (hot-cone fusion,
-    # observed-constant guards, change-driven gating) and must still
-    # reproduce the unoptimized interpreter trace bit for bit.
-    o3 = session.simulate(
-        source, component, params, generators,
-        cycles=cycles, seed=seed, opt_level=3, backend="compiled", lanes=1,
-    ).value
-    o3_agree = o3.outputs == trace_base.outputs
     removed_by: Dict[str, int] = {}
     for stat in opt.pass_stats:
         removed_by[stat.name] = (
@@ -213,7 +195,6 @@ def _build_row(
         backends_agree=backends_agree,
         lanes_agree=lanes_agree,
         vector_agree=vector_agree,
-        o3_agree=o3_agree,
     )
 
 
@@ -237,7 +218,7 @@ def build_rows(
 def render(rows: List[AblationRow]) -> str:
     return format_table(
         ["Design", "Cells -O0", "Cells -O2", "Reduction", "Sim speedup",
-         "Equivalent", "Backends", "Lanes", "Vector", "O3"],
+         "Equivalent", "Backends", "Lanes", "Vector"],
         [row.cells() for row in rows],
     )
 
@@ -261,10 +242,6 @@ def check_shape(rows: List[AblationRow]) -> Dict[str, float]:
         assert row.vector_agree, (
             f"{row.name}: vectorized multi-lane run diverges from the "
             f"independent single-lane runs — vector codegen is unsound"
-        )
-        assert row.o3_agree, (
-            f"{row.name}: profile-guided -O3 run diverges from the -O0 "
-            f"interpreter trace — PGO specialization is unsound"
         )
         assert row.cells_opt <= row.cells_base, (
             f"{row.name}: optimization grew the netlist"

@@ -8,7 +8,11 @@ levelized (the same ``comb_topo_order`` the interpreter uses), every net
 is assigned a dense slot in a flat list, and one straight-line Python
 function is code-generated with a single masked slot-array assignment
 per combinational cell, plus a sequential-latch epilogue for registers
-and FIFOs.  The generated source is ``exec``'d once and memoized by
+and FIFOs.  A net with exactly one combinational reader gets no
+assignment of its own: its expression is *fused* (inlined,
+parenthesized) into that reader, saving a slot store and load per
+cycle, so ``peek_net`` on a fused net raises — the interpreter shows
+every net.  The generated source is ``exec``'d once and memoized by
 :meth:`~repro.rtl.netlist.Module.structural_hash`, so structurally equal
 netlists — across sessions, grid workers and optimization ablations —
 share one compilation.
@@ -44,8 +48,9 @@ state; scalar backends reach it through ``run_batch``.
 
 **Three codegen targets.**  This module owns two of them — the scalar
 generator (``_generate_source``: one straight-line masked assignment
-per cell) and the SWAR batched generator (``_generate_batched_source``
-above) — and :mod:`repro.rtl.vectorize` adds the third: word-packed
+per cell, with single-reader expressions fused into their consumer)
+and the SWAR batched generator (``_generate_batched_source`` above) —
+and :mod:`repro.rtl.vectorize` adds the third: word-packed
 lane *columns* (numpy ``uint64`` arrays, or ``array('Q')`` buffers as a
 pure-stdlib fallback) where one vectorized operation advances thousands
 of lanes at fixed per-op overhead.  SWAR cost grows with the packed
@@ -72,18 +77,6 @@ tag (``"scalar"``, ``"swar"``, ``"vector-numpy"``, ``"vector-stdlib"``)
 keeps the four generators' entries from shadowing each other — so a
 warm process skips levelization and code generation entirely and only
 pays ``compile()`` + ``exec()``.
-
-**Profile-guided programs.**  ``compile_netlist(module, plan=plan)``
-(a :class:`~repro.rtl.passes.pgo.PgoPlan` distilled from a
-:class:`~repro.rtl.profile.SimProfile`) selects a fourth, scalar-only
-generator: single-reader expressions fuse into their consumers, cones
-whose observed-cold roots didn't change this cycle are skipped behind
-per-root change flags kept in extra state slots, and observed-constant
-roots gate a constant-folded specialized body behind a per-cycle guard
-that re-checks the observations — so the program is bit-identical to
-the plain one on *every* stimulus, profiled or not, and
-``differential_check(plan=...)`` asserts it.  These programs persist
-under ``pgo-<plan digest>`` backend tags.
 """
 
 from __future__ import annotations
@@ -112,8 +105,11 @@ from .simulate import (
 #: semantics.  v2: payloads carry a ``backend`` tag
 #: (scalar/swar/vector-*) now that three generators share the store.
 #: v3: profile-guided scalar programs (``pgo-<plan digest>`` tags) with
-#: ``extra_slots``/``inlined_nets`` payload fields.
-CODEGEN_VERSION = 3
+#: ``extra_slots``/``inlined_nets`` payload fields.  v4: the scalar
+#: generator fuses single-reader expressions at every level (its
+#: payloads list them in ``inlined_nets``); ``pgo-*`` programs and
+#: ``extra_slots`` are gone.
+CODEGEN_VERSION = 4
 
 
 @runtime_checkable
@@ -196,7 +192,6 @@ class CompiledNetlist:
         "lanes",
         "stride",
         "from_store",
-        "extra_slots",
         "inlined_nets",
     )
 
@@ -215,7 +210,6 @@ class CompiledNetlist:
         lanes: Optional[int] = None,
         stride: int = 0,
         from_store: bool = False,
-        extra_slots: int = 0,
         inlined_nets: Tuple[str, ...] = (),
     ):
         self.structural_hash = structural_hash
@@ -236,12 +230,9 @@ class CompiledNetlist:
         #: True when the source came from a persistent codegen store
         #: rather than being generated in this process.
         self.from_store = from_store
-        #: Bookkeeping slots past ``n_slots`` (profile-guided programs
-        #: track previous root values there; 0 for plain programs).
-        self.extra_slots = int(extra_slots)
-        #: Net names fused into their sole consumer by profile-guided
-        #: codegen — their slots are never written (``peek_net`` on one
-        #: is an error); empty for plain programs.
+        #: Net names the scalar generator fused into their sole consumer
+        #: — their slots are never written (``peek_net`` on one is an
+        #: error); empty for the lane-parallel programs.
         self.inlined_nets = tuple(inlined_nets)
 
     def __repr__(self):
@@ -255,9 +246,8 @@ class CompiledNetlist:
 def _comb_expression_atoms(cell: Cell, atom) -> str:
     """One combinational cell's RHS over caller-supplied input atoms.
 
-    ``atom(net_name)`` renders one input read — a slot access for the
-    plain generators, possibly a parenthesized fused sub-expression or
-    a propagated constant literal for the profile-guided generator.
+    ``atom(net_name)`` renders one input read — a slot access, or a
+    parenthesized fused sub-expression (see :func:`_fused_nets`).
     Atoms that are not bare slot reads MUST self-parenthesize: they are
     substituted into every operator position below.  Mirrors
     :func:`~repro.rtl.simulate.eval_comb_cell` exactly — any divergence
@@ -304,11 +294,6 @@ def _comb_expression_atoms(cell: Cell, atom) -> str:
         a, b = atom(pins["a"].name), atom(pins["b"].name)
         return f"(({a} << {pins['b'].width}) | {b}) & {out_mask}"
     raise NetlistError(f"cannot compile cell kind {kind!r}")
-
-
-def _comb_expression(cell: Cell, slot: Dict[str, int]) -> str:
-    """The plain-slot RHS (byte-identical to the pre-refactor output)."""
-    return _comb_expression_atoms(cell, lambda name: f"s[{slot[name]}]")
 
 
 def _seq_meta(module: Module) -> Tuple[
@@ -401,209 +386,86 @@ def _latch_lines(
     return lines
 
 
+#: Cap on the operator count of one fused expression tree: unbounded
+#: substitution would grow pathological source lines.
+FUSE_OP_CAP = 8
+
+
+def _fused_nets(module: Module, order: List[Cell]) -> frozenset:
+    """The comb nets the scalar generator inlines into their consumer.
+
+    A net fuses iff it has exactly one combinational reader pin, no
+    register/FIFO/submodule reader, is not a port, never feeds a
+    ``div``/``mod`` ``b`` pin (the generated guard reads ``b`` twice, so
+    inlining would duplicate the whole subtree textually), and the
+    fused expression tree stays within :data:`FUSE_OP_CAP` operators.
+    ``order`` is the module's ``comb_topo_order``.
+    """
+    readers: Dict[str, int] = {}
+    blocked = {net.name for net in module.ports.values()}
+    for cell in order:
+        for pin, net in cell.pins.items():
+            if pin == "out":
+                continue
+            readers[net.name] = readers.get(net.name, 0) + 1
+            if pin == "b" and cell.kind in ("div", "mod"):
+                blocked.add(net.name)
+    for cell in module.cells.values():
+        if cell.kind in ("reg", "regen", "fifo", "submodule"):
+            blocked.update(net.name for net in cell.pins.values())
+    fused = set()
+    ops: Dict[str, int] = {}
+    for cell in order:  # producers before consumers
+        out = cell.pins["out"].name
+        ops[out] = 1 + sum(
+            ops[net.name]
+            for pin, net in cell.pins.items()
+            if pin != "out" and net.name in fused
+        )
+        if (
+            readers.get(out, 0) == 1
+            and out not in blocked
+            and ops[out] <= FUSE_OP_CAP
+        ):
+            fused.add(out)
+    return frozenset(fused)
+
+
 def _generate_source(module: Module, slot: Dict[str, int]) -> Tuple[
-    str, List[str], List[int], List[str], List[int]
+    str, List[str], List[int], List[str], List[int], List[str]
 ]:
-    """Generate the evaluate/latch pair for a flat, validated module."""
+    """Generate the evaluate/latch pair for a flat, validated module.
+
+    Nets in :func:`_fused_nets` emit no assignment: their expression is
+    inlined, parenthesized, into the sole consumer.  The last element of
+    the result lists those nets, sorted.
+    """
     reg_cells, reg_inits, fifo_cells, fifo_depths = _seq_meta(module)
+    order = comb_topo_order(module)
+    fused = _fused_nets(module, order)
+    producer = {cell.pins["out"].name: cell for cell in order}
+
+    def atom(name: str) -> str:
+        if name in fused:
+            return f"({_comb_expression_atoms(producer[name], atom)})"
+        return f"s[{slot[name]}]"
 
     ev: List[str] = ["def _evaluate(s, r, f):"]
     ev.extend(_drive_seq_lines(module, slot, reg_cells, fifo_cells,
                                fifo_depths))
     # Phase 2: straight-line combinational assignments, producers first.
-    for cell in comb_topo_order(module):
-        out = slot[cell.pins["out"].name]
-        ev.append(f"    s[{out}] = {_comb_expression(cell, slot)}")
-    if len(ev) == 1:
-        ev.append("    pass")
-
-    lt = _latch_lines(module, slot, reg_cells, fifo_cells)
-    source = "\n".join(ev) + "\n\n\n" + "\n".join(lt) + "\n"
-    return source, reg_cells, reg_inits, fifo_cells, fifo_depths
-
-
-# -- profile-guided (plan-driven) scalar code generation ----------------
-
-
-#: A cone is only gated when its root support has at most this many
-#: nets: the skip test is an ``or`` over per-root change flags, and a
-#: giant support would cost more to test than the cone saves.
-GATE_SUPPORT_CAP = 8
-
-
-def _generate_pgo_source(
-    module: Module, slot: Dict[str, int], plan
-) -> Tuple[str, List[str], List[int], List[str], List[int], int, List[str]]:
-    """The profile-guided scalar generator (``compile_netlist(plan=)``).
-
-    Emits the same ``_evaluate``/``_latch`` signature as the plain
-    scalar generator, with three plan-driven transformations on the
-    combinational phase:
-
-    * **fusion** — nets in ``plan.fuse_nets`` (single-reader,
-      structurally safe) emit no assignment; their defining expression
-      inlines parenthesized into the sole consumer, eliminating a slot
-      store + load per fused net per cycle;
-    * **dead-toggle gating** — cones (see
-      :func:`~repro.rtl.profile.comb_cones`) whose support is entirely
-      cold are wrapped in ``if <any support root changed>``; previous
-      root values live in ``extra_slots`` appended to the state list,
-      initialized to ``None`` so the first evaluation unconditionally
-      fires everything (``None != value``), and pure-constant cones run
-      on the first evaluation only;
-    * **guarded constant specialization** — when the plan observed
-      constant roots, the comb phase is emitted twice behind a per-call
-      guard comparing those roots to their observed values: the
-      specialized branch constant-propagates the observations through
-      :func:`~repro.rtl.simulate.eval_comb_cell` (muxes with a known
-      select collapse to the taken arm), the general branch assumes
-      nothing.  A cycle where the guard fails simply takes the general
-      branch — a wrong profile can never produce a wrong value.
-
-    Cones are additionally scheduled hot-first *within* each
-    support-size level (cones of equal support size cannot feed each
-    other: feeding implies strictly growing support), so the hottest
-    logic runs contiguously.
-    """
-    from .profile import comb_cones  # local: profile imports this module
-    from .simulate import eval_comb_cell
-
-    reg_cells, reg_inits, fifo_cells, fifo_depths = _seq_meta(module)
-    nets = module.nets
-    order = comb_topo_order(module)
-    producers = {cell.pins["out"].name: cell for cell in order}
-    fuse = frozenset(plan.fuse_nets) & set(producers)
-
-    # Cone schedule: topo levels by support size, hot-first within one.
-    hot = plan.hot_rank
-
-    def heat(cells: List[Cell]) -> int:
-        return max(
-            (hot.get(cell.pins["out"].name, 0) for cell in cells), default=0
-        )
-
-    cones = [
-        entry[1]
-        for entry in sorted(
-            enumerate(comb_cones(module)),
-            key=lambda e: (len(e[1][0]), -heat(e[1][1]), e[0]),
-        )
-    ]
-
-    # Gating: which cones, and which roots need change tracking.
-    cold = set(plan.cold_roots)
-    gated: List[bool] = []
-    tracked_set = set()
-    for sup, _cells in cones:
-        gate = (not sup) or (len(sup) <= GATE_SUPPORT_CAP and sup <= cold)
-        gated.append(gate)
-        if gate:
-            tracked_set |= sup
-    any_gated = any(gated)
-    tracked = sorted(tracked_set)
-    flag_slot = len(slot)  # None until the first evaluation has run
-    prev_slot = {name: flag_slot + 1 + i for i, name in enumerate(tracked)}
-    change_var = {name: f"_c{i}" for i, name in enumerate(tracked)}
-    extra_slots = (1 + len(tracked)) if any_gated else 0
-
-    # Constant propagation from the observed-constant roots (only ever
-    # used on the guarded specialized branch).
-    guard_items = sorted(
-        (name, int(value) & _mask_literal(nets[name].width))
-        for name, value in plan.const_roots.items()
-        if name in nets
-    )
-    known: Dict[object, int] = {}
-    if guard_items:
-        for name, value in guard_items:
-            known[nets[name]] = value
-        for cell in order:
-            pins = cell.pins
-            out = pins["out"]
-            if cell.kind == "mux" and pins["sel"] in known:
-                chosen = pins["a"] if known[pins["sel"]] & 1 else pins["b"]
-                if chosen in known:
-                    known[out] = known[chosen] & _mask_literal(out.width)
-                continue
-            if all(
-                net in known for pin, net in pins.items() if pin != "out"
-            ):
-                known[out] = eval_comb_cell(cell, known)
-
-    def body(indent: str, spec: bool) -> List[str]:
-        """One comb phase; ``spec`` folds the propagated constants."""
-
-        def atom(name: str) -> str:
-            if spec and nets[name] in known:
-                return repr(known[nets[name]])
-            if name in fuse:
-                return f"({expression(producers[name])})"
-            return f"s[{slot[name]}]"
-
-        def expression(cell: Cell) -> str:
-            out = cell.pins["out"]
-            if spec:
-                if out in known:
-                    return repr(known[out])
-                if cell.kind == "mux" and cell.pins["sel"] in known:
-                    sel = known[cell.pins["sel"]]
-                    chosen = cell.pins["a"] if sel & 1 else cell.pins["b"]
-                    return f"{atom(chosen.name)} & {_mask_literal(out.width)}"
-            return _comb_expression_atoms(cell, atom)
-
-        lines: List[str] = []
-        for (sup, cells), gate in zip(cones, gated):
-            stmts = [
-                f"s[{slot[cell.pins['out'].name]}] = {expression(cell)}"
-                for cell in cells
-                if cell.pins["out"].name not in fuse
-            ]
-            if not stmts:
-                continue  # whole cone fused into consumers elsewhere
-            if gate:
-                if sup:
-                    cond = " or ".join(
-                        change_var[name] for name in sorted(sup)
-                    )
-                else:
-                    cond = "_first"  # constants: first evaluation only
-                lines.append(f"{indent}if {cond}:")
-                lines.extend(f"{indent}    {stmt}" for stmt in stmts)
-            else:
-                lines.extend(f"{indent}{stmt}" for stmt in stmts)
-        return lines
-
-    ev: List[str] = ["def _evaluate(s, r, f):"]
-    ev.extend(_drive_seq_lines(module, slot, reg_cells, fifo_cells,
-                               fifo_depths))
-    if any_gated:
-        # Change detection: prev slots start as None, so every flag is
-        # True on the first evaluation and nothing can be skipped
-        # before it produced real values once.
-        ev.append(f"    _first = s[{flag_slot}] is None")
-        ev.append(f"    s[{flag_slot}] = 1")
-        for name in tracked:
-            var = change_var[name]
-            ev.append(f"    {var} = s[{prev_slot[name]}] != s[{slot[name]}]")
-            ev.append(f"    if {var}:")
-            ev.append(f"        s[{prev_slot[name]}] = s[{slot[name]}]")
-    if guard_items:
-        guard = " and ".join(
-            f"s[{slot[name]}] == {value}" for name, value in guard_items
-        )
-        ev.append(f"    if {guard}:")
-        ev.extend(body("        ", spec=True) or ["        pass"])
-        ev.append("    else:")
-        ev.extend(body("        ", spec=False) or ["        pass"])
-    else:
-        ev.extend(body("    ", spec=False))
+    for cell in order:
+        out = cell.pins["out"].name
+        if out not in fused:
+            ev.append(f"    s[{slot[out]}] = "
+                      f"{_comb_expression_atoms(cell, atom)}")
     if len(ev) == 1:
         ev.append("    pass")
 
     lt = _latch_lines(module, slot, reg_cells, fifo_cells)
     source = "\n".join(ev) + "\n\n\n" + "\n".join(lt) + "\n"
     return (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
-            extra_slots, sorted(fuse))
+            sorted(fused))
 
 
 # -- batched (multi-lane) code generation -------------------------------
@@ -1141,12 +1003,11 @@ def _generate_batched_source(
     return source, reg_cells, reg_inits, fifo_cells, fifo_depths, stride
 
 
-#: (structural hash, lanes, plan digest | None) → CompiledNetlist,
-#: shared process-wide.  Keyed on the full structural identity plus the
-#: lane count plus the profile-guided plan (None = plain program), so a
-#: pass pipeline that rewrites a module (new hash), a different batch
-#: width, or a different plan can never be served stale step code.
-_MEMO: Dict[Tuple[str, Optional[int], Optional[str]], CompiledNetlist] = {}
+#: (structural hash, lanes) → CompiledNetlist, shared process-wide.
+#: Keyed on the full structural identity plus the lane count, so a pass
+#: pipeline that rewrites a module (new hash) or a different batch width
+#: can never be served stale step code.
+_MEMO: Dict[Tuple[str, Optional[int]], CompiledNetlist] = {}
 _MEMO_LOCK = threading.Lock()
 
 #: Required keys of a persisted codegen payload (see ``CodegenStore``).
@@ -1186,39 +1047,24 @@ def valid_codegen_payload(
     )
 
 
-def _codegen_backend_tag(lanes: Optional[int], plan=None) -> str:
-    """This module's generators, as codegen-store backend tags.
-
-    Profile-guided programs are tagged with the plan digest so two
-    sessions that derived the same plan share one persisted entry while
-    differing plans can never shadow each other (or the plain scalar
-    program).
-    """
-    if plan is not None:
-        return f"pgo-{plan.digest()}"
+def _codegen_backend_tag(lanes: Optional[int]) -> str:
+    """This module's generators, as codegen-store backend tags."""
     return "scalar" if lanes is None else "swar"
 
 
-def _generate_payload(
-    module: Module, key: str, lanes: Optional[int], plan=None
-) -> Dict:
+def _generate_payload(module: Module, key: str, lanes: Optional[int]) -> Dict:
     slot = {name: index for index, name in enumerate(sorted(module.nets))}
-    extra_slots = 0
     inlined: List[str] = []
-    if plan is not None:
+    if lanes is None:
         (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
-         extra_slots, inlined) = _generate_pgo_source(module, slot, plan)
-        stride = 0
-    elif lanes is None:
-        (source, reg_cells, reg_inits,
-         fifo_cells, fifo_depths) = _generate_source(module, slot)
+         inlined) = _generate_source(module, slot)
         stride = 0
     else:
         (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
          stride) = _generate_batched_source(module, slot, lanes)
     return {
         "structural_hash": key,
-        "backend": _codegen_backend_tag(lanes, plan),
+        "backend": _codegen_backend_tag(lanes),
         "lanes": lanes,
         "stride": stride,
         "source": source,
@@ -1227,8 +1073,7 @@ def _generate_payload(
         "reg_inits": reg_inits,
         "fifo_cells": fifo_cells,
         "fifo_depths": fifo_depths,
-        "extra_slots": extra_slots,
-        "inlined_nets": list(inlined),
+        "inlined_nets": inlined,
     }
 
 
@@ -1257,13 +1102,12 @@ def _materialize(
         lanes=payload["lanes"],
         stride=payload["stride"],
         from_store=from_store,
-        extra_slots=payload.get("extra_slots", 0),
         inlined_nets=tuple(payload.get("inlined_nets", ())),
     )
 
 
 def compile_netlist(
-    module: Module, lanes: Optional[int] = None, store=None, plan=None
+    module: Module, lanes: Optional[int] = None, store=None
 ) -> CompiledNetlist:
     """Compile a flat module to specialized step code (memoized).
 
@@ -1278,29 +1122,14 @@ def compile_netlist(
     ``repro.driver.cache.CodegenStore``) lets a warm process reuse
     previously generated source instead of levelizing and generating
     again.
-
-    ``plan`` (a :class:`~repro.rtl.passes.pgo.PgoPlan`) selects the
-    profile-guided scalar generator; it is scalar-only (``lanes`` must
-    be None) and must have been built for exactly this module — a
-    mismatched structural hash is an error, never a silent fallback.
     """
     if lanes is not None:
         lanes = int(lanes)
         if lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes}")
     structural = module.structural_hash()
-    if plan is not None:
-        if lanes is not None:
-            raise NetlistError(
-                "profile-guided codegen is scalar-only; lanes must be None"
-            )
-        if plan.structural_hash != structural:
-            raise NetlistError(
-                f"plan was built for {plan.structural_hash}, "
-                f"module is {structural}"
-            )
-    backend = _codegen_backend_tag(lanes, plan)
-    key = (structural, lanes, plan.digest() if plan is not None else None)
+    backend = _codegen_backend_tag(lanes)
+    key = (structural, lanes)
     with _MEMO_LOCK:
         cached = _MEMO.get(key)
     if cached is not None:
@@ -1315,7 +1144,7 @@ def compile_netlist(
             payload = None
     loaded = payload is not None
     if payload is None:
-        payload = _generate_payload(module, structural, lanes, plan)
+        payload = _generate_payload(module, structural, lanes)
     compiled = _materialize(payload, module.name, start, loaded)
     if store is not None and not loaded:
         store.save(payload)
@@ -1345,18 +1174,11 @@ class CompiledSimulator:
     per-cell dispatch over ``Net``-keyed dicts.
     """
 
-    def __init__(self, module: Module, codegen_store=None, plan=None):
+    def __init__(self, module: Module, codegen_store=None):
         self.module = _flattened(module)
         self._codegen_store = codegen_store
-        self.program = compile_netlist(
-            self.module, store=codegen_store, plan=plan
-        )
-        # Profile-guided programs keep bookkeeping (previous root
-        # values) in extra slots past the net slots, None-initialized
-        # so their first evaluation can never skip anything.
-        self._slots: List[object] = (
-            [0] * self.program.n_slots + [None] * self.program.extra_slots
-        )
+        self.program = compile_netlist(self.module, store=codegen_store)
+        self._slots: List[int] = [0] * self.program.n_slots
         self._inlined = frozenset(self.program.inlined_nets)
         self._regs: List[int] = list(self.program.reg_inits)
         self._fifos: List[deque] = [deque() for _ in self.program.fifo_depths]
@@ -1402,17 +1224,10 @@ class CompiledSimulator:
         if net_name in self._inlined:
             raise NetlistError(
                 f"{self.module.name}: net {net_name!r} was fused into its "
-                f"consumer by profile-guided codegen and holds no value"
+                f"consumer by code generation and holds no value; use the "
+                f"interpreter to watch internal nets"
             )
         return self._slots[index]
-
-    def snapshot(self, names=None) -> Dict[str, int]:
-        """Current value of every named net (profile-collection hook)."""
-        slot_of = self.program.slot_of
-        slots = self._slots
-        if names is None:
-            names = slot_of
-        return {name: slots[slot_of[name]] for name in names}
 
     def tick(self) -> None:
         self._latch(self._slots, self._regs, self._fifos)
@@ -1653,17 +1468,6 @@ class BatchedCompiledSimulator:
         mask = _mask_literal(width)
         return [(value >> shift) & mask for shift in self._shifts]
 
-    def snapshot(self, names=None) -> Dict[str, Tuple[int, ...]]:
-        """Per-lane value tuples of the named nets (profile hook)."""
-        slot_of = self.program.slot_of
-        nets = self.module.nets
-        if names is None:
-            names = slot_of
-        return {
-            name: tuple(self._unpack_slot(slot_of[name], nets[name].width))
-            for name in names
-        }
-
     def tick(self) -> None:
         self._latch(self._slots, self._regs, self._fifos)
         self.cycle += 1
@@ -1840,7 +1644,6 @@ def make_simulator(
     *,
     lanes: int = 1,
     codegen_store=None,
-    plan=None,
 ):
     """Instantiate the named engine over ``module``.
 
@@ -1855,14 +1658,6 @@ def make_simulator(
     (``vector``) take ``(module, lanes, codegen_store=...)``.  The
     interpreter has no lane parallelism, so there it returns the plain
     engine whose ``run_batch`` loops.
-
-    ``plan`` (a :class:`~repro.rtl.passes.pgo.PgoPlan`, from an ``-O3``
-    optimize artifact) turns on profile-guided execution where an
-    engine supports it: the interpreter gates cold cones, the scalar
-    compiled engine runs the specialized program.  Lane engines ignore
-    the plan — PGO codegen is scalar, and the plan is purely an
-    optimization hint (every engine's values are bit-identical with or
-    without it).
     """
     cls = resolve_backend(backend)
     lanes = max(1, int(lanes))
@@ -1871,9 +1666,9 @@ def make_simulator(
             return BatchedCompiledSimulator(
                 module, lanes, codegen_store=codegen_store
             )
-        return cls(module, codegen_store=codegen_store, plan=plan)
+        return cls(module, codegen_store=codegen_store)
     if cls is Simulator:
-        return cls(module, plan=plan)
+        return cls(module)
     return cls(module, lanes, codegen_store=codegen_store)
 
 
@@ -1884,7 +1679,6 @@ def differential_check(
     bias: float = 0.0,
     lanes: int = 1,
     backend: str = "compiled",
-    plan=None,
 ) -> bool:
     """True iff both backends agree bit-for-bit under shared stimulus.
 
@@ -1898,34 +1692,13 @@ def differential_check(
     independent single-lane runs.  ``backend`` may be ``"compiled"``
     (scalar at ``lanes == 1``, SWAR above), ``"batched"`` (SWAR even at
     one lane) or ``"vector"``.
-
-    ``plan`` gates the profile-guided engines instead: the reference is
-    always a plan-less interpreter, the engine under test runs with the
-    plan — ``backend="compiled"`` checks the specialized scalar
-    program, and ``backend="interp"`` (only legal with a plan) checks
-    the gated interpreter.  Plans are scalar-only: ``lanes`` must be 1.
     """
-    if backend == "interp" and plan is None:
+    if backend == "interp":
         raise NetlistError(
             "differential_check compares a codegen backend against the "
             "interpreter; backend='interp' would compare it to itself"
         )
     interp = Simulator(module)
-    if plan is not None:
-        if lanes != 1:
-            raise NetlistError(
-                "profile-guided execution is scalar-only; lanes must be 1"
-            )
-        if backend == "interp":
-            engine = Simulator(interp.module, plan=plan)
-        elif backend == "compiled":
-            engine = CompiledSimulator(interp.module, plan=plan)
-        else:
-            raise NetlistError(
-                f"backend {backend!r} does not take a profile-guided plan"
-            )
-        stimulus = random_stimulus(interp.module, cycles, seed, bias)
-        return interp.run(stimulus) == engine.run(stimulus)
     if lanes == 1 and backend == "compiled":
         compiled = CompiledSimulator(interp.module)
         stimulus = random_stimulus(interp.module, cycles, seed, bias)

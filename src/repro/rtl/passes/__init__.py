@@ -12,38 +12,20 @@ from .base import (
 from .constant_fold import ConstantFold
 from .dce import DeadCellElim
 from .delay_coalesce import DelayCoalesce
-from .pgo import (
-    PGO_VERSION,
-    DeadToggleGating,
-    HotConeSpecialization,
-    PgoPlan,
-    PgoPlanBuilder,
-    ProfileOrderedLevelization,
-    build_plan,
-    pgo_passes,
-)
 from .share import SHAREABLE_KINDS, CommonCellSharing, share_cells
 
 __all__ = [
     "CommonCellSharing",
     "ConstantFold",
     "DeadCellElim",
-    "DeadToggleGating",
     "DelayCoalesce",
-    "HotConeSpecialization",
     "OPT_LEVELS",
-    "PGO_VERSION",
     "Pass",
     "PassManager",
     "PassStats",
-    "PgoPlan",
-    "PgoPlanBuilder",
-    "ProfileOrderedLevelization",
     "SHAREABLE_KINDS",
-    "build_plan",
     "check_module",
     "comb_topo_order",
-    "pgo_passes",
     "pipeline_for_level",
     "share_cells",
 ]

@@ -21,11 +21,7 @@ compiler drivers:
 * ``-O1`` — constant folding + dead-cell elimination;
 * ``-O2`` — ``-O1`` plus common-cell sharing and delay-buffer
   coalescing (sharing runs twice: coalescing canonicalizes buffer and
-  delay structure, which exposes a second round of sharing);
-* ``-O3`` — ``-O2`` plus the profile-guided analyses of
-  :mod:`repro.rtl.passes.pgo` when an activity profile is supplied.
-  Without a profile ``-O3`` is exactly ``-O2`` — the graceful
-  degradation the driver relies on for cold runs.
+  delay structure, which exposes a second round of sharing).
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from ..netlist import Module, NetlistError, comb_topo_order  # noqa: F401
 # (comb_topo_order is re-exported: it is part of the pass-author API.)
 
 #: Optimization levels understood by :func:`pipeline_for_level`.
-OPT_LEVELS = (0, 1, 2, 3)
+OPT_LEVELS = (0, 1, 2)
 
 
 class Pass:
@@ -171,15 +167,9 @@ class PassManager:
 
 
 def pipeline_for_level(
-    level: int, check_integrity: bool = True, profile=None
+    level: int, check_integrity: bool = True
 ) -> PassManager:
-    """The standard ``-O<level>`` pipeline (see module docstring).
-
-    ``profile`` (a :class:`~repro.rtl.profile.SimProfile`) only matters
-    at ``-O3``: it appends the profile-guided analyses, whose
-    fingerprints carry the profile digest into cache keys.  ``-O3``
-    without a profile degrades to the ``-O2`` pipeline.
-    """
+    """The standard ``-O<level>`` pipeline (see module docstring)."""
     from .constant_fold import ConstantFold
     from .dce import DeadCellElim
     from .delay_coalesce import DelayCoalesce
@@ -201,8 +191,4 @@ def pipeline_for_level(
             CommonCellSharing(),
             DeadCellElim(),
         ]
-    if level >= 3 and profile is not None:
-        from .pgo import pgo_passes
-
-        passes.extend(pgo_passes(profile)[0])
     return PassManager(passes, check_integrity=check_integrity)

@@ -282,18 +282,9 @@ class Simulator:
     Already-flat modules (e.g. the ``optimize`` stage's output) are
     used as-is — simulation never mutates the netlist, so no defensive
     copy is needed.
-
-    ``plan`` (a :class:`~repro.rtl.passes.pgo.PgoPlan`, or None) turns
-    on profile-guided *dead-toggle gating*: combinational cones whose
-    root support lies entirely in the plan's cold roots are skipped on
-    cycles where none of those roots changed value — their net values
-    from the previous settling are still correct, because every comb
-    net is a pure function of the cone's roots.  Gating never changes
-    observable values (the differential tests assert bit-identity to a
-    plan-less interpreter); a plan for a different netlist is ignored.
     """
 
-    def __init__(self, module: Module, plan=None):
+    def __init__(self, module: Module):
         if any(c.kind == "submodule" for c in module.cells.values()):
             self.module = flatten(module)
         else:
@@ -313,36 +304,6 @@ class Simulator:
                     int(cell.params.get("depth", 2))
                 )
         self._comb_order = comb_topo_order(self.module)
-        #: cone schedule [(support, gated, cells)] when gating is active.
-        self._cones = None
-        self._tracked: List[Net] = []
-        self._prev_roots: Dict[str, int] = {}
-        self._evals = 0
-        if plan is not None:
-            self._apply_plan(plan)
-
-    def _apply_plan(self, plan) -> None:
-        """Build the gated cone schedule (see class docstring)."""
-        cold = set(getattr(plan, "cold_roots", ()) or ())
-        if (
-            not cold
-            or plan.structural_hash != self.module.structural_hash()
-        ):
-            return
-        from .profile import comb_cones  # local: profile imports simulate
-
-        cones = []
-        tracked = set()
-        for sup, cells in comb_cones(self.module):
-            gated = (not sup) or sup <= cold
-            if gated and sup:
-                tracked |= sup
-            cones.append((sup, gated, cells))
-        if not any(gated for _, gated, _ in cones):
-            return
-        self._cones = cones
-        nets = self.module.nets
-        self._tracked = [nets[name] for name in sorted(tracked)]
 
     # ------------------------------------------------------------------
 
@@ -362,53 +323,8 @@ class Simulator:
                 values[q] = _mask(self.reg_state[cell.name], q.width)
             elif cell.kind == "fifo":
                 self._drive_fifo_outputs(cell)
-        if self._cones is None:
-            for cell in self._comb_order:
-                self._eval_comb(cell)
-            return
-        self._evaluate_gated()
-
-    def _evaluate_gated(self) -> None:
-        """The dead-toggle-gated comb pass (cone schedule from the plan).
-
-        The first evaluation fires every cone unconditionally — net
-        values start at 0, which need not match any settled state, so
-        nothing may be skipped until each cone has produced real values
-        once.  After that a gated cone re-fires only when one of its
-        support roots changed since the last evaluation; otherwise its
-        output nets still hold the correct settled values (pure
-        functions of unchanged roots).  Empty-support (pure-constant)
-        cones fire on the first evaluation only.
-        """
-        values = self.values
-        prev = self._prev_roots
-        first = self._evals == 0
-        self._evals += 1
-        changed = set()
-        for net in self._tracked:
-            value = values[net]
-            if first or prev.get(net.name) != value:
-                changed.add(net.name)
-                prev[net.name] = value
-        for sup, gated, cells in self._cones:
-            if gated and not first and (not sup or not (sup & changed)):
-                continue
-            for cell in cells:
-                values[cell.pins["out"]] = eval_comb_cell(cell, values)
-
-    def snapshot(self, names=None) -> Dict[str, int]:
-        """Current value of every named net (all nets by default).
-
-        The uniform observation hook profile collection uses — each
-        backend implements it over its own state representation
-        (Net-keyed dict here, flat slot list in the compiled engines,
-        per-lane columns in the vector engine).
-        """
-        nets = self.module.nets
-        values = self.values
-        if names is None:
-            names = nets
-        return {name: values[nets[name]] for name in names}
+        for cell in self._comb_order:
+            self._eval_comb(cell)
 
     def peek(self, name: str) -> int:
         net = self.module.ports.get(name)

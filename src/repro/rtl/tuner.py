@@ -49,7 +49,8 @@ from .vectorize import VectorCompiledSimulator, vector_flavor
 #: decision rule change, so stale profiles become cache misses instead
 #: of steering backend selection with incomparable numbers.  v2: lane
 #: engines marshal whole runs, which changes the measured lane rates.
-TUNER_VERSION = 2
+#: v3: the scalar program it times fuses single-reader expressions.
+TUNER_VERSION = 3
 
 #: Default calibration cycles per candidate configuration.
 DEFAULT_TUNER_CYCLES = 32

@@ -1303,15 +1303,6 @@ class VectorCompiledSimulator:
             raise NetlistError(f"{self.module.name}: no net {net_name!r}")
         return self._unpack_slot(index)
 
-    def snapshot(self, names=None) -> Dict[str, Tuple[int, ...]]:
-        """Per-lane value tuples of the named nets (profile hook)."""
-        slot_of = self.program.slot_of
-        if names is None:
-            names = slot_of
-        return {
-            name: tuple(self._unpack_slot(slot_of[name])) for name in names
-        }
-
     def _unpack_slot(self, index: int) -> List[int]:
         value = self._slots[index]
         if index in self._wide_slots:

@@ -15,7 +15,7 @@ import pytest
 
 from repro.driver import CodegenStore, CompileSession, DiskCache
 from repro.rtl import clear_compile_memo, compile_netlist
-from repro.rtl import Module
+from repro.rtl import CompiledSimulator, Module, NetlistError
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +45,27 @@ def _adder(width=8) -> Module:
     return module
 
 
+def _fusable(width=8) -> Module:
+    module = Module("fusable")
+    a = module.add_input("a", width)
+    b = module.add_input("b", width)
+    out = module.add_output("out", width)
+    mixed = module.binop("xor", a, b)  # one combinational reader: fused
+    module.add_cell("add", {"a": mixed, "b": b, "out": out})
+    return module
+
+
+def _unpeekable(simulator) -> set:
+    """The net names ``peek_net`` refuses on this simulator."""
+    refused = set()
+    for name in simulator.module.nets:
+        try:
+            simulator.peek_net(name)
+        except NetlistError:
+            refused.add(name)
+    return refused
+
+
 def _store(tmp_path) -> CodegenStore:
     return CodegenStore(DiskCache(str(tmp_path)))
 
@@ -67,6 +88,20 @@ def test_codegen_round_trips_through_the_store(tmp_path):
     from repro.rtl import differential_check
 
     assert differential_check(_adder(), cycles=32, seed=2, lanes=4)
+
+
+def test_scalar_program_keeps_its_fused_nets_through_the_store(tmp_path):
+    store = _store(tmp_path)
+    fresh = CompiledSimulator(_fusable(), codegen_store=store)
+    assert not fresh.program.from_store
+    assert fresh.program.inlined_nets
+
+    clear_compile_memo()
+    warm = CompiledSimulator(_fusable(), codegen_store=store)
+    assert warm.program.from_store
+    assert warm.program.inlined_nets == fresh.program.inlined_nets
+    assert _unpeekable(warm) == _unpeekable(fresh)
+    assert _unpeekable(warm) == set(fresh.program.inlined_nets)
 
 
 def test_codegen_entries_are_keyed_per_lane_count(tmp_path):

@@ -24,6 +24,22 @@ def _dead_pid():
     return proc.pid
 
 
+def test_a_cleanly_exited_writer_leaves_a_consistent_store(tmp_path):
+    root = str(tmp_path)
+    writer = (
+        "import sys\n"
+        "from repro.driver.artifact import StageArtifact\n"
+        "from repro.driver.cache import DiskCache\n"
+        "key = ('stage', 'k')\n"
+        "assert DiskCache(sys.argv[1]).store(\n"
+        "    key, StageArtifact('stage', key, 1, 0.0))\n"
+    )
+    subprocess.run([sys.executable, "-c", writer, root], check=True)
+    assert journal.LeaseManager(root).holders() == {}
+    report = run_fsck(root)
+    assert report.consistent and report.scanned == 1
+
+
 def _write_entry(root, name="a", payload=b"data", schema=None,
                  header_schema=None):
     """A store entry under ``v<schema>/stage/`` whose header claims

@@ -266,6 +266,43 @@ def test_session_rejects_bad_lane_counts():
                          generators(), cycles=8, lanes=0)
 
 
+def test_simulate_levels_are_distinct_cache_entries():
+    """The pass-pipeline fingerprint alone keeps -O0/-O1/-O2 traces
+    apart in the simulate key; repeats are pure hits."""
+    session = CompileSession(sim_backend="compiled")
+
+    def simulate(level):
+        return session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32},
+                                generators(), cycles=16, opt_level=level)
+
+    traces = [simulate(level) for level in (0, 1, 2)]
+    assert session.stats.miss_count("simulate") == 3
+    assert [trace.value.opt_level for trace in traces] == [0, 1, 2]
+    assert all(simulate(level) is trace
+               for level, trace in zip((0, 1, 2), traces))
+    assert session.stats.hit_count("simulate") == 3
+    # Optimization never changes what the design computes.
+    assert traces[0].value.outputs == traces[2].value.outputs
+
+
+def test_stats_dict_surfaces_the_tuner_section(tmp_path):
+    session = CompileSession(cache_dir=str(tmp_path), sim_backend="auto")
+    session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(),
+                     cycles=16, opt_level=2)
+    payload = session.stats_dict()
+    assert "profile" not in payload
+    tuner = payload["tuner"]
+    assert set(tuner) >= {
+        "disk_hits", "disk_misses", "disk_stores", "resolve_seconds",
+        "chosen",
+    }
+    # The auto backend resolved to exactly one concrete engine here.
+    assert sum(tuner["chosen"].values()) >= 1
+    # Compute/wait wall-time attribution flows through the same stats.
+    timers = payload["cache"]["timers"]
+    assert any(name.startswith("compute.") for name in timers)
+
+
 def test_session_spec_round_trips():
     session = CompileSession(
         verify=False, opt_level=2, sim_backend="compiled", sim_lanes=4

@@ -1,12 +1,11 @@
 """Corrupt/truncated entries in the pseudo-stage stores.
 
 Every persistent store riding the DiskCache — codegen step sources,
-activity profiles, tuner calibrations, SMT obligation verdicts — must
-treat a partially written or bit-rotted entry exactly like the artifact
-cache does: quarantine it (delete + ``disk.corrupt``), count a miss,
-recompute, and produce bit-identical results to a never-corrupted run.
-A half-written file must never steer a simulation, a specialization,
-a backend choice, or a proof.
+tuner calibrations, SMT obligation verdicts — must treat a partially
+written or bit-rotted entry exactly like the artifact cache does:
+quarantine it (delete + ``disk.corrupt``), count a miss, recompute, and
+produce bit-identical results to a never-corrupted run.  A half-written
+file must never steer a simulation, a backend choice, or a proof.
 """
 
 import os
@@ -93,26 +92,6 @@ def test_corrupt_codegen_entries_recompute_identically(tmp_path, corrupt):
     )
     assert third.stats.counter("codegen.disk_hit") >= 1
     assert third.stats.counter("disk.corrupt") == 0
-
-
-def test_corrupt_profile_entries_recompute_identically(tmp_path):
-    cold = CompileSession(cache_dir=str(tmp_path), opt_level=3)
-    baseline = cold.simulate(
-        SOURCE, "Double", {"#W": 8}, cycles=32
-    ).value.outputs
-    entries = _store_entries(tmp_path, "profile")
-    assert entries, "-O3 must persist the collected activity profile"
-    for path in entries:
-        _truncate(path)
-    _drop_stage(tmp_path, "simulate")
-
-    warm = CompileSession(cache_dir=str(tmp_path), opt_level=3)
-    rerun = warm.simulate(SOURCE, "Double", {"#W": 8}, cycles=32).value
-    assert rerun.outputs == baseline
-    assert warm.stats.counter("disk.corrupt") >= 1
-    assert warm.stats.counter("profile.disk_hit") == 0
-    # The profile was re-collected, not silently skipped: -O3 semantics.
-    assert warm.stats.counter("profile.collected") == 1
 
 
 def test_corrupt_tuner_entries_recalibrate_identically(tmp_path):

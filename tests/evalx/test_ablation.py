@@ -1,7 +1,5 @@
 """The optimization ablation: differential simulation across designs."""
 
-import pytest
-
 from repro.evalx import ablation
 from repro.rtl import clear_vector_memo
 
@@ -71,26 +69,15 @@ def test_ablation_check_shape_rejects_vector_divergence():
         raise AssertionError("vector divergence should fail the check")
 
 
-def test_ablation_check_shape_rejects_pgo_divergence():
-    bad = ablation.AblationRow(
-        "toy", 100, 90, True, 1.0, 1.0, {}, o3_agree=False
-    )
-    with pytest.raises(AssertionError, match="PGO specialization is unsound"):
-        ablation.check_shape([bad])
-    text = ablation.render([bad])
-    assert "NO" in text
-
-
 def test_ablation_holds_under_stdlib_vector_flavor(monkeypatch):
-    """The whole differential battery — including the vector column and
-    the profile-guided -O3 column — re-run with the vector backend
-    forced onto the pure-stdlib ``array('Q')`` flavor."""
+    """The whole differential battery — including the vector column —
+    re-run with the vector backend forced onto the pure-stdlib
+    ``array('Q')`` flavor."""
     monkeypatch.setenv("REPRO_VECTOR_FLAVOR", "stdlib")
     clear_vector_memo()  # drop programs compiled under another flavor
     try:
         rows = ablation.build_rows(cycles=16)
         ablation.check_shape(rows)
         assert all(row.vector_agree for row in rows)
-        assert all(row.o3_agree for row in rows)
     finally:
         clear_vector_memo()

@@ -221,14 +221,14 @@ def test_pipeline_fingerprints_distinguish_levels():
 
 
 def test_unknown_level_rejected():
-    with pytest.raises(ValueError):
-        pipeline_for_level(4)
-    # -O3 is a known level now; without a profile it degrades to the
-    # -O2 pipeline (the PGO analyses need observations to run).
-    assert (
-        pipeline_for_level(3).fingerprint()
-        == pipeline_for_level(2).fingerprint()
-    )
+    for level in (3, 4):
+        with pytest.raises(ValueError):
+            pipeline_for_level(level)
+    # A session asked for level 3 fails at construction, not mid-run.
+    from repro.driver import CompileSession
+
+    with pytest.raises(ValueError, match="optimization level"):
+        CompileSession(opt_level=3)
 
 
 class _CorruptingPass(Pass):
