@@ -14,21 +14,20 @@ It records per-design simulation throughput for both scalar
 backends, the batched multi-lane throughput sweep (lanes in
 {1, 4, 16, 64}, measured in *lane-cycles* per second — cycles times
 lanes — the honest unit for batch mode), the vector backend's lane
-sweep (lanes in {64, 256, 1024, 4096} on the numpy flavor; a small
-sweep with no acceptance bar on the stdlib fallback), the auto-tuner's
-measured per-design decision, the one-time code-generation overhead,
-the wall-clock of a cold-then-warm session pair over the persistent
-disk cache, and an :class:`EvalGrid` thread-vs-process comparison
-whose results must be bit-identical.
+sweep (lanes in {64, 256, 1024, 4096}; skipped, with its bar, where
+numpy is not installed), the one-time code-generation overhead, the
+wall-clock of a cold-then-warm session pair over the persistent disk
+cache, and an :class:`EvalGrid` thread-vs-process comparison whose
+results must be bit-identical.
 
 The assertions encode the acceptance bars — the compiled backend ≥3x
 the interpreter on the largest catalog design, the 16-lane batched mode
 ≥3x single-lane compiled throughput on that same design (tunable down
 via ``$REPRO_BENCH_MIN_LANE_SPEEDUP`` for reduced-cycle CI smoke runs),
 the vector backend's best lane count ≥3x the 64-lane SWAR batched
-throughput on that same design (``$REPRO_BENCH_MIN_VECTOR_SPEEDUP``;
-numpy flavor only), and the warm session served almost entirely from
-disk.  Cycle counts scale down via ``$REPRO_BENCH_CYCLES``.
+throughput on that same design (``$REPRO_BENCH_MIN_VECTOR_SPEEDUP``),
+and the warm session served almost entirely from disk.  Cycle counts
+scale down via ``$REPRO_BENCH_CYCLES``.
 
 Every measured figure in the committed JSON is rounded to a fixed
 number of significant digits (:func:`_sig`) and the payload is dumped
@@ -50,18 +49,16 @@ from repro.rtl import (
     compile_netlist,
     random_stimulus,
     random_stimulus_batch,
-    tune,
-    vector_flavor,
 )
+from repro.rtl import vectorize
 
 CYCLES = int(os.environ.get("REPRO_BENCH_CYCLES", "256"))
 SEED = 0xBE
 LANE_SWEEP = (1, 4, 16, 64)
 #: The vector backend only pulls ahead at lane counts SWAR cannot
-#: reach; on the pure-stdlib fallback flavor the per-lane loops make
-#: mega-lane timing pointless, so the sweep shrinks and carries no bar.
+#: reach.  It needs numpy; without it the sweep and its bar are skipped.
 VECTOR_LANE_SWEEP = (64, 256, 1024, 4096)
-VECTOR_LANE_SWEEP_STDLIB = (8, 32)
+HAS_NUMPY = vectorize._numpy() is not None
 #: Vector lane counts are ~100x the SWAR sweep's; fewer timed cycles
 #: still move two orders of magnitude more lane-cycles per design.
 VECTOR_CYCLES = max(16, CYCLES // 4)
@@ -111,12 +108,12 @@ def _lane_throughput(module, lanes, cycles) -> float:
     return cycles * lanes / seconds if seconds else float("inf")
 
 
-def _vector_throughput(module, lanes, cycles, flavor) -> float:
+def _vector_throughput(module, lanes, cycles) -> float:
     """Steady-state lane-cycles/sec of the vector backend (stimulus and
     codegen both paid outside the timed window)."""
     streams = random_stimulus_batch(module, cycles, lanes, SEED)
-    VectorCompiledSimulator(module, lanes, flavor=flavor)  # warm codegen
-    simulator = VectorCompiledSimulator(module, lanes, flavor=flavor)
+    VectorCompiledSimulator(module, lanes)  # warm codegen
+    simulator = VectorCompiledSimulator(module, lanes)
     start = time.perf_counter()
     simulator.run(streams)
     seconds = time.perf_counter() - start
@@ -124,10 +121,6 @@ def _vector_throughput(module, lanes, cycles, flavor) -> float:
 
 
 def _design_rows(session):
-    flavor = vector_flavor()
-    vector_sweep = (
-        VECTOR_LANE_SWEEP if flavor == "numpy" else VECTOR_LANE_SWEEP_STDLIB
-    )
     rows = []
     for name in sorted(DESIGNS):
         source, component, generators, params = design_point(name)
@@ -141,30 +134,24 @@ def _design_rows(session):
             str(k): _sig(_lane_throughput(module, k, CYCLES))
             for k in LANE_SWEEP
         }
-        vector = {
-            str(k): _sig(_vector_throughput(module, k, VECTOR_CYCLES, flavor))
-            for k in vector_sweep
+        row = {
+            "name": name,
+            "cells": len(module.cells),
+            "cycles": CYCLES,
+            "interp_cycles_per_sec": _sig(interp_cps),
+            "compiled_cycles_per_sec": _sig(compiled_cps),
+            "speedup": _sig(compiled_cps / interp_cps),
+            "batched_lane_cycles_per_sec": lanes,
+            "lane16_speedup_vs_scalar": _sig(lanes["16"] / compiled_cps),
+            "compile_seconds": _sig(compile_netlist(module).compile_seconds),
         }
-        tuned = tune(module, max(vector_sweep))
-        rows.append(
-            {
-                "name": name,
-                "cells": len(module.cells),
-                "cycles": CYCLES,
-                "interp_cycles_per_sec": _sig(interp_cps),
-                "compiled_cycles_per_sec": _sig(compiled_cps),
-                "speedup": _sig(compiled_cps / interp_cps),
-                "batched_lane_cycles_per_sec": lanes,
-                "lane16_speedup_vs_scalar": _sig(lanes["16"] / compiled_cps),
-                "vector_lane_cycles_per_sec": vector,
-                "vector_flavor": flavor,
-                "vector_cycles": VECTOR_CYCLES,
-                "tuned_backend": tuned.backend,
-                "compile_seconds": _sig(
-                    compile_netlist(module).compile_seconds
-                ),
+        if HAS_NUMPY:
+            row["vector_lane_cycles_per_sec"] = {
+                str(k): _sig(_vector_throughput(module, k, VECTOR_CYCLES))
+                for k in VECTOR_LANE_SWEEP
             }
-        )
+            row["vector_cycles"] = VECTOR_CYCLES
+        rows.append(row)
     return rows
 
 
@@ -217,18 +204,12 @@ def test_sim_backend_benchmark(tmp_path):
     assert process_results == thread_results
 
     largest = max(rows, key=lambda row: row["cells"])
-    vector_best = max(largest["vector_lane_cycles_per_sec"].values())
-    vector_vs_swar64 = _sig(
-        vector_best / largest["batched_lane_cycles_per_sec"]["64"]
-    )
     payload = {
         "generated_by": "benchmarks/test_sim_backend.py",
         "designs": rows,
         "largest_design": largest["name"],
         "largest_design_speedup": largest["speedup"],
         "largest_design_lane16_speedup": largest["lane16_speedup_vs_scalar"],
-        "largest_design_vector_vs_swar64": vector_vs_swar64,
-        "vector_flavor": largest["vector_flavor"],
         "warm_vs_cold": {
             "designs": list(WARM_DESIGNS),
             "stages": ["synthesize", "simulate"],
@@ -248,6 +229,11 @@ def test_sim_backend_benchmark(tmp_path):
             "results_identical": True,
         },
     }
+    if HAS_NUMPY:
+        vector_best = max(largest["vector_lane_cycles_per_sec"].values())
+        payload["largest_design_vector_vs_swar64"] = _sig(
+            vector_best / largest["batched_lane_cycles_per_sec"]["64"]
+        )
     bench_path = tmp_path / "BENCH_sim.json"
     bench_path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -267,12 +253,12 @@ def test_sim_backend_benchmark(tmp_path):
             + "  ".join(f"{k}: {lanes[str(k)]:.0f}" for k in LANE_SWEEP)
             + f"  (x16 = {row['lane16_speedup_vs_scalar']:.2f}x scalar)"
         )
-        vector = row["vector_lane_cycles_per_sec"]
-        print(
-            f"           vector ({row['vector_flavor']})  "
-            + "  ".join(f"{k}: {cps:.0f}" for k, cps in vector.items())
-            + f"  -> auto picks {row['tuned_backend']}"
-        )
+        vector = row.get("vector_lane_cycles_per_sec")
+        if vector:
+            print(
+                "           vector  "
+                + "  ".join(f"{k}: {cps:.0f}" for k, cps in vector.items())
+            )
     print(
         f"\n  cold session {cold_seconds:.2f}s -> warm session "
         f"{warm_seconds:.2f}s ({cold_seconds / warm_seconds:.1f}x, "
@@ -286,12 +272,13 @@ def test_sim_backend_benchmark(tmp_path):
 
     # Acceptance: the compiled backend is ≥3x interpreter on the largest
     # design, 16 batched lanes multiply its throughput again, the vector
-    # backend's best lane count leaves 64-lane SWAR behind (numpy flavor
-    # only — the stdlib fallback exists for correctness, not speed), and
-    # the disk cache makes the second session nearly free.
+    # backend's best lane count leaves 64-lane SWAR behind (where numpy
+    # is installed), and the disk cache makes the second session nearly
+    # free.
     assert largest["speedup"] >= 3.0, largest
     assert largest["lane16_speedup_vs_scalar"] >= MIN_LANE_SPEEDUP, largest
-    if largest["vector_flavor"] == "numpy":
-        assert vector_vs_swar64 >= MIN_VECTOR_SPEEDUP, largest
+    if HAS_NUMPY:
+        vs_swar64 = payload["largest_design_vector_vs_swar64"]
+        assert vs_swar64 >= MIN_VECTOR_SPEEDUP, largest
     assert disk["hit_rate"] >= 0.9, disk
     assert warm_seconds < cold_seconds, (warm_seconds, cold_seconds)

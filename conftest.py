@@ -6,9 +6,29 @@ tests stay hermetic — cold on every run, never sharing artifacts across
 tests or with the developer's real cache — while still exercising the
 disk-cache code path end to end.  Tests that *want* warm-versus-cold
 behavior opt in by pointing two sessions at one explicit directory.
+
+Tests marked ``@pytest.mark.numpy`` need the vector backend's numpy
+kernels; they are skipped, with a reason, where numpy is not installed
+(the base CI legs, which check the numpy-less degrade path instead).
 """
 
 import pytest
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "numpy: needs numpy (the 'vector' extra); skipped without it",
+    )
+
+
+def pytest_runtest_setup(item):
+    if item.get_closest_marker("numpy") is None:
+        return
+    from repro.rtl import vectorize
+
+    if vectorize._numpy() is None:
+        pytest.skip("numpy is not installed (the 'vector' extra)")
 
 
 @pytest.fixture(autouse=True)

@@ -20,8 +20,9 @@ setup(
     },
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        # Fast kernels for the mega-lane vector simulation backend;
-        # without it the backend falls back to a pure-stdlib path.
+        # The mega-lane vector simulation backend's kernels: without
+        # numpy, building a vector engine raises SimBackendUnavailable
+        # and sessions degrade --sim-backend vector to compiled.
         "vector": ["numpy"],
     },
 )

@@ -32,7 +32,6 @@ from .cache import (
     CodegenStore,
     DiskCache,
     ObligationStore,
-    TunerStore,
     freeze_params,
     source_digest,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "STAGES",
     "SimTrace",
     "StageArtifact",
-    "TunerStore",
     "default_session",
     "freeze_params",
     "graceful_drain",

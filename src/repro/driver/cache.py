@@ -54,9 +54,9 @@ from .artifact import StageArtifact
 #: pickle shape re-enters the intern table via ``__reduce__``).
 #:
 #: v4: new ``"tuner"`` pseudo-stage (persistent backend calibration
-#: profiles keyed ``(structural_hash, flavor, TUNER_VERSION)`` — see
-#: :class:`TunerStore`), and ``"codegen"`` keys gained a backend tag
-#: now that three generators (scalar/SWAR/vector) share the stage.
+#: profiles for the measured ``auto`` tuner), and ``"codegen"`` keys
+#: gained a backend tag now that three generators (scalar/SWAR/vector)
+#: share the stage.
 #:
 #: v5: new ``"profile"`` pseudo-stage (persistent per-net activity
 #: profiles keyed ``(structural_hash, PROFILE_VERSION)``),
@@ -68,6 +68,12 @@ from .artifact import StageArtifact
 #: ``simulate`` keys no longer have an ``-O3`` shape (simulate keys
 #: dropped the explicit level; the pipeline fingerprint separates
 #: ``-O0``/``-O1``/``-O2``).
+#:
+#: Still v6 after the ``"tuner"`` pseudo-stage and the ``vector-numpy``
+#: / ``vector-stdlib`` codegen tags went away: no key looks them up any
+#: more (vector kernels are stored under the ``"vector"`` tag), so old
+#: entries are dead weight the size bound trims, not a hazard, and
+#: they stay digest-valid for ``repro fsck``.
 SCHEMA_VERSION = 6
 
 #: Soft size bound for a cache root, in bytes; the oldest entries are
@@ -578,9 +584,9 @@ class CodegenStore:
     ``"codegen"`` and keyed by ``(structural_hash, backend, lanes,
     CODEGEN_VERSION)`` — fully value-based, so every process over a
     structurally equal netlist shares one levelization + generation.
-    The backend tag (``"scalar"``, ``"swar"``, ``"vector-numpy"``,
-    ``"vector-stdlib"``) keeps the generators' entries apart now that
-    three codegen targets share the stage.  Grid workers in process
+    The backend tag (``"scalar"``, ``"swar"``, ``"vector"``) keeps the
+    generators' entries apart now that three codegen targets share the
+    stage.  Grid workers in process
     mode rendezvous here: the first worker to compile a netlist pays
     codegen, the rest load the source and only pay ``compile()`` +
     ``exec()``.
@@ -685,56 +691,6 @@ class ObligationStore:
         )
         if stored:
             self.disk.stats.bump("smt.store")
-        return stored
-
-
-class TunerStore:
-    """Persists backend calibration profiles in a :class:`DiskCache`.
-
-    The adapter :func:`repro.rtl.tuner.tune` plugs into: measurement
-    payloads (lane-cycles/s per candidate engine, plain picklable
-    dicts) are wrapped in a ``StageArtifact`` under the pseudo-stage
-    ``"tuner"`` and keyed by ``(structural_hash, flavor,
-    TUNER_VERSION)``.  The structural hash identifies the design, the
-    vector flavor records which kernel family the profile timed (a
-    numpy profile must not steer a numpy-less process), and the tuner
-    version retires profiles whose measured quantities or decision rule
-    changed.  One calibration run per design per machine, every later
-    ``--sim-backend auto`` resolves from disk.
-
-    Counters on the shared :class:`CacheStats`: ``tuner.disk_hit`` /
-    ``tuner.disk_miss`` per lookup, ``tuner.store`` per write-back.
-    """
-
-    def __init__(self, disk: DiskCache):
-        self.disk = disk
-
-    @staticmethod
-    def _key(structural_hash: str, flavor: str) -> Tuple:
-        from ..rtl.tuner import TUNER_VERSION
-
-        return ("tuner", structural_hash, flavor, TUNER_VERSION)
-
-    def load(self, structural_hash: str, flavor: str) -> Optional[dict]:
-        from ..rtl.tuner import valid_tuner_payload
-
-        artifact = self.disk.load(self._key(structural_hash, flavor))
-        # Validate before counting: a hit means a usable profile.
-        if artifact is None or not valid_tuner_payload(
-            artifact.value, structural_hash, flavor
-        ):
-            self.disk.stats.bump("tuner.disk_miss")
-            return None
-        self.disk.stats.bump("tuner.disk_hit")
-        return artifact.value
-
-    def save(self, payload: dict) -> bool:
-        key = self._key(payload["structural_hash"], payload["flavor"])
-        stored = self.disk.store(
-            key, StageArtifact("tuner", key, payload, 0.0)
-        )
-        if stored:
-            self.disk.stats.bump("tuner.store")
         return stored
 
 

@@ -40,10 +40,10 @@ drain gracefully — the ledger is flushed, exit code 130.
 Every subcommand accepts ``-O{0,1,2}`` to select the netlist
 optimization level (the pass pipeline of :mod:`repro.rtl.passes`),
 ``--sim-backend {auto,batched,compiled,interp,vector}`` to pick the
-simulation engine (``auto`` resolves per design from persisted tuner
-calibrations), ``--sim-lanes K`` to batch K stimulus lanes through
-each simulate run (one lane-parallel step function advances all of
-them on the codegen backends),
+simulation engine (``auto`` picks ``vector`` from 64 lanes up when
+numpy is installed, ``compiled`` otherwise), ``--sim-lanes K`` to
+batch K stimulus lanes through each simulate run (one lane-parallel
+step function advances all of them on the codegen backends),
 ``--cache-dir``/``--no-disk-cache`` to steer the persistent
 artifact cache (on by default — a second ``repro all -O2`` run is
 served from disk, including the compiled backend's generated step
@@ -737,8 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
             help="simulation engine for the simulate stage (default: "
                  "interp; 'compiled'/'batched'/'vector' code-generate "
                  "scalar, SWAR-packed or mega-lane vectorized step "
-                 "functions; 'auto' picks per design from persisted "
-                 "tuner measurements)",
+                 "functions; 'auto' picks vector from 64 lanes up when "
+                 "numpy is installed, compiled otherwise)",
         )
         command.add_argument(
             "--sim-lanes", type=_positive_int, default=1, metavar="K",

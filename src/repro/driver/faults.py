@@ -1,7 +1,7 @@
 """Deterministic, seeded fault injection for the whole accelerator stack.
 
 The reliability mirror of the perf work: every layer that got a fast
-path (disk cache, codegen/tuner/obligation stores, batched and
+path (disk cache, codegen/obligation stores, batched and
 vectorized simulation, the incremental solver, the process grid) also
 has a *failure* path, and nothing short of injecting the failures
 proves those paths degrade gracefully instead of corrupting results.

@@ -33,8 +33,8 @@ the session-level artifact cache.
 Two session-level knobs extend the reach of all this: ``sim_backend``
 selects the simulation engine — ``"interp"``, the codegen engines
 ``"compiled"``/``"batched"``/``"vector"`` (bit-identical by
-differential contract), or ``"auto"``, which resolves per design from
-the persisted calibration profiles of :mod:`repro.rtl.tuner` — and
+differential contract), or ``"auto"``, which resolves by the static
+lane-count rule :func:`repro.rtl.auto_backend` — and
 ``cache_dir`` layers a persistent
 :class:`~repro.driver.cache.DiskCache` under the in-memory cache so
 artifacts survive the process and a second run starts warm.
@@ -55,13 +55,13 @@ from ..lilac.typecheck import check_component, check_program
 from ..rtl import (
     BACKEND_FALLBACKS,
     SimBackendUnavailable,
+    auto_backend,
     backend_fingerprint,
     emit_verilog,
     flatten,
     make_simulator,
     random_stimulus,
     random_stimulus_batch,
-    tune,
 )
 from ..rtl.passes import PassManager, PassStats, pipeline_for_level
 from ..synth import synthesize
@@ -79,7 +79,6 @@ from .cache import (
     CodegenStore,
     DiskCache,
     ObligationStore,
-    TunerStore,
     freeze_params,
     source_digest,
 )
@@ -112,8 +111,8 @@ class CompileSession:
     ``opt_level`` is the session default for every stage downstream of
     lowering; individual stage calls can override it per request.  The
     same holds for ``sim_backend`` (the engines of
-    :data:`repro.rtl.SIM_BACKENDS`, or ``"auto"`` for the measured
-    per-design choice) and the ``simulate`` stage.  A non-None
+    :data:`repro.rtl.SIM_BACKENDS`, or ``"auto"`` for the static
+    lane-count rule) and the ``simulate`` stage.  A non-None
     ``cache_dir`` layers a persistent
     :class:`~repro.driver.cache.DiskCache` under the in-memory artifact
     cache, so artifacts survive the process and a second session over
@@ -185,14 +184,6 @@ class CompileSession:
         #: pseudo-stage) instead of running DPLL(T).
         self._obligation_store = (
             ObligationStore(self.cache.disk)
-            if self.cache.disk is not None
-            else None
-        )
-        #: persistent backend-calibration store for the "auto" backend;
-        #: warm sessions resolve the measured per-design engine choice
-        #: from disk (the "tuner" pseudo-stage) without re-calibrating.
-        self._tuner_store = (
-            TunerStore(self.cache.disk)
             if self.cache.disk is not None
             else None
         )
@@ -505,10 +496,9 @@ class CompileSession:
         and its wall-clock, and the differential gates exist precisely
         to compare the two sides as independently computed traces.
         ``"auto"`` resolves to a concrete engine inside the computation
-        via :func:`repro.rtl.tuner.tune` — measured per design when a
-        disk cache holds (or can record) a calibration profile, static
-        fallback otherwise; the produced ``SimTrace.backend`` records
-        the resolved engine.
+        via :func:`repro.rtl.auto_backend` (``vector`` from 64 lanes up
+        when numpy is installed, ``compiled`` otherwise); the produced
+        ``SimTrace.backend`` records the resolved engine.
 
         ``lanes`` (session's ``sim_lanes`` when None) batches that many
         independent stimulus streams through one run — on the compiled
@@ -545,23 +535,7 @@ class CompileSession:
                 source, component, params, registry, stdlib, opt_level=level
             ).value
             start = time.perf_counter()
-            resolved = engine
-            if engine == "auto":
-                tune_start = time.perf_counter()
-                decision = tune(
-                    optimized.module,
-                    n_lanes,
-                    store=self._tuner_store,
-                    codegen_store=self._codegen_store,
-                    # Without a disk cache a calibration could never be
-                    # reused, so don't pay for one — static fallback.
-                    calibrate=self._tuner_store is not None,
-                )
-                resolved = decision.backend
-                self.stats.add_seconds(
-                    "tuner.resolve", time.perf_counter() - tune_start
-                )
-                self.stats.bump(f"tuner.chose.{resolved}")
+            resolved = auto_backend(n_lanes) if engine == "auto" else engine
             # Degradation ladder vector -> compiled -> interp: a
             # backend that cannot run here (missing numpy, a faulted
             # codegen path) falls to the next rung instead of failing
@@ -811,29 +785,6 @@ class CompileSession:
             ),
         }
 
-    def tuner_stats(self) -> Dict[str, object]:
-        """The auto-backend picture: calibration reuse and choices.
-
-        ``chosen`` maps each concrete engine to how many ``"auto"``
-        resolutions picked it; ``resolve_seconds`` is total wall time
-        inside :func:`repro.rtl.tuner.tune` (near zero when profiles
-        are served from disk).
-        """
-        snap = self.stats.snapshot()
-        counters = snap["counters"]
-        prefix = "tuner.chose."
-        return {
-            "disk_hits": counters.get("tuner.disk_hit", 0),
-            "disk_misses": counters.get("tuner.disk_miss", 0),
-            "disk_stores": counters.get("tuner.store", 0),
-            "resolve_seconds": snap["timers"].get("tuner.resolve", 0.0),
-            "chosen": {
-                name[len(prefix):]: count
-                for name, count in sorted(counters.items())
-                if name.startswith(prefix)
-            },
-        }
-
     def fault_stats(self) -> Dict[str, object]:
         """The robustness picture: injected faults and how the stack
         absorbed them.
@@ -904,7 +855,6 @@ class CompileSession:
             "disk": self.disk_stats(),
             "passes": self.pass_summary(),
             "typecheck": self.typecheck_stats(),
-            "tuner": self.tuner_stats(),
             "faults": self.fault_stats(),
             "checkpoint": self.checkpoint_stats(),
         }

@@ -51,21 +51,21 @@ generator (``_generate_source``: one straight-line masked assignment
 per cell, with single-reader expressions fused into their consumer)
 and the SWAR batched generator (``_generate_batched_source`` above) —
 and :mod:`repro.rtl.vectorize` adds the third: word-packed
-lane *columns* (numpy ``uint64`` arrays, or ``array('Q')`` buffers as a
-pure-stdlib fallback) where one vectorized operation advances thousands
-of lanes at fixed per-op overhead.  SWAR cost grows with the packed
-bignum's limb count and saturates between 16 and 64 lanes; the vector
-target keeps scaling past that, which is why mega-lane sweeps belong
-there.  All three emit bit-identical traces — the same
-:func:`differential_check` gates each one against the interpreter.
+lane *columns* (numpy ``uint64`` arrays) where one vectorized operation
+advances thousands of lanes at fixed per-op overhead.  SWAR cost grows
+with the packed bignum's limb count and saturates between 16 and 64
+lanes; the vector target keeps scaling past that, which is why
+mega-lane sweeps belong there.  All three emit bit-identical traces —
+the same :func:`differential_check` gates each one against the
+interpreter.
 
-Backend selection is measured, not guessed: the static
-:func:`swar_profitable` predicate keeps the batched path away from
-designs whose ineligible-cell fraction predicts a slowdown (the scalar
-``run_batch`` falls back to sequential lanes there), and
-:mod:`repro.rtl.tuner` runs a short per-design calibration, persists
-the winning (backend, lanes) in the disk cache, and resolves the
-``"auto"`` backend from those measurements.
+Backend selection is a static rule, checked against measurements on
+the catalog: :func:`auto_backend` sends ``"auto"`` to the vector engine
+from :data:`AUTO_VECTOR_LANES` lanes up when numpy is installed and to
+``compiled`` otherwise, and the compiled lane path applies the
+calibrated :func:`swar_profitable` predicate, which keeps SWAR away
+from designs whose ineligible cells predict a slowdown (the scalar
+``run_batch`` runs lanes sequentially there).
 
 **Persistent codegen.**  Generating the step source levelizes the
 netlist and builds a netlist-sized string — for large modules that is
@@ -73,10 +73,10 @@ the dominant cost of a cold simulator.  ``compile_netlist`` therefore
 accepts a ``store`` (see ``repro.driver.cache.CodegenStore``): the
 generated source and slot layout are persisted keyed by
 ``(structural_hash, backend, lanes, CODEGEN_VERSION)`` — the backend
-tag (``"scalar"``, ``"swar"``, ``"vector-numpy"``, ``"vector-stdlib"``)
-keeps the four generators' entries from shadowing each other — so a
-warm process skips levelization and code generation entirely and only
-pays ``compile()`` + ``exec()``.
+tag (``"scalar"``, ``"swar"``, ``"vector"``) keeps the three
+generators' entries from shadowing each other — so a warm process
+skips levelization and code generation entirely and only pays
+``compile()`` + ``exec()``.
 """
 
 from __future__ import annotations
@@ -541,8 +541,8 @@ def batched_stride(module: Module, lanes: int = 16) -> int:
 def swar_profitable(module: Module, lanes: int) -> bool:
     """Does the SWAR batched encoding beat sequential scalar lanes?
 
-    The static half of backend selection (the measured half is
-    :mod:`repro.rtl.tuner`): a calibrated per-cell cost comparison
+    The compiled backend's half of backend selection (see
+    :func:`auto_backend`): a calibrated per-cell cost comparison
     between one lane-packed step and ``lanes`` scalar steps.  A packed
     cell costs a small constant plus a term linear in the packed
     integer's word count; an ineligible cell pays the per-lane loop
@@ -1580,12 +1580,13 @@ SIM_BACKENDS = {
 #: persistent simulate artifacts produced by the old code are cache
 #: misses instead of silently masking the fix (the differential gates
 #: compare *computed* traces, not stale ones).  ``"auto"`` versions the
-#: tuner-driven *selection* policy, not an engine of its own.
+#: *selection* rule (:func:`auto_backend`), not an engine of its own;
+#: v2: the static rule replaced the measured tuner.
 SIM_BACKEND_VERSIONS = {
     "interp": 1,
     "compiled": 1,
     "batched": 1,
-    "auto": 1,
+    "auto": 2,
 }
 
 
@@ -1628,7 +1629,7 @@ def resolve_backend(name: str):
     """Backend name → engine class, with a helpful rejection.
 
     Concrete engines only — ``"auto"`` must be resolved to one first
-    (see :func:`repro.rtl.tuner.tune`).
+    (see :func:`auto_backend`).
     """
     try:
         return SIM_BACKENDS[name]
@@ -1636,6 +1637,29 @@ def resolve_backend(name: str):
         raise ValueError(
             f"unknown sim backend {name!r}; available: {sorted(SIM_BACKENDS)}"
         ) from None
+
+
+#: Lane count from which ``"auto"`` picks the numpy vector engine: from
+#: 64 lanes up it measured fastest on every catalog design (up to
+#: noise), while below it the compiled lane path wins on the
+#: SWAR-friendly ones.
+AUTO_VECTOR_LANES = 64
+
+
+def auto_backend(lanes: int) -> str:
+    """The engine ``"auto"`` resolves to for ``lanes`` stimulus lanes.
+
+    ``"vector"`` when numpy is importable and ``lanes >=
+    AUTO_VECTOR_LANES``, else ``"compiled"`` — one lane included — whose
+    lane path picks SWAR or sequential scalar lanes by
+    :func:`swar_profitable`.  The same inputs always give the same
+    engine.
+    """
+    from .vectorize import _numpy
+
+    if int(lanes) >= AUTO_VECTOR_LANES and _numpy() is not None:
+        return "vector"
+    return "compiled"
 
 
 def make_simulator(

@@ -1,4 +1,4 @@
-"""Mega-lane vectorized simulation backend: netlist → word-packed kernels.
+"""Mega-lane vectorized simulation backend: netlist → numpy column kernels.
 
 The third codegen target (after the scalar and SWAR generators of
 :mod:`repro.rtl.compile`).  Where the batched SWAR backend packs K lanes
@@ -8,28 +8,26 @@ generator gives every net a *word-packed column*: one value per lane,
 stored contiguously, so a single vectorized operation advances thousands
 of lanes at fixed per-op overhead.
 
-Two flavors share one code shape, selected by :func:`vector_flavor`:
+Each net ≤ 64 bits wide is one ``numpy`` array of dtype ``uint64`` and
+shape ``(lanes,)``; combinational cells become one or two whole-column
+ufunc calls (``+``, ``&``, ``np.where``, ...).  All arithmetic is exact
+under the unsigned mod-2^width contract: uint64 wraps mod 2^64 and an
+explicit mask narrows to the net width, division and modulo route
+through ``np.floor_divide``/``np.remainder`` with a ``where=`` guard so
+x/0 == 0, and shift amounts that would be C-level undefined behavior
+(>= 64) are folded to constant zero columns at generation time.  Every
+integer literal is materialized as a ``np.uint64`` scalar in the
+prelude, which keeps numpy 1.x from promoting wide masks to float64 and
+satisfies NEP 50 on 2.x.  Nets wider than 64 bits are lists of word
+columns (only multi-word arithmetic drops to per-lane loops, the same
+escape hatch the SWAR generator uses), and FIFOs keep one deque per
+lane.
 
-* **numpy** — each net ≤ 64 bits wide is one ``numpy`` array of dtype
-  ``uint64`` and shape ``(lanes,)``; combinational cells become one or
-  two whole-column ufunc calls (``+``, ``&``, ``np.where``, ...).  All
-  arithmetic is exact under the unsigned mod-2^width contract: uint64
-  wraps mod 2^64 and an explicit mask narrows to the net width, division
-  and modulo route through ``np.floor_divide``/``np.remainder`` with a
-  ``where=`` guard so x/0 == 0, and shift amounts that would be C-level
-  undefined behavior (>= 64) are folded to constant zero columns at
-  generation time.  Every integer literal is materialized as a
-  ``np.uint64`` scalar in the prelude, which keeps numpy 1.x from
-  promoting wide masks to float64 and satisfies NEP 50 on 2.x.
-* **stdlib** — the pure-stdlib word-parallel fallback when numpy is not
-  installed: columns are ``array('Q')`` buffers and every cell is a
-  per-lane list comprehension.  Bit-identical, much slower; it exists so
-  ``repro`` degrades cleanly instead of failing (install the
-  ``repro[vector]`` extra for the fast path).
-
-Nets wider than 64 bits are lists of word columns in the numpy flavor
-and per-lane Python-int lists in the stdlib flavor (the same escape
-hatch the SWAR generator uses), and FIFOs keep one deque per lane.
+numpy is an optional dependency (the ``vector`` extra).  Without it,
+building a vector program raises :class:`SimBackendUnavailable`; a
+:class:`~repro.driver.session.CompileSession` asked for ``vector``
+then degrades to ``compiled`` along
+:data:`~repro.rtl.compile.BACKEND_FALLBACKS`.
 
 **Requirement: generated code never writes into a column.**  Every
 emitted statement rebinds a slot or register to a fresh (or shared,
@@ -47,13 +45,11 @@ lists, one output dict per lane) and is gated by the very same
 :func:`~repro.rtl.compile.differential_check` contract: bit-identical,
 lane for lane, to K independent interpreter runs.  Generated kernels
 persist through the ``codegen`` pseudo-stage of the disk cache, keyed
-``(structural_hash, backend, lanes, CODEGEN_VERSION)`` where the backend
-tag carries the flavor (``"vector-numpy"`` / ``"vector-stdlib"``).
+``(structural_hash, "vector", lanes, CODEGEN_VERSION)``.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -61,31 +57,29 @@ from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .netlist import Cell, Module, NetlistError, comb_topo_order
-from .simulate import random_stimulus_batch, run_lanes, step_lanes
+from .simulate import random_stimulus_batch, run_lanes
 
-#: Lane-column word width: nets at or below it are packed (uint64 /
-#: array('Q') columns), wider nets fall back to per-lane int lists.
+#: Lane-column word width: nets at or below it are one uint64 column,
+#: wider nets a list of word columns.
 VECTOR_WORD = 64
 
 #: Mask of one full machine word.
 _WORD_MASK = (1 << VECTOR_WORD) - 1
+
+#: The codegen-store backend tag of this module's kernels.
+_BACKEND_TAG = "vector"
 
 
 def _nwords(width: int) -> int:
     """How many 64-bit words a value of ``width`` bits occupies."""
     return (width + VECTOR_WORD - 1) // VECTOR_WORD
 
-#: The two kernel flavors, in preference order.
-VECTOR_FLAVORS = ("numpy", "stdlib")
-
 
 class SimBackendUnavailable(NetlistError):
     """A simulation backend's required runtime support is not installed.
 
-    Raised when the numpy kernel flavor is explicitly requested (via
-    ``flavor="numpy"`` or ``$REPRO_VECTOR_FLAVOR=numpy``) but numpy is
-    missing; plain ``vector`` requests silently fall back to the stdlib
-    flavor instead.
+    Raised when a vector program is built without numpy.  Sessions
+    catch it and fall back one rung down ``BACKEND_FALLBACKS``.
     """
 
 
@@ -106,29 +100,13 @@ def _numpy():
     return _NUMPY
 
 
-def vector_flavor(flavor: Optional[str] = None) -> str:
-    """Resolve the kernel flavor: explicit arg → ``$REPRO_VECTOR_FLAVOR``
-    → ``"numpy"`` when importable, else ``"stdlib"``."""
-    requested = flavor or os.environ.get("REPRO_VECTOR_FLAVOR") or None
-    if requested is None:
-        return "numpy" if _numpy() is not None else "stdlib"
-    if requested not in VECTOR_FLAVORS:
-        raise NetlistError(
-            f"unknown vector flavor {requested!r}; "
-            f"available: {list(VECTOR_FLAVORS)}"
-        )
-    if requested == "numpy" and _numpy() is None:
+def _require_numpy() -> None:
+    """Raise :class:`SimBackendUnavailable` unless numpy is importable."""
+    if _numpy() is None:
         raise SimBackendUnavailable(
-            "the numpy vector flavor was requested but numpy is not "
-            "installed; pip install 'lilac-repro[vector]' or use the "
-            "stdlib flavor"
+            "the vector backend needs numpy, which is not installed; "
+            "install the 'vector' extra: pip install 'lilac-repro[vector]'"
         )
-    return requested
-
-
-def vector_backend_tag(flavor: str) -> str:
-    """The codegen-store backend tag for one flavor's kernels."""
-    return f"vector-{flavor}"
 
 
 class _VecConsts:
@@ -140,12 +118,10 @@ class _VecConsts:
     the hot loop reads them as ``LOAD_FAST``.
     """
 
-    def __init__(self, flavor: str, lanes: int):
-        self.flavor = flavor
-        self.lanes = lanes
+    def __init__(self):
         self._scalars: Dict[int, str] = {}
         self._columns: Dict[int, str] = {}
-        self._wides: Dict[int, str] = {}
+        self._wides: Dict[Tuple[int, int], str] = {}
         self.defs: List[str] = []
 
     def _fresh(self, hint: str) -> str:
@@ -155,9 +131,7 @@ class _VecConsts:
         return name
 
     def scalar(self, value: int, hint: str, uses: set) -> str:
-        """A ``np.uint64`` scalar (numpy) / plain int literal (stdlib)."""
-        if self.flavor != "numpy":
-            return hex(value)
+        """A ``np.uint64`` scalar."""
         name = self._scalars.get(value)
         if name is None:
             name = self._fresh(hint)
@@ -175,34 +149,19 @@ class _VecConsts:
         if name is None:
             name = self._fresh(hint)
             self._columns[value] = name
-            if self.flavor == "numpy":
-                self.defs.append(
-                    f"{name} = _np.full(_LANES, _np.uint64({hex(value)}))"
-                )
-            else:
-                self.defs.append(
-                    f'{name} = _array("Q", [{hex(value)}]) * _LANES'
-                )
+            self.defs.append(
+                f"{name} = _np.full(_LANES, _np.uint64({hex(value)}))"
+            )
         uses.add(name)
         return name
 
     def zeros(self, uses: set) -> str:
         return self.column(0, "Z", uses)
 
-    def wide_column(self, value: int, hint: str, uses: set) -> str:
-        """A per-lane list column for constants wider than one word."""
-        name = self._wides.get(value)
-        if name is None:
-            name = self._fresh(hint)
-            self._wides[value] = name
-            self.defs.append(f"{name} = [{value}] * _LANES")
-        uses.add(name)
-        return name
-
     def wide_words(self, value: int, n_words: int, hint: str,
                    uses: set) -> str:
         """A multi-word constant: a list of ``n_words`` full columns
-        holding the value's 64-bit words (numpy flavor only)."""
+        holding the value's 64-bit words."""
         key = (value, n_words)
         name = self._wides.get(key)
         if name is None:
@@ -219,17 +178,16 @@ class _VecConsts:
 
 
 def _generate_vector_source(
-    module: Module, slot: Dict[str, int], lanes: int, flavor: str
+    module: Module, slot: Dict[str, int], lanes: int
 ) -> Tuple[str, List[str], List[int], List[str], List[int]]:
-    """Generate the lane-column evaluate/latch pair for one flavor.
+    """Generate the lane-column evaluate/latch pair.
 
     The invariants every emitted statement preserves (exactly as in the
     SWAR generator): lane values are *clean* — strictly below
     ``2^width`` — and columns are never written into, only rebound (the
     module docstring's requirement).
     """
-    numpy_flavor = flavor == "numpy"
-    consts = _VecConsts(flavor, lanes)
+    consts = _VecConsts()
     uses_ev: set = set()
     uses_lt: set = set()
     div_helpers = set()
@@ -240,23 +198,17 @@ def _generate_vector_source(
     def lanes_of(net, uses: set) -> str:
         """Expression yielding an iterable of the net's per-lane ints."""
         expr = f"s[{slot[net.name]}]"
-        if numpy_flavor and not wide(net):
+        if not wide(net):
             return f"{expr}.tolist()"
-        if numpy_flavor:
-            # Wide nets are multi-word column lists in this flavor.
-            div_helpers.add("_wunpack")
-            uses.add("_wunpack")
-            return f"_wunpack({expr})"
-        return expr
+        div_helpers.add("_wunpack")
+        uses.add("_wunpack")
+        return f"_wunpack({expr})"
 
     def pk(listcomp: str, uses: set) -> str:
         """Pack a list-comprehension of clean ints into a column."""
-        if numpy_flavor:
-            uses.add("_np")
-            uses.add("_U64")
-            return f"_np.array({listcomp}, _U64)"
-        uses.add("_array")
-        return f'_array("Q", {listcomp})'
+        uses.add("_np")
+        uses.add("_U64")
+        return f"_np.array({listcomp}, _U64)"
 
     def pk_wide(listcomp: str, n_words: int, uses: set) -> str:
         """Pack clean per-lane ints into a multi-word column list."""
@@ -264,9 +216,9 @@ def _generate_vector_source(
         uses.add("_wpack")
         return f"_wpack({listcomp}, {n_words})"
 
-    # -- numpy flavor: whole-column kernels -----------------------------
+    # -- whole-column kernels (every pin at most one word) --------------
 
-    def comb_numpy_packed(cell: Cell) -> List[str]:
+    def comb_packed(cell: Cell) -> List[str]:
         pins, kind = cell.pins, cell.kind
         out = pins["out"]
         so = slot[out.name]
@@ -375,7 +327,7 @@ def _generate_vector_source(
             return emit(f"({sl('a')} << {shift}) | {sl('b')}", need)
         raise NetlistError(f"cannot vector-compile cell kind {kind!r}")
 
-    # -- numpy flavor: multi-word columns for wide nets -----------------
+    # -- multi-word columns for wide nets -------------------------------
     #
     # A net wider than one machine word is a Python list of ceil(w/64)
     # uint64 columns (little-endian words, clean: the top word carries
@@ -389,7 +341,7 @@ def _generate_vector_source(
          "and", "or", "xor", "not", "mux", "eq")
     )
 
-    def comb_numpy_wide(cell: Cell) -> List[str]:
+    def comb_wide(cell: Cell) -> List[str]:
         pins, kind = cell.pins, cell.kind
         out = pins["out"]
         so = slot[out.name]
@@ -553,85 +505,33 @@ def _generate_vector_source(
             f"cannot word-vectorize cell kind {kind!r}"
         )  # pragma: no cover - dispatch guards membership
 
-    # -- per-lane loop (wide pins, and the whole stdlib flavor) ---------
+    # -- per-lane loop: multi-word arithmetic -----------------------------
 
     def comb_lanes(cell: Cell) -> List[str]:
         pins, kind = cell.pins, cell.kind
         out = pins["out"]
         so = slot[out.name]
-        wo = out.width
-        omask = (1 << wo) - 1
-        wide_out = wide(out)
-
-        def wr(listcomp: str) -> List[str]:
-            if wide_out and numpy_flavor:
-                return [
-                    f"    s[{so}] = "
-                    f"{pk_wide(listcomp, _nwords(wo), uses_ev)}"
-                ]
-            if wide_out:
-                return [f"    s[{so}] = {listcomp}"]
-            return [f"    s[{so}] = {pk(listcomp, uses_ev)}"]
-
-        if kind == "const":
-            value = int(cell.params["value"]) & omask
-            if wide_out and numpy_flavor:
-                return [
-                    f"    s[{so}] = "
-                    f"{consts.wide_words(value, _nwords(wo), f'W{so}', uses_ev)}"
-                ]
-            if wide_out:
-                return [
-                    f"    s[{so}] = "
-                    f"{consts.wide_column(value, f'W{so}', uses_ev)}"
-                ]
-            return [
-                f"    s[{so}] = {consts.column(value, f'V{so}', uses_ev)}"
-            ]
-        if kind == "mux":
-            return wr(
-                f"[(_p if _c & 1 else _q) & {omask} for _c, _p, _q in "
-                f"zip({lanes_of(pins['sel'], uses_ev)},"
-                f" {lanes_of(pins['a'], uses_ev)},"
-                f" {lanes_of(pins['b'], uses_ev)})]"
-            )
+        omask = (1 << out.width) - 1
         binary = {
             "add": f"(_p + _q) & {omask}",
             "sub": f"(_p - _q) & {omask}",
             "mul": f"(_p * _q) & {omask}",
             "div": f"(_p // _q if _q else 0) & {omask}",
             "mod": f"(_p % _q if _q else 0) & {omask}",
-            "and": f"(_p & _q) & {omask}",
-            "or": f"(_p | _q) & {omask}",
-            "xor": f"(_p ^ _q) & {omask}",
-            "eq": "1 if _p == _q else 0",
             "lt": "1 if _p < _q else 0",
         }
-        if kind == "concat":
-            binary["concat"] = (
-                f"((_p << {pins['b'].width}) | _q) & {omask}"
-            )
-        if kind in binary:
-            return wr(
-                f"[{binary[kind]} for _p, _q in "
-                f"zip({lanes_of(pins['a'], uses_ev)},"
-                f" {lanes_of(pins['b'], uses_ev)})]"
-            )
-        if kind == "slice" and int(cell.params["lsb"]) == 0 \
-                and pins["a"].width <= wo and wide(pins["a"]) == wide_out:
-            return [f"    s[{so}] = s[{slot[pins['a'].name]}]"]
-        unary = {
-            "not": f"(~_p) & {omask}",
-            "shl": f"(_p << {int(cell.params.get('amount', 0))}) & {omask}",
-            "shr": f"(_p >> {int(cell.params.get('amount', 0))}) & {omask}",
-            "slice": f"(_p >> {int(cell.params.get('lsb', 0))}) & {omask}",
-        }
-        if kind in unary:
-            return wr(
-                f"[{unary[kind]} for _p in "
-                f"{lanes_of(pins['a'], uses_ev)}]"
-            )
-        raise NetlistError(f"cannot vector-compile cell kind {kind!r}")
+        if kind not in binary:
+            raise NetlistError(f"cannot vector-compile cell kind {kind!r}")
+        listcomp = (
+            f"[{binary[kind]} for _p, _q in "
+            f"zip({lanes_of(pins['a'], uses_ev)},"
+            f" {lanes_of(pins['b'], uses_ev)})]"
+        )
+        if wide(out):
+            packed = pk_wide(listcomp, _nwords(out.width), uses_ev)
+        else:
+            packed = pk(listcomp, uses_ev)
+        return [f"    s[{so}] = {packed}"]
 
     # -- sequential cells ----------------------------------------------
 
@@ -665,21 +565,15 @@ def _generate_vector_source(
         q, d = cell.pins["q"], cell.pins["d"]
         i = reg_index[name]
         sq = slot[q.name]
-        qmask = (1 << q.width) - 1
         if not reg_storage_wide(name):
             if d.width <= q.width:
                 ev.append(f"    s[{sq}] = r[{i}]")
-            elif numpy_flavor:
+            else:
                 ev.append(
                     f"    s[{sq}] = r[{i}]"
                     f" & {consts.mask(q.width, uses_ev)}"
                 )
-            else:
-                ev.append(
-                    f"    s[{sq}] = "
-                    f"{pk(f'[_v & {qmask} for _v in r[{i}]]', uses_ev)}"
-                )
-        elif numpy_flavor:
+        else:
             # Wide storage is a multi-word column list clean to
             # max(d, q) width; evaluate extracts q's words.
             max_w = max(d.width, q.width)
@@ -696,18 +590,6 @@ def _generate_vector_source(
             else:
                 mask = consts.mask(q.width, uses_ev)
                 ev.append(f"    s[{sq}] = r[{i}][0] & {mask}")
-        elif wide(q):
-            if d.width > q.width:
-                ev.append(
-                    f"    s[{sq}] = [_v & {qmask} for _v in r[{i}]]"
-                )
-            else:
-                ev.append(f"    s[{sq}] = r[{i}]")
-        else:  # wide storage latching into a packed q
-            ev.append(
-                f"    s[{sq}] = "
-                f"{pk(f'[_v & {qmask} for _v in r[{i}]]', uses_ev)}"
-            )
     for name in fifo_cells:
         cell = module.cells[name]
         pins = cell.pins
@@ -725,23 +607,18 @@ def _generate_vector_source(
             f"{pk('[1 if _fq else 0 for _fq in _q]', uses_ev)}"
         )
         head = f"[(_fq[0] & {od_mask}) if _fq else 0 for _fq in _q]"
-        if wide(od) and numpy_flavor:
+        if wide(od):
             ev.append(
                 f"    s[{slot[od.name]}] = "
                 f"{pk_wide(head, _nwords(od.width), uses_ev)}"
             )
-        elif wide(od):
-            ev.append(f"    s[{slot[od.name]}] = {head}")
         else:
             ev.append(f"    s[{slot[od.name]}] = {pk(head, uses_ev)}")
     for cell in comb_topo_order(module):
-        pins = cell.pins
-        if numpy_flavor and all(
-            pin.width <= VECTOR_WORD for pin in pins.values()
-        ):
-            ev.extend(comb_numpy_packed(cell))
-        elif numpy_flavor and cell.kind in WIDE_VECTOR_KINDS:
-            ev.extend(comb_numpy_wide(cell))
+        if all(pin.width <= VECTOR_WORD for pin in cell.pins.values()):
+            ev.extend(comb_packed(cell))
+        elif cell.kind in WIDE_VECTOR_KINDS:
+            ev.extend(comb_wide(cell))
         else:
             ev.extend(comb_lanes(cell))
     if not ev:
@@ -752,7 +629,7 @@ def _generate_vector_source(
         return _nwords(max(pins["d"].width, pins["q"].width))
 
     def d_word(d, index: int, uses: set) -> str:
-        """Word ``index`` of the latched d value (numpy wide storage)."""
+        """Word ``index`` of the latched d value (wide storage)."""
         sd = slot[d.name]
         if wide(d):
             if index < _nwords(d.width):
@@ -770,47 +647,29 @@ def _generate_vector_source(
         if cell.kind == "reg":
             if not storage_wide:
                 lt.append(f"    r[{i}] = s[{slot[d.name]}]")
-            elif numpy_flavor:
+            else:
                 words = [
                     d_word(d, j, uses_lt) for j in range(storage_words(name))
                 ]
                 lt.append(f"    r[{i}] = [{', '.join(words)}]")
-            elif wide(d):
-                lt.append(f"    r[{i}] = s[{slot[d.name]}]")
-            else:
-                lt.append(f"    r[{i}] = list(s[{slot[d.name]}])")
         else:  # regen
             en = cell.pins["en"]
-            if storage_wide and numpy_flavor:
-                uses_lt.add("_np")
-                cond = f"s[{slot[en.name]}]"
-                if en.width > 1:
-                    cond = f"{cond} & {consts.scalar(1, 'K1', uses_lt)}"
+            uses_lt.add("_np")
+            cond = f"s[{slot[en.name]}]"
+            if en.width > 1:
+                cond = f"{cond} & {consts.scalar(1, 'K1', uses_lt)}"
+            if storage_wide:
                 lt.append(f"    _c = {cond}")
                 words = [
                     f"_np.where(_c, {d_word(d, j, uses_lt)}, r[{i}][{j}])"
                     for j in range(storage_words(name))
                 ]
                 lt.append(f"    r[{i}] = [{', '.join(words)}]")
-            elif not storage_wide and numpy_flavor:
-                uses_lt.add("_np")
-                cond = f"s[{slot[en.name]}]"
-                if en.width > 1:
-                    cond = f"{cond} & {consts.scalar(1, 'K1', uses_lt)}"
+            else:
                 lt.append(
                     f"    r[{i}] = _np.where({cond}, "
                     f"s[{slot[d.name]}], r[{i}])"
                 )
-            else:
-                blend = (
-                    f"[(_d if _e & 1 else _r) for _e, _d, _r in "
-                    f"zip({lanes_of(en, uses_lt)},"
-                    f" {lanes_of(d, uses_lt)}, r[{i}])]"
-                )
-                if storage_wide:
-                    lt.append(f"    r[{i}] = {blend}")
-                else:
-                    lt.append(f"    r[{i}] = {pk(blend, uses_lt)}")
     for name in fifo_cells:
         cell = module.cells[name]
         pins = cell.pins
@@ -831,12 +690,9 @@ def _generate_vector_source(
         lt.append("    pass")
 
     # -- assemble -------------------------------------------------------
-    prelude: List[str] = []
-    if numpy_flavor:
-        prelude += ["import numpy as _np", "", "_U64 = _np.uint64"]
-    else:
-        prelude += ["from array import array as _array"]
-    prelude.append(f"_LANES = {lanes}")
+    prelude = [
+        "import numpy as _np", "", "_U64 = _np.uint64", f"_LANES = {lanes}"
+    ]
     prelude += consts.defs
     helper_names = sorted(div_helpers)
     if "_vdiv" in div_helpers:
@@ -912,7 +768,6 @@ class VectorNetlist:
         "source",
         "compile_seconds",
         "lanes",
-        "flavor",
         "from_store",
     )
 
@@ -929,7 +784,6 @@ class VectorNetlist:
         source: str,
         compile_seconds: float,
         lanes: int,
-        flavor: str,
         from_store: bool = False,
     ):
         self.structural_hash = structural_hash
@@ -944,33 +798,29 @@ class VectorNetlist:
         self.source = source
         self.compile_seconds = compile_seconds
         self.lanes = lanes
-        self.flavor = flavor
         self.from_store = from_store
 
     def __repr__(self):
         return (
             f"VectorNetlist({self.structural_hash}, {self.n_slots} slots, "
-            f"lanes={self.lanes}, flavor={self.flavor})"
+            f"lanes={self.lanes})"
         )
 
 
-#: (structural hash, lanes, flavor) → VectorNetlist, process-wide.
-_VMEMO: Dict[Tuple[str, int, str], VectorNetlist] = {}
+#: (structural hash, lanes) → VectorNetlist, process-wide.
+_VMEMO: Dict[Tuple[str, int], VectorNetlist] = {}
 _VMEMO_LOCK = threading.Lock()
 
 
 def _generate_vector_payload(
-    module: Module, structural: str, lanes: int, flavor: str
+    module: Module, structural: str, lanes: int
 ) -> Dict:
     slot = {name: index for index, name in enumerate(sorted(module.nets))}
     (source, reg_cells, reg_inits,
-     fifo_cells, fifo_depths) = _generate_vector_source(
-        module, slot, lanes, flavor
-    )
+     fifo_cells, fifo_depths) = _generate_vector_source(module, slot, lanes)
     return {
         "structural_hash": structural,
-        "backend": vector_backend_tag(flavor),
-        "flavor": flavor,
+        "backend": _BACKEND_TAG,
         "lanes": lanes,
         "stride": 0,
         "source": source,
@@ -989,7 +839,7 @@ def _materialize_vector(
     code = compile(
         payload["source"],
         f"<vector:{module_name}:{payload['structural_hash']}"
-        f":x{payload['lanes']}:{payload['flavor']}>",
+        f":x{payload['lanes']}>",
         "exec",
     )
     exec(code, namespace)
@@ -1005,7 +855,6 @@ def _materialize_vector(
         payload["source"],
         time.perf_counter() - start,
         lanes=payload["lanes"],
-        flavor=payload["flavor"],
         from_store=from_store,
     )
 
@@ -1013,26 +862,25 @@ def _materialize_vector(
 def compile_vector_netlist(
     module: Module,
     lanes: int,
-    flavor: Optional[str] = None,
     store=None,
 ) -> VectorNetlist:
     """Compile a flat module to lane-column step code (memoized).
 
-    ``flavor`` resolves through :func:`vector_flavor`; ``store`` is the
-    same duck-typed codegen store ``compile_netlist`` takes (``load``
-    gains the backend tag argument: ``load(structural_hash, lanes,
-    backend)``), so vector kernels share the persistent ``codegen``
-    pseudo-stage with the scalar and SWAR generators.
+    Raises :class:`SimBackendUnavailable` when numpy is not installed.
+    ``store`` is the same duck-typed codegen store ``compile_netlist``
+    takes (``load`` gains the backend tag argument:
+    ``load(structural_hash, lanes, backend)``), so vector kernels share
+    the persistent ``codegen`` pseudo-stage with the scalar and SWAR
+    generators.
     """
     from .compile import valid_codegen_payload
 
     lanes = int(lanes)
     if lanes < 1:
         raise NetlistError(f"lanes must be >= 1, got {lanes}")
-    flavor = vector_flavor(flavor)
-    backend = vector_backend_tag(flavor)
+    _require_numpy()
     structural = module.structural_hash()
-    key = (structural, lanes, flavor)
+    key = (structural, lanes)
     with _VMEMO_LOCK:
         cached = _VMEMO.get(key)
     if cached is not None:
@@ -1040,14 +888,14 @@ def compile_vector_netlist(
     start = time.perf_counter()
     payload = None
     if store is not None:
-        payload = store.load(structural, lanes, backend)
+        payload = store.load(structural, lanes, _BACKEND_TAG)
         if payload is not None and not valid_codegen_payload(
-            payload, structural, lanes, backend
+            payload, structural, lanes, _BACKEND_TAG
         ):
             payload = None
     loaded = payload is not None
     if payload is None:
-        payload = _generate_vector_payload(module, structural, lanes, flavor)
+        payload = _generate_vector_payload(module, structural, lanes)
     compiled = _materialize_vector(payload, module.name, start, loaded)
     if store is not None and not loaded:
         store.save(payload)
@@ -1084,48 +932,43 @@ class VectorCompiledSimulator:
     ):
         from .compile import _flattened, _mask_literal
 
+        # ``flavor`` survives only for callers that still pass it: the
+        # kernels are numpy's, whatever else is asked for is an error.
+        if flavor not in (None, "numpy"):
+            raise NetlistError(
+                f"unknown vector flavor {flavor!r}; the vector backend "
+                f"only has numpy kernels"
+            )
+        self.flavor = "numpy"
         self.module = _flattened(module)
         self.lanes = int(lanes)
         if self.lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes!r}")
         self.program = compile_vector_netlist(
-            self.module, self.lanes, flavor=flavor, store=codegen_store
+            self.module, self.lanes, store=codegen_store
         )
-        self.flavor = self.program.flavor
-        np = _numpy() if self.flavor == "numpy" else None
-        self._np = np
+        np = self._np = _numpy()
         slot_of = self.program.slot_of
-        # slot index → word count, for every net wider than one word.
-        # In the numpy flavor a wide slot holds that many uint64
-        # columns; in the stdlib flavor it stays a per-lane int list.
+        # slot index → word count, for every net wider than one word
+        # (such a slot holds that many uint64 columns).
         self._wide_slots: Dict[int, int] = {
             slot_of[net.name]: _nwords(net.width)
             for net in self.module.nets.values()
             if net.width > VECTOR_WORD
         }
-        if np is not None:
-            zeros = np.zeros(self.lanes, np.uint64)
-        else:
-            from array import array
-
-            zeros = array("Q", [0]) * self.lanes
         # Columns are rebound, never mutated, so every packed slot can
-        # share one zero column until first written (wide numpy slots
+        # share one zero column until first written (wide slots
         # likewise share it per word).
+        zeros = np.zeros(self.lanes, np.uint64)
         self._slots: List[object] = []
         for index in range(self.program.n_slots):
             n_words = self._wide_slots.get(index)
-            if n_words is None:
-                self._slots.append(zeros)
-            elif np is not None:
-                self._slots.append([zeros] * n_words)
-            else:
-                self._slots.append([0] * self.lanes)
+            self._slots.append(zeros if n_words is None else [zeros] * n_words)
         self._regs: List[object] = []
         for name, init in zip(self.program.reg_cells, self.program.reg_inits):
             pins = self.module.cells[name].pins
             storage_width = max(pins["d"].width, pins["q"].width)
-            if storage_width > VECTOR_WORD and np is not None:
+            if storage_width > VECTOR_WORD:
                 self._regs.append([
                     np.full(
                         self.lanes,
@@ -1135,14 +978,8 @@ class VectorCompiledSimulator:
                     )
                     for word in range(_nwords(storage_width))
                 ])
-            elif storage_width > VECTOR_WORD:
-                self._regs.append([init] * self.lanes)
-            elif np is not None:
-                self._regs.append(np.full(self.lanes, np.uint64(init)))
             else:
-                from array import array
-
-                self._regs.append(array("Q", [init]) * self.lanes)
+                self._regs.append(np.full(self.lanes, np.uint64(init)))
         self._fifos: List[List[deque]] = [
             [deque() for _ in range(self.lanes)]
             for _ in self.program.fifo_depths
@@ -1167,13 +1004,9 @@ class VectorCompiledSimulator:
 
     def _column(self, values: Sequence[int], mask: int):
         """A fresh packed column of masked lane values."""
-        if self._np is not None:
-            return self._np.array(
-                [int(value) & mask for value in values], self._np.uint64
-            )
-        from array import array
-
-        return array("Q", [int(value) & mask for value in values])
+        return self._np.array(
+            [int(value) & mask for value in values], self._np.uint64
+        )
 
     def _pack_wide(self, values: Sequence[int], mask: int, n_words: int):
         """Masked lane ints → little-endian uint64 word columns."""
@@ -1195,15 +1028,9 @@ class VectorCompiledSimulator:
         )
         return list(map(int.from_bytes, fields, repeat("little")))
 
-    def _lanes_of(self, value, is_wide: bool):
+    def _lanes_of(self, value, is_wide: bool) -> List[int]:
         """Per-lane Python ints of one slot's current column."""
-        if is_wide:
-            if self._np is not None:
-                return self._unpack_wide(value)
-            return value
-        if self._np is not None:
-            return value.tolist()
-        return value  # array('Q') indexes to plain ints already
+        return self._unpack_wide(value) if is_wide else value.tolist()
 
     def poke(self, inputs: Dict[str, Sequence[int]]) -> None:
         """Drive ports with per-lane value lists (one value per lane)."""
@@ -1223,10 +1050,8 @@ class VectorCompiledSimulator:
             n_words = self._wide_slots.get(index)
             if n_words is None:
                 slots[index] = self._column(values, mask)
-            elif self._np is not None:
-                slots[index] = self._pack_wide(values, mask, n_words)
             else:
-                slots[index] = [int(value) & mask for value in values]
+                slots[index] = self._pack_wide(values, mask, n_words)
 
     def _poke_vectors(self, vectors: Sequence[Dict[str, int]]) -> None:
         """Per-lane input dicts; lanes may drive different port subsets
@@ -1252,14 +1077,10 @@ class VectorCompiledSimulator:
                     slots[index] = self._column(
                         [vector[name] for vector in vectors], mask
                     )
-                elif self._np is not None:
+                else:
                     slots[index] = self._pack_wide(
                         [vector[name] for vector in vectors], mask, n_words
                     )
-                else:
-                    slots[index] = [
-                        int(vector[name]) & mask for vector in vectors
-                    ]
             return
         names = set(first)
         for vector in vectors[1:]:
@@ -1272,9 +1093,7 @@ class VectorCompiledSimulator:
                 )
             index, mask = entry
             n_words = self._wide_slots.get(index)
-            old = slots[index]
-            if n_words is not None and self._np is not None:
-                old = self._unpack_wide(old)
+            old = self._lanes_of(slots[index], n_words is not None)
             merged = [
                 (int(vector[name]) & mask)
                 if name in vector
@@ -1283,10 +1102,8 @@ class VectorCompiledSimulator:
             ]
             if n_words is None:
                 slots[index] = self._column(merged, mask)
-            elif self._np is not None:
-                slots[index] = self._pack_wide(merged, mask, n_words)
             else:
-                slots[index] = merged
+                slots[index] = self._pack_wide(merged, mask, n_words)
 
     def evaluate(self) -> None:
         self._evaluate(self._slots, self._regs, self._fifos)
@@ -1304,14 +1121,7 @@ class VectorCompiledSimulator:
         return self._unpack_slot(index)
 
     def _unpack_slot(self, index: int) -> List[int]:
-        value = self._slots[index]
-        if index in self._wide_slots:
-            if self._np is not None:
-                return self._unpack_wide(value)
-            return list(value)
-        if self._np is not None:
-            return value.tolist()
-        return list(value)
+        return self._lanes_of(self._slots[index], index in self._wide_slots)
 
     def tick(self) -> None:
         self._latch(self._slots, self._regs, self._fifos)
@@ -1380,13 +1190,8 @@ class VectorCompiledSimulator:
     def run(
         self, input_streams: Sequence[List[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
-        """Feed K equal-length streams; returns K per-lane traces.
-
-        The numpy flavor marshals whole runs (:func:`run_lanes`); the
-        stdlib flavor steps cycle by cycle.
-        """
-        if self._np is None:
-            return step_lanes(self, input_streams)
+        """Feed K equal-length streams; returns K per-lane traces
+        (whole-run marshalling, see :func:`run_lanes`)."""
         return run_lanes(self, input_streams)
 
     def run_random(
@@ -1416,7 +1221,7 @@ class VectorCompiledSimulator:
 
 # Register with the backend vocabulary on import (repro.rtl imports this
 # module unconditionally, so ``--sim-backend vector`` is always a valid
-# spelling; flavor availability is checked at compile time instead).
+# spelling; numpy's availability is checked at compile time instead).
 def _register() -> None:
     from . import compile as _compile
 

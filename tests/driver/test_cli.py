@@ -177,15 +177,11 @@ def test_compile_rejects_level_3():
         main(["compile", "--design", "fpu", "-O3"])
 
 
-def test_stats_json_surfaces_tuner_counters(capsys):
+def test_stats_json_carries_stage_timers_and_no_tuner_section(capsys):
     assert main(["compile", "--design", "fpu", "-O2", "--stats", "json"]) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert payload["opt_level"] == 2
-    assert "profile" not in payload
-    # The tuner section is always present, even when the static
-    # backend choice never consulted it.
-    assert set(payload["tuner"]) >= {"disk_hits", "resolve_seconds",
-                                     "chosen"}
+    assert "profile" not in payload and "tuner" not in payload
     # Stage wall clocks flow through the cache stats timers.
     assert any(
         name.startswith("compute.")

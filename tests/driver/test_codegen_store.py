@@ -170,3 +170,50 @@ def test_scalar_and_batched_sessions_share_nothing_but_agree(tmp_path):
     assert batch.lane_cycles == 60
     # Lane 0 of the batch is the single-lane trace for the same seed.
     assert batch.outputs[0] == single.outputs
+
+
+@pytest.mark.numpy
+def test_retired_tuner_and_vector_numpy_entries_stay_inert(tmp_path):
+    """A store written before ``vector`` went numpy-only holds
+    ``("tuner", ...)`` calibration profiles and kernels tagged
+    ``vector-numpy``.  No cache epoch retires them: they stay
+    digest-valid for fsck, and a vector compile over them misses and
+    stores under the ``"vector"`` tag."""
+    from repro.driver import run_fsck
+    from repro.driver.artifact import StageArtifact
+    from repro.rtl import (
+        CODEGEN_VERSION, clear_vector_memo, compile_vector_netlist,
+    )
+    from repro.rtl.vectorize import _generate_vector_payload
+
+    module = _adder()
+    structural = module.structural_hash()
+    disk = DiskCache(str(tmp_path))
+    tuner_key = ("tuner", structural, "numpy", 3)
+    profile = {
+        "tuner_version": 3, "structural_hash": structural,
+        "flavor": "numpy", "cycles": 32, "scalar_cps": 1e5,
+        "swar": {16: 2e5, 64: 3e5}, "vector": {64: 4e5},
+    }
+    assert disk.store(tuner_key, StageArtifact("tuner", tuner_key, profile,
+                                               0.0))
+    legacy = dict(_generate_vector_payload(module, structural, 4),
+                  backend="vector-numpy", flavor="numpy")
+    legacy_key = ("codegen", structural, "vector-numpy", 4, CODEGEN_VERSION)
+    assert disk.store(legacy_key, StageArtifact("codegen", legacy_key,
+                                                legacy, 0.0))
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 2
+
+    clear_vector_memo()
+    try:
+        store = _store(tmp_path)
+        program = compile_vector_netlist(module, 4, store=store)
+    finally:
+        clear_vector_memo()
+    assert not program.from_store
+    assert store.disk.stats.counter("codegen.disk_miss") == 1
+    assert store.disk.stats.counter("codegen.store") == 1
+    assert store.load(structural, 4, "vector")["backend"] == "vector"
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 3

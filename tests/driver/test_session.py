@@ -285,19 +285,17 @@ def test_simulate_levels_are_distinct_cache_entries():
     assert traces[0].value.outputs == traces[2].value.outputs
 
 
-def test_stats_dict_surfaces_the_tuner_section(tmp_path):
+def test_stats_dict_has_no_tuner_section(tmp_path):
     session = CompileSession(cache_dir=str(tmp_path), sim_backend="auto")
-    session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(),
-                     cycles=16, opt_level=2)
+    trace = session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(),
+                             cycles=16, opt_level=2)
+    # "auto" is a static rule: nothing measured, nothing to report.
+    assert trace.value.backend == "compiled"
     payload = session.stats_dict()
-    assert "profile" not in payload
-    tuner = payload["tuner"]
-    assert set(tuner) >= {
-        "disk_hits", "disk_misses", "disk_stores", "resolve_seconds",
-        "chosen",
-    }
-    # The auto backend resolved to exactly one concrete engine here.
-    assert sum(tuner["chosen"].values()) >= 1
+    assert "profile" not in payload and "tuner" not in payload
+    assert not any(
+        name.startswith("tuner.") for name in payload["cache"]["counters"]
+    )
     # Compute/wait wall-time attribution flows through the same stats.
     timers = payload["cache"]["timers"]
     assert any(name.startswith("compute.") for name in timers)

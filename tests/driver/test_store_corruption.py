@@ -1,11 +1,11 @@
 """Corrupt/truncated entries in the pseudo-stage stores.
 
 Every persistent store riding the DiskCache — codegen step sources,
-tuner calibrations, SMT obligation verdicts — must treat a partially
-written or bit-rotted entry exactly like the artifact cache does:
-quarantine it (delete + ``disk.corrupt``), count a miss, recompute, and
-produce bit-identical results to a never-corrupted run.  A half-written
-file must never steer a simulation, a backend choice, or a proof.
+SMT obligation verdicts — must treat a partially written or bit-rotted
+entry exactly like the artifact cache does: quarantine it (delete +
+``disk.corrupt``), count a miss, recompute, and produce bit-identical
+results to a never-corrupted run.  A half-written file must never steer
+a simulation or a proof.
 """
 
 import os
@@ -92,29 +92,6 @@ def test_corrupt_codegen_entries_recompute_identically(tmp_path, corrupt):
     )
     assert third.stats.counter("codegen.disk_hit") >= 1
     assert third.stats.counter("disk.corrupt") == 0
-
-
-def test_corrupt_tuner_entries_recalibrate_identically(tmp_path):
-    # Multi-lane: single-lane "auto" short-circuits to scalar compiled
-    # without ever consulting the calibration store.
-    cold = CompileSession(cache_dir=str(tmp_path), sim_backend="auto")
-    baseline = cold.simulate(
-        SOURCE, "Double", {"#W": 8}, cycles=32, lanes=4
-    ).value
-    entries = _store_entries(tmp_path, "tuner")
-    assert entries, "auto backend must persist its calibration"
-    for path in entries:
-        _truncate(path)
-    _drop_stage(tmp_path, "simulate")
-
-    warm = CompileSession(cache_dir=str(tmp_path), sim_backend="auto")
-    rerun = warm.simulate(
-        SOURCE, "Double", {"#W": 8}, cycles=32, lanes=4
-    ).value
-    assert rerun.outputs == baseline.outputs
-    assert warm.stats.counter("disk.corrupt") >= 1
-    assert warm.stats.counter("tuner.disk_hit") == 0
-    assert warm.stats.counter("tuner.store") >= 1
 
 
 def test_corrupt_obligation_entries_resolve_identically(tmp_path):

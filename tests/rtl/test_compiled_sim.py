@@ -292,11 +292,12 @@ def test_backend_registry_resolves_every_engine():
     from repro.rtl import backend_choices, backend_fingerprint
 
     assert backend_choices() == sorted(SIM_BACKENDS) + ["auto"]
-    assert backend_fingerprint("auto") == "auto@1"
+    assert backend_fingerprint("auto") == "auto@2"
     with pytest.raises(ValueError):
         resolve_backend("auto")
 
 
+@pytest.mark.numpy
 def test_make_simulator_instances_satisfy_the_protocol():
     module = _alu()
     reference = None

@@ -1,0 +1,77 @@
+"""Without numpy: the vector engine refuses to build, a session asked
+for ``vector`` degrades to ``compiled``, and ``auto`` stays on
+``compiled`` at any lane count.
+
+Each test switches the numpy probe of :mod:`repro.rtl.vectorize` off,
+which is exactly what a numpy-less install sees, so this path is
+checked on every install, numpy or not.
+"""
+
+import warnings
+
+import pytest
+
+from repro.driver import CompileSession
+from repro.rtl import (
+    Module,
+    NetlistError,
+    SimBackendUnavailable,
+    VectorCompiledSimulator,
+    auto_backend,
+)
+from repro.rtl import vectorize
+
+SOURCE = """
+comp Double[#W]<G:1>(x: [G, G+1] #W) -> (y: [G+1, G+2] #W) {
+  s := new Add[#W]<G>(x, x);
+  r := new Reg[#W]<G>(s.out);
+  y = r.out;
+}
+"""
+
+
+@pytest.fixture(autouse=True)
+def _numpy_missing(monkeypatch):
+    monkeypatch.setattr(vectorize, "_NUMPY", None)
+    monkeypatch.setattr(vectorize, "_NUMPY_PROBED", True)
+
+
+def _adder(width=8) -> Module:
+    module = Module("adder")
+    a = module.add_input("a", width)
+    b = module.add_input("b", width)
+    out = module.add_output("out", width)
+    module.add_cell("add", {"a": a, "b": b, "out": out})
+    return module
+
+
+def test_vector_engine_raises_without_numpy():
+    with pytest.raises(SimBackendUnavailable, match="'vector' extra"):
+        VectorCompiledSimulator(_adder(), 3)
+    # SimBackendUnavailable is a NetlistError: existing handlers keep
+    # working.
+    assert issubclass(SimBackendUnavailable, NetlistError)
+
+
+def test_session_vector_degrades_to_compiled():
+    interp = CompileSession(sim_backend="interp")
+    base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12,
+                           lanes=4).value
+    session = CompileSession(sim_backend="vector", sim_lanes=4)
+    with pytest.warns(RuntimeWarning, match="degrading to 'compiled'"):
+        trace = session.simulate(SOURCE, "Double", {"#W": 8},
+                                 cycles=12).value
+    assert trace.backend == "compiled"
+    assert trace.outputs == base.outputs
+    assert session.stats.counter("degrade.sim_backend") == 1
+
+
+def test_auto_stays_compiled_at_mega_lane_counts():
+    assert auto_backend(1024) == "compiled"
+    session = CompileSession(sim_backend="auto", sim_lanes=1024)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no degrade warning either
+        trace = session.simulate(SOURCE, "Double", {"#W": 8},
+                                 cycles=4).value
+    assert trace.backend == "compiled"
+    assert session.stats.counter("degrade.sim_backend") == 0

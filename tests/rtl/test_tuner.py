@@ -1,41 +1,31 @@
-"""The measured auto-tuner and the calibrated static predicate.
+"""Backend selection: the static ``auto`` rule and the calibrated SWAR
+predicate it leans on.
 
-Two regressions anchor this file.  ``BENCH_sim.json`` recorded SWAR
-batching at 0.51x scalar on ``blas`` while the old static heuristic
-still picked it — so :func:`swar_profitable` must say no on blas-shaped
-netlists, and the measured :func:`choose` must never select any
-configuration its own profile recorded as slower than scalar.  The
-rest is plumbing worth pinning: profiles round-trip the disk cache
-(one calibration per design, ever), invalid payloads read as misses,
-and ``CompileSession(sim_backend="auto")`` produces interpreter-exact
-traces while recording which engine actually ran.
+``auto`` is one rule (:func:`repro.rtl.auto_backend`): the numpy vector
+engine from ``AUTO_VECTOR_LANES`` (64) lanes up, ``compiled`` below
+that and at one lane.  The compiled lane path then chooses between SWAR
+and sequential scalar lanes with :func:`swar_profitable`, which carries
+its own regression: ``BENCH_sim.json`` recorded SWAR batching at 0.51x
+scalar on ``blas``, so the predicate must say no on blas-shaped
+netlists.  The session surface is pinned too:
+``CompileSession(sim_backend="auto")`` produces interpreter-exact
+traces and records which engine actually ran.
 """
 
 import pytest
 
 from repro.designs.catalog import design_point
-from repro.driver import CompileSession, DiskCache, TunerStore
+from repro.driver import CompileSession
 from repro.rtl import (
+    AUTO_VECTOR_LANES,
     BatchedCompiledSimulator,
     CompiledSimulator,
     Module,
-    TUNER_VERSION,
-    TunerDecision,
+    VectorCompiledSimulator,
+    auto_backend,
     make_simulator,
-    measure_design,
     swar_profitable,
-    tune,
-    valid_tuner_payload,
 )
-from repro.rtl import tuner as tuner_mod
-
-
-@pytest.fixture(autouse=True)
-def _fast_calibration(monkeypatch):
-    """Keep real calibration runs tiny; candidates stay meaningful."""
-    monkeypatch.setenv("REPRO_TUNER_CYCLES", "4")
-    monkeypatch.setenv("REPRO_TUNER_SWAR_LANES", "4")
-    monkeypatch.setenv("REPRO_TUNER_VECTOR_LANES", "8")
 
 
 def _adder(width=8) -> Module:
@@ -45,64 +35,6 @@ def _adder(width=8) -> Module:
     out = module.add_output("out", width)
     module.add_cell("add", {"a": a, "b": b, "out": out})
     return module
-
-
-def _payload(scalar=100.0, swar=None, vector=None, **overrides):
-    payload = {
-        "tuner_version": TUNER_VERSION,
-        "structural_hash": "h",
-        "flavor": "numpy",
-        "cycles": 4,
-        "scalar_cps": scalar,
-        "swar": swar or {},
-        "vector": vector or {},
-    }
-    payload.update(overrides)
-    return payload
-
-
-# -- choose: the decision rule ------------------------------------------
-
-
-def test_choose_picks_the_fastest_measured_backend():
-    decision = tuner_mod.choose(
-        _payload(scalar=100.0, swar={16: 300.0}, vector={64: 900.0}), 64
-    )
-    assert decision.backend == "vector"
-    assert decision.source == "measured"
-    assert decision.estimates["vector"] == 900.0
-
-
-def test_choose_never_selects_a_config_measured_slower_than_scalar():
-    # Everything non-scalar measured at or below scalar: must fall back.
-    decision = tuner_mod.choose(
-        _payload(scalar=100.0, swar={16: 51.0}, vector={64: 100.0}), 64
-    )
-    assert decision.backend == "compiled"
-    # ... even when one lane-parallel engine beats the *other* one.
-    decision = tuner_mod.choose(
-        _payload(scalar=100.0, swar={16: 20.0}, vector={64: 99.0}), 64
-    )
-    assert decision.backend == "compiled"
-
-
-def test_choose_estimates_at_the_nearest_calibrated_lane_point():
-    points = {16: 10.0, 64: 50.0}
-    assert tuner_mod._estimate(points, 20) == 10.0
-    assert tuner_mod._estimate(points, 1000) == 50.0
-    # Equidistant: the larger (less optimistic for lane-cps) point wins.
-    assert tuner_mod._estimate(points, 40) == 50.0
-    assert tuner_mod._estimate({}, 40) == 0.0
-
-
-def test_valid_tuner_payload_rejects_mismatches():
-    good = _payload()
-    assert valid_tuner_payload(good, "h", "numpy")
-    assert not valid_tuner_payload(good, "other-hash", "numpy")
-    assert not valid_tuner_payload(good, "h", "stdlib")
-    assert not valid_tuner_payload(_payload(tuner_version=0), "h", "numpy")
-    assert not valid_tuner_payload({"scalar_cps": 1.0}, "h", "numpy")
-    assert not valid_tuner_payload(None, "h", "numpy")
 
 
 # -- the static predicate and the blas regression -----------------------
@@ -142,6 +74,8 @@ def test_swar_profitable_degenerate_cases():
 
 def test_make_simulator_compiled_consults_the_predicate():
     blas, fft = _optimized("blas"), _optimized("fft")
+    # Below 64 lanes "auto" is "compiled", so it takes this same path.
+    assert auto_backend(16) == "compiled"
     assert isinstance(
         make_simulator(blas, "compiled", lanes=16), CompiledSimulator
     )
@@ -150,74 +84,27 @@ def test_make_simulator_compiled_consults_the_predicate():
     )
 
 
-# -- tune: persistence and fallbacks ------------------------------------
+# -- the auto rule -------------------------------------------------------
 
 
-def test_tune_single_lane_short_circuits_to_scalar():
-    decision = tune(_adder(), 1)
-    assert decision == TunerDecision(backend="compiled", lanes=1,
-                                     source="static")
+def _auto(module, lanes):
+    """The engine a session running ``auto`` builds for ``lanes``."""
+    return make_simulator(module, auto_backend(lanes), lanes=lanes)
 
 
-def test_tune_calibrates_once_and_reuses_the_persisted_profile(
-    tmp_path, monkeypatch
-):
-    store = TunerStore(DiskCache(str(tmp_path)))
-    first = tune(_adder(), 8, store=store)
-    assert first.source == "measured"
-    assert set(first.estimates) == {"compiled", "batched", "vector"}
-    assert store.disk.stats.counter("tuner.store") == 1
-
-    # A second resolution must come from disk: calibration is forbidden.
-    def _boom(*args, **kwargs):
-        raise AssertionError("recalibrated despite a warm tuner store")
-
-    monkeypatch.setattr(tuner_mod, "measure_design", _boom)
-    second = tune(_adder(), 8, store=store)
-    assert second == first
-    assert store.disk.stats.counter("tuner.disk_hit") == 1
-    assert store.disk.stats.counter("tuner.store") == 1
+def test_auto_single_lane_is_scalar_compiled():
+    assert auto_backend(1) == "compiled"
+    assert type(_auto(_adder(), 1)) is CompiledSimulator
 
 
-def test_tune_cold_store_without_calibration_uses_static_fallback(
-    monkeypatch,
-):
-    def _boom(*args, **kwargs):
-        raise AssertionError("calibrated despite calibrate=False")
+@pytest.mark.numpy
+def test_auto_picks_vector_from_64_lanes():
+    assert AUTO_VECTOR_LANES == 64
+    assert auto_backend(AUTO_VECTOR_LANES - 1) == "compiled"
+    for lanes in (64, 1024):
+        assert auto_backend(lanes) == "vector"
+        assert isinstance(_auto(_adder(), lanes), VectorCompiledSimulator)
 
-    monkeypatch.setattr(tuner_mod, "measure_design", _boom)
-    decision = tune(_adder(), 8, store=None, calibrate=False)
-    assert decision.backend == "compiled"
-    assert decision.source == "static-fallback"
-
-
-def test_stale_tuner_entries_read_as_misses(tmp_path, monkeypatch):
-    store = TunerStore(DiskCache(str(tmp_path)))
-    module = _adder()
-    payload = measure_design(module)
-    payload["tuner_version"] = TUNER_VERSION - 1  # an old policy's numbers
-    store.save(payload)
-
-    def _boom(*args, **kwargs):
-        raise AssertionError("calibrated despite calibrate=False")
-
-    monkeypatch.setattr(tuner_mod, "measure_design", _boom)
-    decision = tune(module, 8, store=store, calibrate=False)
-    assert decision.source == "static-fallback"
-    assert store.disk.stats.counter("tuner.disk_hit") == 0
-
-
-def test_measured_payload_round_trips_validation():
-    module = _adder()
-    payload = measure_design(module)
-    from repro.rtl.compile import _flattened
-
-    assert valid_tuner_payload(
-        payload, _flattened(module).structural_hash(), payload["flavor"]
-    )
-    assert payload["scalar_cps"] > 0
-    assert all(cps > 0 for cps in payload["swar"].values())
-    assert all(cps > 0 for cps in payload["vector"].values())
 
 
 # -- the session surface ------------------------------------------------
@@ -236,32 +123,22 @@ def test_session_auto_backend_matches_interp_and_records_the_engine(
     tmp_path,
 ):
     interp = CompileSession(sim_backend="interp")
-    base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12,
-                           lanes=4).value
-    auto = CompileSession(
-        cache_dir=str(tmp_path), sim_backend="auto", sim_lanes=4
-    )
-    trace = auto.simulate(SOURCE, "Double", {"#W": 8}, cycles=12).value
-    assert trace.backend in {"compiled", "batched", "vector"}
-    assert trace.lanes == 4
-    assert trace.outputs == base.outputs
-    assert auto.stats.counter("tuner.store") == 1
-
-    # A warm process resolves auto from the persisted profile: the new
-    # cycle count misses the simulate artifact, but no recalibration.
-    warm = CompileSession(
-        cache_dir=str(tmp_path), sim_backend="auto", sim_lanes=4
-    )
-    warm.simulate(SOURCE, "Double", {"#W": 8}, cycles=16).value
-    assert warm.stats.counter("tuner.disk_hit") == 1
-    assert warm.stats.counter("tuner.store") == 0
+    auto = CompileSession(cache_dir=str(tmp_path), sim_backend="auto")
+    for lanes in (4, 64):
+        base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12,
+                               lanes=lanes).value
+        trace = auto.simulate(SOURCE, "Double", {"#W": 8}, cycles=12,
+                              lanes=lanes).value
+        assert trace.backend == auto_backend(lanes)
+        assert trace.lanes == lanes
+        assert trace.outputs == base.outputs
+    assert auto.stats.counter("degrade.sim_backend") == 0
 
 
-def test_session_auto_without_disk_cache_stays_static(monkeypatch):
-    def _boom(*args, **kwargs):
-        raise AssertionError("calibrated without a store to keep it")
-
-    monkeypatch.setattr(tuner_mod, "measure_design", _boom)
-    session = CompileSession(cache_dir=None, sim_backend="auto", sim_lanes=4)
-    trace = session.simulate(SOURCE, "Double", {"#W": 8}, cycles=12).value
-    assert trace.backend == "compiled"
+def test_session_auto_without_disk_cache_stays_static():
+    # The rule never measures, so a session without a disk cache
+    # resolves exactly like one with it — at 1024 lanes too.
+    session = CompileSession(cache_dir=None, sim_backend="auto",
+                             sim_lanes=1024)
+    trace = session.simulate(SOURCE, "Double", {"#W": 8}, cycles=4).value
+    assert trace.backend == auto_backend(1024)

@@ -2,11 +2,11 @@
 
 The contract is the same one the scalar/SWAR codegen backends carry —
 total interchangeability behind ``SimBackend`` — plus the vector
-specifics: two kernel flavors (numpy columns, pure-stdlib per-lane
-loops) that must agree with the interpreter bit-for-bit at any lane
-count, a clean ``SimBackendUnavailable`` when numpy is requested but
-absent, automatic stdlib fallback, and persistent kernels in the
-shared ``codegen`` pseudo-stage keyed by backend tag.
+specifics: numpy column kernels that must agree with the interpreter
+bit-for-bit at any lane count, and persistent kernels in the shared
+``codegen`` pseudo-stage under the ``"vector"`` backend tag.  Every
+test here needs numpy; what happens without it is in
+``test_numpy_absent.py``.
 """
 
 import pytest
@@ -20,18 +20,17 @@ from repro.driver import CodegenStore, CompileSession, DiskCache
 from repro.rtl import (
     Module,
     NetlistError,
-    SimBackendUnavailable,
     Simulator,
     VectorCompiledSimulator,
     clear_vector_memo,
     compile_vector_netlist,
     differential_check,
     random_stimulus_batch,
-    vector_flavor,
 )
-from repro.rtl import vectorize
 
 from .lane_runs import LANE_RUN_CASES, assert_run_matches_steps, lane_run_cases
+
+pytestmark = pytest.mark.numpy
 
 
 @pytest.fixture(autouse=True)
@@ -95,8 +94,6 @@ def _read_only(engine: VectorCompiledSimulator) -> VectorCompiledSimulator:
     read-only after each evaluate and latch: ``run`` keeps output columns
     by reference, so a generated in-place write must raise here instead
     of silently rewriting an earlier cycle's outputs."""
-    if engine.flavor != "numpy":
-        return engine
 
     def frozen(kernel):
         def call(s, r, f):
@@ -112,14 +109,11 @@ def _read_only(engine: VectorCompiledSimulator) -> VectorCompiledSimulator:
     return engine
 
 
-def _parity(module: Module, lanes: int, flavor: str, cycles=48, seed=0,
+def _parity(module: Module, lanes: int, cycles=48, seed=0,
             bias=0.0) -> bool:
-    """Interpreter vs. an explicit-flavor vector engine (read-only
-    columns on the numpy flavor)."""
+    """Interpreter vs. a vector engine over read-only columns."""
     interp = Simulator(module)
-    engine = _read_only(
-        VectorCompiledSimulator(interp.module, lanes, flavor=flavor)
-    )
+    engine = _read_only(VectorCompiledSimulator(interp.module, lanes))
     streams = random_stimulus_batch(interp.module, cycles, lanes, seed, bias)
     return interp.run_batch(streams) == engine.run(streams)
 
@@ -142,26 +136,16 @@ def test_catalog_designs_bit_identical_under_vector(name, opt_level):
     )
 
 
-@pytest.mark.parametrize("name", sorted(DESIGNS))
-def test_catalog_designs_bit_identical_under_stdlib_flavor(name):
-    source, component, generators, params = design_point(name)
-    session = CompileSession(opt_level=0)
-    module = session.optimize(source, component, params, generators).value.module
-    assert _parity(module, lanes=3, flavor="stdlib", cycles=32, seed=7)
-
-
 # -- odd and wide widths ------------------------------------------------
 
 
-@pytest.mark.parametrize("width", [1, 7, 31, 33, 64, 65, 100])
-@pytest.mark.parametrize("flavor", ["numpy", "stdlib"])
-def test_vector_matches_interpreter_at_awkward_widths(width, flavor):
-    if flavor == "numpy" and vectorize._numpy() is None:
-        pytest.skip("numpy not installed")
+@pytest.mark.parametrize(
+    "width", [1, 7, 31, 33, 64, 65, 100], ids=lambda width: f"numpy-{width}"
+)
+def test_vector_matches_interpreter_at_awkward_widths(width):
     module = _alu(width)
-    assert _parity(module, lanes=4, flavor=flavor, cycles=48, seed=width)
-    assert _parity(module, lanes=3, flavor=flavor, cycles=32,
-                   seed=width + 99, bias=0.3)
+    assert _parity(module, lanes=4, cycles=48, seed=width)
+    assert _parity(module, lanes=3, cycles=32, seed=width + 99, bias=0.3)
 
 
 @settings(max_examples=12, deadline=None)
@@ -169,22 +153,18 @@ def test_vector_matches_interpreter_at_awkward_widths(width, flavor):
        seed=st.integers(min_value=0, max_value=2 ** 16))
 def test_vector_matches_interpreter_on_random_widths(width, seed):
     module = _alu(width)
-    assert _parity(module, lanes=3, flavor=vector_flavor(), cycles=24,
-                   seed=seed)
+    assert _parity(module, lanes=3, cycles=24, seed=seed)
 
 
 # -- FIFO-heavy control flow --------------------------------------------
 
 
-@pytest.mark.parametrize("flavor", ["numpy", "stdlib"])
-def test_vector_matches_interpreter_on_fifo_pipeline(flavor):
-    if flavor == "numpy" and vectorize._numpy() is None:
-        pytest.skip("numpy not installed")
+@pytest.mark.parametrize("lanes", [4], ids=["numpy"])
+def test_vector_matches_interpreter_on_fifo_pipeline(lanes):
     module = fifo_pipeline(stages=4, width=16, depth=3)
-    assert _parity(module, lanes=4, flavor=flavor, cycles=200, seed=11)
+    assert _parity(module, lanes=lanes, cycles=200, seed=11)
     # Corner-biased stimulus stresses full/empty transitions harder.
-    assert _parity(module, lanes=4, flavor=flavor, cycles=200, seed=11,
-                   bias=0.5)
+    assert _parity(module, lanes=lanes, cycles=200, seed=11, bias=0.5)
 
 
 # -- whole-run marshalling: run() == step() cycle by cycle ---------------
@@ -217,41 +197,6 @@ def test_run_rejects_unknown_ports_and_ragged_streams():
         sim.run(good[:1])  # wrong lane count
 
 
-# -- flavor resolution and the numpy-less fallback ----------------------
-
-
-def test_vector_flavor_resolution_order(monkeypatch):
-    monkeypatch.delenv("REPRO_VECTOR_FLAVOR", raising=False)
-    assert vector_flavor("stdlib") == "stdlib"
-    monkeypatch.setenv("REPRO_VECTOR_FLAVOR", "stdlib")
-    assert vector_flavor() == "stdlib"
-    # Explicit argument beats the environment.
-    if vectorize._numpy() is not None:
-        assert vector_flavor("numpy") == "numpy"
-    with pytest.raises(NetlistError):
-        vector_flavor("fortran")
-
-
-def test_numpy_flavor_unavailable_raises_cleanly(monkeypatch):
-    monkeypatch.setattr(vectorize, "_NUMPY", None)
-    monkeypatch.setattr(vectorize, "_NUMPY_PROBED", True)
-    monkeypatch.delenv("REPRO_VECTOR_FLAVOR", raising=False)
-    with pytest.raises(SimBackendUnavailable):
-        vector_flavor("numpy")
-    # SimBackendUnavailable is a NetlistError: existing handlers keep
-    # working.
-    assert issubclass(SimBackendUnavailable, NetlistError)
-    # Unrequested, the backend silently degrades to the stdlib flavor
-    # and still simulates correctly.
-    assert vector_flavor() == "stdlib"
-    module = _alu(13)
-    sim = VectorCompiledSimulator(module, 3)
-    assert sim.flavor == "stdlib"
-    interp = Simulator(module)
-    streams = random_stimulus_batch(interp.module, 24, 3, seed=5)
-    assert interp.run_batch(streams) == sim.run(streams)
-
-
 # -- memoization --------------------------------------------------------
 
 
@@ -261,13 +206,10 @@ def test_structurally_equal_modules_share_one_vector_compilation():
     assert compile_vector_netlist(first, 4) is compile_vector_netlist(second, 4)
 
 
-def test_vector_memo_is_keyed_per_lane_count_and_flavor():
+def test_vector_memo_is_keyed_per_lane_count():
     module = _alu(9)
     assert (compile_vector_netlist(module, 4)
             is not compile_vector_netlist(module, 8))
-    if vectorize._numpy() is not None:
-        assert (compile_vector_netlist(module, 4, flavor="numpy")
-                is not compile_vector_netlist(module, 4, flavor="stdlib"))
 
 
 def test_vector_rejects_bad_lane_counts():
@@ -280,7 +222,6 @@ def test_vector_rejects_bad_lane_counts():
 
 def test_vector_codegen_round_trips_through_the_store(tmp_path):
     store = CodegenStore(DiskCache(str(tmp_path)))
-    flavor = vector_flavor()
     cold = compile_vector_netlist(_alu(10), 16, store=store)
     assert not cold.from_store
     assert store.disk.stats.counter("codegen.store") == 1
@@ -289,24 +230,19 @@ def test_vector_codegen_round_trips_through_the_store(tmp_path):
     warm = compile_vector_netlist(_alu(10), 16, store=store)
     assert warm.from_store
     assert warm.source == cold.source
-    assert warm.flavor == cold.flavor == flavor
     assert store.disk.stats.counter("codegen.disk_hit") == 1
     # The rematerialized program still computes correctly.
-    assert _parity(_alu(10), lanes=16, flavor=flavor, cycles=24, seed=3)
+    assert _parity(_alu(10), lanes=16, cycles=24, seed=3)
 
 
-def test_vector_store_entries_are_keyed_per_flavor_and_lanes(tmp_path):
+def test_vector_store_entries_are_keyed_per_lanes(tmp_path):
     store = CodegenStore(DiskCache(str(tmp_path)))
     module = _alu(10)
-    compile_vector_netlist(module, 4, flavor="stdlib", store=store)
-    compile_vector_netlist(module, 8, flavor="stdlib", store=store)
-    if vectorize._numpy() is not None:
-        compile_vector_netlist(module, 4, flavor="numpy", store=store)
-        assert store.disk.stats.counter("codegen.store") == 3
-    else:
-        assert store.disk.stats.counter("codegen.store") == 2
+    compile_vector_netlist(module, 4, store=store)
+    compile_vector_netlist(module, 8, store=store)
+    assert store.disk.stats.counter("codegen.store") == 2
     clear_vector_memo()
-    hit = compile_vector_netlist(module, 8, flavor="stdlib", store=store)
+    hit = compile_vector_netlist(module, 8, store=store)
     assert hit.from_store
     assert store.disk.stats.counter("codegen.disk_hit") == 1
 
