@@ -1,8 +1,8 @@
 """Compiled simulation backend: netlist → specialized Python step code.
 
-The interpreter (:class:`~repro.rtl.simulate.Simulator`) pays a string
-dispatch on ``cell.kind`` and two dict lookups per pin *every cell,
-every cycle* — the hottest loop in the repository.  This module pays
+The interpreter (:class:`~repro.rtl.simulate.Simulator`) pays a call
+through its per-kind evaluator table and two dict lookups per pin
+*every cell, every cycle* — the hottest loop in the repository.  This module pays
 those costs **once per netlist** instead: the flattened module is
 levelized (the same ``comb_topo_order`` the interpreter uses), every net
 is assigned a dense slot in a flat list, and one straight-line Python
@@ -81,6 +81,7 @@ skips levelization and code generation entirely and only pays
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 from collections import deque
@@ -1178,10 +1179,7 @@ class CompiledSimulator:
         self.module = _flattened(module)
         self._codegen_store = codegen_store
         self.program = compile_netlist(self.module, store=codegen_store)
-        self._slots: List[int] = [0] * self.program.n_slots
         self._inlined = frozenset(self.program.inlined_nets)
-        self._regs: List[int] = list(self.program.reg_inits)
-        self._fifos: List[deque] = [deque() for _ in self.program.fifo_depths]
         self._evaluate = self.program.evaluate
         self._latch = self.program.latch
         slot_of = self.program.slot_of
@@ -1192,7 +1190,19 @@ class CompiledSimulator:
         self._output_slots = [
             (name, slot_of[net.name]) for name, net in self.module.outputs()
         ]
+        self._reset()
+
+    def _reset(self) -> None:
+        self._slots: List[int] = [0] * self.program.n_slots
+        self._regs: List[int] = list(self.program.reg_inits)
+        self._fifos: List[deque] = [deque() for _ in self.program.fifo_depths]
         self.cycle = 0
+
+    def _lane(self) -> "CompiledSimulator":
+        """A simulator from reset sharing this one's program."""
+        lane = copy.copy(self)
+        lane._reset()
+        return lane
 
     # ------------------------------------------------------------------
 
@@ -1259,9 +1269,10 @@ class CompiledSimulator:
 
         Lane-packs the streams through one SWAR step function when
         :func:`swar_profitable` predicts a win; otherwise runs the
-        streams sequentially on fresh scalar simulators — same traces
-        (both paths are differential-gated), strictly faster on designs
-        like ``blas`` where packing measured slower than scalar.
+        streams sequentially, each on fresh state over this simulator's
+        program — same traces (both paths are differential-gated),
+        strictly faster on designs like ``blas`` where packing measured
+        slower than scalar.
         """
         if not input_streams:
             return []  # mirror the interpreter's empty-batch behavior
@@ -1272,12 +1283,7 @@ class CompiledSimulator:
                 codegen_store=self._codegen_store,
             )
             return batched.run(input_streams)
-        return [
-            CompiledSimulator(
-                self.module, codegen_store=self._codegen_store
-            ).run(stream)
-            for stream in input_streams
-        ]
+        return [self._lane().run(stream) for stream in input_streams]
 
     def run_random_batch(
         self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0

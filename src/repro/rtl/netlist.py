@@ -326,24 +326,44 @@ class Module:
 
     # Surgery (used by optimization passes) ----------------------------------
 
-    def replace_net_uses(self, old: Net, new: Net) -> int:
-        """Rewire every cell *input* pin reading ``old`` to read ``new``.
+    def replace_net_uses(self, replacements: Dict[Net, Net]) -> int:
+        """Rewire every cell *input* pin reading a key of ``replacements``
+        to read its value, in one sweep over the cells.
 
-        Drivers (output pins) are left alone, so this is the primitive
-        for forwarding a value past a redundant cell.  Returns the number
-        of pins rewired.
+        Chains resolve to their end: with ``{a: b, b: c}`` readers of
+        both ``a`` and ``b`` end up reading ``c``.  Drivers (output pins)
+        are left alone, so this is the primitive for forwarding values
+        past redundant cells.  Every pair's widths are checked before any
+        pin moves.  Returns the number of pins rewired.
         """
-        if old.width != new.width:
-            raise NetlistError(
-                f"{self.name}: cannot rewire {old.name}[{old.width}] "
-                f"to {new.name}[{new.width}]"
-            )
+        resolved: Dict[Net, Net] = {}
+        for old, new in replacements.items():
+            if old.width != new.width:
+                raise NetlistError(
+                    f"{self.name}: cannot rewire {old.name}[{old.width}] "
+                    f"to {new.name}[{new.width}]"
+                )
+            hops = 0
+            while new in replacements:
+                new = replacements[new]
+                hops += 1
+                if hops > len(replacements):
+                    raise NetlistError(
+                        f"{self.name}: rewiring {old.name} runs in a cycle"
+                    )
+            resolved[old] = new
         rewired = 0
+        if not resolved:
+            return rewired
         for cell in self.cells.values():
-            outs = set(cell.output_pins())
-            for pin, net in cell.pins.items():
-                if net is old and pin not in outs:
-                    cell.pins[pin] = new
+            pins = cell.pins
+            hits = [pin for pin, net in pins.items() if net in resolved]
+            if not hits:
+                continue
+            outs = cell.output_pins()
+            for pin in hits:
+                if pin not in outs:
+                    pins[pin] = resolved[pins[pin]]
                     rewired += 1
         return rewired
 

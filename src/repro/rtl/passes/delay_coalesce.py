@@ -21,7 +21,9 @@ neighbouring chain stages structurally identical in the first place.
 
 from __future__ import annotations
 
-from ..netlist import Cell, Module
+from typing import Dict
+
+from ..netlist import Cell, Module, Net
 from .base import Pass
 from .share import share_cells
 
@@ -47,18 +49,28 @@ class DelayCoalesce(Pass):
 
     @staticmethod
     def _forward_aliases(module: Module) -> int:
+        """Drop the forwardable alias cells, then rewire their readers in
+        one sweep.
+
+        Each alias reads its source through the aliases dropped before
+        it, exactly as if every earlier one had been rewired already; a
+        ring of aliases therefore keeps its last buffer instead of
+        mapping a net onto itself.
+        """
         port_nets = set(module.ports.values())
-        forwarded = 0
+        aliases: Dict[Net, Net] = {}
         for cell in list(module.cells.values()):
             if not _is_alias(cell):
                 continue
             src, out = cell.pins["a"], cell.pins["out"]
+            while src in aliases:
+                src = aliases[src]
             if out in port_nets or src is out:
                 continue
             module.remove_cell(cell.name)
-            module.replace_net_uses(out, src)
-            forwarded += 1
-        return forwarded
+            aliases[out] = src
+        module.replace_net_uses(aliases)
+        return len(aliases)
 
     @staticmethod
     def _sink_output_buffers(module: Module) -> int:
@@ -80,6 +92,6 @@ class DelayCoalesce(Pass):
             drivers[out] = entry
             del drivers[src]
             module.remove_cell(cell.name)
-            module.replace_net_uses(src, out)
+            module.replace_net_uses({src: out})
             sunk += 1
         return sunk

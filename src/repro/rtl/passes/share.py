@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Dict, Set, Tuple
 
-from ..netlist import COMBINATIONAL_KINDS, Module
+from ..netlist import COMBINATIONAL_KINDS, Cell, Module, Net
 from .base import Pass
 
 #: Cell kinds that are safe to dedupe structurally.
@@ -34,12 +34,23 @@ def share_cells(module: Module, kinds: Set[str]) -> int:
     A port-driving duplicate is kept as the representative (its net must
     retain a driver); when two duplicates both drive output ports they
     are left alone — each port needs its own driver.
+
+    Each round visits the cells once.  Signatures read every input net
+    through the round's merges so far, so a cell whose operands were
+    merged earlier in the same round already matches its twins; the
+    consumers are rewired in one sweep when the round ends.
     """
     port_nets = set(module.ports.values())
     merged_total = 0
     while True:
-        merged = 0
-        seen: Dict[Tuple, object] = {}
+        merges: Dict[Net, Net] = {}
+
+        def resolve(net: Net) -> Net:
+            while net in merges:
+                net = merges[net]
+            return net
+
+        seen: Dict[Tuple, Cell] = {}
         for cell in list(module.cells.values()):
             if cell.kind not in kinds:
                 continue
@@ -51,7 +62,10 @@ def share_cells(module: Module, kinds: Set[str]) -> int:
                 cell.kind,
                 tuple(sorted((k, repr(v)) for k, v in cell.params.items())),
                 tuple(
-                    sorted((pin, id(cell.pins[pin])) for pin in cell.input_pins())
+                    sorted(
+                        (pin, id(resolve(cell.pins[pin])))
+                        for pin in cell.input_pins()
+                    )
                 ),
                 cell.pins[out_pin].width,
             )
@@ -67,12 +81,12 @@ def share_cells(module: Module, kinds: Set[str]) -> int:
                 seen[signature] = cell
                 rep, cell = cell, rep
                 rep_out, cell_out = cell_out, rep_out
-            module.replace_net_uses(cell_out, rep_out)
+            merges[cell_out] = rep_out
             module.remove_cell(cell.name)
-            merged += 1
-        merged_total += merged
-        if not merged:
+        if not merges:
             break
+        module.replace_net_uses(merges)
+        merged_total += len(merges)
     module.prune_nets()
     return merged_total
 

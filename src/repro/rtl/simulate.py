@@ -14,12 +14,14 @@ modulo 2^width, like Verilog's unsigned semantics).
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import operator
 import random
 from collections import deque
 from itertools import chain
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .netlist import Cell, Module, Net, NetlistError, comb_topo_order, flatten
 
@@ -28,60 +30,85 @@ def _mask(value: int, width: int) -> int:
     return value & ((1 << width) - 1)
 
 
+CombEvaluator = Callable[[Cell, Dict[Net, int]], int]
+
+
+def _binary(op: Callable[[int, int], int]) -> CombEvaluator:
+    def evaluate(cell: Cell, values: Dict[Net, int]) -> int:
+        pins = cell.pins
+        result = op(values[pins["a"]], values[pins["b"]])
+        return result & ((1 << pins["out"].width) - 1)
+
+    return evaluate
+
+
+def _shift(op: Callable[[int, int], int], param: str) -> CombEvaluator:
+    def evaluate(cell: Cell, values: Dict[Net, int]) -> int:
+        pins = cell.pins
+        result = op(values[pins["a"]], int(cell.params[param]))
+        return result & ((1 << pins["out"].width) - 1)
+
+    return evaluate
+
+
+def _const(cell: Cell, values: Dict[Net, int]) -> int:
+    return int(cell.params["value"]) & ((1 << cell.pins["out"].width) - 1)
+
+
+def _not(cell: Cell, values: Dict[Net, int]) -> int:
+    pins = cell.pins
+    return ~values[pins["a"]] & ((1 << pins["out"].width) - 1)
+
+
+def _mux(cell: Cell, values: Dict[Net, int]) -> int:
+    pins = cell.pins
+    chosen = pins["a"] if values[pins["sel"]] & 1 else pins["b"]
+    return values[chosen] & ((1 << pins["out"].width) - 1)
+
+
+def _concat(cell: Cell, values: Dict[Net, int]) -> int:
+    pins = cell.pins
+    b_net = pins["b"]
+    result = (values[pins["a"]] << b_net.width) | values[b_net]
+    return result & ((1 << pins["out"].width) - 1)
+
+
+#: Cell kind → evaluator of its ``out`` pin (see :func:`eval_comb_cell`).
+#: Its keys are exactly :data:`~repro.rtl.netlist.COMBINATIONAL_KINDS`.
+COMB_EVALUATORS: Dict[str, CombEvaluator] = {
+    "const": _const,
+    "add": _binary(operator.add),
+    "sub": _binary(operator.sub),
+    "mul": _binary(operator.mul),
+    "div": _binary(lambda a, b: a // b if b else 0),
+    "mod": _binary(lambda a, b: a % b if b else 0),
+    "and": _binary(operator.and_),
+    "or": _binary(operator.or_),
+    "xor": _binary(operator.xor),
+    "eq": _binary(operator.eq),
+    "lt": _binary(operator.lt),
+    "not": _not,
+    "shl": _shift(operator.lshift, "amount"),
+    "shr": _shift(operator.rshift, "amount"),
+    "mux": _mux,
+    "slice": _shift(operator.rshift, "lsb"),
+    "concat": _concat,
+}
+
+
 def eval_comb_cell(cell: Cell, values: Dict[Net, int]) -> int:
     """Evaluate one combinational cell over ``values`` (a Net → int map).
 
     Returns the value of the cell's ``out`` pin, masked to its width.
-    This is the single definition of combinational semantics: the
-    simulator applies it per cycle and the constant-folding pass applies
-    it at compile time, so folding can never diverge from simulation.
+    :data:`COMB_EVALUATORS` is the single definition of combinational
+    semantics: the simulator applies it per cycle and the
+    constant-folding pass applies it at compile time, so folding can
+    never diverge from simulation.
     """
-    kind = cell.kind
-    pins = cell.pins
-    out = pins["out"]
-    if kind == "const":
-        return _mask(int(cell.params["value"]), out.width)
-    if kind in ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "eq", "lt"):
-        a = values[pins["a"]]
-        b = values[pins["b"]]
-        if kind == "add":
-            result = a + b
-        elif kind == "sub":
-            result = a - b
-        elif kind == "mul":
-            result = a * b
-        elif kind == "div":
-            result = a // b if b else 0
-        elif kind == "mod":
-            result = a % b if b else 0
-        elif kind == "and":
-            result = a & b
-        elif kind == "or":
-            result = a | b
-        elif kind == "xor":
-            result = a ^ b
-        elif kind == "eq":
-            result = 1 if a == b else 0
-        else:  # lt
-            result = 1 if a < b else 0
-        return _mask(result, out.width)
-    if kind == "not":
-        return _mask(~values[pins["a"]], out.width)
-    if kind == "shl":
-        return _mask(values[pins["a"]] << int(cell.params["amount"]), out.width)
-    if kind == "shr":
-        return _mask(values[pins["a"]] >> int(cell.params["amount"]), out.width)
-    if kind == "mux":
-        sel = values[pins["sel"]] & 1
-        return _mask(values[pins["a"]] if sel else values[pins["b"]], out.width)
-    if kind == "slice":
-        return _mask(values[pins["a"]] >> int(cell.params["lsb"]), out.width)
-    if kind == "concat":
-        b_net = pins["b"]
-        return _mask(
-            (values[pins["a"]] << b_net.width) | values[b_net], out.width
-        )
-    raise NetlistError(f"cannot evaluate cell kind {kind!r}")
+    evaluate = COMB_EVALUATORS.get(cell.kind)
+    if evaluate is None:
+        raise NetlistError(f"cannot evaluate cell kind {cell.kind!r}")
+    return evaluate(cell, values)
 
 
 def random_stimulus(
@@ -281,7 +308,8 @@ class Simulator:
 
     Already-flat modules (e.g. the ``optimize`` stage's output) are
     used as-is — simulation never mutates the netlist, so no defensive
-    copy is needed.
+    copy is needed.  Registers, FIFOs, ports and the evaluation order
+    are listed once here, so a cycle never scans the cell table.
     """
 
     def __init__(self, module: Module):
@@ -290,41 +318,73 @@ class Simulator:
         else:
             self.module = module
         self.module.validate()
+        cells = self.module.cells.values()
+        regs = [cell for cell in cells if cell.kind in ("reg", "regen")]
+        self._reg_inits = {
+            cell.name: int(cell.params.get("init", 0)) for cell in regs
+        }
+        self._reg_outputs = [
+            (cell.name, cell.pins["q"], (1 << cell.pins["q"].width) - 1)
+            for cell in regs
+        ]
+        self._reg_inputs = [
+            (
+                cell.name,
+                cell.pins["d"],
+                cell.pins["en"] if cell.kind == "regen" else None,
+            )
+            for cell in regs
+        ]
+        self._fifos = [cell for cell in cells if cell.kind == "fifo"]
+        self._inputs = {
+            name: (net, (1 << net.width) - 1)
+            for name, net in self.module.inputs()
+        }
+        self._outputs = self.module.outputs()
+        self._comb = [
+            (COMB_EVALUATORS[cell.kind], cell, cell.pins["out"])
+            for cell in comb_topo_order(self.module)
+        ]
+        self._reset()
+
+    def _reset(self) -> None:
         self.values: Dict[Net, int] = {
             net: 0 for net in self.module.nets.values()
         }
-        self.reg_state: Dict[str, int] = {}
-        self.fifo_state: Dict[str, _FifoState] = {}
+        self.reg_state: Dict[str, int] = dict(self._reg_inits)
+        self.fifo_state: Dict[str, _FifoState] = {
+            cell.name: _FifoState(int(cell.params.get("depth", 2)))
+            for cell in self._fifos
+        }
         self.cycle = 0
-        for cell in self.module.cells.values():
-            if cell.kind in ("reg", "regen"):
-                self.reg_state[cell.name] = int(cell.params.get("init", 0))
-            elif cell.kind == "fifo":
-                self.fifo_state[cell.name] = _FifoState(
-                    int(cell.params.get("depth", 2))
-                )
-        self._comb_order = comb_topo_order(self.module)
+
+    def _lane(self) -> "Simulator":
+        """A simulator from reset sharing this one's netlist and order."""
+        lane = copy.copy(self)
+        lane._reset()
+        return lane
 
     # ------------------------------------------------------------------
 
     def poke(self, inputs: Dict[str, int]) -> None:
+        values = self.values
         for name, value in inputs.items():
-            net = self.module.ports.get(name)
-            if net is None or self.module.port_dirs.get(name) != "in":
+            entry = self._inputs.get(name)
+            if entry is None:
                 raise NetlistError(f"{self.module.name}: no input port {name!r}")
-            self.values[net] = _mask(int(value), net.width)
+            net, mask = entry
+            values[net] = int(value) & mask
 
     def evaluate(self) -> None:
         """Drive sequential outputs from state, then evaluate comb logic."""
         values = self.values
-        for cell in self.module.cells.values():
-            if cell.kind in ("reg", "regen"):
-                q = cell.pins["q"]
-                values[q] = _mask(self.reg_state[cell.name], q.width)
-            elif cell.kind == "fifo":
-                self._drive_fifo_outputs(cell)
-        for cell in self._comb_order:
-            self._eval_comb(cell)
+        state = self.reg_state
+        for name, q, mask in self._reg_outputs:
+            values[q] = state[name] & mask
+        for cell in self._fifos:
+            self._drive_fifo_outputs(cell)
+        for evaluate, cell, out in self._comb:
+            values[out] = evaluate(cell, values)
 
     def peek(self, name: str) -> int:
         net = self.module.ports.get(name)
@@ -339,17 +399,18 @@ class Simulator:
         return self.values[net]
 
     def tick(self) -> None:
-        """Clock edge: latch registers and FIFOs from current net values."""
-        updates: Dict[str, int] = {}
-        for cell in self.module.cells.values():
-            if cell.kind == "reg":
-                updates[cell.name] = self.values[cell.pins["d"]]
-            elif cell.kind == "regen":
-                if self.values[cell.pins["en"]] & 1:
-                    updates[cell.name] = self.values[cell.pins["d"]]
-            elif cell.kind == "fifo":
-                self._tick_fifo(cell)
-        self.reg_state.update(updates)
+        """Clock edge: latch registers and FIFOs from current net values.
+
+        Latching reads only net values, never register state, so every
+        register can take its new value in place.
+        """
+        values = self.values
+        state = self.reg_state
+        for name, d, en in self._reg_inputs:
+            if en is None or values[en] & 1:
+                state[name] = values[d]
+        for cell in self._fifos:
+            self._tick_fifo(cell)
         self.cycle += 1
 
     def step(self, inputs: Optional[Dict[str, int]] = None) -> Dict[str, int]:
@@ -357,7 +418,8 @@ class Simulator:
         if inputs:
             self.poke(inputs)
         self.evaluate()
-        outputs = {name: self.values[net] for name, net in self.module.outputs()}
+        values = self.values
+        outputs = {name: values[net] for name, net in self._outputs}
         self.tick()
         return outputs
 
@@ -377,8 +439,9 @@ class Simulator:
         """Simulate each stream independently from reset; one trace per
         stream.  The interpreter has no lane parallelism — this is the
         sequential reference the batched compiled backend is verified
-        against, one fresh simulator per lane."""
-        return [Simulator(self.module).run(stream) for stream in input_streams]
+        against, each lane on fresh state over this simulator's
+        evaluation order."""
+        return [self._lane().run(stream) for stream in input_streams]
 
     def run_random_batch(
         self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
@@ -420,6 +483,3 @@ class Simulator:
             state.queue.popleft()
         if pushed:
             state.queue.append(values[cell.pins["in_data"]])
-
-    def _eval_comb(self, cell: Cell) -> None:
-        self.values[cell.pins["out"]] = eval_comb_cell(cell, self.values)

@@ -27,9 +27,10 @@ from repro.rtl import (
     differential_check,
     make_simulator,
     random_stimulus,
+    random_stimulus_batch,
     resolve_backend,
 )
-from repro.rtl.compile import FUSE_OP_CAP
+from repro.rtl.compile import FUSE_OP_CAP, swar_profitable
 
 
 def _alu(width=8) -> Module:
@@ -272,6 +273,31 @@ def test_distinct_structures_compile_separately():
         compile_netlist(_alu(width=8))
         is not compile_netlist(_alu(width=9))
     )
+
+
+def test_sequential_lanes_share_one_program(monkeypatch):
+    source, component, generators, params = design_point("blas")
+    session = CompileSession(opt_level=2)
+    module = session.optimize(source, component, params, generators).value.module
+    assert not swar_profitable(module, 8)  # lanes run one after another
+    streams = random_stimulus_batch(module, 32, 8, seed=7)
+    expected = [Simulator(module).run(stream) for stream in streams]
+    hashes = []
+    structural_hash = Module.structural_hash
+    monkeypatch.setattr(
+        Module,
+        "structural_hash",
+        lambda self: hashes.append(self) or structural_hash(self),
+    )
+    engine = CompiledSimulator(module)
+    engine.run(streams[0][:5])  # lanes start from reset regardless
+    assert engine.run_batch(streams) == expected
+    assert len(hashes) == 1
+    assert engine.cycle == 5
+    interp = Simulator(module)
+    interp.run(streams[0][:5])
+    assert interp.run_batch(streams) == expected
+    assert interp.cycle == 5
 
 
 # -- backend registry ---------------------------------------------------

@@ -3,7 +3,17 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rtl import Module, NetlistError, Simulator, emit_verilog, flatten
+from repro.rtl import (
+    COMBINATIONAL_KINDS,
+    Module,
+    NetlistError,
+    Simulator,
+    emit_verilog,
+    eval_comb_cell,
+    flatten,
+)
+from repro.rtl.netlist import Cell, Net
+from repro.rtl.simulate import COMB_EVALUATORS
 
 
 def make_adder(width=8) -> Module:
@@ -229,3 +239,119 @@ def test_delay_chain_is_pure_delay(values, depth):
     stream = [{"d": v} for v in values] + [{"d": 0}] * depth
     outs = [o["q"] for o in sim.run(stream)]
     assert outs[depth : depth + len(values)] == values
+
+
+# ---------------------------------------------------------------------------
+# Reference: combinational semantics as one ``if`` chain over the kinds.
+# The evaluator table must agree with it on every kind and width.
+
+
+def _mask(value, width):
+    return value & ((1 << width) - 1)
+
+
+def reference_eval_comb_cell(cell, values):
+    kind = cell.kind
+    pins = cell.pins
+    out = pins["out"]
+    if kind == "const":
+        return _mask(int(cell.params["value"]), out.width)
+    if kind in ("add", "sub", "mul", "div", "mod", "and", "or", "xor", "eq", "lt"):
+        a = values[pins["a"]]
+        b = values[pins["b"]]
+        if kind == "add":
+            result = a + b
+        elif kind == "sub":
+            result = a - b
+        elif kind == "mul":
+            result = a * b
+        elif kind == "div":
+            result = a // b if b else 0
+        elif kind == "mod":
+            result = a % b if b else 0
+        elif kind == "and":
+            result = a & b
+        elif kind == "or":
+            result = a | b
+        elif kind == "xor":
+            result = a ^ b
+        elif kind == "eq":
+            result = 1 if a == b else 0
+        else:  # lt
+            result = 1 if a < b else 0
+        return _mask(result, out.width)
+    if kind == "not":
+        return _mask(~values[pins["a"]], out.width)
+    if kind == "shl":
+        return _mask(values[pins["a"]] << int(cell.params["amount"]), out.width)
+    if kind == "shr":
+        return _mask(values[pins["a"]] >> int(cell.params["amount"]), out.width)
+    if kind == "mux":
+        sel = values[pins["sel"]] & 1
+        return _mask(values[pins["a"]] if sel else values[pins["b"]], out.width)
+    if kind == "slice":
+        return _mask(values[pins["a"]] >> int(cell.params["lsb"]), out.width)
+    if kind == "concat":
+        b_net = pins["b"]
+        return _mask(
+            (values[pins["a"]] << b_net.width) | values[b_net], out.width
+        )
+    raise NetlistError(f"cannot evaluate cell kind {kind!r}")
+
+
+_INPUT_PINS = {
+    "const": (),
+    "not": ("a",),
+    "shl": ("a",),
+    "shr": ("a",),
+    "slice": ("a",),
+    "mux": ("sel", "a", "b"),
+}
+_PARAMS = {"const": "value", "shl": "amount", "shr": "amount", "slice": "lsb"}
+
+
+@st.composite
+def comb_cells(draw):
+    """A cell of any combinational kind over random pin widths (outputs
+    narrower and wider than the operands), with operand values drawn
+    within their widths and zero divisors made likely."""
+    kind = draw(st.sampled_from(sorted(COMBINATIONAL_KINDS)))
+    pins, values = {}, {}
+    for pin in _INPUT_PINS.get(kind, ("a", "b")):
+        net = Net(pin, draw(st.integers(1, 80)))
+        top = (1 << net.width) - 1
+        if pin == "b":
+            value = draw(st.one_of(st.just(0), st.integers(0, top)))
+        else:
+            value = draw(st.integers(0, top))
+        pins[pin] = net
+        values[net] = value
+    pins["out"] = Net("out", draw(st.integers(1, 96)))
+    params = {}
+    if kind in _PARAMS:
+        bound = 1 << 90 if kind == "const" else 100
+        low = -bound if kind == "const" else 0
+        params[_PARAMS[kind]] = draw(st.integers(low, bound))
+    return Cell("c", kind, pins, params), values
+
+
+@settings(max_examples=400, deadline=None)
+@given(comb_cells())
+def test_evaluator_table_matches_reference_if_chain(case):
+    cell, values = case
+    got = eval_comb_cell(cell, values)
+    assert got == reference_eval_comb_cell(cell, values)
+    assert type(got) is int
+    assert 0 <= got < 1 << cell.pins["out"].width
+
+
+def test_evaluator_table_covers_exactly_the_combinational_kinds():
+    assert set(COMB_EVALUATORS) == COMBINATIONAL_KINDS
+
+
+@pytest.mark.parametrize("kind", ["bogus", "reg", "fifo", "submodule"])
+def test_eval_comb_cell_rejects_non_combinational_kinds(kind):
+    a, out = Net("a", 4), Net("out", 4)
+    cell = Cell("c", kind, {"a": a, "out": out}, module=Module("sub"))
+    with pytest.raises(NetlistError, match="cannot evaluate"):
+        eval_comb_cell(cell, {a: 1, out: 0})
