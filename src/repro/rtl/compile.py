@@ -12,7 +12,12 @@ and FIFOs.  A net with exactly one combinational reader gets no
 assignment of its own: its expression is *fused* (inlined,
 parenthesized) into that reader, saving a slot store and load per
 cycle, so ``peek_net`` on a fused net raises — the interpreter shows
-every net.  The generated source is ``exec``'d once and memoized by
+every net.  The program ends in a generated whole-run loop, ``_run``:
+for each row of input values it pokes every input port (``int(v) &
+mask``, exactly like ``poke``), calls the evaluate function, appends
+one dict display of the outputs and latches, so
+:meth:`CompiledSimulator.run` pays no per-cycle ``poke`` call or dict
+comprehension.  The generated source is ``exec``'d once and memoized by
 :meth:`~repro.rtl.netlist.Module.structural_hash`, so structurally equal
 netlists — across sessions, grid workers and optimization ablations —
 share one compilation.
@@ -48,8 +53,9 @@ state; scalar backends reach it through ``run_batch``.
 
 **Three codegen targets.**  This module owns two of them — the scalar
 generator (``_generate_source``: one straight-line masked assignment
-per cell, with single-reader expressions fused into their consumer)
-and the SWAR batched generator (``_generate_batched_source`` above) —
+per cell, with single-reader expressions fused into their consumer,
+and the whole-run loop) and the SWAR batched generator
+(``_generate_batched_source`` below) —
 and :mod:`repro.rtl.vectorize` adds the third: word-packed
 lane *columns* (numpy ``uint64`` arrays) where one vectorized operation
 advances thousands of lanes at fixed per-op overhead.  SWAR cost grows
@@ -85,7 +91,7 @@ import copy
 import threading
 import time
 from collections import deque
-from itertools import chain
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from typing import Protocol, runtime_checkable
@@ -94,6 +100,7 @@ from .netlist import Cell, Module, NetlistError, comb_topo_order, flatten
 from .simulate import (
     Simulator,
     derive_lane_seed,
+    lane_major,
     random_stimulus,
     random_stimulus_batch,
     run_lanes,
@@ -109,8 +116,10 @@ from .simulate import (
 #: ``extra_slots``/``inlined_nets`` payload fields.  v4: the scalar
 #: generator fuses single-reader expressions at every level (its
 #: payloads list them in ``inlined_nets``); ``pgo-*`` programs and
-#: ``extra_slots`` are gone.
-CODEGEN_VERSION = 4
+#: ``extra_slots`` are gone.  v5: every scalar program ends in a
+#: generated whole-run loop, ``_run``, with the port order it expects in
+#: ``_RUN_PORTS``.
+CODEGEN_VERSION = 5
 
 
 @runtime_checkable
@@ -194,6 +203,8 @@ class CompiledNetlist:
         "stride",
         "from_store",
         "inlined_nets",
+        "run",
+        "run_ports",
     )
 
     def __init__(
@@ -212,6 +223,8 @@ class CompiledNetlist:
         stride: int = 0,
         from_store: bool = False,
         inlined_nets: Tuple[str, ...] = (),
+        run=None,
+        run_ports: Optional[Tuple[Tuple[str, ...], Tuple[str, ...]]] = None,
     ):
         self.structural_hash = structural_hash
         self.slot_of = slot_of
@@ -235,6 +248,11 @@ class CompiledNetlist:
         #: — their slots are never written (``peek_net`` on one is an
         #: error); empty for the lane-parallel programs.
         self.inlined_nets = tuple(inlined_nets)
+        #: The scalar program's whole-run loop (None for the
+        #: lane-parallel programs) and the (input, output) port names it
+        #: reads rows in and builds records from, in that order.
+        self.run = run
+        self.run_ports = run_ports
 
     def __repr__(self):
         return (
@@ -387,6 +405,44 @@ def _latch_lines(
     return lines
 
 
+def _run_lines(module: Module, slot: Dict[str, int]) -> List[str]:
+    """The whole-run loop: one ``step`` per row, without its per-cycle
+    poke call and dict comprehension.
+
+    A row holds every input port's value in ``_RUN_PORTS[0]`` order (a
+    bare value when there is one input port, the stream's own empty
+    dict when there are none), poked as ``int(v) & mask`` like ``poke``;
+    each cycle's record is one dict display in ``_RUN_PORTS[1]`` order,
+    so it equals ``step``'s dict, key order included.  Records go into
+    the caller's ``trace`` list, so a value ``int`` rejects mid-run
+    leaves it holding exactly the cycles that ran.
+    """
+    inputs, outputs = module.inputs(), module.outputs()
+    names = [f"v{index}" for index in range(len(inputs))]
+    lines = [
+        f"_RUN_PORTS = ({tuple(name for name, _ in inputs)!r}, "
+        f"{tuple(name for name, _ in outputs)!r})",
+        "",
+        "",
+        "def _run(s, r, f, rows, trace, _evaluate=_evaluate, "
+        "_latch=_latch):",
+        "    append = trace.append",
+        f"    for {', '.join(names) or '_'} in rows:",
+    ]
+    for var, (_, net) in zip(names, inputs):
+        lines.append(f"        s[{slot[net.name]}] = int({var}) "
+                     f"& {_mask_literal(net.width)}")
+    record = ", ".join(
+        f"{name!r}: s[{slot[net.name]}]" for name, net in outputs
+    )
+    lines += [
+        "        _evaluate(s, r, f)",
+        f"        append({{{record}}})",
+        "        _latch(s, r, f)",
+    ]
+    return lines
+
+
 #: Cap on the operator count of one fused expression tree: unbounded
 #: substitution would grow pathological source lines.
 FUSE_OP_CAP = 8
@@ -435,7 +491,8 @@ def _fused_nets(module: Module, order: List[Cell]) -> frozenset:
 def _generate_source(module: Module, slot: Dict[str, int]) -> Tuple[
     str, List[str], List[int], List[str], List[int], List[str]
 ]:
-    """Generate the evaluate/latch pair for a flat, validated module.
+    """Generate the evaluate/latch pair and the whole-run loop
+    (:func:`_run_lines`) for a flat, validated module.
 
     Nets in :func:`_fused_nets` emit no assignment: their expression is
     inlined, parenthesized, into the sole consumer.  The last element of
@@ -464,7 +521,9 @@ def _generate_source(module: Module, slot: Dict[str, int]) -> Tuple[
         ev.append("    pass")
 
     lt = _latch_lines(module, slot, reg_cells, fifo_cells)
-    source = "\n".join(ev) + "\n\n\n" + "\n".join(lt) + "\n"
+    source = "\n\n\n".join(
+        "\n".join(lines) for lines in (ev, lt, _run_lines(module, slot))
+    ) + "\n"
     return (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
             sorted(fused))
 
@@ -1104,6 +1163,8 @@ def _materialize(
         stride=payload["stride"],
         from_store=from_store,
         inlined_nets=tuple(payload.get("inlined_nets", ())),
+        run=namespace.get("_run"),
+        run_ports=namespace.get("_RUN_PORTS"),
     )
 
 
@@ -1190,6 +1251,16 @@ class CompiledSimulator:
         self._output_slots = [
             (name, slot_of[net.name]) for name, net in self.module.outputs()
         ]
+        # A structurally equal module may declare its ports in another
+        # order and still share this program; its run() keeps stepping.
+        ports = (
+            tuple(name for name, _ in self.module.inputs()),
+            tuple(name for name, _ in self.module.outputs()),
+        )
+        self._run = (
+            self.program.run if self.program.run_ports == ports else None
+        )
+        self._row = itemgetter(*ports[0]) if ports[0] else None
         self._reset()
 
     def _reset(self) -> None:
@@ -1254,8 +1325,37 @@ class CompiledSimulator:
         return outputs
 
     def run(self, input_stream: List[Dict[str, int]]) -> List[Dict[str, int]]:
-        step = self.step
-        return [step(inputs) for inputs in input_stream]
+        """One :meth:`step` per input dict, in the program's generated
+        whole-run loop when every dict drives exactly the input ports.
+
+        Any other stream (an omitted or unknown port, an empty dict on a
+        module with inputs) runs the per-cycle ``step`` loop, which
+        defines the semantics.
+        """
+        stream = list(input_stream)
+        rows = self._rows(stream)
+        if rows is None:
+            step = self.step
+            return [step(inputs) for inputs in stream]
+        trace: List[Dict[str, int]] = []
+        try:
+            self._run(self._slots, self._regs, self._fifos, rows, trace)
+        finally:
+            self.cycle += len(trace)
+        return trace
+
+    def _rows(self, stream: List[Dict[str, int]]) -> Optional[list]:
+        """``_run``'s rows for ``stream``, or None if it must step."""
+        if self._run is None:
+            return None
+        try:
+            if set(map(len, stream)) - {len(self._input_slots)}:
+                return None
+            # Every dict has as many keys as there are input ports, so
+            # finding them all means it holds exactly those.
+            return list(map(self._row, stream)) if self._row else stream
+        except (KeyError, TypeError):  # a missing port, or not a dict
+            return None
 
     def run_random(
         self, cycles: int, seed: int = 0, bias: float = 0.0
@@ -1502,16 +1602,14 @@ class BatchedCompiledSimulator:
         return outputs
 
     def _feed(self, index: int, mask: int, values: List[int]):
-        """Per-cycle slot values of one input port (see ``run_lanes``).
+        """Per-cycle slot values of one input port from its lane-major
+        values (see ``run_lanes``).
 
         Packed one cycle at a time: packing the whole run up front
         measured no faster.
         """
-        lanes = self.lanes
-        chunks = (
-            values[start:start + lanes]
-            for start in range(0, len(values), lanes)
-        )
+        cycles = len(values) // self.lanes
+        chunks = (values[cycle::cycles] for cycle in range(cycles))
         if index in self._wide_slots:
             return ([int(value) & mask for value in chunk] for chunk in chunks)
         return (self._pack(chunk, mask) for chunk in chunks)
@@ -1527,13 +1625,12 @@ class BatchedCompiledSimulator:
         def unpack(mask: int):
             return lambda kept: [
                 (packed >> shift) & mask
-                for packed in kept
                 for shift in shifts
+                for packed in kept
             ]
 
         return [
-            (name, index, None,
-             chain.from_iterable if is_wide else unpack(mask))
+            (name, index, None, lane_major if is_wide else unpack(mask))
             for name, index, mask, is_wide in self._output_slots
         ]
 

@@ -21,7 +21,7 @@ import random
 from collections import deque
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from .netlist import Cell, Module, Net, NetlistError, comb_topo_order, flatten
 
@@ -224,6 +224,12 @@ def step_lanes(
     return traces
 
 
+def lane_major(kept: List[Sequence[int]]) -> Iterator[int]:
+    """Per-cycle lists of lane values → every lane's values, lane-major
+    (a ``finish`` for :func:`run_lanes`)."""
+    return chain.from_iterable(zip(*kept))
+
+
 def run_lanes(
     engine, input_streams: Sequence[List[Dict[str, int]]]
 ) -> List[List[Dict[str, int]]]:
@@ -233,30 +239,38 @@ def run_lanes(
     instead of once per cycle: each driven port's values are pulled out
     of every lane dict in one pass, the engine packs them, the cycle
     loop only rebinds input slots and calls the generated
-    evaluate/latch, and the per-lane output dicts are built at the end.
-    Output slot values are kept per cycle by reference, which is sound
-    only because generated code rebinds slots and never writes into a
-    column or packed value.  Runs in which the lane dicts do not all
-    drive the same ports go through ``step``.
+    evaluate/latch, and each lane's output dicts are built at the end.
+    Stimulus is read and traces are built lane by lane, the order
+    :func:`random_stimulus_batch` allocates its dicts in.  Output slot
+    values are kept per cycle by reference, which is sound only because
+    generated code rebinds slots and never writes into a column or
+    packed value.  Runs in which the lane dicts do not all drive the
+    same ports go through ``step``.
 
     The engine supplies, besides the ``step`` surface and its generated
     ``_evaluate``/``_latch`` over ``_slots``/``_regs``/``_fifos``:
 
     * ``_input_slots``: input port → ``(slot, mask)``;
     * ``_feed(slot, mask, values)``: the per-cycle slot values for one
-      port, given its values in ``flat`` order (below), masked exactly
-      like ``poke``;
+      port, given its values lane-major (all of lane 0's cycles, then
+      lane 1's, ...), masked exactly like ``poke``;
     * ``_readers()``: ``(port, slot, take, finish)`` per output port —
       ``take`` converts the slot value each cycle (None keeps it by
       reference) and ``finish`` turns the kept values into every lane's
-      value in ``flat`` order.
+      values, lane-major like ``_feed``'s.
+
+    ``finish`` returns one flat sequence rather than a list per lane: the
+    per-lane lists would outlive several collections of the cyclic
+    garbage collector and make its full collections come sooner (in a
+    traced ``sim-sweep`` pass, two of them then landed in the ``fft``
+    vector run).
     """
     streams = _lane_streams(engine, input_streams)
-    lanes = engine.lanes
-    # flat[cycle * lanes + lane] is lane ``lane``'s input dict at ``cycle``.
-    flat = list(chain.from_iterable(zip(*streams)))
-    if not flat:
+    cycles = len(streams[0])
+    if not cycles:
         return [[] for _ in streams]
+    # flat[lane * cycles + cycle] is lane ``lane``'s input dict at ``cycle``.
+    flat = list(chain.from_iterable(streams))
     ports = list(flat[0])
     # Equal sizes plus every dict holding every port (itemgetter raises
     # otherwise) means every dict drives exactly the same ports.
@@ -279,7 +293,7 @@ def run_lanes(
     kept: List[list] = [[] for _ in readers]
     slots, regs, fifos = engine._slots, engine._regs, engine._fifos
     evaluate, latch = engine._evaluate, engine._latch
-    for _ in range(len(streams[0])):
+    for _ in range(cycles):
         for index, feed in feeds:
             slots[index] = next(feed)
         evaluate(slots, regs, fifos)
@@ -288,11 +302,20 @@ def run_lanes(
             keep.append(value if take is None else take(value))
         latch(slots, regs, fifos)
         engine.cycle += 1
-    records: List[Dict[str, int]] = [{} for _ in flat]
-    for (port, _, _, finish), keep in zip(readers, kept):
-        for record, value in zip(records, finish(keep)):
-            record[port] = value
-    return [records[lane::lanes] for lane in range(lanes)]
+    finished = [
+        (port, iter(finish(keep)))
+        for (port, _, _, finish), keep in zip(readers, kept)
+    ]
+    traces: List[List[Dict[str, int]]] = []
+    for _ in streams:
+        trace: List[Dict[str, int]] = [{} for _ in range(cycles)]
+        for port, values in finished:
+            # zip stops at the trace's end before taking a value, so
+            # each lane consumes exactly its own ``cycles`` values.
+            for record, value in zip(trace, values):
+                record[port] = value
+        traces.append(trace)
+    return traces
 
 
 class _FifoState:

@@ -52,12 +52,13 @@ from __future__ import annotations
 
 import threading
 import time
+from array import array
 from collections import deque
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .netlist import Cell, Module, NetlistError, comb_topo_order
-from .simulate import random_stimulus_batch, run_lanes
+from .simulate import lane_major, random_stimulus_batch, run_lanes
 
 #: Lane-column word width: nets at or below it are one uint64 column,
 #: wider nets a list of word columns.
@@ -1148,27 +1149,29 @@ class VectorCompiledSimulator:
         return outputs
 
     def _feed(self, index: int, mask: int, values: List[int]):
-        """Per-cycle columns of one input port (see ``run_lanes``)."""
+        """Per-cycle columns of one input port from its lane-major
+        values (see ``run_lanes``)."""
         np = self._np
-        lanes = self.lanes
+        cycles = len(values) // self.lanes
         n_words = self._wide_slots.get(index)
         if n_words is not None:
             # Split into words one cycle at a time: a whole-run word
             # table for 256-/512-bit ports costs more memory than it
             # saves time.
             return (
-                self._pack_wide(values[start:start + lanes], mask, n_words)
-                for start in range(0, len(values), lanes)
+                self._pack_wide(values[cycle::cycles], mask, n_words)
+                for cycle in range(cycles)
             )
         try:
-            table = np.array(values, np.uint64)
-        except OverflowError:  # negative or wider than a word
+            table = np.frombuffer(array("Q", values), np.uint64)
+        except (OverflowError, TypeError):  # negative, too wide, not int
             table = np.array(
                 [int(value) & mask for value in values], np.uint64
             )
-        else:
-            table &= np.uint64(mask)
-        return table.reshape(-1, lanes)
+        # One contiguous lane column per cycle.
+        columns = table.reshape(self.lanes, cycles).T.copy()
+        columns &= np.uint64(mask)
+        return columns
 
     def _readers(self):
         """Per output port: (name, slot, take, finish) for ``run_lanes``.
@@ -1176,13 +1179,13 @@ class VectorCompiledSimulator:
         Packed columns are kept by reference (generated code never
         writes into one); wide ports are joined to lane ints each cycle.
         """
-        concatenate = self._np.concatenate
+        stack = self._np.stack
 
         def lane_values(columns) -> List[int]:
-            return concatenate(columns).tolist()
+            return stack(columns, axis=1).ravel().tolist()
 
         return [
-            (name, index, self._unpack_wide, chain.from_iterable)
+            (name, index, self._unpack_wide, lane_major)
             if is_wide else (name, index, None, lane_values)
             for name, index, is_wide in self._output_slots
         ]

@@ -15,7 +15,7 @@ import pytest
 
 from repro.driver import CodegenStore, CompileSession, DiskCache
 from repro.rtl import clear_compile_memo, compile_netlist
-from repro.rtl import CompiledSimulator, Module, NetlistError
+from repro.rtl import CompiledSimulator, Module, NetlistError, random_stimulus
 
 
 @pytest.fixture(autouse=True)
@@ -102,6 +102,25 @@ def test_scalar_program_keeps_its_fused_nets_through_the_store(tmp_path):
     assert warm.program.inlined_nets == fresh.program.inlined_nets
     assert _unpeekable(warm) == _unpeekable(fresh)
     assert _unpeekable(warm) == set(fresh.program.inlined_nets)
+
+
+def test_store_loaded_scalar_program_takes_the_generated_loop(
+    tmp_path, monkeypatch
+):
+    store = _store(tmp_path)
+    stream = random_stimulus(_fusable(), 24, seed=6)
+    cold = CompiledSimulator(_fusable(), codegen_store=store)
+    expected = cold.run(stream)
+
+    clear_compile_memo()
+    warm = CompiledSimulator(_fusable(), codegen_store=store)
+    assert warm.program.from_store
+    assert warm.program.run is not None
+    monkeypatch.setattr(
+        warm, "step", lambda inputs=None: pytest.fail("stepped")
+    )
+    assert warm.run(stream) == expected
+    assert warm.cycle == cold.cycle == 24
 
 
 def test_codegen_entries_are_keyed_per_lane_count(tmp_path):
@@ -217,3 +236,39 @@ def test_retired_tuner_and_vector_numpy_entries_stay_inert(tmp_path):
     assert store.load(structural, 4, "vector")["backend"] == "vector"
     report = run_fsck(str(tmp_path))
     assert report.consistent and report.scanned == 3
+
+
+def test_scalar_entries_from_before_the_run_loop_stay_inert(tmp_path):
+    """A store written at ``CODEGEN_VERSION`` 4 holds scalar programs
+    without the generated ``_run`` loop.  Their key carries the old
+    version, so a compile over them misses and stores a new entry, and
+    the old one stays digest-valid for fsck."""
+    from repro.driver import run_fsck
+    from repro.driver.artifact import StageArtifact
+    from repro.rtl import CODEGEN_VERSION
+    from repro.rtl.compile import _generate_payload
+
+    assert CODEGEN_VERSION == 5
+    module = _adder()
+    structural = module.structural_hash()
+    payload = _generate_payload(module, structural, None)
+    # The version-4 source: the evaluate/latch pair alone.
+    legacy = dict(payload,
+                  source=payload["source"].split("\n\n\n_RUN_PORTS")[0] + "\n")
+    assert "_run" not in legacy["source"] and "_latch" in legacy["source"]
+    legacy_key = ("codegen", structural, "scalar", None, 4)
+    disk = DiskCache(str(tmp_path))
+    assert disk.store(legacy_key, StageArtifact("codegen", legacy_key,
+                                                legacy, 0.0))
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 1
+
+    store = _store(tmp_path)
+    program = compile_netlist(module, store=store)
+    assert not program.from_store
+    assert program.run is not None
+    assert store.disk.stats.counter("codegen.disk_miss") == 1
+    assert store.disk.stats.counter("codegen.store") == 1
+    assert store.load(structural, None, "scalar")["source"] == payload["source"]
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 2

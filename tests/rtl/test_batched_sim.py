@@ -28,7 +28,13 @@ from repro.rtl import (
     random_stimulus_batch,
 )
 
-from .lane_runs import LANE_RUN_CASES, assert_run_matches_steps, lane_run_cases
+from .lane_runs import (
+    LANE_RUN_CASES,
+    assert_run_matches_steps,
+    free_running_counter,
+    lane_run_cases,
+    sink,
+)
 
 
 def _alu(width=8) -> Module:
@@ -242,8 +248,11 @@ def test_batched_rejects_ragged_streams():
         _registered_counter,
         lambda: _wide_datapath(width=200, narrow_cells=8),
         lambda: fifo_pipeline(stages=3, width=16, depth=2),
+        free_running_counter,
+        sink,
     ],
-    ids=["w8", "w65", "w100", "w512", "counter", "lane-lists", "fifo"],
+    ids=["w8", "w65", "w100", "w512", "counter", "lane-lists", "fifo",
+         "no-inputs", "no-outputs"],
 )
 def test_batched_run_matches_step_by_step(make_module, case):
     module = make_module()

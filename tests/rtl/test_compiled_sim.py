@@ -6,7 +6,8 @@ semantics, and — the differential gate — identical outputs to the
 interpreter on every cycle of seeded stimulus, across every catalog
 design at both optimization levels and on a FIFO-heavy synthetic
 module the datapath designs don't cover.  The scalar generator's one
-structural choice, expression fusion, has its rules pinned here too.
+structural choice, expression fusion, has its rules pinned here too, and
+its generated whole-run loop must equal one ``step`` per cycle.
 """
 
 import re
@@ -31,6 +32,13 @@ from repro.rtl import (
     resolve_backend,
 )
 from repro.rtl.compile import FUSE_OP_CAP, swar_profitable
+
+from .lane_runs import (
+    STREAM_RUN_CASES,
+    assert_stream_run_matches_steps,
+    free_running_counter,
+    stream_run_cases,
+)
 
 
 def _alu(width=8) -> Module:
@@ -257,6 +265,144 @@ def test_fused_nets_are_inlined_out_of_the_program():
         NetlistError, match=re.escape(program.inlined_nets[0])
     ):
         compiled.peek_net(program.inlined_nets[0])
+
+
+# -- the generated whole-run loop: run() == step() cycle by cycle -------
+
+
+@pytest.fixture(scope="module")
+def catalog_module():
+    """``(design, opt_level)`` → the optimized catalog module, built once
+    per test module."""
+    modules = {}
+
+    def build(name, opt_level):
+        if (name, opt_level) not in modules:
+            source, component, generators, params = design_point(name)
+            session = CompileSession(opt_level=opt_level)
+            modules[name, opt_level] = session.optimize(
+                source, component, params, generators
+            ).value.module
+        return modules[name, opt_level]
+
+    return build
+
+
+def _assert_stream_case(module, case):
+    assert_stream_run_matches_steps(
+        lambda: CompiledSimulator(module),
+        stream_run_cases(module, seed=5)[case],
+    )
+
+
+@pytest.mark.parametrize("case", STREAM_RUN_CASES)
+@pytest.mark.parametrize(
+    "make_module",
+    [
+        _alu,
+        _registered_counter,  # one input port: a row is a bare value
+        free_running_counter,  # no input ports: a row is an empty dict
+        lambda: fifo_pipeline(stages=3, width=16, depth=2),
+    ],
+    ids=["alu", "one-input", "no-inputs", "fifo"],
+)
+def test_run_matches_step_by_step(make_module, case):
+    _assert_stream_case(make_module(), case)
+
+
+@pytest.mark.parametrize("case", STREAM_RUN_CASES)
+@pytest.mark.parametrize("name", sorted(DESIGNS))
+@pytest.mark.parametrize("opt_level", [0, 2])
+def test_catalog_run_matches_step_by_step(catalog_module, name, opt_level,
+                                          case):
+    _assert_stream_case(catalog_module(name, opt_level), case)
+
+
+def test_run_takes_the_generated_loop_only_for_exact_port_sets(monkeypatch):
+    module = _alu()
+    stream = random_stimulus(module, 8, seed=3)
+    engine = CompiledSimulator(module)
+    assert engine.program.run is not None
+    monkeypatch.setattr(
+        engine, "step", lambda inputs=None: pytest.fail("stepped")
+    )
+    engine.run(stream)
+    assert engine.cycle == 8
+    stepped = []
+    monkeypatch.setattr(engine, "step", stepped.append)
+    engine.run(stream[:3] + [{}] + stream[4:])
+    assert len(stepped) == 8  # an empty dict: the per-cycle loop
+    engine.run([None, None])  # step() treats None as "poke nothing"
+    assert stepped[-2:] == [None, None]
+
+
+def test_uniform_stream_naming_an_unknown_port_raises_like_poke():
+    module = _alu()
+    for vector in ({"a": 1, "b": 2, "nope": 3},  # as many keys as ports
+                   {"a": 1, "b": 2, "sel": 0, "nope": 3}):
+        with pytest.raises(NetlistError, match="no input port 'nope'"):
+            CompiledSimulator(module).run([vector] * 4)
+
+
+def test_a_value_int_rejects_mid_run_stops_where_step_stops():
+    module = _registered_counter()
+    stream = random_stimulus(module, 12, seed=4)
+    stream[5] = {"en": None}
+    ran, stepped = CompiledSimulator(module), CompiledSimulator(module)
+    assert ran._run is not None
+    with pytest.raises(TypeError):
+        ran.run(stream)
+    with pytest.raises(TypeError):
+        for inputs in stream:
+            stepped.step(inputs)
+    assert ran.cycle == stepped.cycle == 5
+    assert ran.peek("out") == stepped.peek("out")
+    assert ran.step() == stepped.step()
+
+
+@pytest.mark.parametrize(
+    "make_module",
+    [_registered_counter, lambda: fifo_pipeline(stages=3, width=8, depth=2)],
+    ids=["counter", "fifo"],
+)
+def test_consecutive_runs_equal_one_run_over_the_joined_stream(make_module):
+    module = make_module()
+    stream = random_stimulus(module, 20, seed=13)
+    split, whole = CompiledSimulator(module), CompiledSimulator(module)
+    halves = split.run(stream[:7]) + split.run(stream[7:])
+    assert halves == whole.run(stream) == Simulator(module).run(stream)
+    assert split.cycle == whole.cycle == 20
+    assert split.step() == whole.step()
+
+
+def _reordered_alu() -> Module:
+    """``_alu`` with its ports declared in another order: structurally
+    equal, so it shares ``_alu``'s program."""
+    module = Module("alu")
+    out = module.add_output("out", 8)
+    sel = module.add_input("sel", 1)
+    b = module.add_input("b", 8)
+    a = module.add_input("a", 8)
+    total = module.binop("add", a, b, 8)
+    delta = module.binop("sub", a, b, 8)
+    picked = module.mux(sel, total, delta)
+    module.add_cell("not", {"a": picked, "out": out})
+    return module
+
+
+def test_modules_sharing_a_program_keep_their_own_port_order():
+    first, second = _alu(), _reordered_alu()
+    assert first.structural_hash() == second.structural_hash()
+    assert compile_netlist(first) is compile_netlist(second)
+    # The program's loop reads rows in _alu's port order, so only _alu
+    # takes it; the other runs the per-cycle loop.
+    assert CompiledSimulator(first)._run is not None
+    assert CompiledSimulator(second)._run is None
+    for module in (first, second):
+        assert_stream_run_matches_steps(
+            lambda: CompiledSimulator(module),
+            lambda: random_stimulus(module, 16, seed=8),
+        )
 
 
 # -- memoization --------------------------------------------------------

@@ -28,7 +28,13 @@ from repro.rtl import (
     random_stimulus_batch,
 )
 
-from .lane_runs import LANE_RUN_CASES, assert_run_matches_steps, lane_run_cases
+from .lane_runs import (
+    LANE_RUN_CASES,
+    assert_run_matches_steps,
+    free_running_counter,
+    lane_run_cases,
+    sink,
+)
 
 pytestmark = pytest.mark.numpy
 
@@ -174,8 +180,10 @@ def test_vector_matches_interpreter_on_fifo_pipeline(lanes):
 @pytest.mark.parametrize(
     "make_module",
     [lambda width=width: _alu(width) for width in (1, 7, 64, 65, 100, 512)]
-    + [lambda: fifo_pipeline(stages=3, width=16, depth=2)],
-    ids=["w1", "w7", "w64", "w65", "w100", "w512", "fifo"],
+    + [lambda: fifo_pipeline(stages=3, width=16, depth=2),
+       free_running_counter, sink],
+    ids=["w1", "w7", "w64", "w65", "w100", "w512", "fifo", "no-inputs",
+         "no-outputs"],
 )
 def test_run_matches_step_by_step(make_module, case):
     module = make_module()
