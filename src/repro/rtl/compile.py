@@ -44,12 +44,18 @@ advance all K lanes at once (SWAR — SIMD within a register, except the
 register is a CPython bignum and its arithmetic runs in C).  Adds carry
 into a per-lane guard bit, subtracts borrow against an injected guard,
 compares reduce through the lane's top bit, and muxes blend through a
-spread select mask; only ``mul``/``div``/``mod`` (true cross-products)
-and out-of-stride shifts fall back to a per-lane loop over byte-sliced
-lane fields.  Register state latches as a single reference copy per
-cell — K lanes for the cost of one — which is why register-heavy
-netlists batch best.  :class:`BatchedCompiledSimulator` owns the packed
-state; scalar backends reach it through ``run_batch``.
+spread select mask, and a ``mul`` by a constant is one bignum multiply
+when no lane's product can reach the next field.  Only the other
+``mul`` cells, ``div``/``mod`` (true cross-products) and out-of-stride
+shifts fall back to a per-lane loop.  It reads lane values of up to 64
+bits through one 64-bit word view of the packed integer (one
+``to_bytes``, then a strided ``memoryview`` cast) and writes them with
+one extended-slice store into a zeroed word array; only wider values
+take one byte slice per lane.  Register state latches as a single
+reference copy per cell — K lanes for the cost of one — which is why
+register-heavy netlists batch best.  :class:`BatchedCompiledSimulator`
+owns the packed state; scalar backends reach it through
+``run_batch``.
 
 **Three codegen targets.**  This module owns two of them — the scalar
 generator (``_generate_source``: one straight-line masked assignment
@@ -88,8 +94,10 @@ skips levelization and code generation entirely and only pays
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 import time
+from array import array
 from collections import deque
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -118,8 +126,10 @@ from .simulate import (
 #: payloads list them in ``inlined_nets``); ``pgo-*`` programs and
 #: ``extra_slots`` are gone.  v5: every scalar program ends in a
 #: generated whole-run loop, ``_run``, with the port order it expects in
-#: ``_RUN_PORTS``.
-CODEGEN_VERSION = 5
+#: ``_RUN_PORTS``.  v6: SWAR lane loops convert values of up to 64 bits
+#: through a 64-bit word view, and a ``mul`` by a constant is one packed
+#: multiply.
+CODEGEN_VERSION = 6
 
 
 @runtime_checkable
@@ -606,12 +616,19 @@ def swar_profitable(module: Module, lanes: int) -> bool:
     between one lane-packed step and ``lanes`` scalar steps.  A packed
     cell costs a small constant plus a term linear in the packed
     integer's word count; an ineligible cell pays the per-lane loop
-    *and* the byte-sliced unpack/pack conversions, which is what sinks
-    designs like ``blas`` where the ineligible (``mul``) cells sit on
-    wide nets — measured at 0.51x vs scalar at 16 lanes even though a
-    naive eligible-fraction argument predicts a win.  Coefficients were
-    fit against ``BENCH_sim.json`` and reproduce the measured
-    faster/slower sign on every catalog design at 16 and 64 lanes.
+    *and* the unpack/pack conversions, which is what sank designs like
+    ``blas`` where the ineligible (``mul``) cells sit on wide nets —
+    measured at 0.51x vs scalar at 16 lanes even though a naive
+    eligible-fraction argument predicts a win.  Coefficients were fit
+    against ``BENCH_sim.json`` while every lane-loop operand went
+    through byte slices, and then reproduced the measured faster/slower
+    sign on every catalog design at 16 and 64 lanes.  The word view and
+    packed constant multiplies made the loops cheaper, and the
+    lane-loop term now overprices them: on ``blas`` at ``-O2`` and 64
+    lanes SWAR measured 118k lane-cycles/s against 86k for sequential
+    scalar lanes (64 cycles, median of 7, 2-vCPU Intel Xeon VM, Python
+    3.11), yet this predicate still says no.  The coefficients stay
+    until the engine choice is refit as a whole.
     """
     lanes = int(lanes)
     if lanes <= 1:
@@ -632,6 +649,78 @@ def swar_profitable(module: Module, lanes: int) -> bool:
         else:
             swar_cost += lanes * (4.0 + 0.8 * stride / 64.0)
     return swar_cost < lanes * len(cells)
+
+
+def _lane_words(lanes: int, stride: int, byteorder: str) -> slice:
+    """Where each lane field's low word sits in the ``"Q"`` view of a
+    packed value's ``to_bytes(..., byteorder)``, lane 0 first.
+
+    The view reads words in the host's native order, so the bytes are
+    taken in that order too: little-endian, lane ``k``'s word is word
+    ``k * stride // 64``; big-endian, the words run most significant
+    first, and the slice walks them from the end.
+    """
+    step = stride // 64
+    if byteorder == "little":
+        return slice(0, None, step)
+    return slice(lanes * step - 1, None, -step)
+
+
+def _lane_helper_lines(lanes: int, stride: int, kinds) -> List[str]:
+    """The generated lane loops' pack/unpack helpers, as source lines.
+
+    ``kinds`` names the pairs to emit.  ``"words"``: ``_unpack`` and
+    ``_pack`` for lane values of up to 64 bits — one ``to_bytes`` in the
+    host's byte order, a native ``"Q"`` view that reads every lane's
+    word at once (:func:`_lane_words`), and for packing one
+    extended-slice store into a zeroed word array.  ``"bytes"``:
+    ``_unpack_bytes`` and ``_pack_bytes`` for values that span more than
+    one word, one ``stride // 8``-byte slice per lane.  Lane values are
+    clean, so neither unpack masks.
+    """
+    nb, sb = lanes * stride // 8, stride // 8
+    head = [f"_NB = {nb}"]
+    defs: List[str] = []
+    if "words" in kinds:
+        little = _lane_words(lanes, stride, "little")
+        big = _lane_words(lanes, stride, "big")
+        head = [
+            "from array import array",
+            "from sys import byteorder as _ORDER",
+            "",
+            *head,
+            f'_LW = {little!r} if _ORDER == "little" else {big!r}',
+            '_ZW = array("Q", bytes(_NB))',
+        ]
+        defs += [
+            "",
+            "",
+            "def _unpack(v, _NB=_NB, _ORDER=_ORDER, _LW=_LW):",
+            '    return memoryview(v.to_bytes(_NB, _ORDER)).cast("Q")[_LW]'
+            ".tolist()",
+            "",
+            "",
+            "def _pack(vals, _ZW=_ZW, _LW=_LW, _ORDER=_ORDER):",
+            "    _w = _ZW[:]",
+            '    _w[_LW] = array("Q", vals)',
+            "    return int.from_bytes(_w, _ORDER)",
+        ]
+    if "bytes" in kinds:
+        head += [f"_SB = {sb}", f"_OFFS = tuple(range(0, {nb}, {sb}))"]
+        defs += [
+            "",
+            "",
+            "def _unpack_bytes(v, _NB=_NB, _SB=_SB, _OFFS=_OFFS):",
+            '    _b = v.to_bytes(_NB, "little")',
+            '    return [int.from_bytes(_b[_i:_i + _SB], "little")'
+            " for _i in _OFFS]",
+            "",
+            "",
+            "def _pack_bytes(vals, _SB=_SB):",
+            '    return int.from_bytes(b"".join(_v.to_bytes(_SB, "little")'
+            ' for _v in vals), "little")',
+        ]
+    return head + defs
 
 
 class _LaneConsts:
@@ -678,8 +767,16 @@ def _generate_batched_source(
       ``[k*stride, k*stride + width)`` of one integer, and cells whose
       pins are all packed advance every lane in a couple of bignum ops;
     * **per-lane list** (wider): the slot holds K separate ints, and
-      any cell touching one runs a per-lane loop, converting packed
-      operands through byte-sliced ``_unpack``/``_pack`` helpers.
+      any cell touching one runs a per-lane loop.
+
+    The per-lane loop (``mul``/``div``/``mod``, out-of-field shifts,
+    anything touching a per-lane list) converts packed operands through
+    :func:`_lane_helper_lines`: values of up to 64 bits through one
+    64-bit word view of the packed integer, wider ones through byte
+    slices.  A ``mul`` by a ``const`` cell's value ``c`` skips the loop
+    when its other operand and output are packed and ``width + c's bit
+    length <= stride``: no lane's product then reaches the next field,
+    so one bignum multiply advances every lane.
 
     The invariant every emitted statement preserves is that lane values
     are *clean* — strictly below ``2^width`` — which is what lets
@@ -690,10 +787,20 @@ def _generate_batched_source(
     top_bit = stride - 1
     uses_ev: set = set()
     uses_lt: set = set()
-    helpers_needed = [False]
+    helpers: set = set()  # the _lane_helper_lines kinds the loops call
+    order = comb_topo_order(module)
+    producer = {cell.pins["out"].name: cell for cell in order}
 
     def wide(net) -> bool:
         return net.width > stride - 2
+
+    def codec(net) -> str:
+        """Suffix of the helper pair that converts packed ``net``."""
+        if net.width <= 64:
+            helpers.add("words")
+            return ""
+        helpers.add("bytes")
+        return "_bytes"
 
     def one(uses):
         return consts.rep(1, "ONE", uses)
@@ -708,8 +815,7 @@ def _generate_batched_source(
         """Expression yielding the net's per-lane value list."""
         if wide(net):
             return f"s[{slot[net.name]}]"
-        helpers_needed[0] = True
-        return f"_unpack(s[{slot[net.name]}])"
+        return f"_unpack{codec(net)}(s[{slot[net.name]}])"
 
     def comb_swar(cell: Cell) -> List[str]:
         pins = cell.pins
@@ -811,6 +917,34 @@ def _generate_batched_source(
             expr += f" & {consts.mask(wo, uses_ev)}"
         return [f"    s[{so}] = {expr}"]
 
+    def packed_mul(cell: Cell) -> Optional[List[str]]:
+        """``x * c`` as one packed multiply, or None for the lane loop.
+
+        ``c`` is the value of the ``const`` cell driving one operand;
+        ``x``, the other operand, and the output must be packed, and
+        ``width(x) + c.bit_length() <= stride`` keeps every lane's
+        product inside its own field.
+        """
+        pins = cell.pins
+        out = pins["out"]
+        if wide(out):
+            return None
+        for const_pin, x_pin in (("b", "a"), ("a", "b")):
+            driver = producer.get(pins[const_pin].name)
+            x = pins[x_pin]
+            if driver is None or driver.kind != "const" or wide(x):
+                continue
+            c = int(driver.params["value"]) & _mask_literal(
+                pins[const_pin].width
+            )
+            if x.width + c.bit_length() > stride:
+                continue
+            expr = f"s[{slot[x.name]}] * {c}"
+            if (_mask_literal(x.width) * c).bit_length() > out.width:
+                expr = f"({expr}) & {consts.mask(out.width, uses_ev)}"
+            return [f"    s[{slot[out.name]}] = {expr}"]
+        return None
+
     def comb_lane(cell: Cell) -> List[str]:
         """Per-lane loop mirroring :func:`eval_comb_cell` exactly."""
         pins = cell.pins
@@ -824,8 +958,7 @@ def _generate_batched_source(
         def wr(listcomp: str) -> str:
             if wide_out:
                 return f"    s[{so}] = {listcomp}"
-            helpers_needed[0] = True
-            return f"    s[{so}] = _pack({listcomp})"
+            return f"    s[{so}] = _pack{codec(out)}({listcomp})"
 
         if kind == "const":
             value = int(cell.params["value"]) & omask
@@ -904,10 +1037,9 @@ def _generate_batched_source(
         qmask = (1 << q.width) - 1
         if wide(d) or wide(q):  # storage is a per-lane list
             if not wide(q):
-                helpers_needed[0] = True
                 ev.append(
                     f"    s[{slot[q.name]}] = "
-                    f"_pack([_v & {qmask} for _v in r[{i}]])"
+                    f"_pack{codec(q)}([_v & {qmask} for _v in r[{i}]])"
                 )
             elif d.width > q.width:
                 ev.append(
@@ -950,11 +1082,12 @@ def _generate_batched_source(
         ev.append(f"    s[{slot[pins['in_ready'].name]}] = _ir")
         ev.append(f"    s[{slot[pins['out_valid'].name]}] = _ov")
         ev.append(f"    s[{slot[od.name]}] = _od")
-    for cell in comb_topo_order(module):
+    for cell in order:
         if _swar_eligible(cell, stride):
             ev.extend(comb_swar(cell))
-        else:
-            ev.extend(comb_lane(cell))
+            continue
+        packed = packed_mul(cell) if cell.kind == "mul" else None
+        ev.extend(packed if packed is not None else comb_lane(cell))
     if not ev:
         ev.append("    pass")
 
@@ -968,13 +1101,12 @@ def _generate_batched_source(
             source_expr = rd_lanes(d)
             if cell.kind == "reg":
                 lt.append(f"    r[{i}] = {source_expr}")
-            else:  # regen, per-lane blend off the packed enable bits
-                en = slot[cell.pins["en"].name]
-                lt.append(f"    _eb = s[{en}]")
+            else:  # regen, per-lane blend off the enable's lane values
                 lt.append(
-                    f"    r[{i}] = [(_dv if (_eb >> _sh) & 1 else _rv)"
-                    f" for _sh, _dv, _rv in"
-                    f" zip(_SHIFTS, {source_expr}, r[{i}])]"
+                    f"    r[{i}] = [(_dv if _ev & 1 else _rv)"
+                    f" for _ev, _dv, _rv in"
+                    f" zip({rd_lanes(cell.pins['en'])}, {source_expr},"
+                    f" r[{i}])]"
                 )
         elif cell.kind == "reg":
             lt.append(f"    r[{i}] = s[{slot[d.name]}]")
@@ -1019,8 +1151,11 @@ def _generate_batched_source(
     if not lt:
         lt.append("    pass")
 
-    # -- assemble: prelude (constants, helpers), then the two defs ----
-    prelude: List[str] = [
+    # -- assemble: helpers, constants, then the two defs ---------------
+    prelude = _lane_helper_lines(lanes, stride, helpers) if helpers else []
+    if prelude:
+        prelude += ["", ""]
+    prelude += [
         f"_LANES = {lanes}",
         f"_STRIDE = {stride}",
         f"_SHIFTS = tuple(range(0, {lanes * stride}, {stride}))",
@@ -1028,25 +1163,10 @@ def _generate_batched_source(
     for name, value in consts.defs:
         prelude.append(f"{name} = {hex(value)}")
     helper_names: List[str] = []
-    if helpers_needed[0]:
-        nb, sb = lanes * stride // 8, stride // 8
-        prelude += [
-            f"_NB = {nb}",
-            f"_SB = {sb}",
-            f"_OFFS = tuple(range(0, {nb}, {sb}))",
-            "",
-            "",
-            "def _unpack(v, _NB=_NB, _SB=_SB, _OFFS=_OFFS):",
-            '    _b = v.to_bytes(_NB, "little")',
-            '    return [int.from_bytes(_b[_i:_i + _SB], "little")'
-            " for _i in _OFFS]",
-            "",
-            "",
-            "def _pack(vals, _SB=_SB):",
-            '    return int.from_bytes(b"".join(_v.to_bytes(_SB, "little")'
-            ' for _v in vals), "little")',
-        ]
-        helper_names = ["_unpack", "_pack"]
+    if "words" in helpers:
+        helper_names += ["_unpack", "_pack"]
+    if "bytes" in helpers:
+        helper_names += ["_unpack_bytes", "_pack_bytes"]
 
     def signature(uses: set) -> str:
         extras = sorted(uses) + helper_names
@@ -1417,8 +1537,12 @@ class BatchedCompiledSimulator:
             self.module, lanes=self.lanes, store=codegen_store
         )
         stride = self.program.stride
-        self._shifts = tuple(range(0, self.lanes * stride, stride))
         self._field_bytes = stride // 8  # strides are multiples of 64
+        self._n_bytes = self.lanes * self._field_bytes
+        # Lane values of up to 64 bits move through one native "Q" view
+        # of a packed integer's bytes, as in the generated lane loops.
+        self._lane_words = _lane_words(self.lanes, stride, sys.byteorder)
+        self._zero_words = array("Q", bytes(self._n_bytes))
         slot_of = self.program.slot_of
         # Nets wider than a lane field live as per-lane lists; packed
         # nets as one integer (see _generate_batched_source).
@@ -1432,14 +1556,14 @@ class BatchedCompiledSimulator:
             for index in range(self.program.n_slots)
         ]
         # Replicate each (pre-masked) register init into every lane.
-        unit = _lane_unit(self.lanes, stride)
+        self._unit = _lane_unit(self.lanes, stride)
         self._regs: List[object] = []
         for name, init in zip(self.program.reg_cells, self.program.reg_inits):
             pins = self.module.cells[name].pins
             if max(pins["d"].width, pins["q"].width) > stride - 2:
                 self._regs.append([init] * self.lanes)
             else:
-                self._regs.append(init * unit)
+                self._regs.append(init * self._unit)
         self._fifos: List[List[deque]] = [
             [deque() for _ in range(self.lanes)]
             for _ in self.program.fifo_depths
@@ -1451,12 +1575,7 @@ class BatchedCompiledSimulator:
             for name, net in self.module.inputs()
         }
         self._output_slots = [
-            (
-                name,
-                slot_of[net.name],
-                _mask_literal(net.width),
-                slot_of[net.name] in self._wide_slots,
-            )
+            (name, slot_of[net.name], net.width)
             for name, net in self.module.outputs()
         ]
         self.cycle = 0
@@ -1465,15 +1584,43 @@ class BatchedCompiledSimulator:
 
     def _pack(self, values: Sequence[int], mask: int) -> int:
         """Masked lane values → one packed integer (lane ``k`` in the
-        ``k``-th ``stride``-bit field)."""
-        size = self._field_bytes
-        return int.from_bytes(
-            b"".join(
-                [(int(value) & mask).to_bytes(size, "little")
-                 for value in values]
-            ),
-            "little",
-        )
+        ``k``-th ``stride``-bit field): one word-view store for ports of
+        up to 64 bits, one byte slice per lane above that."""
+        clean = [int(value) & mask for value in values]
+        if mask >> 64:
+            size = self._field_bytes
+            return int.from_bytes(
+                b"".join([value.to_bytes(size, "little") for value in clean]),
+                "little",
+            )
+        return self._pack_words(array("Q", clean))
+
+    def _pack_words(self, lane_values: array) -> int:
+        """Lane values below 2^64 → one packed integer: one extended
+        slice store into a zeroed word array."""
+        words = self._zero_words[:]
+        words[self._lane_words] = lane_values
+        return int.from_bytes(words, sys.byteorder)
+
+    def _unpack(self, packed: int, width: int) -> List[int]:
+        """A packed integer's lane values, the inverse of :meth:`_pack`
+        (fields are clean, so nothing is masked)."""
+        if width > 64:
+            size = self._field_bytes
+            data = packed.to_bytes(self._n_bytes, "little")
+            return [
+                int.from_bytes(data[offset:offset + size], "little")
+                for offset in range(0, self._n_bytes, size)
+            ]
+        view = memoryview(packed.to_bytes(self._n_bytes, sys.byteorder))
+        return view.cast("Q")[self._lane_words].tolist()
+
+    def _slot_value(self, index: int, values: Sequence[int], mask: int):
+        """What slot ``index`` holds for these lane values: a per-lane
+        list on a wide slot, else one packed integer."""
+        if index in self._wide_slots:
+            return [int(value) & mask for value in values]
+        return self._pack(values, mask)
 
     def poke(self, inputs: Dict[str, Sequence[int]]) -> None:
         """Drive ports with per-lane value lists (one value per lane)."""
@@ -1490,10 +1637,7 @@ class BatchedCompiledSimulator:
                     f"values for {self.lanes} lanes"
                 )
             index, mask = entry
-            if index in self._wide_slots:
-                slots[index] = [int(value) & mask for value in values]
-            else:
-                slots[index] = self._pack(values, mask)
+            slots[index] = self._slot_value(index, values, mask)
 
     def _poke_vectors(self, vectors: Sequence[Dict[str, int]]) -> None:
         """Per-lane input dicts (lane k's ports in ``vectors[k]``).
@@ -1509,7 +1653,6 @@ class BatchedCompiledSimulator:
                 f"for {self.lanes} lanes"
             )
         slots = self._slots
-        shifts = self._shifts
         first = vectors[0]
         uniform = all(vector.keys() == first.keys() for vector in vectors)
         if uniform:
@@ -1520,11 +1663,9 @@ class BatchedCompiledSimulator:
                         f"{self.module.name}: no input port {name!r}"
                     )
                 index, mask = entry
-                values = [vector[name] for vector in vectors]
-                if index in self._wide_slots:
-                    slots[index] = [int(value) & mask for value in values]
-                else:
-                    slots[index] = self._pack(values, mask)
+                slots[index] = self._slot_value(
+                    index, [vector[name] for vector in vectors], mask
+                )
             return
         names = set(first)
         for vector in vectors[1:]:
@@ -1536,19 +1677,15 @@ class BatchedCompiledSimulator:
                     f"{self.module.name}: no input port {name!r}"
                 )
             index, mask = entry
-            if index in self._wide_slots:
-                slots[index] = [
-                    (int(vector[name]) & mask) if name in vector else old
-                    for vector, old in zip(vectors, slots[index])
-                ]
-                continue
-            packed = slots[index]
-            for shift, vector in zip(shifts, vectors):
-                if name in vector:
-                    packed = (packed & ~(mask << shift)) | (
-                        (int(vector[name]) & mask) << shift
-                    )
-            slots[index] = packed
+            old = self._unpack_slot(index, mask.bit_length())
+            slots[index] = self._slot_value(
+                index,
+                [
+                    vector[name] if name in vector else value
+                    for vector, value in zip(vectors, old)
+                ],
+                mask,
+            )
 
     def evaluate(self) -> None:
         self._evaluate(self._slots, self._regs, self._fifos)
@@ -1571,8 +1708,7 @@ class BatchedCompiledSimulator:
         value = self._slots[index]
         if index in self._wide_slots:
             return list(value)
-        mask = _mask_literal(width)
-        return [(value >> shift) & mask for shift in self._shifts]
+        return self._unpack(value, width)
 
     def tick(self) -> None:
         self._latch(self._slots, self._regs, self._fifos)
@@ -1586,16 +1722,13 @@ class BatchedCompiledSimulator:
             self._poke_vectors(vectors)
         slots = self._slots
         self._evaluate(slots, self._regs, self._fifos)
+        columns = [
+            (name, self._unpack_slot(index, width))
+            for name, index, width in self._output_slots
+        ]
         outputs = [
-            {
-                name: (
-                    slots[index][lane]
-                    if is_wide
-                    else (slots[index] >> shift) & mask
-                )
-                for name, index, mask, is_wide in self._output_slots
-            }
-            for lane, shift in enumerate(self._shifts)
+            {name: column[lane] for name, column in columns}
+            for lane in range(self.lanes)
         ]
         self._latch(slots, self._regs, self._fifos)
         self.cycle += 1
@@ -1605,14 +1738,29 @@ class BatchedCompiledSimulator:
         """Per-cycle slot values of one input port from its lane-major
         values (see ``run_lanes``).
 
-        Packed one cycle at a time: packing the whole run up front
-        measured no faster.
+        A port of up to 64 bits becomes one ``array("Q")`` table for the
+        whole run — values ``array`` rejects (negative, wider than a
+        word, not an ``int``) take a per-value ``int(v) & mask`` path —
+        and each cycle's lanes are stored from it through the word view
+        and masked with one bignum ``&``.  Packing every cycle's integer
+        up front measured no faster.  Wider ports pack one cycle at a
+        time.
         """
         cycles = len(values) // self.lanes
-        chunks = (values[cycle::cycles] for cycle in range(cycles))
-        if index in self._wide_slots:
-            return ([int(value) & mask for value in chunk] for chunk in chunks)
-        return (self._pack(chunk, mask) for chunk in chunks)
+        if index in self._wide_slots or mask >> 64:
+            return (
+                self._slot_value(index, values[cycle::cycles], mask)
+                for cycle in range(cycles)
+            )
+        try:
+            table = array("Q", values)
+        except (OverflowError, TypeError):  # negative, too wide, not int
+            table = array("Q", [int(value) & mask for value in values])
+        lane_mask = mask * self._unit
+        return (
+            self._pack_words(table[cycle::cycles]) & lane_mask
+            for cycle in range(cycles)
+        )
 
     def _readers(self):
         """Per output port: (name, slot, take, finish) for ``run_lanes``.
@@ -1620,18 +1768,19 @@ class BatchedCompiledSimulator:
         Packed integers are immutable and per-lane lists are rebound,
         never mutated, so every slot value is kept by reference.
         """
-        shifts = self._shifts
-
-        def unpack(mask: int):
-            return lambda kept: [
-                (packed >> shift) & mask
-                for shift in shifts
-                for packed in kept
-            ]
+        def unpack(width: int):
+            return lambda kept: lane_major(
+                [self._unpack(packed, width) for packed in kept]
+            )
 
         return [
-            (name, index, None, lane_major if is_wide else unpack(mask))
-            for name, index, mask, is_wide in self._output_slots
+            (
+                name,
+                index,
+                None,
+                lane_major if index in self._wide_slots else unpack(width),
+            )
+            for name, index, width in self._output_slots
         ]
 
     def run(

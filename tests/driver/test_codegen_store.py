@@ -15,7 +15,14 @@ import pytest
 
 from repro.driver import CodegenStore, CompileSession, DiskCache
 from repro.rtl import clear_compile_memo, compile_netlist
-from repro.rtl import CompiledSimulator, Module, NetlistError, random_stimulus
+from repro.rtl import (
+    BatchedCompiledSimulator,
+    CompiledSimulator,
+    Module,
+    NetlistError,
+    random_stimulus,
+    random_stimulus_batch,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +49,16 @@ def _adder(width=8) -> Module:
     b = module.add_input("b", width)
     out = module.add_output("out", width)
     module.add_cell("add", {"a": a, "b": b, "out": out})
+    return module
+
+
+def _multiplier(width=8) -> Module:
+    """Two ports multiplied: a SWAR program with a lane loop."""
+    module = Module("multiplier")
+    a = module.add_input("a", width)
+    b = module.add_input("b", width)
+    out = module.add_output("out", width)
+    module.add_cell("mul", {"a": a, "b": b, "out": out})
     return module
 
 
@@ -248,7 +265,7 @@ def test_scalar_entries_from_before_the_run_loop_stay_inert(tmp_path):
     from repro.rtl import CODEGEN_VERSION
     from repro.rtl.compile import _generate_payload
 
-    assert CODEGEN_VERSION == 5
+    assert CODEGEN_VERSION > 4
     module = _adder()
     structural = module.structural_hash()
     payload = _generate_payload(module, structural, None)
@@ -272,3 +289,54 @@ def test_scalar_entries_from_before_the_run_loop_stay_inert(tmp_path):
     assert store.load(structural, None, "scalar")["source"] == payload["source"]
     report = run_fsck(str(tmp_path))
     assert report.consistent and report.scanned == 2
+
+
+def test_swar_entries_from_before_the_word_view_stay_inert(tmp_path):
+    """A store written at ``CODEGEN_VERSION`` 5 holds SWAR programs whose
+    lane loops convert every lane through byte slices.  Their key
+    carries the old version, so a compile over them misses and stores a
+    new entry, the old one stays digest-valid for fsck, and a program
+    loaded from the new entry runs the cold program's traces."""
+    from repro.driver import run_fsck
+    from repro.driver.artifact import StageArtifact
+    from repro.rtl import CODEGEN_VERSION
+    from repro.rtl.compile import _generate_payload, _lane_helper_lines
+
+    assert CODEGEN_VERSION == 6
+    module = _multiplier()
+    structural = module.structural_hash()
+    payload = _generate_payload(module, structural, 4)
+    helpers, body = payload["source"].split("\n\n\n_LANES")
+    assert "memoryview" in helpers and "_unpack(" in body
+    # The version-5 program: byte-sliced helpers under the same names.
+    old_helpers = "\n".join(
+        _lane_helper_lines(4, payload["stride"], {"bytes"})
+    ).replace("_unpack_bytes", "_unpack").replace("_pack_bytes", "_pack")
+    legacy = dict(payload, source=old_helpers + "\n\n\n_LANES" + body)
+    assert "memoryview" not in legacy["source"]
+    legacy_key = ("codegen", structural, "swar", 4, 5)
+    disk = DiskCache(str(tmp_path))
+    assert disk.store(legacy_key, StageArtifact("codegen", legacy_key,
+                                                legacy, 0.0))
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 1
+
+    store = _store(tmp_path)
+    streams = random_stimulus_batch(module, 24, 4, seed=8)
+    cold = BatchedCompiledSimulator(module, 4, codegen_store=store)
+    assert not cold.program.from_store
+    assert cold.program.source == payload["source"]
+    assert store.disk.stats.counter("codegen.disk_miss") == 1
+    assert store.disk.stats.counter("codegen.store") == 1
+    expected = cold.run(streams)
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 2
+
+    clear_compile_memo()
+    warm = BatchedCompiledSimulator(_multiplier(), 4, codegen_store=store)
+    assert warm.program.from_store
+    assert warm.program.source == payload["source"]
+    assert warm.run(streams) == expected
+    assert expected == [
+        CompiledSimulator(module).run(stream) for stream in streams
+    ]

@@ -9,7 +9,10 @@ encoding).  Stimulus lanes derive deterministically from one batch seed
 and are pairwise uncorrelated.
 """
 
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.designs import fifo_pipeline
 from repro.designs.catalog import DESIGNS, design_point
@@ -26,7 +29,9 @@ from repro.rtl import (
     differential_check,
     random_stimulus,
     random_stimulus_batch,
+    swar_profitable,
 )
+from repro.rtl.compile import _lane_helper_lines, _lane_words
 
 from .lane_runs import (
     LANE_RUN_CASES,
@@ -318,3 +323,212 @@ def test_catalog_designs_batched_bit_identical(name, opt_level):
         lambda: BatchedCompiledSimulator(module, 3),
         random_stimulus_batch(module, 24, 3, seed=0xA5),
     )
+
+
+
+# -- lane values through the 64-bit word view -----------------------------
+
+
+def _lane_helpers(lanes, stride):
+    """The generated lane-loop helpers, both pairs, run on this host."""
+    namespace = {}
+    exec("\n".join(_lane_helper_lines(lanes, stride, {"words", "bytes"})),
+         namespace)
+    return namespace
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lanes=st.sampled_from([1, 2, 3, 5, 64]),
+    stride=st.sampled_from([64, 128, 192, 320]),
+    width=st.integers(1, 64),
+    data=st.data(),
+)
+def test_word_view_round_trips_and_matches_the_references(
+    lanes, stride, width, data
+):
+    values = data.draw(st.lists(
+        st.integers(0, (1 << width) - 1), min_size=lanes, max_size=lanes
+    ))
+    helpers = _lane_helpers(lanes, stride)
+    shifted = sum(
+        value << (lane * stride) for lane, value in enumerate(values)
+    )
+    packed = helpers["_pack"](values)
+    assert packed == shifted == helpers["_pack_bytes"](values)
+    assert helpers["_unpack"](packed) == values
+    assert helpers["_unpack_bytes"](packed) == values
+    assert [
+        (packed >> (lane * stride)) & ((1 << width) - 1)
+        for lane in range(lanes)
+    ] == values
+
+
+@pytest.mark.parametrize("lanes", [1, 3, 64])
+@pytest.mark.parametrize("stride", [64, 192, 320])
+def test_word_view_reads_little_endian_lanes_on_a_big_endian_host(
+    lanes, stride
+):
+    """What a big-endian host's native ``"Q"`` view of ``to_bytes(...,
+    "big")`` holds, emulated here: the big-endian lane slice must still
+    find lane ``k`` in field ``k``, for reading and for packing."""
+    values = [(lane * 0x9E3779B97F4A7C15 + 1) % (1 << 64)
+              for lane in range(lanes)]
+    packed = sum(value << (lane * stride) for lane, value in enumerate(values))
+    n_bytes = lanes * stride // 8
+    data = packed.to_bytes(n_bytes, "big")
+    view = [int.from_bytes(data[at:at + 8], "big")
+            for at in range(0, n_bytes, 8)]
+    lane_words = _lane_words(lanes, stride, "big")
+    assert view[lane_words] == values
+    words = [0] * len(view)
+    words[lane_words] = values
+    stored = b"".join(word.to_bytes(8, "big") for word in words)
+    assert int.from_bytes(stored, "big") == packed
+
+
+def _port_widths(width) -> Module:
+    """``width``-bit ports through a lane loop (a ``mul`` of two inputs)
+    and packed cells, with 1-bit ports beside them."""
+    module = Module(f"ports{width}")
+    a = module.add_input("a", width)
+    b = module.add_input("b", width)
+    sel = module.add_input("sel", 1)
+    out = module.add_output("out", width)
+    less = module.add_output("less", 1)
+    product = module.binop("mul", a, b, width)
+    total = module.binop("add", a, b, width)
+    module.add_cell("mux", {"sel": sel, "a": product, "b": total, "out": out})
+    module.add_cell("lt", {"a": a, "b": b, "out": less})
+    return module
+
+
+PORT_VALUE_CASES = ("random", "over-width", "out-of-range", "bools", "floats")
+
+
+@pytest.mark.parametrize("case", PORT_VALUE_CASES)
+@pytest.mark.parametrize("width", [1, 63, 64, 65])
+@pytest.mark.parametrize("lanes", [3, 64])
+def test_word_view_ports_run_like_steps(width, lanes, case):
+    module = _port_widths(width)
+    program = compile_netlist(module, lanes=lanes)
+    assert width <= program.stride - 2  # packed, not a per-lane list
+    loop = "_unpack_bytes(" if width > 64 else "_unpack("
+    assert loop in program.source
+    assert_run_matches_steps(
+        lambda: BatchedCompiledSimulator(module, lanes),
+        lane_run_cases(module, lanes, seed=width, cycles=8)[case],
+    )
+
+
+@pytest.mark.parametrize("width", [1, 63, 64, 65])
+def test_word_view_poke_then_peek_returns_the_values(width):
+    module = _port_widths(width)
+    sim = BatchedCompiledSimulator(module, 5)
+    mask = (1 << width) - 1
+    values = [0, mask, 1, mask >> 1, (0x5A5A5A5A5A5A5A5A5A << 3) & mask]
+    sim.poke({"a": values, "sel": [1, 0, 1, True, 0]})
+    assert sim.peek("a") == values
+    assert sim.peek("sel") == [1, 0, 1, 1, 0]
+    raw = [-1, mask + 2, 1 << 70, True, float(3)]
+    sim.poke({"b": raw})
+    assert sim.peek("b") == [int(value) & mask for value in raw]
+    assert sim.peek_net(module.ports["b"].name) == sim.peek("b")
+
+
+# -- packed multiply by a constant ----------------------------------------
+
+
+def _const_mul(width, c, const_pin="b", out_width=None) -> Module:
+    """``x * c`` with ``c`` on ``const_pin``, plus a register so the
+    product feeds state."""
+    module = Module("const_mul")
+    x = module.add_input("x", width)
+    out = module.add_output("out", out_width or width)
+    held = module.add_output("held", out_width or width)
+    const = module.constant(c, max(1, c.bit_length()))
+    pins = {"a": x, "b": const, "out": out}
+    if const_pin == "a":
+        pins = {"a": const, "b": x, "out": out}
+    module.add_cell("mul", pins)
+    module.add_cell("reg", {"d": out, "q": held})
+    module.validate()
+    return module
+
+
+def _packed_muls(source) -> int:
+    return len(re.findall(r"^    s\[\d+\] = \(?s\[\d+\] \* \d+",
+                          source, re.M))
+
+
+@pytest.mark.parametrize("const_pin", ["a", "b"])
+@pytest.mark.parametrize("c", [0, 1, 1 << 3, (1 << 8) - 1])
+@pytest.mark.parametrize("out_width", [8, 20], ids=["narrower", "wider"])
+def test_mul_by_a_constant_is_one_packed_multiply(const_pin, c, out_width):
+    module = _const_mul(8, c, const_pin, out_width)
+    for lanes in (1, 3, 64):
+        source = compile_netlist(module, lanes=lanes).source
+        assert _packed_muls(source) == 1
+        assert "_unpack(" not in source and "_pack(" not in source
+        for bias in (0.0, 0.5):
+            assert differential_check(
+                module, cycles=24, seed=c + lanes, bias=bias, lanes=lanes,
+                backend="batched",
+            ), (lanes, bias)
+
+
+@pytest.mark.parametrize("const_pin", ["a", "b"])
+@pytest.mark.parametrize(
+    "c, packed", [(15, True), (16, False)], ids=["stride", "stride+1"]
+)
+def test_packed_multiply_stops_where_a_product_could_cross_a_field(
+    const_pin, c, packed
+):
+    """A 60-bit ``x`` at stride 64: ``60 + c.bit_length()`` is 64 for
+    ``c = 15`` (packed) and 65 for ``c = 16`` (the lane loop)."""
+    module = _const_mul(60, c, const_pin)
+    for lanes in (1, 3, 64):
+        program = compile_netlist(module, lanes=lanes)
+        assert program.stride == 64
+        assert _packed_muls(program.source) == int(packed)
+        assert ("_unpack(" in program.source) == (not packed)
+        for bias in (0.0, 0.5):
+            assert differential_check(
+                module, cycles=24, seed=lanes, bias=bias, lanes=lanes,
+                backend="batched",
+            ), (lanes, bias)
+
+
+def _catalog_module(name, opt_level):
+    source, component, generators, params = design_point(name)
+    session = CompileSession(opt_level=opt_level)
+    return session.optimize(source, component, params, generators).value.module
+
+
+def test_gbp_multiplies_are_packed_and_leave_no_lane_loop():
+    source = compile_netlist(_catalog_module("gbp", 2), lanes=64).source
+    assert _packed_muls(source) == 48
+    assert "_unpack" not in source and "_pack" not in source
+
+
+#: (stride, swar_profitable) per catalog design at K = 2, 4, ..., 64
+#: lanes, as chosen before the lane loops moved to the word view: the
+#: cheaper loops and packed multiplies must not move either choice.
+LANE_PICKS = {
+    (0, "gbp"): [(320, True)] * 6,
+    (2, "gbp"): [(320, False)] + [(320, True)] * 5,
+    **{(level, "blas"): [(192, False)] * 6 for level in (0, 2)},
+    **{(level, "fft"): [(320, True)] * 6 for level in (0, 2)},
+    **{(level, "flofft"): [(192, True)] * 6 for level in (0, 2)},
+    **{(level, "fpu"): [(64, True)] * 6 for level in (0, 2)},
+    **{(level, "risc"): [(64, True)] * 6 for level in (0, 2)},
+}
+
+
+@pytest.mark.parametrize("level, name", sorted(LANE_PICKS))
+def test_catalog_strides_and_swar_picks_are_unchanged(level, name):
+    module = _catalog_module(name, level)
+    assert [
+        (batched_stride(module, lanes), swar_profitable(module, lanes))
+        for lanes in (2, 4, 8, 16, 32, 64)
+    ] == LANE_PICKS[level, name]
