@@ -94,8 +94,6 @@ def _session_from_args(args) -> CompileSession:
         sim_backend=args.sim_backend,
         cache_dir=cache_dir,
         sim_lanes=args.sim_lanes,
-        typecheck_jobs=args.typecheck_jobs,
-        typecheck_executor=args.typecheck_executor,
     )
 
 
@@ -709,21 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
             "-O", dest="opt_level", type=int, choices=OPT_LEVELS, default=0,
             metavar="LEVEL",
             help="netlist optimization level (default: 0 — no passes)",
-        )
-    for command in (compile_, typecheck, table, figure, ablation, profile,
-                    all_, sweep):
-        command.add_argument(
-            "--typecheck-jobs", type=_positive_int, default=None,
-            metavar="N",
-            help="fan whole-program typechecks over N parallel workers "
-                 "(default: sequential)",
-        )
-        command.add_argument(
-            "--typecheck-executor", choices=("thread", "process"),
-            default="thread",
-            help="pool for --typecheck-jobs: threads share the session; "
-                 "processes sidestep the GIL and rendezvous through the "
-                 "disk cache's 'smt' store",
         )
     for command in (compile_, typecheck, table, figure, ablation, profile,
                     all_, sweep):

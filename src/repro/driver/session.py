@@ -126,8 +126,6 @@ class CompileSession:
         sim_backend: str = "interp",
         cache_dir: Optional[str] = None,
         sim_lanes: int = 1,
-        typecheck_jobs: Optional[int] = None,
-        typecheck_executor: str = "thread",
         fault_plan: Union["faults.FaultPlan", str, None] = None,
     ):
         self.verify = verify
@@ -141,18 +139,6 @@ class CompileSession:
         self.sim_lanes = int(sim_lanes)
         if self.sim_lanes < 1:
             raise ValueError(f"sim_lanes must be >= 1, got {sim_lanes!r}")
-        self.typecheck_jobs = (
-            None if typecheck_jobs is None else int(typecheck_jobs)
-        )
-        if self.typecheck_jobs is not None and self.typecheck_jobs < 1:
-            raise ValueError(
-                f"typecheck_jobs must be >= 1, got {typecheck_jobs!r}"
-            )
-        if typecheck_executor not in ("thread", "process"):
-            raise ValueError(
-                f"unknown typecheck executor {typecheck_executor!r}"
-            )
-        self.typecheck_executor = typecheck_executor
         self.stats = CacheStats()
         # Fault injection: an explicit plan (object or spec string)
         # wins; otherwise $REPRO_FAULTS is honored, so chaos runs and
@@ -216,10 +202,6 @@ class CompileSession:
             "sim_backend": self.sim_backend,
             "sim_lanes": self.sim_lanes,
             "cache_dir": self.cache_dir,
-            # Workers never fan out further: nested pools would
-            # oversubscribe, and the outer grid already parallelizes.
-            "typecheck_jobs": None,
-            "typecheck_executor": self.typecheck_executor,
             # Workers rebuild the plan from its grammar spelling with
             # fresh counters — each process schedules its own failures.
             "fault_plan": (
@@ -277,7 +259,6 @@ class CompileSession:
         source: str,
         component: Optional[str] = None,
         stdlib: bool = True,
-        jobs: Optional[int] = None,
     ) -> StageArtifact:
         """Check one component (or, with ``component=None``, every
         ``comp`` in the program).  Errors become diagnostics — the
@@ -286,31 +267,20 @@ class CompileSession:
         Obligation verdicts are answered through the session's
         persistent :class:`~repro.driver.cache.ObligationStore` when a
         disk cache is attached, so a warm session skips the SMT solver.
-        ``jobs`` (session's ``typecheck_jobs`` when None) fans whole-
-        program checks out over an :class:`~repro.driver.grid.EvalGrid`,
-        one component per point; per-component stage artifacts make the
-        fan-out cacheable and, in process mode, let workers rendezvous
-        through the disk cache.
+        Components are checked one after another in this thread.
         """
         key = ("typecheck", self._source_key(source, stdlib), component)
-        n_jobs = self.typecheck_jobs if jobs is None else int(jobs)
 
         def compute() -> StageArtifact:
             program = self.parse(source, stdlib).value
             start = time.perf_counter()
             if component is None:
-                names = [c.name for c in program]
-                if n_jobs is not None and n_jobs > 1 and len(names) > 1:
-                    reports = self._typecheck_parallel(
-                        source, stdlib, names, n_jobs
-                    )
-                else:
-                    reports = check_program(
-                        program,
-                        raise_on_error=False,
-                        obligation_store=self._obligation_store,
-                        stats=self.stats,
-                    )
+                reports = check_program(
+                    program,
+                    raise_on_error=False,
+                    obligation_store=self._obligation_store,
+                    stats=self.stats,
+                )
             else:
                 reports = [
                     check_component(
@@ -337,29 +307,6 @@ class CompileSession:
             )
 
         return self.cache.get_or_compute(key, compute)
-
-    def _typecheck_parallel(
-        self, source: str, stdlib: bool, names: List[str], jobs: int
-    ):
-        """Whole-program typecheck over the evaluation grid.
-
-        Components are independent; each grid point runs the cached
-        per-component typecheck stage.  In process mode the obligation
-        store doubles as the rendezvous: workers persist their verdicts
-        and the parent (re-)assembles reports from per-component
-        artifacts served warm from disk.
-        """
-        import functools
-
-        from .grid import EvalGrid  # local import: grid imports session
-
-        grid = EvalGrid(
-            self, max_workers=jobs, executor=self.typecheck_executor
-        )
-        return grid.map(
-            functools.partial(_typecheck_point, stdlib=stdlib),
-            [(source, name) for name in names],
-        )
 
     def _elaborator_for(
         self, source: str, stdlib: bool, registry: GeneratorRegistry
@@ -773,8 +720,6 @@ class CompileSession:
         disk_hits = counters.get("smt.disk_hit", 0)
         total = queries + memo_hits + disk_hits
         return {
-            "jobs": self.typecheck_jobs,
-            "executor": self.typecheck_executor,
             "solver_queries": queries,
             "memo_hits": memo_hits,
             "disk_hits": disk_hits,
@@ -858,13 +803,6 @@ class CompileSession:
             "faults": self.fault_stats(),
             "checkpoint": self.checkpoint_stats(),
         }
-
-
-def _typecheck_point(session: "CompileSession", point, stdlib: bool = True):
-    """Grid worker for parallel typecheck (module-level: process pools
-    must pickle it)."""
-    source, name = point
-    return session.typecheck(source, component=name, stdlib=stdlib).value
 
 
 # ---------------------------------------------------------------------------

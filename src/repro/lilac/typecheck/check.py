@@ -28,7 +28,6 @@ occupancy windows across all pipelined re-executions.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -67,35 +66,9 @@ from ..ast import (
 from .diagnostics import CheckReport, TypeCheckError, format_counterexample
 
 
-def use_incremental_discharge() -> bool:
-    """Whether obligations go through the shared incremental solver.
-
-    Default on; ``REPRO_SMT_INCREMENTAL=0`` selects the per-obligation
-    one-shot engine, and ``REPRO_SMT_LEGACY=1`` (the benchmark baseline)
-    implies it.
-    """
-    if _legacy_discharge():
-        return False
-    return os.environ.get("REPRO_SMT_INCREMENTAL", "1") not in ("", "0")
-
-
-def _legacy_discharge() -> bool:
-    from ...smt.terms import legacy_mode
-
-    return legacy_mode()
-
-
-def _engine_tag() -> str:
-    """Cache-key tag for the active discharge engine.
-
-    Engines agree on every obligation the designs exercise, but their
-    axiom instantiation differs in reach (the incremental pipeline
-    axiomatizes unions of queries), so verdicts are never shared across
-    engines through the cache.
-    """
-    if _legacy_discharge():
-        return "legacy"
-    return "inc" if use_incremental_discharge() else "oneshot"
+#: Cache-key tag in every obligation digest.  Changing it re-keys every
+#: persisted verdict, so it stays the incremental engine's name.
+_ENGINE_TAG = "inc"
 
 
 #: Process-wide obligation-verdict memo: canonical digest -> (status,
@@ -1077,22 +1050,6 @@ class ComponentChecker:
     # ------------------------------------------------------------------
     # Discharge.
 
-    def _discharge(self) -> None:
-        """Discharge every obligation, reporting SAT results as errors.
-
-        Two engines: the default *incremental* engine shares one
-        :class:`repro.smt.IncrementalSolver` (preprocessing state,
-        Tseitin encoding of the facts, learned theory lemmas) across all
-        of the component's obligations; the one-shot engine builds a
-        fresh solver per obligation over a symbol-pruned fact set.  Set
-        ``REPRO_SMT_INCREMENTAL=0`` (or ``REPRO_SMT_LEGACY=1``) to force
-        the one-shot path.
-        """
-        if use_incremental_discharge():
-            self._discharge_incremental()
-        else:
-            self._discharge_oneshot()
-
     def _bump(self, name: str, amount: int = 1) -> None:
         self.counters[name] = self.counters.get(name, 0) + amount
         if self.stats is not None:
@@ -1126,17 +1083,10 @@ class ComponentChecker:
         Layering: canonical digest → in-process memo → persistent store
         → ``solve()`` (the actual engine).  Verdicts are stored with
         models in canonical names; a hit translates the model back into
-        this query's own names.  Legacy mode bypasses the caches so the
-        benchmark baseline stays faithful to the pre-cache pipeline.
+        this query's own names.
         """
-        if _legacy_discharge():
-            self._bump("smt.queries")
-            start = time.perf_counter()
-            result = solve()
-            self._time("smt.solve", start)
-            return result
         start = time.perf_counter()
-        canon = smt.canonical_query(assertions, tag=_engine_tag())
+        canon = smt.canonical_query(assertions, tag=_ENGINE_TAG)
         self._time("smt.canonicalize", start)
         entry = _OBLIGATION_MEMO.get(canon.digest)
         if entry is not None:
@@ -1166,19 +1116,18 @@ class ComponentChecker:
         )
 
     def _recovering_discharge(
-        self, obligation, assertions, solve, on_degrade=None
+        self, obligation, assertions, solve, on_degrade
     ) -> "smt.Result":
         """:meth:`_cached_discharge` plus the solver degradation rung.
 
         A :class:`~repro.smt.SolverError` (DPLL(T) conflict budget
         exhausted — genuinely, or injected through the
         ``solver.budget`` fault site) does not fail the obligation:
-        the discharge degrades to a fresh one-shot solve of the same
-        obligation (``degrade.solver`` counter) — for the incremental
-        engine that is the incremental→one-shot ladder rung, for the
-        one-shot engine a retry with a fresh budget.  Verdicts are
-        identical either way (the engines are differentially proven
-        equivalent), so degradation costs speed, never correctness.
+        the discharge degrades from the shared incremental solver to a
+        fresh one-shot solve of the same obligation (``degrade.solver``
+        counter).  Verdicts are identical either way (a differential
+        test holds the two solvers to the same statuses on the
+        catalog), so degradation costs speed, never correctness.
         Only when the fallback *also* exhausts does the error escape —
         with the component name and canonical obligation digest
         attached, naming the one reproducible query that broke.
@@ -1204,8 +1153,7 @@ class ComponentChecker:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            if on_degrade is not None:
-                on_degrade()
+            on_degrade()
             try:
                 return self._cached_discharge(
                     assertions,
@@ -1213,15 +1161,16 @@ class ComponentChecker:
                 )
             except smt.SolverError as error:
                 digest = smt.canonical_query(
-                    assertions, tag=_engine_tag()
+                    assertions, tag=_ENGINE_TAG
                 ).digest
                 raise error.with_context(
                     component=self.sig.name, digest=digest
                 ) from error
 
     def _solve_obligation(self, obligation: Obligation) -> "smt.Result":
-        """One-shot discharge of a single obligation (also the reference
-        engine for differential tests)."""
+        """One-shot discharge of a single obligation: the
+        ``degrade.solver`` rung, and the reference for differential
+        tests."""
         visible = (
             self.facts
             if obligation.facts_upto < 0
@@ -1249,21 +1198,12 @@ class ComponentChecker:
                 )
             )
 
-    def _discharge_oneshot(self) -> None:
-        for obligation in self.obligations:
-            assertions, _ = self._obligation_assertions(obligation)
-            result = self._recovering_discharge(
-                obligation,
-                assertions,
-                lambda obligation=obligation: self._solve_obligation(
-                    obligation
-                ),
-            )
-            self._record_result(obligation, result)
+    def _discharge(self) -> None:
+        """Discharge every obligation, reporting SAT results as errors.
 
-    def _discharge_incremental(self) -> None:
-        """All obligations through one shared incremental solver.
-
+        All obligations go through one shared
+        :class:`repro.smt.IncrementalSolver` (preprocessing state,
+        Tseitin encoding of the facts, learned theory lemmas).
         Obligations are processed in fact-visibility order — the shared
         solver asserts facts permanently, so an obligation must not run
         after facts beyond its snapshot are asserted (the snapshot
@@ -1293,8 +1233,8 @@ class ComponentChecker:
                 engine["asserted"] = upto
             # Obligation-local facts (renamed copies for pair
             # obligations) are filtered by the same goal-anchored
-            # relevance closure the one-shot engine applies; the solver
-            # restricts the permanently asserted facts internally.
+            # relevance closure ``_solve_obligation`` applies; the
+            # solver restricts the permanently asserted facts internally.
             kept = set(
                 _prune_facts(
                     list(self.facts[:upto]) + list(obligation.facts),

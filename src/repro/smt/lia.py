@@ -24,7 +24,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
-from .terms import Term, Int, legacy_mode as _legacy
+from .terms import Term, Int
 
 Model = Dict[Term, int]
 
@@ -166,16 +166,12 @@ def linexpr_of_term(term: Term) -> LinExpr:
     anything else raises :class:`NonLinearError` (the solver abstracts
     non-linear products before reaching this point).
     """
-    # Memo first: this is the theory layer's hottest entry point, and
-    # the legacy-mode env check belongs on the miss path only.  Legacy
-    # runs start from cleared caches and never *store*, so they stay
-    # memo-free in practice without paying an environ lookup per call.
+    # The theory layer's hottest entry point: one memo probe per call.
     hit = _LINEXPR_MEMO.get(term)
     if hit is not None:
         return hit
     out = _linexpr_of_term(term)
-    if not _legacy():
-        _LINEXPR_MEMO[term] = out
+    _LINEXPR_MEMO[term] = out
     return out
 
 
@@ -314,8 +310,7 @@ def _elimination_plan(eqs: List[LinExpr]):
     if hit is not None:
         return hit[1]
     substitutions: List[Tuple[Term, LinExpr]] = []
-    result = _eliminate_equalities(list(eqs), [], substitutions)
-    if result is None:
+    if not _eliminate_equalities(eqs, substitutions):
         plan = _INFEASIBLE
     else:
         composed: Dict[Term, LinExpr] = {}
@@ -334,20 +329,13 @@ def _solve(
     fresh: _FreshVars,
     depth: int,
 ) -> Optional[Model]:
-    if _legacy():
-        substitutions: List[Tuple[Term, LinExpr]] = []
-        result = _eliminate_equalities(eqs, ineqs, substitutions)
-        if result is None:
-            return None
-        ineqs = result
-    else:
-        plan = _elimination_plan(eqs)
-        if plan is _INFEASIBLE:
-            return None
-        sequential, composed = plan
-        substitutions = list(sequential)
-        if composed:
-            ineqs = [_apply_map(i, composed) for i in ineqs]
+    plan = _elimination_plan(eqs)
+    if plan is _INFEASIBLE:
+        return None
+    sequential, composed = plan
+    substitutions = list(sequential)
+    if composed:
+        ineqs = [_apply_map(i, composed) for i in ineqs]
     model = _solve_inequalities(ineqs, fresh, depth)
     if model is None:
         return None
@@ -366,27 +354,28 @@ def _eval_default(expr: LinExpr, model: Model) -> int:
 
 def _eliminate_equalities(
     eqs: List[LinExpr],
-    ineqs: List[LinExpr],
     substitutions: List[Tuple[Term, LinExpr]],
-) -> Optional[List[LinExpr]]:
-    """Remove all equalities, recording variable definitions.
+) -> bool:
+    """Eliminate all equalities, recording variable definitions; False
+    when the equalities have no integer solution.
 
     Uses gcd feasibility checks plus Euclidean unimodular rewrites so that a
-    unit-coefficient variable always eventually appears.
+    unit-coefficient variable always eventually appears.  Every recorded
+    substitution rewrites the equalities still pending as well: after a
+    unimodular step ``var`` names a new variable for the whole system.
     """
     eqs = list(eqs)
-    ineqs = list(ineqs)
     while eqs:
         eq = eqs.pop()
         if eq.is_const():
             if eq.const != 0:
-                return None
+                return False
             continue
         g = 0
         for coeff in eq.coeffs.values():
             g = gcd(g, abs(coeff))
         if eq.const % g != 0:
-            return None
+            return False
         if g > 1:
             eq = LinExpr(
                 {var: coeff // g for var, coeff in eq.coeffs.items()},
@@ -399,7 +388,6 @@ def _eliminate_equalities(
             rest = eq.without(var).scale(-1 if coeff > 0 else 1)
             substitutions.append((var, rest))
             eqs = [e.substitute(var, rest) for e in eqs]
-            ineqs = [i.substitute(var, rest) for i in ineqs]
             continue
         # Euclidean reduction: substitute var := var' - sum(q_i * x_i) where
         # q_i = round-to-floor quotient of other coefficients by |coeff|.
@@ -425,10 +413,9 @@ def _eliminate_equalities(
             # already forced |coeff| == 1.
             raise AssertionError("equality elimination made no progress")
         substitutions.append((var, replacement))
-        eq2 = eq.substitute(var, replacement)
-        eqs.append(eq2)
-        ineqs = [i.substitute(var, replacement) for i in ineqs]
-    return ineqs
+        eqs = [e.substitute(var, replacement) for e in eqs]
+        eqs.append(eq.substitute(var, replacement))
+    return True
 
 
 def _solve_inequalities(
@@ -442,34 +429,20 @@ def _solve_inequalities(
     # (renamed loop facts, congruence instances), and every redundant
     # row multiplies Fourier--Motzkin's output.  ``expr <= 0`` means
     # ``sum <= -const``, so for one vector the largest const dominates.
-    if _legacy():
-        # Pre-PR5 behaviour for the benchmark baseline: normalize and
-        # keep every row, including dominated duplicates.
-        work = []
-        for ineq in ineqs:
-            norm = _normalize_ineq(ineq)
-            if norm.is_const():
-                if norm.const > 0:
-                    return None
-                continue
-            work.append(norm)
-        if not work:
-            return {}
-    else:
-        tightest: Dict[frozenset, LinExpr] = {}
-        for ineq in ineqs:
-            norm = _normalize_ineq(ineq)
-            if norm.is_const():
-                if norm.const > 0:
-                    return None
-                continue
-            key = frozenset(norm.coeffs.items())
-            prev = tightest.get(key)
-            if prev is None or norm.const > prev.const:
-                tightest[key] = norm
-        work = list(tightest.values())
-        if not work:
-            return {}
+    tightest: Dict[frozenset, LinExpr] = {}
+    for ineq in ineqs:
+        norm = _normalize_ineq(ineq)
+        if norm.is_const():
+            if norm.const > 0:
+                return None
+            continue
+        key = frozenset(norm.coeffs.items())
+        prev = tightest.get(key)
+        if prev is None or norm.const > prev.const:
+            tightest[key] = norm
+    work = list(tightest.values())
+    if not work:
+        return {}
 
     variables = set()
     for ineq in work:
@@ -627,8 +600,10 @@ def _core_eliminate_equalities(eqs, ineqs):
         if not changed:
             raise AssertionError("equality elimination made no progress")
         # The unimodular rewrite redefines ``var`` in terms of itself and
-        # the other variables; the equation stays in play, so its tags
-        # ride along with the rewritten equation rather than the rows.
+        # the other variables for every row, pending equalities included;
+        # a change of variables derives nothing, so each row keeps its
+        # own tags.
+        eqs = [(e.substitute(var, replacement), t) for e, t in eqs]
         eqs.append((eq.substitute(var, replacement), tags))
         ineqs = [(i.substitute(var, replacement), t) for i, t in ineqs]
     return ineqs

@@ -28,8 +28,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .terms import legacy_mode as _legacy
-
 Clause = Tuple[int, ...]
 
 
@@ -79,8 +77,6 @@ class SatSolver:
         must ensure such clauses are always extendable to a full model
         (true for Tseitin definitions and assumption-guarded encodings).
         """
-        if _legacy() and not assumptions and decision_vars is None:
-            return self._solve_legacy(theory_hook)
         assignment: Dict[int, bool] = {}
         trail: List[int] = []
         # decisions[i]: (trail index where the level starts, decided var,
@@ -225,89 +221,6 @@ class SatSolver:
                     if var not in assignment:
                         decision = var
                         break
-            if decision is None:
-                return dict(assignment)
-            decision_stack.append((len(trail), decision, False))
-            assign(decision)
-
-    def _solve_legacy(self, theory_hook=None) -> Optional[Dict[int, bool]]:
-        """The pre-PR5 solver loop: exhaustive clause-rescan propagation
-        and chronological backtracking, kept verbatim so the typecheck
-        benchmark's ``$REPRO_SMT_LEGACY`` baseline is faithful."""
-        assignment: Dict[int, bool] = {}
-        trail: List[int] = []
-        decision_stack: List[Tuple[int, int, bool]] = []
-
-        def value_of(lit: int) -> Optional[bool]:
-            val = assignment.get(abs(lit))
-            if val is None:
-                return None
-            return val if lit > 0 else not val
-
-        def assign(lit: int) -> None:
-            assignment[abs(lit)] = lit > 0
-            trail.append(lit)
-
-        def propagate() -> bool:
-            changed = True
-            while changed:
-                changed = False
-                for clause in self.clauses:
-                    unassigned = None
-                    satisfied = False
-                    unit_count = 0
-                    for lit in clause:
-                        val = value_of(lit)
-                        if val is True:
-                            satisfied = True
-                            break
-                        if val is None:
-                            unit_count += 1
-                            unassigned = lit
-                            if unit_count > 1:
-                                break
-                    if satisfied:
-                        continue
-                    if unit_count == 0:
-                        return False
-                    if unit_count == 1:
-                        assign(unassigned)
-                        changed = True
-            return True
-
-        def backtrack() -> bool:
-            while decision_stack:
-                level_start, var, flipped = decision_stack.pop()
-                while len(trail) > level_start:
-                    lit = trail.pop()
-                    assignment.pop(abs(lit), None)
-                if not flipped:
-                    decision_stack.append((level_start, var, True))
-                    assign(-var)
-                    return True
-            return False
-
-        if any(len(c) == 0 for c in self.clauses):
-            return None
-
-        while True:
-            if not propagate():
-                if not backtrack():
-                    return None
-                continue
-            if theory_hook is not None:
-                conflict = theory_hook(assignment)
-                if conflict is not None:
-                    self.add_clause(conflict)
-                    if not propagate():
-                        if not backtrack():
-                            return None
-                        continue
-            decision = None
-            for var in range(1, self.num_vars + 1):
-                if var not in assignment:
-                    decision = var
-                    break
             if decision is None:
                 return dict(assignment)
             decision_stack.append((len(trail), decision, False))

@@ -49,7 +49,6 @@ from .terms import (
     Not,
     TRUE,
     free_vars,
-    legacy_mode,
     OP_EQ,
     OP_LE,
     OP_LT,
@@ -64,8 +63,10 @@ UNSAT = "unsat"
 #: shapes, preprocessing.  It is part of every persistent obligation
 #: cache key — bump it whenever a change could make a cached verdict or
 #: model differ from what the current code would compute, and stale
-#: entries become unreachable instead of wrong.
-SOLVER_VERSION = 1
+#: entries become unreachable instead of wrong.  Version 2: equality
+#: elimination rewrites the equalities still pending after a unimodular
+#: step, so version-1 verdicts over such systems may be wrong.
+SOLVER_VERSION = 2
 
 #: Default work budget; override with ``$REPRO_SMT_BUDGET``.  The budget
 #: bounds the DPLL(T) conflict count per query (exhaustion raises
@@ -84,14 +85,6 @@ def smt_budget() -> int:
         except ValueError:
             pass
     return DEFAULT_SMT_BUDGET
-
-
-def _legacy_mode() -> bool:
-    """``$REPRO_SMT_LEGACY=1`` routes theory checks and conflict
-    minimization through the pre-PR5 monolithic code paths.  Kept so the
-    typecheck benchmark measures the new engine against a faithful
-    baseline inside one build, and as an escape hatch."""
-    return legacy_mode()
 
 
 # -- solver-wide statistics (cheap counters, read by `--stats json`) -----
@@ -268,7 +261,7 @@ class Solver:
         # DPLL(T) with early pruning: the hook checks the integer theory on
         # every propagation-complete partial assignment and learns a
         # minimized conflict clause on inconsistency.
-        hook = make_theory_hook(theory_atoms, self.max_iterations)
+        hook = _TheoryHook(theory_atoms, self.max_iterations)
         state = hook.state
 
         assignment = sat.solve(theory_hook=hook)
@@ -641,7 +634,7 @@ class IncrementalSolver:
             for var, atom in self.atoms.theory_atoms().items()
             if var in decision_set
         }
-        hook = make_theory_hook(active_atoms, self.max_iterations)
+        hook = _TheoryHook(active_atoms, self.max_iterations)
         assignment = self.sat.solve(
             theory_hook=hook,
             assumptions=(assumption,) if assumption is not None else (),
@@ -884,29 +877,26 @@ def _solve_with_diseqs(
 class _TheoryHook:
     """The DPLL(T) callback: theory checks, conflict learning, budgets.
 
-    One instance lives per query.  ``relevant_vars`` (when given)
-    restricts the hook to atoms of the active obligation — the
-    incremental solver shares one SAT instance across obligations, and
-    atoms belonging to retired obligations must neither bloat the LIA
-    systems nor influence this query's verdict.  Conflict clauses are
-    therefore always over relevant atoms, which is what makes them
-    valid theory lemmas that can be retained across queries.
+    One instance lives per query.  ``theory_atoms`` holds only the
+    atoms the query may decide on — the incremental solver shares one
+    SAT instance across obligations and hands in the active
+    obligation's atoms, so atoms of retired obligations neither bloat
+    the LIA systems nor influence this query's verdict.  Conflict
+    clauses are therefore always over the query's own atoms, which is
+    what makes them valid theory lemmas that can be retained across
+    queries.
     """
 
-    def __init__(self, theory_atoms, conflict_budget, relevant_vars=None):
+    def __init__(self, theory_atoms, conflict_budget):
         self.theory_atoms = theory_atoms  # sat var id -> atom Term
-        self.relevant_vars = relevant_vars
         self.conflict_budget = conflict_budget
         #: theory checks available for conflict minimization this query.
         self.minimize_pool = conflict_budget
         self.state = {"last": None, "model": None}
 
     def __call__(self, assignment):
-        relevant = self.relevant_vars
         literals: List[Tuple[int, Term, bool]] = []
         for var, atom in self.theory_atoms.items():
-            if relevant is not None and var not in relevant:
-                continue
             value = assignment.get(var)
             if value is None:
                 continue
@@ -916,14 +906,6 @@ class _TheoryHook:
             return None
         self.state["last"] = key
         pairs = [(atom, val) for _, atom, val in literals]
-        if _legacy_mode():
-            model = _theory_check_monolithic(pairs)
-            if model is not None:
-                self.state["model"] = model
-                return None
-            self._spend_conflict()
-            core = _minimize_core_legacy(literals)
-            return tuple((-var if value else var) for var, _, value in core)
         failing: List[Tuple[Term, bool]] = []
         model = _theory_check(pairs, failing)
         if model is not None:
@@ -942,10 +924,6 @@ class _TheoryHook:
         self.conflict_budget -= 1
         if self.conflict_budget <= 0:
             raise SolverError("DPLL(T) conflict budget exhausted")
-
-
-def make_theory_hook(theory_atoms, budget, relevant_vars=None) -> _TheoryHook:
-    return _TheoryHook(theory_atoms, budget, relevant_vars)
 
 
 def _provenance_core(literals) -> Optional[list]:
@@ -1095,29 +1073,6 @@ def _minimize_core(literals, hook: _TheoryHook):
             break
         chunk //= 2
     _CORE_MEMO[memo_key] = tuple(core)
-    return core
-
-
-def _minimize_core_legacy(literals):
-    """The pre-PR5 minimizer: chunked deletion re-solving the *full*
-    system (all assigned literals, no component split, no memo, no
-    budget).  Reached only under ``$REPRO_SMT_LEGACY`` so benchmarks can
-    compare against a faithful baseline."""
-    core = list(literals)
-    chunk = max(1, len(core) // 2)
-    while True:
-        index = 0
-        while index < len(core):
-            candidate = core[:index] + core[index + chunk :]
-            if candidate and _theory_check_monolithic(
-                [(atom, val) for _, atom, val in candidate]
-            ) is None:
-                core = candidate
-            else:
-                index += chunk
-        if chunk == 1:
-            break
-        chunk //= 2
     return core
 
 

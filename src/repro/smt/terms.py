@@ -29,19 +29,10 @@ small canonical surface.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, Optional, Tuple
 
 INT = "Int"
 BOOL = "Bool"
-
-
-def legacy_mode() -> bool:
-    """Whether ``$REPRO_SMT_LEGACY`` selects the pre-acceleration code
-    paths (the typecheck benchmark's baseline).  One shared helper for
-    the whole ``smt`` package; read dynamically because benchmarks and
-    tests toggle it at runtime."""
-    return os.environ.get("REPRO_SMT_LEGACY", "0") not in ("", "0")
 
 # Operator tags.  Grouped by arity/behaviour; the solver dispatches on these.
 OP_INTVAL = "intval"

@@ -1,4 +1,4 @@
-"""The typecheck stage: parallel fan-out, warm persistence, CLI, stats."""
+"""The typecheck stage: warm persistence, CLI, stats."""
 
 import json
 
@@ -18,37 +18,6 @@ def _cold_memo():
 
 
 SOURCE, _, _, _ = design_point("fpu")
-
-
-def _report_summary(reports):
-    return [(r.component, r.obligations, len(r.errors)) for r in reports]
-
-
-def test_parallel_thread_matches_sequential(tmp_path):
-    sequential = CompileSession().typecheck(SOURCE).value
-    check_mod.clear_obligation_memo()
-    parallel = CompileSession(typecheck_jobs=3).typecheck(SOURCE).value
-    assert _report_summary(parallel) == _report_summary(sequential)
-
-
-def test_parallel_process_matches_sequential(tmp_path):
-    sequential = CompileSession().typecheck(SOURCE).value
-    check_mod.clear_obligation_memo()
-    session = CompileSession(
-        typecheck_jobs=2,
-        typecheck_executor="process",
-        cache_dir=str(tmp_path / "cache"),
-    )
-    parallel = session.typecheck(SOURCE).value
-    assert _report_summary(parallel) == _report_summary(sequential)
-
-
-def test_jobs_argument_overrides_session_default():
-    session = CompileSession()
-    reports = session.typecheck(SOURCE, jobs=2).value
-    assert _report_summary(reports) == _report_summary(
-        CompileSession().typecheck(SOURCE).value
-    )
 
 
 def test_warm_session_answers_from_disk(tmp_path):
@@ -82,20 +51,6 @@ def test_typecheck_stage_records_sub_timings():
     assert artifact.sub_timings["smt.discharge"] >= 0.0
 
 
-def test_spec_never_propagates_jobs():
-    session = CompileSession(typecheck_jobs=4)
-    assert session.spec()["typecheck_jobs"] is None
-    rebuilt = CompileSession.from_spec(session.spec())
-    assert rebuilt.typecheck_jobs is None
-
-
-def test_invalid_configuration_rejected():
-    with pytest.raises(ValueError):
-        CompileSession(typecheck_jobs=0)
-    with pytest.raises(ValueError):
-        CompileSession(typecheck_executor="fleet")
-
-
 def test_cli_typecheck_subcommand(capsys):
     code = main(["typecheck", "--design", "fpu", "--no-disk-cache"])
     out = capsys.readouterr().out
@@ -106,10 +61,30 @@ def test_cli_typecheck_subcommand(capsys):
 def test_cli_typecheck_stats_json(capsys):
     code = main(
         ["typecheck", "--design", "fpu", "--no-disk-cache",
-         "--stats", "json", "--typecheck-jobs", "2"]
+         "--stats", "json"]
     )
     out = capsys.readouterr().out
     assert code == 0
     stats = json.loads(out.strip().splitlines()[-1])
-    assert "typecheck" in stats
+    assert set(stats["typecheck"]) == {
+        "solver_queries", "memo_hits", "disk_hits", "disk_stores",
+        "obligations", "cache_hit_rate",
+    }
     assert stats["typecheck"]["obligations"] > 0
+
+
+@pytest.mark.parametrize("flag", ["--typecheck-jobs=2",
+                                  "--typecheck-executor=process"])
+@pytest.mark.parametrize("command", [
+    ["compile", "--design", "fpu"], ["typecheck", "--design", "fpu"],
+    ["table", "2"], ["figure", "8"], ["ablation"], ["profile"], ["all"],
+    ["sweep"],
+], ids=lambda command: command[0])
+def test_cli_rejects_the_removed_fan_out_flags(command, flag, capsys):
+    """Whole-program typechecks run in one thread: no subcommand takes
+    the fan-out flags any more, and argparse rejects them (exit 2)
+    before any work starts."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

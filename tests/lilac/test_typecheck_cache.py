@@ -83,27 +83,27 @@ def test_cached_equals_fresh_across_catalog(design, tmp_path, monkeypatch):
 
 
 def test_engines_agree_on_catalog_statuses(monkeypatch):
-    """One-shot and incremental discharge agree on every obligation
-    status for a representative design."""
-    source, _, _, _ = design_point("fpu")
-    program = stdlib_program(source)
+    """The shared incremental solver and the one-shot
+    ``_solve_obligation`` (the ``degrade.solver`` rung) reach the same
+    status on every obligation of five catalog designs; gbp, the sixth,
+    is left out for time."""
+    pairs = []
+    original = check_mod.ComponentChecker._recovering_discharge
 
-    recorded, patched, original = _recording_results()
+    def patched(self, obligation, assertions, solve, on_degrade):
+        result = original(self, obligation, assertions, solve, on_degrade)
+        oneshot = self._solve_obligation(obligation)
+        pairs.append((obligation.message, result.status, oneshot.status))
+        return result
+
     monkeypatch.setattr(
-        check_mod.ComponentChecker, "_cached_discharge", patched
+        check_mod.ComponentChecker, "_recovering_discharge", patched
     )
-
-    monkeypatch.setenv("REPRO_SMT_INCREMENTAL", "1")
-    check_program(program, raise_on_error=False)
-    incremental = [status for status, _ in recorded]
-
-    check_mod.clear_obligation_memo()
-    recorded.clear()
-    monkeypatch.setenv("REPRO_SMT_INCREMENTAL", "0")
-    check_program(program, raise_on_error=False)
-    oneshot = [status for status, _ in recorded]
-
-    assert incremental == oneshot
+    for design in ("blas", "fft", "flofft", "fpu", "risc"):
+        source, _, _, _ = design_point(design)
+        check_program(stdlib_program(source), raise_on_error=False)
+    assert len(pairs) == 1343
+    assert [p for p in pairs if p[1] != p[2]] == []
 
 
 def test_sat_models_survive_the_cache(tmp_path, monkeypatch):

@@ -1,7 +1,5 @@
 """The incremental DPLL(T) engine: parity with the one-shot solver,
-assumption isolation, budgets, and the legacy escape hatch."""
-
-import os
+assumption isolation and budgets."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +66,27 @@ def test_inconsistent_relevant_facts_make_query_unsat():
     assert solver.check(smt.Eq(y, 0)).is_sat
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_pending_equalities_survive_a_unimodular_step(reverse):
+    """``z = 3 /\\ 3y + 2z = 0`` forces ``y = -2`` in whichever order
+    the equalities reach the solver, as permanent facts or as one
+    query's assumptions."""
+    step = smt.Plus(smt.Times(3, y), smt.Times(2, z))
+    equalities = [smt.Eq(z, 3), smt.Eq(step, 0)]
+    no_integer_y = [smt.Eq(z, 0), smt.Eq(step, -1)]  # 3y = -1
+    if reverse:
+        equalities.reverse()
+        no_integer_y.reverse()
+    solver = IncrementalSolver()
+    solver.add(*equalities)
+    result = solver.check(smt.Ge(y, -3))
+    assert result.is_sat and (result.model["y"], result.model["z"]) == (-2, 3)
+    assert solver.check(smt.Lt(y, -3)).is_unsat
+    assumed = IncrementalSolver().check(*equalities, smt.Ge(y, -3))
+    assert assumed.is_sat and assumed.model["y"] == -2
+    assert IncrementalSolver().check(*no_integer_y).is_unsat
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     lo=st.integers(min_value=-5, max_value=5),
@@ -95,15 +114,3 @@ def test_budget_exhaustion_raises():
     solver.add(smt.Ge(x, 1), smt.Le(x, 0))
     with pytest.raises(SolverError):
         solver.check()
-
-
-def test_legacy_mode_matches_default(monkeypatch):
-    goal = [
-        smt.Implies(smt.Ge(x, 5), smt.Ge(y, 10)),
-        smt.Ge(x, 7),
-        smt.Le(y, 9),
-    ]
-    default = smt.check_sat(*goal)
-    monkeypatch.setenv("REPRO_SMT_LEGACY", "1")
-    legacy = smt.check_sat(*goal)
-    assert default.status == legacy.status == "unsat"

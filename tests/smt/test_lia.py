@@ -1,9 +1,15 @@
 """Tests for the Omega-style integer linear arithmetic procedure."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.smt import Int
-from repro.smt.lia import LinExpr, linexpr_of_term, solve_system
+from repro.smt.lia import (
+    LinExpr,
+    core_of_system,
+    linexpr_of_term,
+    solve_system,
+)
 from repro.smt.terms import Plus, Times, IntVal
 
 x, y, z = Int("x"), Int("y"), Int("z")
@@ -119,6 +125,37 @@ def test_free_variable_gets_value():
     assert model is not None
     assert model[x] >= 7
     assert model[y] == model[z]
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_unimodular_step_rewrites_pending_equalities(reverse):
+    """``3y + 2z = 0`` has no unit coefficient, so eliminating it first
+    takes a unimodular step that redefines ``y``.  The pending ``z = 3``
+    must read the new ``y`` too: the system forces ``y = -2``, which
+    meets ``y >= -3``."""
+    eqs = [lin({z: 1}, -3), lin({y: 3, z: 2})]
+    if reverse:
+        eqs.reverse()
+    ineqs = [lin({y: -1}, -3)]  # -y - 3 <= 0
+    model = solve_system(eqs, ineqs)
+    assert model is not None
+    check_model(eqs, ineqs, model)
+    assert (model[y], model[z]) == (-2, 3)
+    tagged_eqs = [(eq, frozenset({i})) for i, eq in enumerate(eqs)]
+    assert core_of_system(tagged_eqs, [(ineqs[0], frozenset({2}))]) is None
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_unimodular_step_keeps_pending_equalities_unsat(reverse):
+    """``z = 0 /\\ 3y + 2z + 1 = 0`` leaves ``3y = -1``: no integer
+    solution, and the two equalities alone are the core."""
+    eqs = [lin({z: 1}), lin({y: 3, z: 2}, 1)]
+    if reverse:
+        eqs.reverse()
+    assert solve_system(eqs, []) is None
+    tagged_eqs = [(eq, frozenset({i})) for i, eq in enumerate(eqs)]
+    assert core_of_system(tagged_eqs, [(lin({y: -1}, -3), frozenset({2}))]) \
+        == frozenset({0, 1})
 
 
 def test_linexpr_of_term_linear():

@@ -1,6 +1,10 @@
 """End-to-end tests for the DPLL(T) solver, including the paper's examples."""
 
-from hypothesis import given, settings, strategies as st
+import itertools
+import operator
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.smt import (
     And,
@@ -10,6 +14,7 @@ from repro.smt import (
     Ge,
     Gt,
     Implies,
+    IncrementalSolver,
     Int,
     IntVal,
     Le,
@@ -18,7 +23,9 @@ from repro.smt import (
     Ne,
     Not,
     Or,
+    Plus,
     Solver,
+    Times,
     check_sat,
     prove,
 )
@@ -67,6 +74,19 @@ def test_prove_invalid_gives_counterexample():
     result = prove(Ge(y, 1), Ge(x, 1))
     assert result.is_sat
     assert result.model["y"] < 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_prove_rewrites_pending_equalities(reverse):
+    """``z = 3 /\\ 3y + 2z = 0`` forces ``y = -2``, so ``y < -3`` does
+    not follow.  Eliminating ``3y + 2z = 0`` first takes a unimodular
+    step; the pending ``z = 3`` must be rewritten along with it."""
+    facts = [Eq(z, 3), Eq(Plus(Times(3, y), Times(2, z)), 0)]
+    if reverse:
+        facts.reverse()
+    result = prove(Lt(y, -3), *facts)
+    assert result.is_sat
+    assert result.model == {"y": -2, "z": 3}
 
 
 def test_disequality_splitting():
@@ -246,3 +266,108 @@ def test_membership_encoding(values):
     result = check_sat(disjuncts)
     assert result.is_sat
     assert result.model["x"] in values
+
+
+# -- ground truth: DPLL(T) against enumeration of a bounded box ----------
+
+_VARS = (x, y, z)
+_BOX = [bound for var in _VARS for bound in (Ge(var, -4), Le(var, 4))]
+_POINTS = list(itertools.product(range(-4, 5), repeat=3))  # 729 points
+_RELATIONS = {
+    "<=": (Le, operator.le),
+    "<": (Lt, operator.lt),
+    "=": (Eq, operator.eq),
+    "!=": (Ne, operator.ne),
+}
+
+#: ``("atom", ((a, b, c), relation, k))`` means ``a*x + b*y + c*z rel k``.
+_atoms = st.tuples(
+    st.tuples(*[st.integers(-3, 3)] * 3),
+    st.sampled_from(sorted(_RELATIONS)),
+    st.integers(-6, 6),
+).map(lambda atom: ("atom", atom))
+_formulas = st.recursive(
+    _atoms,
+    lambda sub: st.one_of(
+        sub.map(lambda f: ("not", f)),
+        st.tuples(st.sampled_from(("and", "or", "implies")), sub, sub),
+    ),
+    max_leaves=5,
+)
+
+
+def _atom(coeffs, relation, k):
+    return ("atom", (coeffs, relation, k))
+
+
+# z = 3 /\ 3y + 2z = 0 /\ not(y < -3): satisfied only by y = -2, z = 3.
+_PENDING_SAT = ("and", _atom((0, 0, 1), "=", 3),
+                ("and", _atom((0, 3, 2), "=", 0),
+                 ("not", _atom((0, 1, 0), "<", -3))))
+_PENDING_SAT_SWAPPED = ("and", _atom((0, 3, 2), "=", 0),
+                        ("and", _atom((0, 0, 1), "=", 3),
+                         ("not", _atom((0, 1, 0), "<", -3))))
+# z = 0 /\ 3y + 2z + 1 = 0: 3y = -1 has no integer solution.
+_PENDING_UNSAT = ("and", _atom((0, 0, 1), "=", 0), _atom((0, 3, 2), "=", -1))
+
+
+def _term(formula):
+    kind = formula[0]
+    if kind == "atom":
+        coeffs, relation, k = formula[1]
+        lhs = Plus(*[Times(c, var) for c, var in zip(coeffs, _VARS)])
+        return _RELATIONS[relation][0](lhs, IntVal(k))
+    if kind == "not":
+        return Not(_term(formula[1]))
+    build = {"and": And, "or": Or, "implies": Implies}[kind]
+    return build(_term(formula[1]), _term(formula[2]))
+
+
+def _holds(formula, point):
+    kind = formula[0]
+    if kind == "atom":
+        coeffs, relation, k = formula[1]
+        total = sum(c * v for c, v in zip(coeffs, point))
+        return _RELATIONS[relation][1](total, k)
+    if kind == "not":
+        return not _holds(formula[1], point)
+    left, right = _holds(formula[1], point), _holds(formula[2], point)
+    if kind == "and":
+        return left and right
+    if kind == "or":
+        return left or right
+    return (not left) or right
+
+
+def _assert_matches_enumeration(formula, result):
+    expected = any(_holds(formula, point) for point in _POINTS)
+    assert result.is_sat == expected, (formula, result)
+    if result.is_sat:
+        point = tuple(result.model.get(var.name, 0) for var in _VARS)
+        assert all(-4 <= value <= 4 for value in point), (formula, result)
+        assert _holds(formula, point), (formula, result)
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula=_formulas)
+@example(formula=_PENDING_SAT)
+@example(formula=_PENDING_SAT_SWAPPED)
+@example(formula=_PENDING_UNSAT)
+def test_check_sat_agrees_with_enumeration(formula):
+    """``check_sat`` over the box ``-4 <= x, y, z <= 4`` says SAT exactly
+    when one of the box's 729 points satisfies the formula, and every
+    SAT model is such a point."""
+    _assert_matches_enumeration(formula, check_sat(*_BOX, _term(formula)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(queries=st.lists(_formulas, min_size=1, max_size=4))
+@example(queries=[_PENDING_SAT, _PENDING_UNSAT, _PENDING_SAT_SWAPPED])
+def test_incremental_queries_agree_with_enumeration(queries):
+    """The same oracle through one :class:`IncrementalSolver`: the box
+    is asserted once as permanent facts and each formula is one query,
+    so learned lemmas and shared encodings carry across the sequence."""
+    solver = IncrementalSolver()
+    solver.add(*_BOX)
+    for formula in queries:
+        _assert_matches_enumeration(formula, solver.check(_term(formula)))
