@@ -3,8 +3,17 @@
 Lowering is littered with width-preserving ``slice``-at-0 cells — the
 ``_buffer`` idiom drives every module output and every delay buffer's
 read port through one — and with parallel register chains that differ
-only in the buffers between their stages.  This pass:
+only in the buffers between their stages.  Array ports add packed
+nets: a chain of ``concat`` cells builds one, and a ``slice`` per
+element reads it back.  This pass:
 
+* **reads slices through concats** — a slice whose bits lie inside one
+  operand of the concat that drives it is re-pointed at that operand
+  (its ``lsb`` lowered by the low operand's width when it reads the
+  high one), down the chain; one that straddles both operands, or
+  reaches past a truncating concat's out width, stays.  A slice that
+  lands exactly on its element is an alias, and the packing that
+  nobody reads any more is left to dead-cell elimination;
 * **forwards aliases** — a width-preserving ``slice`` at lsb 0 is a
   wire; consumers are rewired to read the source directly;
 * **sinks output buffers** — when such an alias drives an output port,
@@ -15,8 +24,10 @@ only in the buffers between their stages.  This pass:
   :func:`~repro.rtl.passes.share.share_cells`), so parallel delay
   chains from one source collapse into a single tapped chain.
 
-The three steps iterate to a fixpoint: alias forwarding is what makes
-neighbouring chain stages structurally identical in the first place.
+The four steps iterate to a fixpoint: alias forwarding is what makes
+neighbouring chain stages structurally identical in the first place,
+and reading through the packing is what lets registers that the
+packing kept apart merge.
 """
 
 from __future__ import annotations
@@ -36,16 +47,56 @@ def _is_alias(cell: Cell) -> bool:
 
 class DelayCoalesce(Pass):
     name = "delay-coalesce"
-    version = 1
+    version = 2
 
     def run(self, module: Module) -> None:
         while True:
-            changed = self._forward_aliases(module)
+            changed = self._narrow_slices(module)
+            changed += self._forward_aliases(module)
             changed += self._sink_output_buffers(module)
             changed += share_cells(module, {"reg", "regen"})
             if not changed:
                 break
         module.prune_nets()
+
+    @staticmethod
+    def _narrow_slices(module: Module) -> int:
+        """Re-point every slice whose bits lie inside one operand of the
+        concat that drives it at that operand, down the concat chain.
+
+        Reading the high operand lowers ``lsb`` by the low operand's
+        width.  A slice that straddles both operands stays where it is,
+        and so does one reaching past a truncating concat's out width:
+        the concat reads 0 up there, but its operand may not.
+        """
+        concats = {
+            cell.pins["out"]: cell
+            for cell in module.cells.values()
+            if cell.kind == "concat"
+        }
+        narrowed = 0
+        for cell in module.cells.values():
+            if cell.kind != "slice":
+                continue
+            src = cell.pins["a"]
+            lsb = int(cell.params.get("lsb", 0))
+            top = lsb + cell.pins["out"].width
+            read = src
+            while read in concats and top <= read.width:
+                high, low = concats[read].pins["a"], concats[read].pins["b"]
+                if top <= low.width:
+                    read = low
+                elif lsb >= low.width:
+                    read = high
+                    lsb -= low.width
+                    top -= low.width
+                else:
+                    break
+            if read is not src:
+                cell.pins["a"] = read
+                cell.params["lsb"] = lsb
+                narrowed += 1
+        return narrowed
 
     @staticmethod
     def _forward_aliases(module: Module) -> int:

@@ -121,3 +121,84 @@ def test_pass_statistics_surface_on_the_session():
     assert "hits" in stats["cache"]
     assert "dead-cell-elim" in stats["passes"]
     assert "cells removed" in session.render_pass_stats()
+
+
+def test_o2_entries_from_before_slice_narrowing_stay_inert(tmp_path):
+    """A store written under the version-1 ``-O2`` pipeline holds
+    netlists whose slices still read through concats.  Their keys name
+    ``delay-coalesce@1``, so a session over them misses, recomputes and
+    stores new entries, and the old ones stay digest-valid for fsck.
+    The planted trace is the real one with every output flipped, so
+    serving it would change the result."""
+    from repro.designs.catalog import design_point
+    from repro.driver import DiskCache, run_fsck
+    from repro.driver.artifact import OptimizedNetlist, SimTrace, StageArtifact
+    from repro.rtl import flatten
+    from repro.rtl.passes import DelayCoalesce, PassManager, pipeline_for_level
+
+    class VersionOneCoalesce(DelayCoalesce):
+        version = 1
+
+        @staticmethod
+        def _narrow_slices(module):
+            return 0
+
+    pipeline = pipeline_for_level(2)
+    new_print = pipeline.fingerprint()
+    assert "delay-coalesce@2" in new_print
+    old_pipeline = PassManager([
+        VersionOneCoalesce() if isinstance(p, DelayCoalesce) else p
+        for p in pipeline.passes
+    ])
+    old_print = old_pipeline.fingerprint()
+    assert old_print == tuple(
+        "delay-coalesce@1" if part == "delay-coalesce@2" else part
+        for part in new_print
+    )
+
+    def old_key(key):
+        return tuple(old_print if part == new_print else part for part in key)
+
+    source, component, generators, params = design_point("blas")
+    design = (source, component, params, generators)
+    fresh = CompileSession(opt_level=2)
+    optimized = fresh.optimize(*design)
+    trace = fresh.simulate(*design, cycles=24, seed=5)
+    old_module = flatten(fresh.elaborate(*design).value.module)
+    old_stats = old_pipeline.run(old_module)
+    assert (len(old_module.cells), optimized.value.cells_after) == (133, 118)
+    planted = [
+        StageArtifact("optimize", old_key(optimized.key), OptimizedNetlist(
+            old_module, 2, optimized.value.cells_before, old_stats
+        ), 0.0),
+        StageArtifact("simulate", old_key(trace.key), SimTrace(
+            [{port: value ^ 1 for port, value in cycle.items()}
+             for cycle in trace.value.outputs],
+            24, 5, 2, 0.0, 133, backend=trace.value.backend,
+        ), 0.0),
+    ]
+    root = str(tmp_path)
+    disk = DiskCache(root)
+    for artifact in planted:
+        assert disk.store(artifact.key, artifact)
+    report = run_fsck(root)
+    assert report.consistent and report.scanned == 2
+
+    session = CompileSession(opt_level=2, cache_dir=root)
+    again = session.optimize(*design)
+    assert not again.from_cache
+    retraced = session.simulate(*design, cycles=24, seed=5)
+    assert not retraced.from_cache
+    assert session.stats.counter("disk.hit") == 0
+    assert session.stats.miss_count("optimize") == 1
+    assert session.stats.miss_count("simulate") == 1
+    assert again.value.module == optimized.value.module
+    assert retraced.value.outputs == trace.value.outputs
+
+    warm = CompileSession(opt_level=2, cache_dir=root)
+    served = warm.simulate(*design, cycles=24, seed=5)
+    assert served.from_cache and served.value.outputs == trace.value.outputs
+    report = run_fsck(root)
+    assert report.consistent and report.scanned == report.valid > 2
+    for artifact in planted:
+        assert DiskCache(root).load(artifact.key) is not None

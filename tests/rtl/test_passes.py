@@ -1,10 +1,19 @@
 """Tests for the netlist optimization pass framework."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.designs.catalog import DESIGNS, design_point
 from repro.driver import CompileSession
-from repro.rtl import Module, NetlistError, Simulator, flatten, random_stimulus
+from repro.rtl import (
+    Module,
+    NetlistError,
+    Simulator,
+    differential_check,
+    flatten,
+    random_stimulus,
+)
 from repro.rtl.passes import (
     SHAREABLE_KINDS,
     CommonCellSharing,
@@ -202,6 +211,189 @@ def test_delay_coalesce_keeps_truncating_slices():
 
 
 # ---------------------------------------------------------------------------
+# Slices read through concats.
+
+
+def _pack(m, high, low, width=None):
+    """``{high, low}``, truncated (or zero-extended) to ``width``."""
+    out = m.fresh_net(width or high.width + low.width, "cat")
+    m.add_cell("concat", {"a": high, "b": low, "out": out})
+    return out
+
+
+def _read(m, src, lsb, width, port="out"):
+    """A slice of ``src`` driving the output port ``port``."""
+    out = m.add_output(port, width)
+    m.add_cell(
+        "slice", {"a": src, "out": out}, {"lsb": lsb}, name=f"read_{port}"
+    )
+    return out
+
+
+def _two_operands(width=None):
+    m = Module("pair")
+    high = m.add_input("high", 8)
+    low = m.add_input("low", 8)
+    return m, high, low, _pack(m, high, low, width)
+
+
+def assert_o2_matches_o0(module, cycles=48, seed=7):
+    opt = run_level(module, 2)
+    stimulus = random_stimulus(module, cycles, seed=seed)
+    assert Simulator(module).run(stimulus) == Simulator(opt).run(stimulus)
+    return opt
+
+
+def test_narrowing_reads_a_slice_inside_the_low_operand():
+    m, high, low, packed = _two_operands()
+    _read(m, packed, 2, 4)
+    assert DelayCoalesce._narrow_slices(m) == 1
+    read = m.cells["read_out"]
+    assert read.pins["a"] is low and read.params["lsb"] == 2
+
+
+def test_narrowing_lowers_lsb_for_a_slice_inside_the_high_operand():
+    m, high, low, packed = _two_operands()
+    _read(m, packed, 10, 4)
+    assert DelayCoalesce._narrow_slices(m) == 1
+    read = m.cells["read_out"]
+    assert read.pins["a"] is high and read.params["lsb"] == 2
+
+
+def _three_deep():
+    """Four 8-bit elements packed the way lowering packs an array port:
+    ``{{{e3, e2}, e1}, e0}``."""
+    m = Module("chain")
+    elements = [m.add_input(f"e{index}", 8) for index in range(4)]
+    packed = elements[3]
+    for element in reversed(elements[:3]):
+        packed = _pack(m, packed, element)
+    return m, elements, packed
+
+
+def test_narrowing_walks_a_three_deep_chain_to_its_leaf():
+    m, elements, packed = _three_deep()
+    _read(m, packed, 17, 5)  # bits 17..21: e2's bits 1..5
+    assert DelayCoalesce._narrow_slices(m) == 1
+    read = m.cells["read_out"]
+    assert read.pins["a"] is elements[2] and read.params["lsb"] == 1
+    assert DelayCoalesce._narrow_slices(m) == 0  # already at its leaf
+
+
+def test_exact_leaf_reads_leave_no_concat_at_o2():
+    m = Module("unpack")
+    leaves = [m.unop("not", m.add_input(f"i{index}", 8)) for index in range(4)]
+    packed = leaves[3]
+    for leaf in reversed(leaves[:3]):
+        packed = _pack(m, packed, leaf)
+    for index in range(4):
+        _read(m, packed, 8 * index, 8, port=f"o{index}")
+    opt = assert_o2_matches_o0(m)
+    assert sorted(cell.kind for cell in opt.cells.values()) == ["not"] * 4
+    assert {cell.pins["out"] for cell in opt.cells.values()} == {
+        net for _, net in opt.outputs()
+    }
+
+
+def test_straddling_slice_stays_on_the_concat():
+    m, high, low, packed = _two_operands()
+    _read(m, packed, 6, 4)  # bits 6..9: two of low's, two of high's
+    assert DelayCoalesce._narrow_slices(m) == 0
+    assert m.cells["read_out"].pins["a"] is packed
+    assert_o2_matches_o0(m)
+
+
+def test_slice_past_a_truncating_concat_stays():
+    m, high, low, packed = _two_operands(width=12)
+    _read(m, packed, 8, 8)  # bits 12..15 read 0, high's bits 4..7 need not
+    assert DelayCoalesce._narrow_slices(m) == 0
+    assert_o2_matches_o0(m)
+
+
+def test_slice_up_to_a_truncating_concat_top_is_narrowed():
+    m, high, low, packed = _two_operands(width=12)
+    _read(m, packed, 8, 4)  # bits 8..11, all below the out width
+    assert DelayCoalesce._narrow_slices(m) == 1
+    read = m.cells["read_out"]
+    assert read.pins["a"] is high and read.params["lsb"] == 0
+
+
+@pytest.mark.parametrize("reader", ["reg", "port"])
+def test_concat_with_another_reader_keeps_its_cell(reader):
+    m = Module("shared")
+    high = m.add_input("high", 8)
+    low = m.add_input("low", 8)
+    if reader == "port":
+        packed = m.add_output("packed", 16)
+        m.add_cell("concat", {"a": high, "b": low, "out": packed})
+    else:
+        packed = _pack(m, high, low)
+        _read(m, m.register(packed), 0, 16, port="packed")
+    _read(m, packed, 8, 8)
+    opt = assert_o2_matches_o0(m)
+    (concat,) = [cell for cell in opt.cells.values() if cell.kind == "concat"]
+    assert concat.pins["a"].name == "high" and concat.pins["b"].name == "low"
+    read = opt.drivers()[opt.ports["out"]][0]
+    assert read.kind == "slice" and read.pins["a"].name == "high"
+    assert read.params["lsb"] == 0
+
+
+@st.composite
+def slice_concat_netlists(draw):
+    """A random tree of concats, slices and registers over inputs 1–130
+    bits wide: slice ranges and concat widths may run past the top, and
+    every internal net is observable through an output buffer."""
+    m = Module("tree")
+    nets = [
+        m.add_input(f"i{k}", draw(st.integers(1, 130)))
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    kinds = st.sampled_from(["concat", "concat", "slice", "slice", "reg"])
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(kinds)
+        if kind == "concat":
+            high, low = draw(st.sampled_from(nets)), draw(st.sampled_from(nets))
+            top = high.width + low.width
+            width = draw(st.one_of(st.just(top), st.integers(1, top + 8)))
+            nets.append(_pack(m, high, low, width))
+        elif kind == "slice":
+            # Half the slices read a concat, when there is one.
+            packed = [net for net in nets if net.name.startswith("cat")]
+            pool = packed if packed and draw(st.booleans()) else nets
+            src = draw(st.sampled_from(pool))
+            lsb = draw(st.integers(0, src.width + 4))
+            width = draw(st.integers(1, max(1, src.width - lsb) + 4))
+            out = m.fresh_net(width, "slice")
+            m.add_cell("slice", {"a": src, "out": out}, {"lsb": lsb})
+            nets.append(out)
+        else:
+            nets.append(m.register(draw(st.sampled_from(nets))))
+    for index, net in enumerate(nets):
+        if net not in m.ports.values():
+            port = m.add_output(f"o{index}", net.width)
+            m.add_cell("slice", {"a": net, "out": port}, {"lsb": 0})
+    return m
+
+
+@settings(max_examples=100, deadline=None)
+@given(module=slice_concat_netlists(), seed=st.integers(0, 2 ** 16))
+def test_narrowing_differential_on_random_trees(module, seed):
+    opt = assert_o2_matches_o0(module, cycles=12, seed=seed)
+    for lanes in (1, 3):
+        assert differential_check(opt, cycles=12, seed=seed, lanes=lanes)
+
+
+@pytest.mark.numpy
+@settings(max_examples=25, deadline=None)
+@given(module=slice_concat_netlists(), seed=st.integers(0, 2 ** 16))
+def test_narrowing_differential_on_random_trees_under_vector(module, seed):
+    opt = run_level(module, 2)
+    assert differential_check(
+        opt, cycles=12, seed=seed, lanes=3, backend="vector"
+    )
+
+
+# ---------------------------------------------------------------------------
 # One-sweep rewiring.
 
 
@@ -345,7 +537,8 @@ class _ReferenceSharing(CommonCellSharing):
 class _ReferenceCoalesce(DelayCoalesce):
     def run(self, module):
         while True:
-            changed = reference_forward_aliases(module)
+            changed = self._narrow_slices(module)
+            changed += reference_forward_aliases(module)
             changed += self._sink_output_buffers(module)
             changed += reference_share_cells(module, {"reg", "regen"})
             if not changed:
