@@ -6,18 +6,24 @@ through its per-kind evaluator table and two dict lookups per pin
 those costs **once per netlist** instead: the flattened module is
 levelized (the same ``comb_topo_order`` the interpreter uses), every net
 is assigned a dense slot in a flat list, and one straight-line Python
-function is code-generated with a single masked slot-array assignment
-per combinational cell, plus a sequential-latch epilogue for registers
-and FIFOs.  A net with exactly one combinational reader gets no
-assignment of its own: its expression is *fused* (inlined,
-parenthesized) into that reader, saving a slot store and load per
-cycle, so ``peek_net`` on a fused net raises — the interpreter shows
-every net.  The program ends in a generated whole-run loop, ``_run``:
-for each row of input values it pokes every input port (``int(v) &
-mask``, exactly like ``poke``), calls the evaluate function, appends
-one dict display of the outputs and latches, so
-:meth:`CompiledSimulator.run` pays no per-cycle ``poke`` call or dict
-comprehension.  The generated source is ``exec``'d once and memoized by
+function is code-generated with a single slot-array assignment per
+combinational cell, plus a sequential-latch epilogue for registers and
+FIFOs.  Every net holds a *clean* value (below ``2^width``), so a
+result is masked only where it can leave its width: an ``add`` of two
+8-bit nets into 9 bits, a shift by 0 or a ``mux`` no narrower than its
+inputs gets no ``&``, a ``sub`` always does.  A net with exactly one
+combinational reader gets no assignment of its own: its expression is
+*fused* (inlined, parenthesized) into that reader, saving a slot store
+and load per cycle, so ``peek_net`` on a fused net raises — the
+interpreter shows every net.  The program ends in a generated whole-run loop, ``_run``,
+written by the same emitter over Python locals instead of slots: it
+loads the nets, register state and FIFO deques once, and per row of
+input values converts the whole row (``int(v) & mask``, exactly like
+``poke``), evaluates, appends one dict display of the outputs and
+latches; a ``finally`` writes nets and state back.  So
+:meth:`CompiledSimulator.run` pays no per-cycle ``poke`` call, dict
+comprehension or slot access.  The generated source is ``exec``'d once,
+one top-level definition at a time, and memoized by
 :meth:`~repro.rtl.netlist.Module.structural_hash`, so structurally equal
 netlists — across sessions, grid workers and optimization ablations —
 share one compilation.
@@ -58,9 +64,10 @@ owns the packed state; scalar backends reach it through
 ``run_batch``.
 
 **Three codegen targets.**  This module owns two of them — the scalar
-generator (``_generate_source``: one straight-line masked assignment
-per cell, with single-reader expressions fused into their consumer,
-and the whole-run loop) and the SWAR batched generator
+generator (``_generate_source``: one straight-line assignment per
+cell, masked only where the value can leave its width, with
+single-reader expressions fused into their consumer, and the whole-run
+loop over locals) and the SWAR batched generator
 (``_generate_batched_source`` below) —
 and :mod:`repro.rtl.vectorize` adds the third: word-packed
 lane *columns* (numpy ``uint64`` arrays) where one vectorized operation
@@ -128,8 +135,10 @@ from .simulate import (
 #: generated whole-run loop, ``_run``, with the port order it expects in
 #: ``_RUN_PORTS``.  v6: SWAR lane loops convert values of up to 64 bits
 #: through a 64-bit word view, and a ``mul`` by a constant is one packed
-#: multiply.
-CODEGEN_VERSION = 6
+#: multiply.  v7: scalar programs mask only values that can leave their
+#: width, ``_run`` keeps nets and state in locals, and the live nets take
+#: the low slots.
+CODEGEN_VERSION = 7
 
 
 @runtime_checkable
@@ -272,57 +281,64 @@ class CompiledNetlist:
         )
 
 
+#: Per combinational kind (``const`` is folded instead): the unmasked
+#: result over its operand atoms, and how many bits that result can need
+#: when every operand is clean (below ``2^width``), given the operand
+#: widths ``a`` and ``b`` and the shift amount or slice lsb ``k``; None
+#: where it can go negative.  Every net the scalar program writes holds a
+#: clean value, so a result is masked only where it can need more bits
+#: than its output has.
+_COMB_RULES = {
+    "add": ("{a} + {b}", lambda a, b, k: max(a, b) + 1),
+    "sub": ("{a} - {b}", None),
+    "mul": ("{a} * {b}", lambda a, b, k: a + b),
+    "and": ("{a} & {b}", lambda a, b, k: min(a, b)),
+    "or": ("{a} | {b}", lambda a, b, k: max(a, b)),
+    "xor": ("{a} ^ {b}", lambda a, b, k: max(a, b)),
+    "div": ("{a} // {b} if {b} else 0", lambda a, b, k: a),
+    "mod": ("{a} % {b} if {b} else 0", lambda a, b, k: min(a, b)),
+    "eq": ("1 if {a} == {b} else 0", lambda a, b, k: 1),
+    "lt": ("1 if {a} < {b} else 0", lambda a, b, k: 1),
+    "not": ("~{a}", None),
+    "shl": ("{a} << {k}", lambda a, b, k: a + k),
+    "shr": ("{a} >> {k}", lambda a, b, k: a - k),
+    "slice": ("{a} >> {k}", lambda a, b, k: a - k),
+    "mux": ("{a} if {sel} else {b}", lambda a, b, k: max(a, b)),
+    "concat": ("({a} << {b_width}) | {b}", lambda a, b, k: a + b),
+}
+
+
 def _comb_expression_atoms(cell: Cell, atom) -> str:
     """One combinational cell's RHS over caller-supplied input atoms.
 
-    ``atom(net_name)`` renders one input read — a slot access, or a
-    parenthesized fused sub-expression (see :func:`_fused_nets`).
-    Atoms that are not bare slot reads MUST self-parenthesize: they are
-    substituted into every operator position below.  Mirrors
-    :func:`~repro.rtl.simulate.eval_comb_cell` exactly — any divergence
-    here is caught by :func:`differential_check`.
+    ``atom(net_name)`` renders one input read — a slot access or a
+    local, or a parenthesized fused sub-expression (see
+    :func:`_fused_nets`).  Atoms that are not bare reads MUST
+    self-parenthesize: they are substituted into every operator position
+    below.  Mirrors :func:`~repro.rtl.simulate.eval_comb_cell` exactly,
+    masking only where :data:`_COMB_RULES` says the result can reach
+    ``2^width`` — any divergence here is caught by
+    :func:`differential_check`.
     """
-    pins = cell.pins
-    kind = cell.kind
+    pins, kind = cell.pins, cell.kind
     out_mask = _mask_literal(pins["out"].width)
     if kind == "const":
         return repr(int(cell.params["value"]) & out_mask)
-    if kind in ("add", "sub", "mul", "and", "or", "xor"):
-        op = {"add": "+", "sub": "-", "mul": "*",
-              "and": "&", "or": "|", "xor": "^"}[kind]
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"({a} {op} {b}) & {out_mask}"
-    if kind == "div":
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"({a} // {b} if {b} else 0) & {out_mask}"
-    if kind == "mod":
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"({a} % {b} if {b} else 0) & {out_mask}"
-    if kind == "eq":
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"1 if {a} == {b} else 0"
-    if kind == "lt":
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"1 if {a} < {b} else 0"
-    if kind == "not":
-        return f"~{atom(pins['a'].name)} & {out_mask}"
-    if kind == "shl":
-        amount = int(cell.params["amount"])
-        return f"({atom(pins['a'].name)} << {amount}) & {out_mask}"
-    if kind == "shr":
-        amount = int(cell.params["amount"])
-        return f"({atom(pins['a'].name)} >> {amount}) & {out_mask}"
-    if kind == "mux":
-        sel = atom(pins["sel"].name)
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"({a} if {sel} & 1 else {b}) & {out_mask}"
-    if kind == "slice":
-        lsb = int(cell.params["lsb"])
-        return f"({atom(pins['a'].name)} >> {lsb}) & {out_mask}"
-    if kind == "concat":
-        a, b = atom(pins["a"].name), atom(pins["b"].name)
-        return f"(({a} << {pins['b'].width}) | {b}) & {out_mask}"
-    raise NetlistError(f"cannot compile cell kind {kind!r}")
+    if kind not in _COMB_RULES:
+        raise NetlistError(f"cannot compile cell kind {kind!r}")
+    template, bits = _COMB_RULES[kind]
+    operands = {
+        pin: atom(net.name) for pin, net in pins.items() if pin != "out"
+    }
+    if kind == "mux" and pins["sel"].width > 1:
+        operands["sel"] += " & 1"
+    k = int(cell.params.get("lsb" if kind == "slice" else "amount", 0))
+    b_width = pins["b"].width if "b" in pins else 0
+    expr = (operands["a"] if kind in ("shl", "shr", "slice") and not k
+            else template.format(k=k, b_width=b_width, **operands))
+    if bits is None or bits(pins["a"].width, b_width, k) > pins["out"].width:
+        return f"({expr}) & {out_mask}"
+    return expr
 
 
 def _seq_meta(module: Module) -> Tuple[
@@ -342,115 +358,6 @@ def _seq_meta(module: Module) -> Tuple[
         int(module.cells[name].params.get("depth", 2)) for name in fifo_cells
     ]
     return reg_cells, reg_inits, fifo_cells, fifo_depths
-
-
-def _drive_seq_lines(
-    module: Module,
-    slot: Dict[str, int],
-    reg_cells: List[str],
-    fifo_cells: List[str],
-    fifo_depths: List[int],
-) -> List[str]:
-    """Phase 1 of evaluate: drive sequential outputs from state
-    (interpreter order: state first, then combinational settling)."""
-    lines: List[str] = []
-    for index, name in enumerate(reg_cells):
-        cell = module.cells[name]
-        q = cell.pins["q"]
-        lines.append(f"    s[{slot[q.name]}] = r[{index}] "
-                     f"& {_mask_literal(q.width)}")
-    for index, name in enumerate(fifo_cells):
-        cell = module.cells[name]
-        pins = cell.pins
-        in_ready = slot[pins["in_ready"].name]
-        out_valid = slot[pins["out_valid"].name]
-        out_data = slot[pins["out_data"].name]
-        data_mask = _mask_literal(pins["out_data"].width)
-        lines.append(f"    q = f[{index}]")
-        lines.append(f"    s[{in_ready}] = 1 if len(q) < {fifo_depths[index]} "
-                     f"else 0")
-        lines.append("    if q:")
-        lines.append(f"        s[{out_valid}] = 1")
-        lines.append(f"        s[{out_data}] = q[0] & {data_mask}")
-        lines.append("    else:")
-        lines.append(f"        s[{out_valid}] = 0")
-        lines.append(f"        s[{out_data}] = 0")
-    return lines
-
-
-def _latch_lines(
-    module: Module,
-    slot: Dict[str, int],
-    reg_cells: List[str],
-    fifo_cells: List[str],
-) -> List[str]:
-    """The latch body: registers read nets (written only by evaluate)
-    and write reg state, so in-place assignment matches the
-    interpreter's two-phase update."""
-    lines: List[str] = ["def _latch(s, r, f):"]
-    for index, name in enumerate(reg_cells):
-        cell = module.cells[name]
-        d = slot[cell.pins["d"].name]
-        if cell.kind == "reg":
-            lines.append(f"    r[{index}] = s[{d}]")
-        else:  # regen
-            en = slot[cell.pins["en"].name]
-            lines.append(f"    if s[{en}] & 1:")
-            lines.append(f"        r[{index}] = s[{d}]")
-    for index, name in enumerate(fifo_cells):
-        cell = module.cells[name]
-        pins = cell.pins
-        out_ready = slot[pins["out_ready"].name]
-        out_valid = slot[pins["out_valid"].name]
-        in_valid = slot[pins["in_valid"].name]
-        in_ready = slot[pins["in_ready"].name]
-        in_data = slot[pins["in_data"].name]
-        lines.append(f"    q = f[{index}]")
-        lines.append(f"    if q and s[{out_ready}] & 1 and s[{out_valid}] & 1:")
-        lines.append("        q.popleft()")
-        lines.append(f"    if s[{in_valid}] & 1 and s[{in_ready}] & 1:")
-        lines.append(f"        q.append(s[{in_data}])")
-    if len(lines) == 1:
-        lines.append("    pass")
-    return lines
-
-
-def _run_lines(module: Module, slot: Dict[str, int]) -> List[str]:
-    """The whole-run loop: one ``step`` per row, without its per-cycle
-    poke call and dict comprehension.
-
-    A row holds every input port's value in ``_RUN_PORTS[0]`` order (a
-    bare value when there is one input port, the stream's own empty
-    dict when there are none), poked as ``int(v) & mask`` like ``poke``;
-    each cycle's record is one dict display in ``_RUN_PORTS[1]`` order,
-    so it equals ``step``'s dict, key order included.  Records go into
-    the caller's ``trace`` list, so a value ``int`` rejects mid-run
-    leaves it holding exactly the cycles that ran.
-    """
-    inputs, outputs = module.inputs(), module.outputs()
-    names = [f"v{index}" for index in range(len(inputs))]
-    lines = [
-        f"_RUN_PORTS = ({tuple(name for name, _ in inputs)!r}, "
-        f"{tuple(name for name, _ in outputs)!r})",
-        "",
-        "",
-        "def _run(s, r, f, rows, trace, _evaluate=_evaluate, "
-        "_latch=_latch):",
-        "    append = trace.append",
-        f"    for {', '.join(names) or '_'} in rows:",
-    ]
-    for var, (_, net) in zip(names, inputs):
-        lines.append(f"        s[{slot[net.name]}] = int({var}) "
-                     f"& {_mask_literal(net.width)}")
-    record = ", ".join(
-        f"{name!r}: s[{slot[net.name]}]" for name, net in outputs
-    )
-    lines += [
-        "        _evaluate(s, r, f)",
-        f"        append({{{record}}})",
-        "        _latch(s, r, f)",
-    ]
-    return lines
 
 
 #: Cap on the operator count of one fused expression tree: unbounded
@@ -498,44 +405,181 @@ def _fused_nets(module: Module, order: List[Cell]) -> frozenset:
     return frozenset(fused)
 
 
-def _generate_source(module: Module, slot: Dict[str, int]) -> Tuple[
-    str, List[str], List[int], List[str], List[int], List[str]
-]:
-    """Generate the evaluate/latch pair and the whole-run loop
-    (:func:`_run_lines`) for a flat, validated module.
+def _scalar_cycle(module: Module, order: List[Cell], fused: frozenset,
+                  seq, net, reg, fifo) -> Tuple[List[str], List[str]]:
+    """One cycle of the scalar program over caller-named state: the
+    evaluate and latch bodies, as unindented source lines.
 
-    Nets in :func:`_fused_nets` emit no assignment: their expression is
-    inlined, parenthesized, into the sole consumer.  The last element of
-    the result lists those nets, sorted.
+    ``net(name)``, ``reg(index)`` and ``fifo(index)`` name a net, a
+    register's state and a FIFO's deque: slot reads (``s[3]``, ``r[0]``,
+    ``f[0]``) for ``_evaluate``/``_latch``, locals for ``_run``.
+    Evaluate drives the sequential outputs from state, then assigns the
+    combinational cells producers first (interpreter order); nets in
+    ``fused`` get no assignment, their expression is inlined into the
+    sole consumer.  The latch reads only nets, so it updates state in
+    place like ``Simulator.tick``.  ``seq`` is the module's
+    :func:`_seq_meta`.
+
+    Every net holds a clean value (below ``2^width``), so only a value
+    that can leave its width is masked: a cell's result as
+    :data:`_COMB_RULES` says, a register's ``q`` when its ``d`` is
+    wider or its init lies outside ``[0, 2^width)``, and a FIFO's
+    ``out_data`` when its ``in_data`` is wider.  A one-bit select,
+    enable, valid or ready is tested bare, a wider one through ``& 1``.
     """
-    reg_cells, reg_inits, fifo_cells, fifo_depths = _seq_meta(module)
-    order = comb_topo_order(module)
-    fused = _fused_nets(module, order)
+    reg_cells, reg_inits, fifo_cells, fifo_depths = seq
+    cells = module.cells
     producer = {cell.pins["out"].name: cell for cell in order}
 
     def atom(name: str) -> str:
         if name in fused:
             return f"({_comb_expression_atoms(producer[name], atom)})"
-        return f"s[{slot[name]}]"
+        return net(name)
 
-    ev: List[str] = ["def _evaluate(s, r, f):"]
-    ev.extend(_drive_seq_lines(module, slot, reg_cells, fifo_cells,
-                               fifo_depths))
-    # Phase 2: straight-line combinational assignments, producers first.
+    def flag(pin_net) -> str:
+        return net(pin_net.name) + (" & 1" if pin_net.width > 1 else "")
+
+    ev: List[str] = []
+    lt: List[str] = []
+    for index, name in enumerate(reg_cells):
+        pins = cells[name].pins
+        q, d = pins["q"], pins["d"]
+        state = reg(index)
+        if d.width > q.width or not 0 <= reg_inits[index] < 1 << q.width:
+            state += f" & {_mask_literal(q.width)}"
+        ev.append(f"{net(q.name)} = {state}")
+        if cells[name].kind == "reg":
+            lt.append(f"{reg(index)} = {net(d.name)}")
+        else:  # regen
+            lt += [f"if {flag(pins['en'])}:",
+                   f"    {reg(index)} = {net(d.name)}"]
+    for index, name in enumerate(fifo_cells):
+        pins = cells[name].pins
+        queue = fifo(index)
+        out_valid = net(pins["out_valid"].name)
+        out_data = net(pins["out_data"].name)
+        head = f"{queue}[0]"
+        if pins["in_data"].width > pins["out_data"].width:
+            head += f" & {_mask_literal(pins['out_data'].width)}"
+        ev += [
+            f"{net(pins['in_ready'].name)} = 1 if len({queue}) < "
+            f"{fifo_depths[index]} else 0",
+            f"if {queue}:",
+            f"    {out_valid} = 1",
+            f"    {out_data} = {head}",
+            "else:",
+            f"    {out_valid} = 0",
+            f"    {out_data} = 0",
+        ]
+        lt += [
+            f"if {queue} and {flag(pins['out_ready'])} and "
+            f"{flag(pins['out_valid'])}:",
+            f"    {queue}.popleft()",
+            f"if {flag(pins['in_valid'])} and {flag(pins['in_ready'])}:",
+            f"    {queue}.append({net(pins['in_data'].name)})",
+        ]
     for cell in order:
         out = cell.pins["out"].name
         if out not in fused:
-            ev.append(f"    s[{slot[out]}] = "
-                      f"{_comb_expression_atoms(cell, atom)}")
-    if len(ev) == 1:
-        ev.append("    pass")
+            ev.append(f"{net(out)} = {_comb_expression_atoms(cell, atom)}")
+    return ev, lt
 
-    lt = _latch_lines(module, slot, reg_cells, fifo_cells)
-    source = "\n\n\n".join(
-        "\n".join(lines) for lines in (ev, lt, _run_lines(module, slot))
-    ) + "\n"
-    return (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
-            sorted(fused))
+
+def _indented(lines: List[str], depth: int) -> List[str]:
+    """``lines`` as a block body at ``depth``: ``pass`` when empty."""
+    return [" " * depth + line for line in lines or ["pass"]]
+
+
+def _locals_run_lines(module: Module, slot: Dict[str, int], live: int,
+                      seq, ev: List[str], lt: List[str]) -> List[str]:
+    """The whole-run loop over locals, around one cycle's evaluate and
+    latch bodies (:func:`_scalar_cycle` over ``n<slot>``, ``r<i>`` and
+    ``f<i>``).
+
+    Entry loads the ``live`` low slots (the nets the program writes),
+    the register states and the FIFO deques (``seq`` is the module's
+    :func:`_seq_meta`) into locals, and a ``finally`` writes nets and
+    state back, so ``s`` and ``r`` end as the ``step`` loop leaves them
+    after any return or exception (the deques change in place).  A row
+    holds every input port's value in ``_RUN_PORTS[0]`` order (a bare
+    value when there is one input port, the stream's own empty dict
+    when there are none); one tuple assignment converts the whole row as
+    ``int(v) & mask``, like ``poke``, so a value ``int`` rejects writes
+    no input.  Each cycle's record is one dict display in
+    ``_RUN_PORTS[1]`` order, so it equals ``step``'s dict, key order
+    included, and goes into the caller's ``trace`` list, which then
+    holds exactly the cycles that ran.
+    """
+    inputs, outputs = module.inputs(), module.outputs()
+    values = [f"v{index}" for index in range(len(inputs))]
+    nets = ", ".join(f"n{index}" for index in range(live))
+    states = ", ".join(f"r{index}" for index in range(len(seq[0])))
+    deques = ", ".join(f"f{index}" for index in range(len(seq[2])))
+    # (locals, where they load from, where they are written back)
+    held = [(nets, f"s[:{live}]", f"s[:{live}]"), (states, "r", "r[:]"),
+            (deques, "f", None)]
+    lines = [
+        f"_RUN_PORTS = ({tuple(name for name, _ in inputs)!r}, "
+        f"{tuple(name for name, _ in outputs)!r})",
+        "",
+        "",
+        "def _run(s, r, f, rows, trace):",
+        "    append = trace.append",
+    ]
+    lines += [f"    {names}, = {load}" for names, load, _ in held if names]
+    lines += ["    try:", f"        for {', '.join(values) or '_'} in rows:"]
+    if inputs:
+        targets = ", ".join(f"n{slot[port.name]}" for _, port in inputs)
+        converted = ", ".join(
+            f"int({value}) & {_mask_literal(port.width)}"
+            for value, (_, port) in zip(values, inputs)
+        )
+        lines.append(f"            {targets} = {converted}")
+    record = ", ".join(
+        f"{name!r}: n{slot[port.name]}" for name, port in outputs
+    )
+    lines += _indented([*ev, f"append({{{record}}})", *lt], 12)
+    lines.append("    finally:")
+    lines += _indented([
+        f"{store} = {names}," for names, _, store in held if names and store
+    ], 8)
+    return lines
+
+
+def _generate_source(module: Module) -> Tuple[
+    str, Dict[str, int], List[str], List[int], List[str], List[int],
+    List[str]
+]:
+    """Generate the scalar program and its slot layout for a flat,
+    validated module.
+
+    The program is ``_evaluate``/``_latch`` over the slot lists (what
+    ``step``, ``evaluate`` and ``tick`` call) and the whole-run loop
+    ``_run`` (:func:`_locals_run_lines`), all written by one emitter,
+    :func:`_scalar_cycle`.  The live nets take the low slots, sorted,
+    and the nets in :func:`_fused_nets`, which no statement writes, the
+    rest; so ``_run`` loads and stores one contiguous slice.  The last
+    element of the result lists the fused nets, sorted.
+    """
+    seq = _seq_meta(module)
+    order = comb_topo_order(module)
+    fused = _fused_nets(module, order)
+    live = sorted(name for name in module.nets if name not in fused)
+    slot = {name: index for index, name in enumerate(live + sorted(fused))}
+
+    def cycle(net, reg, fifo):
+        return _scalar_cycle(module, order, fused, seq, net, reg, fifo)
+
+    ev, lt = cycle(lambda name: f"s[{slot[name]}]", "r[{}]".format,
+                   "f[{}]".format)
+    run = _locals_run_lines(module, slot, len(live), seq, *cycle(
+        lambda name: f"n{slot[name]}", "r{}".format, "f{}".format))
+    source = "\n\n\n".join("\n".join(lines) for lines in (
+        ["def _evaluate(s, r, f):", *_indented(ev, 4)],
+        ["def _latch(s, r, f):", *_indented(lt, 4)],
+        run,
+    )) + "\n"
+    return (source, slot, *seq, sorted(fused))
 
 
 # -- batched (multi-lane) code generation -------------------------------
@@ -627,8 +671,11 @@ def swar_profitable(module: Module, lanes: int) -> bool:
     lane-loop term now overprices them: on ``blas`` at ``-O2`` and 64
     lanes SWAR measured 118k lane-cycles/s against 86k for sequential
     scalar lanes (64 cycles, median of 7, 2-vCPU Intel Xeon VM, Python
-    3.11), yet this predicate still says no.  The coefficients stay
-    until the engine choice is refit as a whole.
+    3.11), yet this predicate still says no.  That scalar figure
+    predates the clean-value masks and the locals run loop, which
+    raised the scalar rate 1.1–2.2x per catalog design on ``sim-sweep``,
+    so both sides of the comparison need measuring again.  The
+    coefficients stay until the engine choice is refit as a whole.
     """
     lanes = int(lanes)
     if lanes <= 1:
@@ -1233,13 +1280,13 @@ def _codegen_backend_tag(lanes: Optional[int]) -> str:
 
 
 def _generate_payload(module: Module, key: str, lanes: Optional[int]) -> Dict:
-    slot = {name: index for index, name in enumerate(sorted(module.nets))}
     inlined: List[str] = []
     if lanes is None:
-        (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
-         inlined) = _generate_source(module, slot)
+        (source, slot, reg_cells, reg_inits, fifo_cells, fifo_depths,
+         inlined) = _generate_source(module)
         stride = 0
     else:
+        slot = {name: index for index, name in enumerate(sorted(module.nets))}
         (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
          stride) = _generate_batched_source(module, slot, lanes)
     return {
@@ -1261,13 +1308,13 @@ def _materialize(
     payload: Dict, module_name: str, start: float, from_store: bool
 ) -> CompiledNetlist:
     namespace: Dict[str, object] = {}
-    code = compile(
-        payload["source"],
-        f"<compiled:{module_name}:{payload['structural_hash']}"
-        f":x{payload['lanes']}>",
-        "exec",
-    )
-    exec(code, namespace)
+    filename = (f"<compiled:{module_name}:{payload['structural_hash']}"
+                f":x{payload['lanes']}>")
+    # The generators separate top-level definitions by two blank lines.
+    # Compiling them one at a time into one namespace bounds compile()'s
+    # transient memory by the largest definition, not the whole module.
+    for definition in payload["source"].split("\n\n\n"):
+        exec(compile(definition, filename, "exec"), namespace)
     return CompiledNetlist(
         payload["structural_hash"],
         payload["slot_of"],
@@ -1352,8 +1399,9 @@ class CompiledSimulator:
 
     Bit-identical to :class:`~repro.rtl.simulate.Simulator` by
     construction (see :func:`differential_check`); several times faster
-    because the per-cycle work is straight-line list indexing instead of
-    per-cell dispatch over ``Net``-keyed dicts.
+    because the per-cycle work is straight-line code instead of per-cell
+    dispatch over ``Net``-keyed dicts: list indexing in ``step``, and
+    in :meth:`run` the program's whole-run loop over Python locals.
     """
 
     def __init__(self, module: Module, codegen_store=None):
@@ -1460,6 +1508,12 @@ class CompiledSimulator:
         trace: List[Dict[str, int]] = []
         try:
             self._run(self._slots, self._regs, self._fifos, rows, trace)
+        except Exception:  # whatever int() raised on one of the values
+            # The loop converts a whole row before it writes an input,
+            # so the row that raised wrote none: poke it as step() does,
+            # which writes the ports ahead of the bad value and raises.
+            self.poke(stream[len(trace)])
+            raise
         finally:
             self.cycle += len(trace)
         return trace

@@ -291,6 +291,84 @@ def test_scalar_entries_from_before_the_run_loop_stay_inert(tmp_path):
     assert report.consistent and report.scanned == 2
 
 
+#: What the version-6 scalar generator emitted for ``_widening_adder``:
+#: a mask on every result, and a run loop that pokes the slot list and
+#: calls ``_evaluate`` and ``_latch`` per row.
+_V6_WIDENING_ADDER = """def _evaluate(s, r, f):
+    s[2] = (s[0] + s[1]) & 511
+
+
+def _latch(s, r, f):
+    pass
+
+
+_RUN_PORTS = (('a', 'b'), ('out',))
+
+
+def _run(s, r, f, rows, trace, _evaluate=_evaluate, _latch=_latch):
+    append = trace.append
+    for v0, v1 in rows:
+        s[0] = int(v0) & 255
+        s[1] = int(v1) & 255
+        _evaluate(s, r, f)
+        append({'out': s[2]})
+        _latch(s, r, f)
+"""
+
+
+def _widening_adder() -> Module:
+    """Two 8-bit ports summed into 9 bits: a sum that needs no mask."""
+    module = Module("widening")
+    a = module.add_input("a", 8)
+    b = module.add_input("b", 8)
+    module.add_cell("add",
+                    {"a": a, "b": b, "out": module.add_output("out", 9)})
+    return module
+
+
+def test_scalar_entries_from_before_clean_masks_stay_inert(tmp_path):
+    """A store written at ``CODEGEN_VERSION`` 6 holds scalar programs
+    that mask every result and run on the slot lists.  Their key carries
+    the old version, so a compile over them misses and stores a new
+    entry, the old one stays digest-valid for fsck, and a program loaded
+    from the new entry runs the cold program's trace."""
+    from repro.driver import run_fsck
+    from repro.driver.artifact import StageArtifact
+    from repro.rtl import CODEGEN_VERSION, Simulator
+    from repro.rtl.compile import _generate_payload
+
+    assert CODEGEN_VERSION > 6
+    module = _widening_adder()
+    structural = module.structural_hash()
+    payload = _generate_payload(module, structural, None)
+    assert "& 511" not in payload["source"]
+    legacy = dict(payload, source=_V6_WIDENING_ADDER)
+    legacy_key = ("codegen", structural, "scalar", None, 6)
+    disk = DiskCache(str(tmp_path))
+    assert disk.store(legacy_key, StageArtifact("codegen", legacy_key,
+                                                legacy, 0.0))
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 1
+
+    store = _store(tmp_path)
+    stream = random_stimulus(module, 24, seed=6)
+    cold = CompiledSimulator(module, codegen_store=store)
+    assert not cold.program.from_store
+    assert cold.program.source == payload["source"]
+    assert store.disk.stats.counter("codegen.disk_miss") == 1
+    assert store.disk.stats.counter("codegen.store") == 1
+    expected = cold.run(stream)
+    assert expected == Simulator(module).run(stream)
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 2
+
+    clear_compile_memo()
+    warm = CompiledSimulator(_widening_adder(), codegen_store=store)
+    assert warm.program.from_store
+    assert warm.program.source == payload["source"]
+    assert warm.run(stream) == expected
+
+
 def test_swar_entries_from_before_the_word_view_stay_inert(tmp_path):
     """A store written at ``CODEGEN_VERSION`` 5 holds SWAR programs whose
     lane loops convert every lane through byte slices.  Their key
@@ -302,7 +380,7 @@ def test_swar_entries_from_before_the_word_view_stay_inert(tmp_path):
     from repro.rtl import CODEGEN_VERSION
     from repro.rtl.compile import _generate_payload, _lane_helper_lines
 
-    assert CODEGEN_VERSION == 6
+    assert CODEGEN_VERSION > 5
     module = _multiplier()
     structural = module.structural_hash()
     payload = _generate_payload(module, structural, 4)

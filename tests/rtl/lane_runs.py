@@ -4,13 +4,19 @@
 ``repro.rtl.simulate.run_lanes``, the scalar engine through its
 generated ``_run`` loop) while ``step()`` marshals one cycle at a time;
 for any stimulus a caller can hand in, both must return the same traces
-and leave the engine in the same state.  The lane forms take one stream
-per lane, the one-lane forms a single stream.
+and leave the engine in the same state: every port, every net
+``peek_net`` shows, and the next ``step``.  The lane forms take one
+stream per lane, the one-lane forms a single stream.
 """
 
 import random
 
-from repro.rtl import Module, random_stimulus, random_stimulus_batch
+from repro.rtl import (
+    Module,
+    NetlistError,
+    random_stimulus,
+    random_stimulus_batch,
+)
 
 
 def _assert_same_traces(traces, expected):
@@ -27,10 +33,21 @@ def _assert_same_traces(traces, expected):
     )
 
 
+def _peek_net(engine, name):
+    """A net's value, or ``NetlistError`` if the engine cannot show it
+    (a net the scalar generator fused away)."""
+    try:
+        return engine.peek_net(name)
+    except NetlistError:
+        return NetlistError
+
+
 def _assert_same_state(ran, stepped, cycles):
     assert ran.cycle == stepped.cycle == cycles
     for port in ran.module.ports:
         assert ran.peek(port) == stepped.peek(port), port
+    for name in ran.module.nets:
+        assert _peek_net(ran, name) == _peek_net(stepped, name), name
     assert ran.step() == stepped.step()
 
 

@@ -5,14 +5,16 @@ The contract under test is total interchangeability behind the
 semantics, and — the differential gate — identical outputs to the
 interpreter on every cycle of seeded stimulus, across every catalog
 design at both optimization levels and on a FIFO-heavy synthetic
-module the datapath designs don't cover.  The scalar generator's one
-structural choice, expression fusion, has its rules pinned here too, and
-its generated whole-run loop must equal one ``step`` per cycle.
+module the datapath designs don't cover.  The scalar generator's
+structural choices, expression fusion and masking only the values that
+can leave their width, have their rules pinned here too, and its
+generated whole-run loop must equal one ``step`` per cycle.
 """
 
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.designs import fifo_pipeline
 from repro.designs.catalog import DESIGNS, design_point
@@ -32,6 +34,7 @@ from repro.rtl import (
     resolve_backend,
 )
 from repro.rtl.compile import FUSE_OP_CAP, swar_profitable
+from repro.rtl.simulate import eval_comb_cell
 
 from .lane_runs import (
     STREAM_RUN_CASES,
@@ -39,6 +42,7 @@ from .lane_runs import (
     free_running_counter,
     stream_run_cases,
 )
+from .test_netlist_sim import comb_cells
 
 
 def _alu(width=8) -> Module:
@@ -267,6 +271,199 @@ def test_fused_nets_are_inlined_out_of_the_program():
         compiled.peek_net(program.inlined_nets[0])
 
 
+# -- clean values: a mask only where a value can leave its width --------
+
+
+def _assert_clean(engine):
+    """Every net the program writes holds a value below ``2^width``."""
+    fused = set(engine.program.inlined_nets)
+    for name, net in engine.module.nets.items():
+        if name not in fused:
+            assert 0 <= engine.peek_net(name) < 1 << net.width, name
+
+
+def _one_cell(cell, fuse: bool) -> Module:
+    """``cell`` alone in a module, each operand pin driven by an input
+    port of the pin's name and width.  With ``fuse`` its output's one
+    reader is an xor with port ``z`` onto port ``y``, so the generator
+    inlines it there; otherwise it drives port ``out``."""
+    module = Module("one_cell")
+    pins = {
+        pin: module.add_input(pin, net.width)
+        for pin, net in cell.pins.items()
+        if pin != "out"
+    }
+    width = cell.pins["out"].width
+    if fuse:
+        pins["out"] = module.fresh_net(width, "out")
+        module.add_cell("xor", {
+            "a": pins["out"],
+            "b": module.add_input("z", width),
+            "out": module.add_output("y", width),
+        })
+    else:
+        pins["out"] = module.add_output("out", width)
+    module.add_cell(cell.kind, pins, dict(cell.params))
+    module.validate()
+    return module
+
+
+@settings(max_examples=300, deadline=None)
+@given(comb_cells(), st.booleans())
+def test_scalar_program_equals_the_evaluator_at_every_width(case, fuse):
+    cell, values = case
+    module = _one_cell(cell, fuse)
+    inputs = {pin: values[net] for pin, net in cell.pins.items()
+              if pin != "out"}
+    if fuse:
+        inputs["z"] = 0
+    record = {"y" if fuse else "out": eval_comb_cell(cell, values)}
+    stepped, ran = CompiledSimulator(module), CompiledSimulator(module)
+    assert bool(stepped.program.inlined_nets) == fuse
+    assert stepped.step(inputs) == record
+    assert ran.run([inputs, inputs]) == [record, record]
+    for engine in (stepped, ran):
+        _assert_clean(engine)
+
+
+_BINARY_KINDS = ("add", "sub", "mul", "div", "mod", "and", "or", "xor",
+                 "eq", "lt", "concat")
+
+
+def _boundary_cells():
+    """``(kind, operand widths, params, out width)`` for every
+    combinational kind over widths 1, 2, 3 and 5, shifts and slices by
+    0, 1, 2 and 6 and one- and two-bit selects: every row of the
+    clean-value rule is met below, at and above its boundary."""
+    widths = (1, 2, 3, 5)
+    for wo in widths:
+        yield "const", {}, {"value": -3}, wo
+        yield "const", {}, {"value": 37}, wo
+        for wa in widths:
+            yield "not", {"a": wa}, {}, wo
+            for k in (0, 1, 2, 6):
+                yield "shl", {"a": wa}, {"amount": k}, wo
+                yield "shr", {"a": wa}, {"amount": k}, wo
+                yield "slice", {"a": wa}, {"lsb": k}, wo
+            for wb in widths:
+                for kind in _BINARY_KINDS:
+                    yield kind, {"a": wa, "b": wb}, {}, wo
+                for ws in (1, 2):
+                    yield "mux", {"sel": ws, "a": wa, "b": wb}, {}, wo
+
+
+def _boundary_module() -> Module:
+    """Each of :func:`_boundary_cells` on its own output port and again
+    fused into an xor, over input ports shared per (pin, width)."""
+    module = Module("boundaries")
+    ports = {}
+
+    def port(pin, width):
+        if (pin, width) not in ports:
+            ports[pin, width] = module.add_input(f"{pin}{width}", width)
+        return ports[pin, width]
+
+    for index, (kind, widths, params, wo) in enumerate(_boundary_cells()):
+        operands = {pin: port(pin, width) for pin, width in widths.items()}
+        module.add_cell(
+            kind, {**operands, "out": module.add_output(f"c{index}", wo)},
+            params,
+        )
+        fused = module.fresh_net(wo, "fused")
+        module.add_cell(kind, {**operands, "out": fused}, params)
+        module.add_cell("xor", {
+            "a": fused, "b": port("z", wo),
+            "out": module.add_output(f"x{index}", wo),
+        })
+    module.validate()
+    return module
+
+
+def test_every_comb_kind_equals_the_interpreter_around_its_mask_boundary():
+    module = _boundary_module()
+    stream = random_stimulus(module, 48, seed=17, bias=0.5)
+    expected = Simulator(module).run(stream)
+    assert CompiledSimulator(module).run(stream) == expected
+    stepped = CompiledSimulator(module)
+    for inputs, outputs in zip(stream, expected):
+        assert stepped.step(inputs) == outputs
+        _assert_clean(stepped)
+
+
+def test_a_result_that_cannot_leave_its_width_is_not_masked():
+    module = Module("widening")
+    a, b = module.add_input("a", 8), module.add_input("b", 8)
+    module.add_cell("add", {"a": a, "b": b,
+                            "out": module.add_output("wide", 9)})
+    module.add_cell("add", {"a": a, "b": b,
+                            "out": module.add_output("narrow", 8)})
+    module.add_cell("shr", {"a": a, "out": module.add_output("same", 8)},
+                    {"amount": 0})
+    program = compile_netlist(module)
+    slot = {name: f"s[{index}]" for name, index in program.slot_of.items()}
+    evaluate = program.source.split("\n\n\n")[0] + "\n"
+    assert f"{slot['wide']} = {slot['a']} + {slot['b']}\n" in evaluate
+    assert f"{slot['narrow']} = ({slot['a']} + {slot['b']}) & 255\n" in (
+        evaluate)
+    assert f"{slot['same']} = {slot['a']}\n" in evaluate
+    assert differential_check(module, cycles=64, seed=2, bias=0.5)
+
+
+def _narrowing_sequentials() -> Module:
+    """Registers and a FIFO holding values wider than their outputs: a
+    ``d`` or ``in_data`` wider than ``q`` or ``out_data``, and inits at
+    or above ``2^width`` or below zero; with two-bit enable, valid and
+    ready nets.  Every output is a port."""
+    module = Module("narrowing")
+    wide = module.add_input("wide", 8)
+    narrow = module.add_input("narrow", 4)
+    en = module.add_input("en", 2)
+    for name, kind, d, init in (
+        ("wide_d", "reg", wide, 0),
+        ("wide_d_en", "regen", wide, 0),
+        ("init_over", "reg", narrow, 16),
+        ("init_negative", "reg", narrow, -3),
+        ("init_over_en", "regen", narrow, 300),
+    ):
+        pins = {"d": d, "q": module.add_output(name, 4)}
+        if kind == "regen":
+            pins["en"] = en
+        module.add_cell(kind, pins, {"init": init})
+    module.add_cell(
+        "fifo",
+        {
+            "in_data": wide,
+            "in_valid": module.add_input("in_valid", 2),
+            "in_ready": module.add_output("in_ready", 2),
+            "out_data": module.add_output("out_data", 4),
+            "out_valid": module.add_output("out_valid", 2),
+            "out_ready": module.add_input("out_ready", 2),
+        },
+        {"depth": 3},
+    )
+    module.validate()
+    return module
+
+
+def test_sequential_cells_mask_what_they_hold_beyond_their_outputs():
+    module = _narrowing_sequentials()
+    stream = random_stimulus(module, 64, seed=23, bias=0.5)
+    expected = Simulator(module).run(stream)
+    assert expected[0]["init_over"] == 0
+    assert expected[0]["init_negative"] == 13
+    assert expected[0]["init_over_en"] == 300 & 15
+    stepped = CompiledSimulator(module)
+    for inputs, outputs in zip(stream, expected):
+        assert stepped.step(inputs) == outputs
+        _assert_clean(stepped)
+    ran = CompiledSimulator(module)
+    assert ran.run(stream) == expected
+    _assert_clean(ran)
+    assert_stream_run_matches_steps(
+        lambda: CompiledSimulator(module), lambda: stream
+    )
+
+
 # -- the generated whole-run loop: run() == step() cycle by cycle -------
 
 
@@ -344,20 +541,40 @@ def test_uniform_stream_naming_an_unknown_port_raises_like_poke():
             CompiledSimulator(module).run([vector] * 4)
 
 
+def _two_input_adder() -> Module:
+    module = Module("adder")
+    a = module.add_input("a", 8)
+    b = module.add_input("b", 8)
+    module.add_cell("add",
+                    {"a": a, "b": b, "out": module.add_output("out", 8)})
+    return module
+
+
 def test_a_value_int_rejects_mid_run_stops_where_step_stops():
-    module = _registered_counter()
-    stream = random_stimulus(module, 12, seed=4)
-    stream[5] = {"en": None}
-    ran, stepped = CompiledSimulator(module), CompiledSimulator(module)
-    assert ran._run is not None
-    with pytest.raises(TypeError):
-        ran.run(stream)
-    with pytest.raises(TypeError):
-        for inputs in stream:
-            stepped.step(inputs)
-    assert ran.cycle == stepped.cycle == 5
-    assert ran.peek("out") == stepped.peek("out")
-    assert ran.step() == stepped.step()
+    counter = _registered_counter()
+    counting = random_stimulus(counter, 12, seed=4)
+    counting[5] = {"en": None}
+    cases = [
+        (counter, counting, 5),
+        # step() pokes in the dict's order, so it writes b before it
+        # meets the bad a; the run loop's port order puts a first.
+        (_two_input_adder(), [{"a": 1, "b": 2}, {"b": 7, "a": None}], 1),
+    ]
+    for module, stream, cycles in cases:
+        ran, stepped = CompiledSimulator(module), CompiledSimulator(module)
+        interp = Simulator(module)
+        assert ran._run is not None
+        with pytest.raises(TypeError):
+            ran.run(stream)
+        for engine in (stepped, interp):
+            with pytest.raises(TypeError):
+                for inputs in stream:
+                    engine.step(inputs)
+        assert ran.cycle == stepped.cycle == interp.cycle == cycles
+        for port in module.ports:
+            assert ran.peek(port) == stepped.peek(port) == interp.peek(port)
+        assert ran.step() == stepped.step() == interp.step()
+    assert ran.peek("b") == 7
 
 
 @pytest.mark.parametrize(
