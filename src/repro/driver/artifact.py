@@ -5,10 +5,11 @@ Every stage of the staged pipeline (``parse``, ``typecheck``,
 ``synthesize``) yields a :class:`StageArtifact`: the stage's value plus
 structured diagnostics, the wall-clock cost of producing it, and the
 content-addressed key it is cached under.  Artifacts are immutable once
-published to the cache — a cache hit returns the *same* object, timings
-and all, so downstream consumers can distinguish "recomputed" from
-"reused" via :attr:`StageArtifact.from_cache` without ever observing a
-half-built value.
+published to the cache — a memory hit returns a shallow copy that shares
+the published value, timings and all, so nothing is recomputed and no
+consumer ever observes a half-built value.  Each caller reads from its
+own record whether its artifact was "recomputed" or "reused", via
+:attr:`StageArtifact.from_cache`.
 """
 
 from __future__ import annotations
@@ -72,10 +73,10 @@ class StageArtifact:
         #: timings of nested sub-stages (wellformed/lower inside
         #: elaborate), aggregated across the recursive elaboration.
         self.sub_timings = dict(sub_timings or {})
-        #: set by the cache: False until the artifact is first *reused*;
-        #: True ever after (the same object is handed to every hit, so
-        #: this is a property of the artifact, not of one request —
-        #: per-request accounting lives in ``CacheStats``).
+        #: set by the cache on the record it hands to one request: True
+        #: when that request was served from the cache (a memory hit's
+        #: own copy, or an artifact loaded from disk), False when it ran
+        #: the stage.  The published artifact is never changed later.
         self.from_cache = False
 
     @property

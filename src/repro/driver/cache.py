@@ -23,6 +23,7 @@ entries are deleted and treated as misses, never served.
 from __future__ import annotations
 
 import atexit
+import copy
 import errno
 import hashlib
 import json
@@ -576,20 +577,20 @@ class DiskCache:
 
 
 class CodegenStore:
-    """Persists compiled-simulator step sources in a :class:`DiskCache`.
+    """Persists generated simulation programs in a :class:`DiskCache`.
 
-    The adapter :func:`repro.rtl.compile.compile_netlist` plugs into:
-    codegen payloads (generated source + slot layout, plain picklable
-    dicts) are wrapped in a ``StageArtifact`` under the pseudo-stage
-    ``"codegen"`` and keyed by ``(structural_hash, backend, lanes,
-    CODEGEN_VERSION)`` — fully value-based, so every process over a
-    structurally equal netlist shares one levelization + generation.
-    The backend tag (``"scalar"``, ``"swar"``, ``"vector"``) keeps the
-    generators' entries apart now that three codegen targets share the
-    stage.  Grid workers in process
-    mode rendezvous here: the first worker to compile a netlist pays
-    codegen, the rest load the source and only pay ``compile()`` +
-    ``exec()``.
+    The adapter the one compile path of all three generators plugs into
+    (``compile_netlist`` and ``compile_vector_netlist`` in
+    :mod:`repro.rtl`): codegen payloads (generated source + slot layout,
+    plain picklable dicts of one shape) are wrapped in a
+    ``StageArtifact`` under the pseudo-stage ``"codegen"`` and keyed by
+    ``(structural_hash, backend, lanes, CODEGEN_VERSION)`` — fully
+    value-based, so every process over a structurally equal netlist
+    shares one levelization + generation.  The backend tag
+    (``"scalar"``, ``"swar"``, ``"vector"``) keeps the three generators'
+    entries apart.  Grid workers in process mode rendezvous here: the
+    first worker to compile a netlist pays codegen, the rest load the
+    source and only pay ``compile()`` + ``exec()``.
 
     Counters on the shared :class:`CacheStats`: ``codegen.disk_hit`` /
     ``codegen.disk_miss`` per lookup, ``codegen.store`` per write-back
@@ -727,16 +728,18 @@ class ArtifactCache:
 
         The first requester runs ``compute`` under a per-key lock;
         concurrent requesters for the same key block and then receive the
-        published artifact.  A failed compute publishes nothing, so the
-        next request retries.
+        published artifact's value.  A failed compute publishes nothing,
+        so the next request retries.  A memory hit returns a shallow copy
+        marked ``from_cache``, sharing the value: the published artifact
+        is never mutated, so whoever received it first still reads how
+        it was produced.
         """
         stage = key[0]
         with self._mutex:
             artifact = self._artifacts.get(key)
             if artifact is not None:
                 self.stats.record_hit(stage)
-                artifact.from_cache = True
-                return artifact
+                return self._reused(artifact)
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         try:
             faults.inject("cache.lock", self.stats)
@@ -756,8 +759,7 @@ class ArtifactCache:
                 artifact = self._artifacts.get(key)
             if artifact is not None:
                 self.stats.record_hit(stage)
-                artifact.from_cache = True
-                return artifact
+                return self._reused(artifact)
             if self.disk is not None:
                 artifact = self.disk.load(key)
                 if artifact is not None:
@@ -783,6 +785,14 @@ class ArtifactCache:
         if self.disk is not None:
             self.disk.store(key, artifact)
         return artifact
+
+    @staticmethod
+    def _reused(artifact: StageArtifact) -> StageArtifact:
+        """A memory hit's own record of ``artifact``: same value, marked
+        ``from_cache``."""
+        hit = copy.copy(artifact)
+        hit.from_cache = True
+        return hit
 
     def clear(self) -> None:
         with self._mutex:

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Dict
 
 from .base import GeneratedModule, Generator, GeneratorError
-from .control_util import phase_counter
 from ..rtl import Module
 
 

@@ -438,37 +438,6 @@ def substitute_params(
     return go(node)
 
 
-def substitute_inst_outs(
-    node: Union[PExpr, Constraint], mapping: Dict[PInstOut, PExpr]
-) -> Union[PExpr, Constraint]:
-    """Substitute instance-output accesses by expressions."""
-
-    def go(n):
-        if isinstance(n, PInstOut):
-            return mapping.get(n, n)
-        if isinstance(n, (PInt, PVar, CBool)):
-            return n
-        if isinstance(n, PBin):
-            return PBin(n.op, go(n.lhs), go(n.rhs))
-        if isinstance(n, PUn):
-            return PUn(n.op, go(n.arg))
-        if isinstance(n, PAccess):
-            return PAccess(n.comp, [go(a) for a in n.args], n.out)
-        if isinstance(n, PIte):
-            return PIte(go(n.cond), go(n.then), go(n.other))
-        if isinstance(n, CCmp):
-            return CCmp(n.op, go(n.lhs), go(n.rhs))
-        if isinstance(n, CNot):
-            return CNot(go(n.arg))
-        if isinstance(n, CAnd):
-            return CAnd(go(n.lhs), go(n.rhs))
-        if isinstance(n, COr):
-            return COr(go(n.lhs), go(n.rhs))
-        raise ParamError(f"unknown node {n!r}")
-
-    return go(node)
-
-
 # --------------------------------------------------------------------------
 # Pretty printing (paper-style).
 

@@ -33,7 +33,6 @@ from .compile import (
     CompiledSimulator,
     SimBackend,
     clear_compile_memo,
-    compile_memo_size,
     compile_netlist,
     differential_check,
     make_simulator,
@@ -44,7 +43,6 @@ from .compile import (
 from .vectorize import (
     SimBackendUnavailable,
     VectorCompiledSimulator,
-    VectorNetlist,
     clear_vector_memo,
     compile_vector_netlist,
 )
@@ -69,14 +67,12 @@ __all__ = [
     "SimBackendUnavailable",
     "Simulator",
     "VectorCompiledSimulator",
-    "VectorNetlist",
     "auto_backend",
     "backend_choices",
     "backend_fingerprint",
     "batched_stride",
     "clear_compile_memo",
     "clear_vector_memo",
-    "compile_memo_size",
     "compile_netlist",
     "compile_vector_netlist",
     "derive_lane_seed",

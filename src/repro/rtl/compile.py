@@ -63,20 +63,29 @@ register-heavy netlists batch best.  :class:`BatchedCompiledSimulator`
 owns the packed state; scalar backends reach it through
 ``run_batch``.
 
-**Three codegen targets.**  This module owns two of them — the scalar
-generator (``_generate_source``: one straight-line assignment per
-cell, masked only where the value can leave its width, with
-single-reader expressions fused into their consumer, and the whole-run
-loop over locals) and the SWAR batched generator
-(``_generate_batched_source`` below) —
-and :mod:`repro.rtl.vectorize` adds the third: word-packed
-lane *columns* (numpy ``uint64`` arrays) where one vectorized operation
-advances thousands of lanes at fixed per-op overhead.  SWAR cost grows
-with the packed bignum's limb count and saturates between 16 and 64
-lanes; the vector target keeps scaling past that, which is why
-mega-lane sweeps belong there.  All three emit bit-identical traces —
-the same :func:`differential_check` gates each one against the
-interpreter.
+**Three codegen targets, one compile path.**  This module owns two of
+them — the scalar generator (``_generate_source``: one straight-line
+assignment per cell, masked only where the value can leave its width,
+with single-reader expressions fused into their consumer, and the
+whole-run loop over locals) and the SWAR batched generator
+(``_generate_batched_source`` below) — and :mod:`repro.rtl.vectorize`
+adds the third: word-packed lane *columns* (numpy ``uint64`` arrays)
+where one vectorized operation advances thousands of lanes at fixed
+per-op overhead.  SWAR cost grows with the packed bignum's limb count
+and saturates between 16 and 64 lanes; the vector target keeps scaling
+past that, which is why mega-lane sweeps belong there.  The generators
+differ in their value encodings, so each keeps its own per-kind
+expression templates (a shared emitter would branch on the encoding at
+every kind).  What a result needs is shared: all three read where it
+can leave its width from :data:`_COMB_RULES`, and the two lane
+generators share the sequential layout and the per-lane fallback
+(:data:`_LANE_RULES`).  Everything around the generators is shared
+too: one compile path (``_compile_program``: memo, codegen store,
+generation, ``exec``) keyed ``(structural_hash, lanes, backend)``, one
+:class:`CompiledNetlist` record, one payload shape, and one port
+surface for the two lane engines (``_LaneSimulator``).  All three emit
+bit-identical traces — the same :func:`differential_check` gates each
+one against the interpreter.
 
 Backend selection is a static rule, checked against measurements on
 the catalog: :func:`auto_backend` sends ``"auto"`` to the vector engine
@@ -88,7 +97,7 @@ from designs whose ineligible cells predict a slowdown (the scalar
 
 **Persistent codegen.**  Generating the step source levelizes the
 netlist and builds a netlist-sized string — for large modules that is
-the dominant cost of a cold simulator.  ``compile_netlist`` therefore
+the dominant cost of a cold simulator.  The compile path therefore
 accepts a ``store`` (see ``repro.driver.cache.CodegenStore``): the
 generated source and slot layout are persisted keyed by
 ``(structural_hash, backend, lanes, CODEGEN_VERSION)`` — the backend
@@ -202,8 +211,9 @@ def _lane_unit(lanes: int, stride: int) -> int:
 class CompiledNetlist:
     """One netlist's compiled step code plus its slot layout.
 
-    Shared (via the memo table) by every ``CompiledSimulator`` over a
-    structurally equal module; holds no per-run state.
+    The record of all three generators (scalar, SWAR and vector), shared
+    via the memo table by every engine over a structurally equal module;
+    holds no per-run state.
     """
 
     __slots__ = (
@@ -258,7 +268,8 @@ class CompiledNetlist:
         self.compile_seconds = compile_seconds
         #: lane count the step code was generated for (None = scalar).
         self.lanes = lanes
-        #: bit stride between lane fields in packed mode (0 = scalar).
+        #: bit stride between lane fields in packed mode (0 = scalar or
+        #: vector).
         self.stride = stride
         #: True when the source came from a persistent codegen store
         #: rather than being generated in this process.
@@ -281,13 +292,14 @@ class CompiledNetlist:
         )
 
 
-#: Per combinational kind (``const`` is folded instead): the unmasked
-#: result over its operand atoms, and how many bits that result can need
-#: when every operand is clean (below ``2^width``), given the operand
-#: widths ``a`` and ``b`` and the shift amount or slice lsb ``k``; None
-#: where it can go negative.  Every net the scalar program writes holds a
-#: clean value, so a result is masked only where it can need more bits
-#: than its output has.
+#: Per combinational kind (``const`` is folded instead): the scalar
+#: program's unmasked result over its operand atoms, and how many bits
+#: that result can need when every operand is clean (below ``2^width``),
+#: given the operand widths ``a`` and ``b`` and the shift amount or slice
+#: lsb ``k``; None where it can go negative.  Every net holds a clean
+#: value, so a result is masked only where it can need more bits than its
+#: output has (:func:`_needs_mask`); the lane generators read the same
+#: widths for their own forms.
 _COMB_RULES = {
     "add": ("{a} + {b}", lambda a, b, k: max(a, b) + 1),
     "sub": ("{a} - {b}", None),
@@ -326,19 +338,47 @@ def _comb_expression_atoms(cell: Cell, atom) -> str:
         return repr(int(cell.params["value"]) & out_mask)
     if kind not in _COMB_RULES:
         raise NetlistError(f"cannot compile cell kind {kind!r}")
-    template, bits = _COMB_RULES[kind]
     operands = {
         pin: atom(net.name) for pin, net in pins.items() if pin != "out"
     }
     if kind == "mux" and pins["sel"].width > 1:
         operands["sel"] += " & 1"
-    k = int(cell.params.get("lsb" if kind == "slice" else "amount", 0))
-    b_width = pins["b"].width if "b" in pins else 0
+    k = _shift(cell)
     expr = (operands["a"] if kind in ("shl", "shr", "slice") and not k
-            else template.format(k=k, b_width=b_width, **operands))
-    if bits is None or bits(pins["a"].width, b_width, k) > pins["out"].width:
+            else _COMB_RULES[kind][0].format(
+                k=k, b_width=_b_width(cell), **operands))
+    if _needs_mask(cell):
         return f"({expr}) & {out_mask}"
     return expr
+
+
+def _shift(cell: Cell) -> int:
+    """A shift's amount or a slice's lsb (0 for the other kinds)."""
+    return int(cell.params.get("lsb" if cell.kind == "slice" else "amount", 0))
+
+
+def _b_width(cell: Cell) -> int:
+    """The width of the cell's ``b`` operand (0 for a unary cell)."""
+    return cell.pins["b"].width if "b" in cell.pins else 0
+
+
+def _needs_mask(cell: Cell) -> bool:
+    """Can ``cell``'s unmasked result reach ``2^width`` of its output
+    when its operands are clean?  (:data:`_COMB_RULES`)"""
+    bits = _COMB_RULES[cell.kind][1]
+    out = cell.pins["out"].width
+    return bits is None or bits(
+        cell.pins["a"].width, _b_width(cell), _shift(cell)
+    ) > out
+
+
+def _lane_needs_mask(cell: Cell) -> bool:
+    """:func:`_needs_mask` for the lane encodings, whose ``not`` XORs
+    with a mask of ``max(wa, wo)`` bits instead of complementing: its
+    result needs a mask only when ``a`` is wider than the output."""
+    if cell.kind == "not":
+        return cell.pins["a"].width > cell.pins["out"].width
+    return _needs_mask(cell)
 
 
 def _seq_meta(module: Module) -> Tuple[
@@ -583,6 +623,68 @@ def _generate_source(module: Module) -> Tuple[
 
 
 # -- batched (multi-lane) code generation -------------------------------
+
+
+def _lane_seq_meta(module: Module) -> Tuple[
+    List[str], List[int], List[str], List[int]
+]:
+    """:func:`_seq_meta` for the lane generators, with every register
+    init masked to its ``q`` width: the scalar program masks at the
+    ``q`` drive instead, but out-of-width init bits are unobservable
+    either way, and clean lane values are the lane encodings'
+    invariant."""
+    reg_cells, reg_inits, fifo_cells, fifo_depths = _seq_meta(module)
+    reg_inits = [
+        init & _mask_literal(module.cells[name].pins["q"].width)
+        for name, init in zip(reg_cells, reg_inits)
+    ]
+    return reg_cells, reg_inits, fifo_cells, fifo_depths
+
+
+#: Per combinational kind, one lane's result in the lane generators'
+#: per-lane loops (the SWAR ``comb_lane``, the vector ``comb_lanes``),
+#: over that lane's ``sel``, ``a`` and ``b`` values ``_c``, ``_p`` and
+#: ``_q``.  Mirrors :func:`~repro.rtl.simulate.eval_comb_cell`.
+_LANE_RULES = {
+    "add": "(_p + _q) & {mask}",
+    "sub": "(_p - _q) & {mask}",
+    "mul": "(_p * _q) & {mask}",
+    "div": "(_p // _q if _q else 0) & {mask}",
+    "mod": "(_p % _q if _q else 0) & {mask}",
+    "and": "(_p & _q) & {mask}",
+    "or": "(_p | _q) & {mask}",
+    "xor": "(_p ^ _q) & {mask}",
+    "eq": "1 if _p == _q else 0",
+    "lt": "1 if _p < _q else 0",
+    "concat": "((_p << {b_width}) | _q) & {mask}",
+    "not": "(~_p) & {mask}",
+    "shl": "(_p << {k}) & {mask}",
+    "shr": "(_p >> {k}) & {mask}",
+    "slice": "(_p >> {k}) & {mask}",
+    "mux": "(_p if _c & 1 else _q) & {mask}",
+}
+
+#: The loop variable of each operand pin in a :data:`_LANE_RULES` loop.
+_LANE_OPERANDS = (("sel", "_c"), ("a", "_p"), ("b", "_q"))
+
+
+def _lane_loop(cell: Cell, lanes_of) -> str:
+    """A list comprehension of ``cell``'s lane values
+    (:data:`_LANE_RULES`); ``lanes_of(net)`` renders an iterable of a
+    net's lane values."""
+    pins = cell.pins
+    if cell.kind not in _LANE_RULES:
+        raise NetlistError(f"cannot compile cell kind {cell.kind!r}")
+    expr = _LANE_RULES[cell.kind].format(
+        mask=_mask_literal(pins["out"].width), k=_shift(cell),
+        b_width=_b_width(cell),
+    )
+    operands = [(pin, name) for pin, name in _LANE_OPERANDS if pin in pins]
+    if len(operands) == 1:
+        return f"[{expr} for _p in {lanes_of(pins['a'])}]"
+    names = ", ".join(name for _, name in operands)
+    values = ", ".join(lanes_of(pins[pin]) for pin, _ in operands)
+    return f"[{expr} for {names} in zip({values})]"
 
 
 #: Comb-cell kinds the packed (SWAR) encoding can express; the rest —
@@ -880,11 +982,6 @@ def _generate_batched_source(
         if kind == "const":
             value = int(cell.params["value"]) & ((1 << wo) - 1)
             return [f"    s[{so}] = {consts.rep(value, f'V{so}', uses_ev)}"]
-        if kind == "add":
-            expr = f"({sl('a')} + {sl('b')})"
-            if wo < max(w("a"), w("b")) + 1:
-                expr += f" & {consts.mask(wo, uses_ev)}"
-            return [f"    s[{so}] = {expr}"]
         if kind == "sub":
             guard = max(w("a"), w("b"), wo)
             hname = consts.rep(1 << guard, f"H{guard}", uses_ev)
@@ -892,23 +989,6 @@ def _generate_batched_source(
                 f"    s[{so}] = (({sl('a')} | {hname}) - {sl('b')})"
                 f" & {consts.mask(wo, uses_ev)}"
             ]
-        if kind == "and":
-            expr = f"{sl('a')} & {sl('b')}"
-            if min(w("a"), w("b")) > wo:
-                expr = f"({expr}) & {consts.mask(wo, uses_ev)}"
-            return [f"    s[{so}] = {expr}"]
-        if kind in ("or", "xor"):
-            op = "|" if kind == "or" else "^"
-            expr = f"{sl('a')} {op} {sl('b')}"
-            if max(w("a"), w("b")) > wo:
-                expr = f"({expr}) & {consts.mask(wo, uses_ev)}"
-            return [f"    s[{so}] = {expr}"]
-        if kind == "not":
-            flip = consts.mask(max(w("a"), wo), uses_ev)
-            expr = f"{sl('a')} ^ {flip}"
-            if w("a") > wo:
-                expr = f"({expr}) & {consts.mask(wo, uses_ev)}"
-            return [f"    s[{so}] = {expr}"]
         if kind == "eq":
             # Zero-detect per field: (t | TOP) - 1 clears the top bit
             # exactly when the field was zero (the borrow never crosses
@@ -938,29 +1018,28 @@ def _generate_batched_source(
                 f"    _m = (_e << {wo}) - _e",
                 f"    s[{so}] = ({sl('a')} & _m) | ({sl('b')} & (_m ^ {m}))",
             ]
-        if kind == "shl":
-            amount = int(cell.params["amount"])
-            expr = f"({sl('a')} << {amount})"
-            if w("a") + amount > wo:
-                expr += f" & {consts.mask(wo, uses_ev)}"
+        k = _shift(cell)
+        if kind == "slice" and not k and w("a") <= wo:
+            return [f"    s[{so}] = {sl('a')}"]
+        # One packed operation, masked where _COMB_RULES says the result
+        # can leave its width; shr and slice always mask, because the
+        # next lane's low bits shift into the field.
+        masked = kind in ("shr", "slice") or _lane_needs_mask(cell)
+        if kind in ("and", "or", "xor", "not"):
+            b = (consts.mask(max(w("a"), wo), uses_ev) if kind == "not"
+                 else sl("b"))
+            op = {"and": "&", "or": "|"}.get(kind, "^")
+            expr = f"{sl('a')} {op} {b}"
+            if masked:
+                expr = f"({expr}) & {consts.mask(wo, uses_ev)}"
             return [f"    s[{so}] = {expr}"]
-        if kind == "shr":
-            amount = int(cell.params["amount"])
-            return [
-                f"    s[{so}] = ({sl('a')} >> {amount})"
-                f" & {consts.mask(wo, uses_ev)}"
-            ]
-        if kind == "slice":
-            lsb = int(cell.params["lsb"])
-            if lsb == 0 and w("a") <= wo:
-                return [f"    s[{so}] = {sl('a')}"]
-            return [
-                f"    s[{so}] = ({sl('a')} >> {lsb})"
-                f" & {consts.mask(wo, uses_ev)}"
-            ]
-        # concat (the only _SWAR_KINDS member left)
-        expr = f"(({sl('a')} << {w('b')}) | {sl('b')})"
-        if w("a") + w("b") > wo:
+        if kind == "add":
+            expr = f"({sl('a')} + {sl('b')})"
+        elif kind == "concat":
+            expr = f"(({sl('a')} << {w('b')}) | {sl('b')})"
+        else:  # shl, shr, slice
+            expr = f"({sl('a')} {'<<' if kind == 'shl' else '>>'} {k})"
+        if masked:
             expr += f" & {consts.mask(wo, uses_ev)}"
         return [f"    s[{so}] = {expr}"]
 
@@ -995,92 +1074,30 @@ def _generate_batched_source(
     def comb_lane(cell: Cell) -> List[str]:
         """Per-lane loop mirroring :func:`eval_comb_cell` exactly."""
         pins = cell.pins
-        kind = cell.kind
         out = pins["out"]
         so = slot[out.name]
-        wo = out.width
-        omask = (1 << wo) - 1
-        wide_out = wide(out)
-
-        def wr(listcomp: str) -> str:
-            if wide_out:
-                return f"    s[{so}] = {listcomp}"
-            return f"    s[{so}] = _pack{codec(out)}({listcomp})"
-
-        if kind == "const":
-            value = int(cell.params["value"]) & omask
-            if wide_out:
+        if cell.kind == "const":
+            value = int(cell.params["value"]) & _mask_literal(out.width)
+            if wide(out):
                 return [f"    s[{so}] = [{value}] * _LANES"]
             return [
                 f"    s[{so}] = {consts.rep(value, f'V{so}', uses_ev)}"
             ]
-        if kind == "mux":
-            return [wr(
-                f"[(_p if _c & 1 else _q) & {omask} for _c, _p, _q in "
-                f"zip({rd_lanes(pins['sel'])}, {rd_lanes(pins['a'])},"
-                f" {rd_lanes(pins['b'])})]"
-            )]
-        binary = {
-            "add": f"(_p + _q) & {omask}",
-            "sub": f"(_p - _q) & {omask}",
-            "mul": f"(_p * _q) & {omask}",
-            "div": f"(_p // _q if _q else 0) & {omask}",
-            "mod": f"(_p % _q if _q else 0) & {omask}",
-            "and": f"(_p & _q) & {omask}",
-            "or": f"(_p | _q) & {omask}",
-            "xor": f"(_p ^ _q) & {omask}",
-            "eq": "1 if _p == _q else 0",
-            "lt": "1 if _p < _q else 0",
-        }
-        if kind == "concat":
-            binary["concat"] = (
-                f"((_p << {pins['b'].width}) | _q) & {omask}"
-            )
-        if kind in binary:
-            return [wr(
-                f"[{binary[kind]} for _p, _q in "
-                f"zip({rd_lanes(pins['a'])}, {rd_lanes(pins['b'])})]"
-            )]
-        if kind == "slice" and int(cell.params["lsb"]) == 0 \
-                and pins["a"].width <= wo and wide(pins["a"]) == wide_out:
-            return [f"    s[{so}] = s[{slot[pins['a'].name]}]"]
-        unary = {
-            "not": f"(~_p) & {omask}",
-            "shl": lambda: f"(_p << {int(cell.params['amount'])}) & {omask}",
-            "shr": lambda: f"(_p >> {int(cell.params['amount'])}) & {omask}",
-            "slice": lambda: f"(_p >> {int(cell.params['lsb'])}) & {omask}",
-        }
-        if kind in unary:
-            expr = unary[kind]
-            expr = expr if isinstance(expr, str) else expr()
-            return [wr(f"[{expr} for _p in {rd_lanes(pins['a'])}]")]
-        raise NetlistError(f"cannot compile cell kind {kind!r}")
+        a = pins["a"]
+        if cell.kind == "slice" and not _shift(cell) \
+                and a.width <= out.width and wide(a) == wide(out):
+            return [f"    s[{so}] = s[{slot[a.name]}]"]
+        listcomp = _lane_loop(cell, rd_lanes)
+        if wide(out):
+            return [f"    s[{so}] = {listcomp}"]
+        return [f"    s[{so}] = _pack{codec(out)}({listcomp})"]
 
-    reg_cells = sorted(
-        name for name, c in module.cells.items() if c.kind in ("reg", "regen")
-    )
-    fifo_cells = sorted(
-        name for name, c in module.cells.items() if c.kind == "fifo"
-    )
-    reg_index = {name: i for i, name in enumerate(reg_cells)}
-    fifo_index = {name: i for i, name in enumerate(fifo_cells)}
-    # Inits are pre-masked to the q width: the scalar engine masks at
-    # the q drive instead, but out-of-width init bits are unobservable
-    # either way, and clean fields are the packed invariant.
-    reg_inits = [
-        int(module.cells[name].params.get("init", 0))
-        & ((1 << module.cells[name].pins["q"].width) - 1)
-        for name in reg_cells
-    ]
-    fifo_depths = [
-        int(module.cells[name].params.get("depth", 2)) for name in fifo_cells
-    ]
+    reg_cells, reg_inits, fifo_cells, fifo_depths = _lane_seq_meta(module)
 
     ev: List[str] = []
-    for name in reg_cells:
+    for i, name in enumerate(reg_cells):
         cell = module.cells[name]
         q, d = cell.pins["q"], cell.pins["d"]
-        i = reg_index[name]
         qmask = (1 << q.width) - 1
         if wide(d) or wide(q):  # storage is a per-lane list
             if not wide(q):
@@ -1104,10 +1121,8 @@ def _generate_batched_source(
                 f"    s[{slot[q.name]}] = r[{i}]"
                 f" & {consts.mask(q.width, uses_ev)}"
             )
-    for name in fifo_cells:
-        cell = module.cells[name]
-        pins = cell.pins
-        index = fifo_index[name]
+    for index, name in enumerate(fifo_cells):
+        pins = module.cells[name].pins
         od = pins["out_data"]
         od_mask = (1 << od.width) - 1
         ev.append("    _ir = 0")
@@ -1139,11 +1154,10 @@ def _generate_batched_source(
         ev.append("    pass")
 
     lt: List[str] = []
-    for name in reg_cells:
+    for i, name in enumerate(reg_cells):
         cell = module.cells[name]
         d = cell.pins["d"]
         q = cell.pins["q"]
-        i = reg_index[name]
         if wide(d) or wide(q):
             source_expr = rd_lanes(d)
             if cell.kind == "reg":
@@ -1167,9 +1181,8 @@ def _generate_batched_source(
                 f"    r[{i}] = (s[{slot[d.name]}] & _m)"
                 f" | (r[{i}] & (_m ^ {fl}))"
             )
-    for name in fifo_cells:
-        cell = module.cells[name]
-        pins = cell.pins
+    for index, name in enumerate(fifo_cells):
+        pins = module.cells[name].pins
         in_data = pins["in_data"]
         id_mask = (1 << in_data.width) - 1
         lt.append(f"    _ot = s[{slot[pins['out_ready'].name]}]")
@@ -1179,7 +1192,7 @@ def _generate_batched_source(
         if wide(in_data):
             lt.append(
                 f"    for _sh, _fq, _dv in"
-                f" zip(_SHIFTS, f[{fifo_index[name]}],"
+                f" zip(_SHIFTS, f[{index}],"
                 f" s[{slot[in_data.name]}]):"
             )
             lt.append("        if _fq and (_ot >> _sh) & (_ov >> _sh) & 1:")
@@ -1189,7 +1202,7 @@ def _generate_batched_source(
         else:
             lt.append(f"    _id = s[{slot[in_data.name]}]")
             lt.append(
-                f"    for _sh, _fq in zip(_SHIFTS, f[{fifo_index[name]}]):"
+                f"    for _sh, _fq in zip(_SHIFTS, f[{index}]):"
             )
             lt.append("        if _fq and (_ot >> _sh) & (_ov >> _sh) & 1:")
             lt.append("            _fq.popleft()")
@@ -1230,11 +1243,12 @@ def _generate_batched_source(
     return source, reg_cells, reg_inits, fifo_cells, fifo_depths, stride
 
 
-#: (structural hash, lanes) → CompiledNetlist, shared process-wide.
-#: Keyed on the full structural identity plus the lane count, so a pass
-#: pipeline that rewrites a module (new hash) or a different batch width
-#: can never be served stale step code.
-_MEMO: Dict[Tuple[str, Optional[int]], CompiledNetlist] = {}
+#: (structural hash, lanes, backend tag) → CompiledNetlist, shared
+#: process-wide by the three generators.  Keyed on the full structural
+#: identity plus the lane count and the encoding, so a pass pipeline that
+#: rewrites a module (new hash), a different batch width or another
+#: engine can never be served stale step code.
+_MEMO: Dict[Tuple[str, Optional[int], str], CompiledNetlist] = {}
 _MEMO_LOCK = threading.Lock()
 
 #: Required keys of a persisted codegen payload (see ``CodegenStore``).
@@ -1261,9 +1275,8 @@ def valid_codegen_payload(
 
     The single validation authority for persisted codegen (all three
     generators route through it): the store applies it on load (so its
-    hit/miss counters reflect *usable* entries) and the compile
-    functions re-apply it as a cheap guard against arbitrary duck-typed
-    stores.
+    hit/miss counters reflect *usable* entries) and the compile path
+    re-applies it as a cheap guard against arbitrary duck-typed stores.
     """
     return (
         isinstance(payload, dict)
@@ -1274,24 +1287,16 @@ def valid_codegen_payload(
     )
 
 
-def _codegen_backend_tag(lanes: Optional[int]) -> str:
-    """This module's generators, as codegen-store backend tags."""
-    return "scalar" if lanes is None else "swar"
-
-
-def _generate_payload(module: Module, key: str, lanes: Optional[int]) -> Dict:
-    inlined: List[str] = []
-    if lanes is None:
-        (source, slot, reg_cells, reg_inits, fifo_cells, fifo_depths,
-         inlined) = _generate_source(module)
-        stride = 0
-    else:
-        slot = {name: index for index, name in enumerate(sorted(module.nets))}
-        (source, reg_cells, reg_inits, fifo_cells, fifo_depths,
-         stride) = _generate_batched_source(module, slot, lanes)
+def _codegen_payload(key: str, backend: str, lanes: Optional[int],
+                     source: str, slot: Dict[str, int], seq,
+                     stride: int = 0, **extra) -> Dict:
+    """One generated program as a codegen payload: every field in
+    :data:`_PAYLOAD_FIELDS` (``seq`` is the program's
+    :func:`_seq_meta`), plus the generator's ``extra`` fields."""
+    reg_cells, reg_inits, fifo_cells, fifo_depths = seq
     return {
         "structural_hash": key,
-        "backend": _codegen_backend_tag(lanes),
+        "backend": backend,
         "lanes": lanes,
         "stride": stride,
         "source": source,
@@ -1300,16 +1305,39 @@ def _generate_payload(module: Module, key: str, lanes: Optional[int]) -> Dict:
         "reg_inits": reg_inits,
         "fifo_cells": fifo_cells,
         "fifo_depths": fifo_depths,
-        "inlined_nets": inlined,
+        **extra,
     }
+
+
+def _sorted_slots(module: Module) -> Dict[str, int]:
+    """The lane generators' slot layout: every net, sorted by name."""
+    return {name: index for index, name in enumerate(sorted(module.nets))}
+
+
+def _codegen_backend_tag(lanes: Optional[int]) -> str:
+    """This module's generators, as codegen-store backend tags."""
+    return "scalar" if lanes is None else "swar"
+
+
+def _generate_payload(module: Module, key: str, lanes: Optional[int]) -> Dict:
+    """The scalar program (``lanes`` None) or the SWAR one, as a payload."""
+    backend = _codegen_backend_tag(lanes)
+    if lanes is None:
+        source, slot, *seq, inlined = _generate_source(module)
+        return _codegen_payload(key, backend, lanes, source, slot, seq,
+                                inlined_nets=inlined)
+    slot = _sorted_slots(module)
+    source, *seq, stride = _generate_batched_source(module, slot, lanes)
+    return _codegen_payload(key, backend, lanes, source, slot, seq, stride,
+                            inlined_nets=[])
 
 
 def _materialize(
     payload: Dict, module_name: str, start: float, from_store: bool
 ) -> CompiledNetlist:
     namespace: Dict[str, object] = {}
-    filename = (f"<compiled:{module_name}:{payload['structural_hash']}"
-                f":x{payload['lanes']}>")
+    filename = (f"<{payload['backend']}:{module_name}"
+                f":{payload['structural_hash']}:x{payload['lanes']}>")
     # The generators separate top-level definitions by two blank lines.
     # Compiling them one at a time into one namespace bounds compile()'s
     # transient memory by the largest definition, not the whole module.
@@ -1335,6 +1363,41 @@ def _materialize(
     )
 
 
+def _compile_program(module: Module, lanes: Optional[int], backend: str,
+                     generate, store) -> CompiledNetlist:
+    """The compile path of all three generators.
+
+    Serves the memo; else loads the payload from ``store`` (checked by
+    :func:`valid_codegen_payload`), or generates it with
+    ``generate(module, structural_hash, lanes)`` and writes it back;
+    then ``exec``'s it and memoizes the program.
+    """
+    structural = module.structural_hash()
+    key = (structural, lanes, backend)
+    with _MEMO_LOCK:
+        cached = _MEMO.get(key)
+    if cached is not None:
+        return cached
+    start = time.perf_counter()
+    payload = None
+    if store is not None:
+        payload = store.load(structural, lanes, backend)
+        if payload is not None and not valid_codegen_payload(
+            payload, structural, lanes, backend
+        ):
+            payload = None
+    loaded = payload is not None
+    if payload is None:
+        payload = generate(module, structural, lanes)
+    compiled = _materialize(payload, module.name, start, loaded)
+    if store is not None and not loaded:
+        store.save(payload)
+    with _MEMO_LOCK:
+        # A racing thread may have published first; either object is
+        # valid (pure function of the structural key), keep the winner.
+        return _MEMO.setdefault(key, compiled)
+
+
 def compile_netlist(
     module: Module, lanes: Optional[int] = None, store=None
 ) -> CompiledNetlist:
@@ -1356,42 +1419,16 @@ def compile_netlist(
         lanes = int(lanes)
         if lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes}")
-    structural = module.structural_hash()
-    backend = _codegen_backend_tag(lanes)
-    key = (structural, lanes)
-    with _MEMO_LOCK:
-        cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
-    start = time.perf_counter()
-    payload = None
-    if store is not None:
-        payload = store.load(structural, lanes, backend)
-        if payload is not None and not valid_codegen_payload(
-            payload, structural, lanes, backend
-        ):
-            payload = None
-    loaded = payload is not None
-    if payload is None:
-        payload = _generate_payload(module, structural, lanes)
-    compiled = _materialize(payload, module.name, start, loaded)
-    if store is not None and not loaded:
-        store.save(payload)
-    with _MEMO_LOCK:
-        # A racing thread may have published first; either object is
-        # valid (pure function of the structural key), keep the winner.
-        return _MEMO.setdefault(key, compiled)
+    return _compile_program(
+        module, lanes, _codegen_backend_tag(lanes), _generate_payload, store
+    )
 
 
 def clear_compile_memo() -> None:
-    """Drop every memoized compilation (mainly for tests)."""
+    """Drop every memoized compilation, of all three generators (mainly
+    for tests)."""
     with _MEMO_LOCK:
         _MEMO.clear()
-
-
-def compile_memo_size() -> int:
-    with _MEMO_LOCK:
-        return len(_MEMO)
 
 
 class CompiledSimulator:
@@ -1567,57 +1604,33 @@ class CompiledSimulator:
         )
 
 
-class BatchedCompiledSimulator:
-    """K independent stimulus lanes behind one packed step function.
+class _LaneSimulator:
+    """The port surface both lane engines share: K independent stimulus
+    lanes behind one generated program.
 
-    Lane ``k`` of every net lives at bit offset ``k * stride`` of the
-    net's slot integer; the code-generated evaluate/latch advance all
-    lanes per call (see the module docstring for the SWAR encoding).
-    Lanes never interact — outputs are bit-identical to ``lanes``
-    separate single-lane runs by construction, and the batched
-    differential gates assert it.
-
-    The scalar-facing surface is vectorized: ``poke`` takes ``{port:
-    [v0..vK-1]}``, ``peek``/``peek_net`` return per-lane lists, and
-    ``step``/``run`` exchange one input/output dict per lane.
+    ``poke`` takes ``{port: [v0..vK-1]}``, ``peek``/``peek_net`` return
+    per-lane lists, and ``step``/``run`` exchange one input/output dict
+    per lane.  Lanes never interact — outputs are bit-identical to
+    ``lanes`` separate single-lane runs, and the lane differential gates
+    assert it.  An engine supplies its value encoding: the initial
+    ``_slots`` and ``_regs``, ``_slot_value(index, values, mask)`` (what
+    slot ``index`` holds for these lane values), ``_unpack_slot(index)``
+    (the lane values it holds), and ``_feed``/``_readers`` for
+    :func:`run_lanes`.  Each engine also defines ``run`` in its own class
+    body, because the benchmark's tracer (``perfbench/spans.py``) wraps
+    ``cls.__dict__["run"]``.
     """
 
-    def __init__(self, module: Module, lanes: int, codegen_store=None):
+    def __init__(self, module: Module, lanes: int, compile_program,
+                 codegen_store):
         self.module = _flattened(module)
         self.lanes = int(lanes)
         if self.lanes < 1:
             raise NetlistError(f"lanes must be >= 1, got {lanes!r}")
-        self.program = compile_netlist(
-            self.module, lanes=self.lanes, store=codegen_store
+        self.program = compile_program(
+            self.module, self.lanes, store=codegen_store
         )
-        stride = self.program.stride
-        self._field_bytes = stride // 8  # strides are multiples of 64
-        self._n_bytes = self.lanes * self._field_bytes
-        # Lane values of up to 64 bits move through one native "Q" view
-        # of a packed integer's bytes, as in the generated lane loops.
-        self._lane_words = _lane_words(self.lanes, stride, sys.byteorder)
-        self._zero_words = array("Q", bytes(self._n_bytes))
         slot_of = self.program.slot_of
-        # Nets wider than a lane field live as per-lane lists; packed
-        # nets as one integer (see _generate_batched_source).
-        self._wide_slots = frozenset(
-            slot_of[net.name]
-            for net in self.module.nets.values()
-            if net.width > stride - 2
-        )
-        self._slots: List[object] = [
-            [0] * self.lanes if index in self._wide_slots else 0
-            for index in range(self.program.n_slots)
-        ]
-        # Replicate each (pre-masked) register init into every lane.
-        self._unit = _lane_unit(self.lanes, stride)
-        self._regs: List[object] = []
-        for name, init in zip(self.program.reg_cells, self.program.reg_inits):
-            pins = self.module.cells[name].pins
-            if max(pins["d"].width, pins["q"].width) > stride - 2:
-                self._regs.append([init] * self.lanes)
-            else:
-                self._regs.append(init * self._unit)
         self._fifos: List[List[deque]] = [
             [deque() for _ in range(self.lanes)]
             for _ in self.program.fifo_depths
@@ -1629,52 +1642,9 @@ class BatchedCompiledSimulator:
             for name, net in self.module.inputs()
         }
         self._output_slots = [
-            (name, slot_of[net.name], net.width)
-            for name, net in self.module.outputs()
+            (name, slot_of[net.name]) for name, net in self.module.outputs()
         ]
         self.cycle = 0
-
-    # ------------------------------------------------------------------
-
-    def _pack(self, values: Sequence[int], mask: int) -> int:
-        """Masked lane values → one packed integer (lane ``k`` in the
-        ``k``-th ``stride``-bit field): one word-view store for ports of
-        up to 64 bits, one byte slice per lane above that."""
-        clean = [int(value) & mask for value in values]
-        if mask >> 64:
-            size = self._field_bytes
-            return int.from_bytes(
-                b"".join([value.to_bytes(size, "little") for value in clean]),
-                "little",
-            )
-        return self._pack_words(array("Q", clean))
-
-    def _pack_words(self, lane_values: array) -> int:
-        """Lane values below 2^64 → one packed integer: one extended
-        slice store into a zeroed word array."""
-        words = self._zero_words[:]
-        words[self._lane_words] = lane_values
-        return int.from_bytes(words, sys.byteorder)
-
-    def _unpack(self, packed: int, width: int) -> List[int]:
-        """A packed integer's lane values, the inverse of :meth:`_pack`
-        (fields are clean, so nothing is masked)."""
-        if width > 64:
-            size = self._field_bytes
-            data = packed.to_bytes(self._n_bytes, "little")
-            return [
-                int.from_bytes(data[offset:offset + size], "little")
-                for offset in range(0, self._n_bytes, size)
-            ]
-        view = memoryview(packed.to_bytes(self._n_bytes, sys.byteorder))
-        return view.cast("Q")[self._lane_words].tolist()
-
-    def _slot_value(self, index: int, values: Sequence[int], mask: int):
-        """What slot ``index`` holds for these lane values: a per-lane
-        list on a wide slot, else one packed integer."""
-        if index in self._wide_slots:
-            return [int(value) & mask for value in values]
-        return self._pack(values, mask)
 
     def poke(self, inputs: Dict[str, Sequence[int]]) -> None:
         """Drive ports with per-lane value lists (one value per lane)."""
@@ -1731,7 +1701,7 @@ class BatchedCompiledSimulator:
                     f"{self.module.name}: no input port {name!r}"
                 )
             index, mask = entry
-            old = self._unpack_slot(index, mask.bit_length())
+            old = self._unpack_slot(index)
             slots[index] = self._slot_value(
                 index,
                 [
@@ -1748,21 +1718,13 @@ class BatchedCompiledSimulator:
         net = self.module.ports.get(name)
         if net is None:
             raise NetlistError(f"{self.module.name}: no port {name!r}")
-        return self._unpack_slot(self.program.slot_of[net.name], net.width)
+        return self._unpack_slot(self.program.slot_of[net.name])
 
     def peek_net(self, net_name: str) -> List[int]:
         index = self.program.slot_of.get(net_name)
         if index is None:
             raise NetlistError(f"{self.module.name}: no net {net_name!r}")
-        return self._unpack_slot(
-            index, self.module.nets[net_name].width
-        )
-
-    def _unpack_slot(self, index: int, width: int) -> List[int]:
-        value = self._slots[index]
-        if index in self._wide_slots:
-            return list(value)
-        return self._unpack(value, width)
+        return self._unpack_slot(index)
 
     def tick(self) -> None:
         self._latch(self._slots, self._regs, self._fifos)
@@ -1777,8 +1739,8 @@ class BatchedCompiledSimulator:
         slots = self._slots
         self._evaluate(slots, self._regs, self._fifos)
         columns = [
-            (name, self._unpack_slot(index, width))
-            for name, index, width in self._output_slots
+            (name, self._unpack_slot(index))
+            for name, index in self._output_slots
         ]
         outputs = [
             {name: column[lane] for name, column in columns}
@@ -1787,6 +1749,125 @@ class BatchedCompiledSimulator:
         self._latch(slots, self._regs, self._fifos)
         self.cycle += 1
         return outputs
+
+    def run_random(
+        self, cycles: int, seed: int = 0, bias: float = 0.0
+    ) -> List[List[Dict[str, int]]]:
+        """Seeded per-lane stimulus (lane seeds via derive_lane_seed)."""
+        return self.run(
+            random_stimulus_batch(self.module, cycles, self.lanes, seed, bias)
+        )
+
+    def run_batch(
+        self, input_streams: Sequence[List[Dict[str, int]]]
+    ) -> List[List[Dict[str, int]]]:
+        """Alias for ``run``, matching the scalar backends' batch surface
+        so callers can hold either kind of engine uniformly."""
+        return self.run(input_streams)
+
+    def run_random_batch(
+        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
+    ) -> List[List[Dict[str, int]]]:
+        if int(lanes) != self.lanes:
+            raise NetlistError(
+                f"{self.module.name}: simulator compiled for {self.lanes} "
+                f"lanes, asked to run {lanes}"
+            )
+        return self.run_random(cycles, seed, bias)
+
+
+class BatchedCompiledSimulator(_LaneSimulator):
+    """K independent stimulus lanes behind one packed step function.
+
+    Lane ``k`` of every net lives at bit offset ``k * stride`` of the
+    net's slot integer; the code-generated evaluate/latch advance all
+    lanes per call (see the module docstring for the SWAR encoding).
+    The port surface is :class:`_LaneSimulator`'s.
+    """
+
+    def __init__(self, module: Module, lanes: int, codegen_store=None):
+        super().__init__(module, lanes, compile_netlist, codegen_store)
+        stride = self.program.stride
+        self._field_bytes = stride // 8  # strides are multiples of 64
+        self._n_bytes = self.lanes * self._field_bytes
+        # Lane values of up to 64 bits move through one native "Q" view
+        # of a packed integer's bytes, as in the generated lane loops.
+        self._lane_words = _lane_words(self.lanes, stride, sys.byteorder)
+        self._zero_words = array("Q", bytes(self._n_bytes))
+        slot_of = self.program.slot_of
+        # Nets wider than a lane field live as per-lane lists; packed
+        # nets as one integer (see _generate_batched_source), whose lane
+        # values unpack through byte slices above 64 bits.
+        self._wide_slots = frozenset(
+            slot_of[net.name]
+            for net in self.module.nets.values()
+            if net.width > stride - 2
+        )
+        self._multiword_slots = frozenset(
+            slot_of[net.name]
+            for net in self.module.nets.values()
+            if net.width > 64
+        ) - self._wide_slots
+        self._slots: List[object] = [
+            [0] * self.lanes if index in self._wide_slots else 0
+            for index in range(self.program.n_slots)
+        ]
+        # Replicate each (pre-masked) register init into every lane.
+        self._unit = _lane_unit(self.lanes, stride)
+        self._regs: List[object] = []
+        for name, init in zip(self.program.reg_cells, self.program.reg_inits):
+            pins = self.module.cells[name].pins
+            if max(pins["d"].width, pins["q"].width) > stride - 2:
+                self._regs.append([init] * self.lanes)
+            else:
+                self._regs.append(init * self._unit)
+
+    def _pack(self, values: Sequence[int], mask: int) -> int:
+        """Masked lane values → one packed integer (lane ``k`` in the
+        ``k``-th ``stride``-bit field): one word-view store for ports of
+        up to 64 bits, one byte slice per lane above that."""
+        clean = [int(value) & mask for value in values]
+        if mask >> 64:
+            size = self._field_bytes
+            return int.from_bytes(
+                b"".join([value.to_bytes(size, "little") for value in clean]),
+                "little",
+            )
+        return self._pack_words(array("Q", clean))
+
+    def _pack_words(self, lane_values: array) -> int:
+        """Lane values below 2^64 → one packed integer: one extended
+        slice store into a zeroed word array."""
+        words = self._zero_words[:]
+        words[self._lane_words] = lane_values
+        return int.from_bytes(words, sys.byteorder)
+
+    def _unpack(self, packed: int, multiword: bool) -> List[int]:
+        """A packed integer's lane values, the inverse of :meth:`_pack`
+        (fields are clean, so nothing is masked): through the word view,
+        or one byte slice per lane for ``multiword`` values."""
+        if multiword:
+            size = self._field_bytes
+            data = packed.to_bytes(self._n_bytes, "little")
+            return [
+                int.from_bytes(data[offset:offset + size], "little")
+                for offset in range(0, self._n_bytes, size)
+            ]
+        view = memoryview(packed.to_bytes(self._n_bytes, sys.byteorder))
+        return view.cast("Q")[self._lane_words].tolist()
+
+    def _slot_value(self, index: int, values: Sequence[int], mask: int):
+        """What slot ``index`` holds for these lane values: a per-lane
+        list on a wide slot, else one packed integer."""
+        if index in self._wide_slots:
+            return [int(value) & mask for value in values]
+        return self._pack(values, mask)
+
+    def _unpack_slot(self, index: int) -> List[int]:
+        value = self._slots[index]
+        if index in self._wide_slots:
+            return list(value)
+        return self._unpack(value, index in self._multiword_slots)
 
     def _feed(self, index: int, mask: int, values: List[int]):
         """Per-cycle slot values of one input port from its lane-major
@@ -1822,9 +1903,9 @@ class BatchedCompiledSimulator:
         Packed integers are immutable and per-lane lists are rebound,
         never mutated, so every slot value is kept by reference.
         """
-        def unpack(width: int):
+        def unpack(multiword: bool):
             return lambda kept: lane_major(
-                [self._unpack(packed, width) for packed in kept]
+                [self._unpack(packed, multiword) for packed in kept]
             )
 
         return [
@@ -1832,9 +1913,10 @@ class BatchedCompiledSimulator:
                 name,
                 index,
                 None,
-                lane_major if index in self._wide_slots else unpack(width),
+                lane_major if index in self._wide_slots
+                else unpack(index in self._multiword_slots),
             )
-            for name, index, width in self._output_slots
+            for name, index in self._output_slots
         ]
 
     def run(
@@ -1843,31 +1925,6 @@ class BatchedCompiledSimulator:
         """Feed K equal-length streams; returns K per-lane traces
         (marshalled once per run, see :func:`run_lanes`)."""
         return run_lanes(self, input_streams)
-
-    def run_random(
-        self, cycles: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        """Seeded per-lane stimulus (lane seeds via derive_lane_seed)."""
-        return self.run(
-            random_stimulus_batch(self.module, cycles, self.lanes, seed, bias)
-        )
-
-    def run_batch(
-        self, input_streams: Sequence[List[Dict[str, int]]]
-    ) -> List[List[Dict[str, int]]]:
-        """Alias for :meth:`run`, matching the scalar backends' batch
-        surface so callers can hold either kind of engine uniformly."""
-        return self.run(input_streams)
-
-    def run_random_batch(
-        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        if int(lanes) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: simulator compiled for {self.lanes} "
-                f"lanes, asked to run {lanes}"
-            )
-        return self.run_random(cycles, seed, bias)
 
 
 #: backend name → engine class; the vocabulary ``CompileSession`` and

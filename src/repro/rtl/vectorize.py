@@ -39,26 +39,44 @@ the run (:func:`~repro.rtl.simulate.run_lanes`) — an in-place write
 would silently rewrite earlier cycles' outputs.  The vector tests run
 the kernels over columns marked read-only to hold generators to it.
 
-:class:`VectorCompiledSimulator` presents the same vectorized surface as
-:class:`~repro.rtl.compile.BatchedCompiledSimulator` (per-lane poke
-lists, one output dict per lane) and is gated by the very same
-:func:`~repro.rtl.compile.differential_check` contract: bit-identical,
-lane for lane, to K independent interpreter runs.  Generated kernels
-persist through the ``codegen`` pseudo-stage of the disk cache, keyed
-``(structural_hash, "vector", lanes, CODEGEN_VERSION)``.
+This module holds only the vector encoding.  The rest comes from
+:mod:`repro.rtl.compile`: where a result can leave its width
+(``_COMB_RULES``), the sequential layout and the per-lane fallback
+(``_LANE_RULES``) that the SWAR generator reads too; the compile path
+of all three generators (one memo, one
+:class:`~repro.rtl.compile.CompiledNetlist` record, one payload shape),
+through which kernels persist in the ``codegen`` pseudo-stage of the
+disk cache, keyed ``(structural_hash, "vector", lanes,
+CODEGEN_VERSION)``; and the port surface :class:`VectorCompiledSimulator`
+shares with :class:`~repro.rtl.compile.BatchedCompiledSimulator`
+(per-lane poke lists, one output dict per lane).  It is gated by the
+very same :func:`~repro.rtl.compile.differential_check` contract:
+bit-identical, lane for lane, to K independent interpreter runs.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from array import array
-from collections import deque
 from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .compile import (
+    SIM_BACKENDS,
+    SIM_BACKEND_VERSIONS,
+    CompiledNetlist,
+    _COMB_RULES,
+    _LaneSimulator,
+    _codegen_payload,
+    _compile_program,
+    _lane_loop,
+    _lane_needs_mask,
+    _lane_seq_meta,
+    _shift,
+    _sorted_slots,
+    clear_compile_memo,
+)
 from .netlist import Cell, Module, NetlistError, comb_topo_order
-from .simulate import lane_major, random_stimulus_batch, run_lanes
+from .simulate import lane_major, run_lanes
 
 #: Lane-column word width: nets at or below it are one uint64 column,
 #: wider nets a list of word columns.
@@ -69,6 +87,15 @@ _WORD_MASK = (1 << VECTOR_WORD) - 1
 
 #: The codegen-store backend tag of this module's kernels.
 _BACKEND_TAG = "vector"
+
+#: Kinds that are one numpy operator over two columns.
+_COLUMN_OPS = {
+    "add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^",
+}
+
+#: Kinds whose wrapped uint64 result is exact in a 64-bit output, so a
+#: 64-bit output needs no mask.
+_WRAPPING_KINDS = frozenset(("add", "sub", "mul", "shl", "concat"))
 
 
 def _nwords(width: int) -> int:
@@ -232,7 +259,20 @@ def _generate_vector_source(
         def w(pin: str) -> int:
             return pins[pin].width
 
-        def emit(expr: str, need_mask: bool) -> List[str]:
+        if kind == "const":
+            value = int(cell.params["value"]) & ((1 << wo) - 1)
+            return [
+                f"    s[{so}] = {consts.column(value, f'V{so}', uses_ev)}"
+            ]
+        if kind not in _COMB_RULES:
+            raise NetlistError(f"cannot vector-compile cell kind {kind!r}")
+        # Masked where _COMB_RULES says the result can leave its width,
+        # except where uint64 wraps mod 2^64 exactly into a 64-bit out.
+        need = _lane_needs_mask(cell) and not (
+            wo == VECTOR_WORD and kind in _WRAPPING_KINDS
+        )
+
+        def emit(expr: str, need_mask: bool = need) -> List[str]:
             if need_mask:
                 expr = f"({expr}) & {consts.mask(wo, uses_ev)}"
             return [f"    s[{so}] = {expr}"]
@@ -240,93 +280,42 @@ def _generate_vector_source(
         def zeros() -> List[str]:
             return [f"    s[{so}] = {consts.zeros(uses_ev)}"]
 
-        if kind == "const":
-            value = int(cell.params["value"]) & ((1 << wo) - 1)
-            return [
-                f"    s[{so}] = {consts.column(value, f'V{so}', uses_ev)}"
-            ]
-        if kind == "add":
-            # uint64 wraps mod 2^64, so a 64-bit out needs no mask.
-            need = wo < VECTOR_WORD and wo < max(w("a"), w("b")) + 1
-            return emit(f"{sl('a')} + {sl('b')}", need)
-        if kind == "sub":
-            return emit(f"{sl('a')} - {sl('b')}", wo < VECTOR_WORD)
-        if kind == "mul":
-            # Low bits of the wrapped product are exact for wo <= 64.
-            need = wo < VECTOR_WORD and w("a") + w("b") > wo
-            return emit(f"{sl('a')} * {sl('b')}", need)
-        if kind == "div":
-            div_helpers.add("_vdiv")
-            uses_ev.add("_vdiv")
-            return emit(f"_vdiv({sl('a')}, {sl('b')})", w("a") > wo)
-        if kind == "mod":
-            div_helpers.add("_vmod")
-            uses_ev.add("_vmod")
-            return emit(
-                f"_vmod({sl('a')}, {sl('b')})", min(w("a"), w("b")) > wo
-            )
-        if kind == "and":
-            return emit(
-                f"{sl('a')} & {sl('b')}", min(w("a"), w("b")) > wo
-            )
-        if kind in ("or", "xor"):
-            op = "|" if kind == "or" else "^"
-            return emit(
-                f"{sl('a')} {op} {sl('b')}", max(w("a"), w("b")) > wo
-            )
+        if kind in _COLUMN_OPS:
+            return emit(f"{sl('a')} {_COLUMN_OPS[kind]} {sl('b')}")
+        if kind in ("div", "mod"):
+            helper = f"_v{kind}"
+            div_helpers.add(helper)
+            uses_ev.add(helper)
+            return emit(f"{helper}({sl('a')}, {sl('b')})")
         if kind == "not":
             flip_width = max(w("a"), wo)
             flip = consts.scalar(
                 (1 << flip_width) - 1, f"F{flip_width}", uses_ev
             )
-            return emit(f"{sl('a')} ^ {flip}", w("a") > wo)
-        if kind == "eq":
+            return emit(f"{sl('a')} ^ {flip}")
+        if kind in ("eq", "lt"):
             uses_ev.add("_U64")
-            return emit(f"({sl('a')} == {sl('b')}).astype(_U64)", False)
-        if kind == "lt":
-            uses_ev.add("_U64")
-            return emit(f"({sl('a')} < {sl('b')}).astype(_U64)", False)
+            op = "==" if kind == "eq" else "<"
+            return emit(f"({sl('a')} {op} {sl('b')}).astype(_U64)")
         if kind == "mux":
             cond = sl("sel")
             if w("sel") > 1:
                 cond = f"{cond} & {consts.scalar(1, 'K1', uses_ev)}"
-            return emit(
-                f"_np.where({cond}, {sl('a')}, {sl('b')})",
-                max(w("a"), w("b")) > wo,
-            )
-        if kind == "shl":
-            amount = int(cell.params["amount"])
-            if amount >= wo:  # masked away entirely (also: >=64 is UB)
-                return zeros()
-            if amount == 0:
-                return emit(sl("a"), w("a") > wo)
-            shift = consts.scalar(amount, f"A{amount}", uses_ev)
-            need = wo < VECTOR_WORD and w("a") + amount > wo
-            return emit(f"{sl('a')} << {shift}", need)
-        if kind == "shr":
-            amount = int(cell.params["amount"])
-            if amount >= w("a"):
-                return zeros()
-            if amount == 0:
-                return emit(sl("a"), w("a") > wo)
-            shift = consts.scalar(amount, f"A{amount}", uses_ev)
-            return emit(f"{sl('a')} >> {shift}", w("a") - amount > wo)
-        if kind == "slice":
-            lsb = int(cell.params["lsb"])
-            if lsb >= w("a"):
-                return zeros()
-            if lsb == 0:
-                return emit(sl("a"), w("a") > wo)
-            shift = consts.scalar(lsb, f"A{lsb}", uses_ev)
-            return emit(f"{sl('a')} >> {shift}", w("a") - lsb > wo)
+            return emit(f"_np.where({cond}, {sl('a')}, {sl('b')})")
         if kind == "concat":
             wb = w("b")
             if wb >= wo:  # a's bits are entirely above the out mask
                 return emit(sl("b"), wb > wo)
             shift = consts.scalar(wb, f"A{wb}", uses_ev)
-            need = wo < VECTOR_WORD and w("a") + wb > wo
-            return emit(f"({sl('a')} << {shift}) | {sl('b')}", need)
-        raise NetlistError(f"cannot vector-compile cell kind {kind!r}")
+            return emit(f"({sl('a')} << {shift}) | {sl('b')}")
+        # shl, shr, slice
+        k = _shift(cell)
+        if k >= (wo if kind == "shl" else w("a")):
+            return zeros()  # masked away entirely (also: >=64 is UB)
+        if k == 0:
+            return emit(sl("a"))
+        shift = consts.scalar(k, f"A{k}", uses_ev)
+        return emit(f"{sl('a')} {'<<' if kind == 'shl' else '>>'} {shift}")
 
     # -- multi-word columns for wide nets -------------------------------
     #
@@ -509,62 +498,26 @@ def _generate_vector_source(
     # -- per-lane loop: multi-word arithmetic -----------------------------
 
     def comb_lanes(cell: Cell) -> List[str]:
-        pins, kind = cell.pins, cell.kind
-        out = pins["out"]
-        so = slot[out.name]
-        omask = (1 << out.width) - 1
-        binary = {
-            "add": f"(_p + _q) & {omask}",
-            "sub": f"(_p - _q) & {omask}",
-            "mul": f"(_p * _q) & {omask}",
-            "div": f"(_p // _q if _q else 0) & {omask}",
-            "mod": f"(_p % _q if _q else 0) & {omask}",
-            "lt": "1 if _p < _q else 0",
-        }
-        if kind not in binary:
-            raise NetlistError(f"cannot vector-compile cell kind {kind!r}")
-        listcomp = (
-            f"[{binary[kind]} for _p, _q in "
-            f"zip({lanes_of(pins['a'], uses_ev)},"
-            f" {lanes_of(pins['b'], uses_ev)})]"
-        )
+        out = cell.pins["out"]
+        listcomp = _lane_loop(cell, lambda net: lanes_of(net, uses_ev))
         if wide(out):
             packed = pk_wide(listcomp, _nwords(out.width), uses_ev)
         else:
             packed = pk(listcomp, uses_ev)
-        return [f"    s[{so}] = {packed}"]
+        return [f"    s[{slot[out.name]}] = {packed}"]
 
     # -- sequential cells ----------------------------------------------
 
-    reg_cells = sorted(
-        name for name, c in module.cells.items() if c.kind in ("reg", "regen")
-    )
-    fifo_cells = sorted(
-        name for name, c in module.cells.items() if c.kind == "fifo"
-    )
-    reg_index = {name: i for i, name in enumerate(reg_cells)}
-    fifo_index = {name: i for i, name in enumerate(fifo_cells)}
-    # Pre-masked to q width (the SWAR generator's convention): clean
-    # columns are the packed invariant and the extra bits are
-    # unobservable either way.
-    reg_inits = [
-        int(module.cells[name].params.get("init", 0))
-        & ((1 << module.cells[name].pins["q"].width) - 1)
-        for name in reg_cells
-    ]
-    fifo_depths = [
-        int(module.cells[name].params.get("depth", 2)) for name in fifo_cells
-    ]
+    reg_cells, reg_inits, fifo_cells, fifo_depths = _lane_seq_meta(module)
 
     def reg_storage_wide(name: str) -> bool:
         pins = module.cells[name].pins
         return max(pins["d"].width, pins["q"].width) > VECTOR_WORD
 
     ev: List[str] = []
-    for name in reg_cells:
+    for i, name in enumerate(reg_cells):
         cell = module.cells[name]
         q, d = cell.pins["q"], cell.pins["d"]
-        i = reg_index[name]
         sq = slot[q.name]
         if not reg_storage_wide(name):
             if d.width <= q.width:
@@ -591,13 +544,10 @@ def _generate_vector_source(
             else:
                 mask = consts.mask(q.width, uses_ev)
                 ev.append(f"    s[{sq}] = r[{i}][0] & {mask}")
-    for name in fifo_cells:
-        cell = module.cells[name]
-        pins = cell.pins
-        index = fifo_index[name]
+    for index, (name, depth) in enumerate(zip(fifo_cells, fifo_depths)):
+        pins = module.cells[name].pins
         od = pins["out_data"]
         od_mask = (1 << od.width) - 1
-        depth = fifo_depths[index]
         ev.append(f"    _q = f[{index}]")
         ev.append(
             f"    s[{slot[pins['in_ready'].name]}] = "
@@ -640,10 +590,9 @@ def _generate_vector_source(
         return consts.zeros(uses)
 
     lt: List[str] = []
-    for name in reg_cells:
+    for i, name in enumerate(reg_cells):
         cell = module.cells[name]
         d = cell.pins["d"]
-        i = reg_index[name]
         storage_wide = reg_storage_wide(name)
         if cell.kind == "reg":
             if not storage_wide:
@@ -671,12 +620,11 @@ def _generate_vector_source(
                     f"    r[{i}] = _np.where({cond}, "
                     f"s[{slot[d.name]}], r[{i}])"
                 )
-    for name in fifo_cells:
-        cell = module.cells[name]
-        pins = cell.pins
+    for index, name in enumerate(fifo_cells):
+        pins = module.cells[name].pins
         lt.append(
             f"    for _fq, _to, _vo, _vi, _ri, _dv in zip("
-            f"f[{fifo_index[name]}], "
+            f"f[{index}], "
             f"{lanes_of(pins['out_ready'], uses_lt)}, "
             f"{lanes_of(pins['out_valid'], uses_lt)}, "
             f"{lanes_of(pins['in_valid'], uses_lt)}, "
@@ -753,172 +701,47 @@ def _generate_vector_source(
     return source, reg_cells, reg_inits, fifo_cells, fifo_depths
 
 
-class VectorNetlist:
-    """One netlist's vector step code plus its layout (memo-shared)."""
-
-    __slots__ = (
-        "structural_hash",
-        "slot_of",
-        "n_slots",
-        "reg_cells",
-        "reg_inits",
-        "fifo_cells",
-        "fifo_depths",
-        "evaluate",
-        "latch",
-        "source",
-        "compile_seconds",
-        "lanes",
-        "from_store",
-    )
-
-    def __init__(
-        self,
-        structural_hash: str,
-        slot_of: Dict[str, int],
-        reg_cells: List[str],
-        reg_inits: List[int],
-        fifo_cells: List[str],
-        fifo_depths: List[int],
-        evaluate,
-        latch,
-        source: str,
-        compile_seconds: float,
-        lanes: int,
-        from_store: bool = False,
-    ):
-        self.structural_hash = structural_hash
-        self.slot_of = slot_of
-        self.n_slots = len(slot_of)
-        self.reg_cells = reg_cells
-        self.reg_inits = reg_inits
-        self.fifo_cells = fifo_cells
-        self.fifo_depths = fifo_depths
-        self.evaluate = evaluate
-        self.latch = latch
-        self.source = source
-        self.compile_seconds = compile_seconds
-        self.lanes = lanes
-        self.from_store = from_store
-
-    def __repr__(self):
-        return (
-            f"VectorNetlist({self.structural_hash}, {self.n_slots} slots, "
-            f"lanes={self.lanes})"
-        )
-
-
-#: (structural hash, lanes) → VectorNetlist, process-wide.
-_VMEMO: Dict[Tuple[str, int], VectorNetlist] = {}
-_VMEMO_LOCK = threading.Lock()
-
-
 def _generate_vector_payload(
     module: Module, structural: str, lanes: int
 ) -> Dict:
-    slot = {name: index for index, name in enumerate(sorted(module.nets))}
-    (source, reg_cells, reg_inits,
-     fifo_cells, fifo_depths) = _generate_vector_source(module, slot, lanes)
-    return {
-        "structural_hash": structural,
-        "backend": _BACKEND_TAG,
-        "lanes": lanes,
-        "stride": 0,
-        "source": source,
-        "slot_of": slot,
-        "reg_cells": reg_cells,
-        "reg_inits": reg_inits,
-        "fifo_cells": fifo_cells,
-        "fifo_depths": fifo_depths,
-    }
-
-
-def _materialize_vector(
-    payload: Dict, module_name: str, start: float, from_store: bool
-) -> VectorNetlist:
-    namespace: Dict[str, object] = {}
-    code = compile(
-        payload["source"],
-        f"<vector:{module_name}:{payload['structural_hash']}"
-        f":x{payload['lanes']}>",
-        "exec",
-    )
-    exec(code, namespace)
-    return VectorNetlist(
-        payload["structural_hash"],
-        payload["slot_of"],
-        payload["reg_cells"],
-        payload["reg_inits"],
-        payload["fifo_cells"],
-        payload["fifo_depths"],
-        namespace["_evaluate"],
-        namespace["_latch"],
-        payload["source"],
-        time.perf_counter() - start,
-        lanes=payload["lanes"],
-        from_store=from_store,
-    )
+    slot = _sorted_slots(module)
+    source, *seq = _generate_vector_source(module, slot, lanes)
+    return _codegen_payload(structural, _BACKEND_TAG, lanes, source, slot, seq)
 
 
 def compile_vector_netlist(
     module: Module,
     lanes: int,
     store=None,
-) -> VectorNetlist:
+) -> CompiledNetlist:
     """Compile a flat module to lane-column step code (memoized).
 
     Raises :class:`SimBackendUnavailable` when numpy is not installed.
-    ``store`` is the same duck-typed codegen store ``compile_netlist``
-    takes (``load`` gains the backend tag argument:
-    ``load(structural_hash, lanes, backend)``), so vector kernels share
-    the persistent ``codegen`` pseudo-stage with the scalar and SWAR
-    generators.
+    The program comes through the same compile path as the scalar and
+    SWAR ones (memo, ``store`` and ``exec``), under the ``"vector"``
+    backend tag; its ``run`` is None and its ``stride`` 0.
     """
-    from .compile import valid_codegen_payload
-
     lanes = int(lanes)
     if lanes < 1:
         raise NetlistError(f"lanes must be >= 1, got {lanes}")
     _require_numpy()
-    structural = module.structural_hash()
-    key = (structural, lanes)
-    with _VMEMO_LOCK:
-        cached = _VMEMO.get(key)
-    if cached is not None:
-        return cached
-    start = time.perf_counter()
-    payload = None
-    if store is not None:
-        payload = store.load(structural, lanes, _BACKEND_TAG)
-        if payload is not None and not valid_codegen_payload(
-            payload, structural, lanes, _BACKEND_TAG
-        ):
-            payload = None
-    loaded = payload is not None
-    if payload is None:
-        payload = _generate_vector_payload(module, structural, lanes)
-    compiled = _materialize_vector(payload, module.name, start, loaded)
-    if store is not None and not loaded:
-        store.save(payload)
-    with _VMEMO_LOCK:
-        return _VMEMO.setdefault(key, compiled)
+    return _compile_program(
+        module, lanes, _BACKEND_TAG, _generate_vector_payload, store
+    )
 
 
-def clear_vector_memo() -> None:
-    """Drop every memoized vector compilation (mainly for tests)."""
-    with _VMEMO_LOCK:
-        _VMEMO.clear()
+#: Kept for ``perfbench/``, which imports it: the vector programs share
+#: the one compile memo.
+clear_vector_memo = clear_compile_memo
 
 
-class VectorCompiledSimulator:
+class VectorCompiledSimulator(_LaneSimulator):
     """K stimulus lanes behind word-packed column step functions.
 
     The vectorized sibling of
     :class:`~repro.rtl.compile.BatchedCompiledSimulator`, with the same
-    surface — ``poke`` takes ``{port: [v0..vK-1]}``, ``peek`` returns
-    per-lane lists, ``step``/``run`` exchange one dict per lane — and
-    the same contract: lanes never interact, outputs are bit-identical
-    to K independent single-lane runs (the vector
+    port surface and the same contract: lanes never interact, outputs are
+    bit-identical to K independent single-lane runs (the vector
     :func:`~repro.rtl.compile.differential_check` gate asserts it).
     Unlike SWAR, throughput keeps scaling to thousands of lanes because
     each kernel touches a contiguous column at fixed per-op overhead.
@@ -931,8 +754,6 @@ class VectorCompiledSimulator:
         codegen_store=None,
         flavor: Optional[str] = None,
     ):
-        from .compile import _flattened, _mask_literal
-
         # ``flavor`` survives only for callers that still pass it: the
         # kernels are numpy's, whatever else is asked for is an error.
         if flavor not in (None, "numpy"):
@@ -941,13 +762,7 @@ class VectorCompiledSimulator:
                 f"only has numpy kernels"
             )
         self.flavor = "numpy"
-        self.module = _flattened(module)
-        self.lanes = int(lanes)
-        if self.lanes < 1:
-            raise NetlistError(f"lanes must be >= 1, got {lanes!r}")
-        self.program = compile_vector_netlist(
-            self.module, self.lanes, store=codegen_store
-        )
+        super().__init__(module, lanes, compile_vector_netlist, codegen_store)
         np = self._np = _numpy()
         slot_of = self.program.slot_of
         # slot index → word count, for every net wider than one word
@@ -981,33 +796,6 @@ class VectorCompiledSimulator:
                 ])
             else:
                 self._regs.append(np.full(self.lanes, np.uint64(init)))
-        self._fifos: List[List[deque]] = [
-            [deque() for _ in range(self.lanes)]
-            for _ in self.program.fifo_depths
-        ]
-        self._evaluate = self.program.evaluate
-        self._latch = self.program.latch
-        self._input_slots = {
-            name: (slot_of[net.name], _mask_literal(net.width))
-            for name, net in self.module.inputs()
-        }
-        self._output_slots = [
-            (
-                name,
-                slot_of[net.name],
-                slot_of[net.name] in self._wide_slots,
-            )
-            for name, net in self.module.outputs()
-        ]
-        self.cycle = 0
-
-    # ------------------------------------------------------------------
-
-    def _column(self, values: Sequence[int], mask: int):
-        """A fresh packed column of masked lane values."""
-        return self._np.array(
-            [int(value) & mask for value in values], self._np.uint64
-        )
 
     def _pack_wide(self, values: Sequence[int], mask: int, n_words: int):
         """Masked lane ints → little-endian uint64 word columns."""
@@ -1029,124 +817,21 @@ class VectorCompiledSimulator:
         )
         return list(map(int.from_bytes, fields, repeat("little")))
 
-    def _lanes_of(self, value, is_wide: bool) -> List[int]:
-        """Per-lane Python ints of one slot's current column."""
-        return self._unpack_wide(value) if is_wide else value.tolist()
-
-    def poke(self, inputs: Dict[str, Sequence[int]]) -> None:
-        """Drive ports with per-lane value lists (one value per lane)."""
-        slots = self._slots
-        for name, values in inputs.items():
-            entry = self._input_slots.get(name)
-            if entry is None:
-                raise NetlistError(
-                    f"{self.module.name}: no input port {name!r}"
-                )
-            if len(values) != self.lanes:
-                raise NetlistError(
-                    f"{self.module.name}: port {name!r} got {len(values)} "
-                    f"values for {self.lanes} lanes"
-                )
-            index, mask = entry
-            n_words = self._wide_slots.get(index)
-            if n_words is None:
-                slots[index] = self._column(values, mask)
-            else:
-                slots[index] = self._pack_wide(values, mask, n_words)
-
-    def _poke_vectors(self, vectors: Sequence[Dict[str, int]]) -> None:
-        """Per-lane input dicts; lanes may drive different port subsets
-        (a port a lane omits keeps that lane's previous value)."""
-        if len(vectors) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: got {len(vectors)} input vectors "
-                f"for {self.lanes} lanes"
-            )
-        slots = self._slots
-        first = vectors[0]
-        uniform = all(vector.keys() == first.keys() for vector in vectors)
-        if uniform:
-            for name in first:
-                entry = self._input_slots.get(name)
-                if entry is None:
-                    raise NetlistError(
-                        f"{self.module.name}: no input port {name!r}"
-                    )
-                index, mask = entry
-                n_words = self._wide_slots.get(index)
-                if n_words is None:
-                    slots[index] = self._column(
-                        [vector[name] for vector in vectors], mask
-                    )
-                else:
-                    slots[index] = self._pack_wide(
-                        [vector[name] for vector in vectors], mask, n_words
-                    )
-            return
-        names = set(first)
-        for vector in vectors[1:]:
-            names.update(vector)
-        for name in names:
-            entry = self._input_slots.get(name)
-            if entry is None:
-                raise NetlistError(
-                    f"{self.module.name}: no input port {name!r}"
-                )
-            index, mask = entry
-            n_words = self._wide_slots.get(index)
-            old = self._lanes_of(slots[index], n_words is not None)
-            merged = [
-                (int(vector[name]) & mask)
-                if name in vector
-                else int(old[lane])
-                for lane, vector in enumerate(vectors)
-            ]
-            if n_words is None:
-                slots[index] = self._column(merged, mask)
-            else:
-                slots[index] = self._pack_wide(merged, mask, n_words)
-
-    def evaluate(self) -> None:
-        self._evaluate(self._slots, self._regs, self._fifos)
-
-    def peek(self, name: str) -> List[int]:
-        net = self.module.ports.get(name)
-        if net is None:
-            raise NetlistError(f"{self.module.name}: no port {name!r}")
-        return self._unpack_slot(self.program.slot_of[net.name])
-
-    def peek_net(self, net_name: str) -> List[int]:
-        index = self.program.slot_of.get(net_name)
-        if index is None:
-            raise NetlistError(f"{self.module.name}: no net {net_name!r}")
-        return self._unpack_slot(index)
+    def _slot_value(self, index: int, values: Sequence[int], mask: int):
+        """What slot ``index`` holds for these lane values: a fresh
+        column of masked lane values, or word columns on a wide slot."""
+        n_words = self._wide_slots.get(index)
+        if n_words is not None:
+            return self._pack_wide(values, mask, n_words)
+        return self._np.array(
+            [int(value) & mask for value in values], self._np.uint64
+        )
 
     def _unpack_slot(self, index: int) -> List[int]:
-        return self._lanes_of(self._slots[index], index in self._wide_slots)
-
-    def tick(self) -> None:
-        self._latch(self._slots, self._regs, self._fifos)
-        self.cycle += 1
-
-    def step(
-        self, vectors: Optional[Sequence[Dict[str, int]]] = None
-    ) -> List[Dict[str, int]]:
-        """One cycle for every lane; returns one output dict per lane."""
-        if vectors:
-            self._poke_vectors(vectors)
-        slots = self._slots
-        self._evaluate(slots, self._regs, self._fifos)
-        columns = [
-            (name, self._lanes_of(slots[index], is_wide))
-            for name, index, is_wide in self._output_slots
-        ]
-        outputs = [
-            {name: column[lane] for name, column in columns}
-            for lane in range(self.lanes)
-        ]
-        self._latch(slots, self._regs, self._fifos)
-        self.cycle += 1
-        return outputs
+        value = self._slots[index]
+        if index in self._wide_slots:
+            return self._unpack_wide(value)
+        return value.tolist()
 
     def _feed(self, index: int, mask: int, values: List[int]):
         """Per-cycle columns of one input port from its lane-major
@@ -1186,8 +871,8 @@ class VectorCompiledSimulator:
 
         return [
             (name, index, self._unpack_wide, lane_major)
-            if is_wide else (name, index, None, lane_values)
-            for name, index, is_wide in self._output_slots
+            if index in self._wide_slots else (name, index, None, lane_values)
+            for name, index in self._output_slots
         ]
 
     def run(
@@ -1197,39 +882,9 @@ class VectorCompiledSimulator:
         (whole-run marshalling, see :func:`run_lanes`)."""
         return run_lanes(self, input_streams)
 
-    def run_random(
-        self, cycles: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        """Seeded per-lane stimulus (lane seeds via derive_lane_seed)."""
-        return self.run(
-            random_stimulus_batch(self.module, cycles, self.lanes, seed, bias)
-        )
-
-    def run_batch(
-        self, input_streams: Sequence[List[Dict[str, int]]]
-    ) -> List[List[Dict[str, int]]]:
-        """Alias for :meth:`run` (the uniform batch surface)."""
-        return self.run(input_streams)
-
-    def run_random_batch(
-        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        if int(lanes) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: simulator compiled for {self.lanes} "
-                f"lanes, asked to run {lanes}"
-            )
-        return self.run_random(cycles, seed, bias)
-
 
 # Register with the backend vocabulary on import (repro.rtl imports this
 # module unconditionally, so ``--sim-backend vector`` is always a valid
 # spelling; numpy's availability is checked at compile time instead).
-def _register() -> None:
-    from . import compile as _compile
-
-    _compile.SIM_BACKENDS["vector"] = VectorCompiledSimulator
-    _compile.SIM_BACKEND_VERSIONS["vector"] = 1
-
-
-_register()
+SIM_BACKENDS["vector"] = VectorCompiledSimulator
+SIM_BACKEND_VERSIONS["vector"] = 1

@@ -33,7 +33,8 @@ def test_optimize_stage_is_cached_per_pipeline():
     again = session.optimize(
         FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(), opt_level=2
     )
-    assert again is first
+    assert again.value is first.value
+    assert again.from_cache and not first.from_cache
     assert session.stats.hit_count("optimize") == 1
     # A different pipeline is a different artifact, not a stale hit.
     other = session.optimize(
@@ -41,6 +42,20 @@ def test_optimize_stage_is_cached_per_pipeline():
     )
     assert other is not first
     assert session.stats.miss_count("optimize") == 2
+
+
+def test_a_later_hit_leaves_the_first_callers_provenance_alone():
+    session = CompileSession()
+    first = session.optimize(
+        FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(), opt_level=2
+    )
+    # simulate looks its netlist up through optimize: a memory hit.
+    session.simulate(
+        FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(), opt_level=2,
+        cycles=4,
+    )
+    assert session.stats.hit_count("optimize") == 1
+    assert not first.from_cache
 
 
 def test_pipeline_change_invalidates_downstream_stages():

@@ -140,8 +140,8 @@ def test_cache_hit_returns_identical_artifact_without_rerun():
     first = session.elaborate(FPU_LA_SOURCE, "FPU", {"#W": 32}, generators())
     ran = session.stats.counter("elaborate.components")
     again = session.elaborate(FPU_LA_SOURCE, "FPU", {"#W": 32}, generators())
-    assert again is first  # the very same artifact object
-    assert again.from_cache
+    assert again.value is first.value  # the very same value object
+    assert again.from_cache and not first.from_cache
     assert session.stats.counter("elaborate.components") == ran  # no rerun
     assert session.stats.hit_count("elaborate") == 1
     assert session.stats.miss_count("elaborate") == 1
@@ -155,7 +155,9 @@ def test_cache_hits_across_equal_but_distinct_registries():
     again = session.elaborate(
         FPU_LA_SOURCE, "FPU", {"#W": 32}, [FloPoCoGenerator(400)]
     )
-    assert again is first  # fingerprint is value-based, not identity-based
+    # fingerprint is value-based, not identity-based
+    assert again.value is first.value
+    assert again.from_cache and not first.from_cache
 
 
 def test_cache_invalidates_on_parameter_change():
@@ -204,7 +206,8 @@ def test_typecheck_cache_preserves_measured_time():
     session = CompileSession()
     first = session.typecheck(FPU_LA_SOURCE, "FPU")
     again = session.typecheck(FPU_LA_SOURCE, "FPU")
-    assert again is first
+    assert again.value is first.value
+    assert again.from_cache and not first.from_cache
     assert again.seconds == first.seconds  # original measurement survives
 
 
@@ -242,8 +245,10 @@ def test_simulate_lanes_are_distinct_cache_entries():
     # Lane 0 reproduces the single-lane trace (same derived seed).
     assert batch.value.outputs[0] == single.value.outputs
     # Requesting the same batch again is a hit.
-    assert session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32},
-                            generators(), cycles=16, lanes=4) is batch
+    again = session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32},
+                             generators(), cycles=16, lanes=4)
+    assert again.value is batch.value
+    assert again.from_cache and not batch.from_cache
 
 
 def test_session_default_lanes_drive_simulate():
@@ -278,8 +283,9 @@ def test_simulate_levels_are_distinct_cache_entries():
     traces = [simulate(level) for level in (0, 1, 2)]
     assert session.stats.miss_count("simulate") == 3
     assert [trace.value.opt_level for trace in traces] == [0, 1, 2]
-    assert all(simulate(level) is trace
-               for level, trace in zip((0, 1, 2), traces))
+    hits = [simulate(level) for level in (0, 1, 2)]
+    assert all(hit.value is trace.value and hit.from_cache
+               and not trace.from_cache for hit, trace in zip(hits, traces))
     assert session.stats.hit_count("simulate") == 3
     # Optimization never changes what the design computes.
     assert traces[0].value.outputs == traces[2].value.outputs
