@@ -60,7 +60,6 @@ from ..rtl import (
     emit_verilog,
     flatten,
     make_simulator,
-    random_stimulus,
     random_stimulus_batch,
 )
 from ..rtl.passes import PassManager, PassStats, pipeline_for_level
@@ -510,17 +509,17 @@ class CompileSession:
                         stacklevel=2,
                     )
                     resolved = fallback
-            if n_lanes == 1:
-                stimulus = random_stimulus(optimized.module, cycles, seed)
-                run_start = time.perf_counter()
-                outputs = simulator.run(stimulus)
-            else:
-                streams = random_stimulus_batch(
-                    optimized.module, cycles, n_lanes, seed
-                )
-                run_start = time.perf_counter()
-                outputs = simulator.run_batch(streams)
+            # Every engine takes one stream per lane through
+            # ``run_batch`` (a lane engine's ``run`` does too, even at
+            # one lane); a one-lane trace is lane 0's.
+            streams = random_stimulus_batch(
+                optimized.module, cycles, n_lanes, seed
+            )
+            run_start = time.perf_counter()
+            outputs = simulator.run_batch(streams)
             run_seconds = time.perf_counter() - run_start
+            if n_lanes == 1:
+                (outputs,) = outputs
             value = SimTrace(
                 outputs, cycles, seed, level, run_seconds,
                 len(optimized.module.cells), backend=resolved, lanes=n_lanes,

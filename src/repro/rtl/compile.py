@@ -146,8 +146,10 @@ from .simulate import (
 #: through a 64-bit word view, and a ``mul`` by a constant is one packed
 #: multiply.  v7: scalar programs mask only values that can leave their
 #: width, ``_run`` keeps nets and state in locals, and the live nets take
-#: the low slots.
-CODEGEN_VERSION = 7
+#: the low slots.  v8: vector programs bind masks, shift amounts and
+#: flip patterns as read-only 0-d ``uint64`` arrays instead of
+#: ``np.uint64`` scalars; scalar and SWAR programs are unchanged.
+CODEGEN_VERSION = 8
 
 
 @runtime_checkable

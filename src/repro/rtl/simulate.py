@@ -15,6 +15,7 @@ modulo 2^width, like Verilog's unsigned semantics).
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import operator
 import random
@@ -230,6 +231,34 @@ def lane_major(kept: List[Sequence[int]]) -> Iterator[int]:
     return chain.from_iterable(zip(*kept))
 
 
+@functools.lru_cache(maxsize=None)
+def _record_builder(ports: tuple) -> Callable[..., List[Dict[str, int]]]:
+    """``build(count, *values)``: one dict display of ``ports`` per
+    position of the per-port ``values`` sequences, in one list
+    comprehension (``count`` empty dicts when there is no port).
+
+    Keys are written with ``repr``, as in the scalar ``_run`` loop, and
+    the function is generated once per port tuple.
+    """
+    names = [f"v{index}" for index in range(len(ports))]
+    display = ", ".join(
+        f"{port!r}: {name}" for port, name in zip(ports, names)
+    )
+    if not ports:
+        loop = "_ in range(count)"
+    elif len(ports) == 1:
+        loop = "v0 in values[0]"
+    else:
+        loop = f"{', '.join(names)} in zip(*values)"
+    namespace: Dict[str, object] = {}
+    exec(
+        "def build(count, *values):\n"
+        f"    return [{{{display}}} for {loop}]\n",
+        namespace,
+    )
+    return namespace["build"]
+
+
 def run_lanes(
     engine, input_streams: Sequence[List[Dict[str, int]]]
 ) -> List[List[Dict[str, int]]]:
@@ -239,13 +268,14 @@ def run_lanes(
     instead of once per cycle: each driven port's values are pulled out
     of every lane dict in one pass, the engine packs them, the cycle
     loop only rebinds input slots and calls the generated
-    evaluate/latch, and each lane's output dicts are built at the end.
-    Stimulus is read and traces are built lane by lane, the order
-    :func:`random_stimulus_batch` allocates its dicts in.  Output slot
-    values are kept per cycle by reference, which is sound only because
-    generated code rebinds slots and never writes into a column or
-    packed value.  Runs in which the lane dicts do not all drive the
-    same ports go through ``step``.
+    evaluate/latch, and the output dicts are built at the end.  Stimulus
+    is read lane by lane, the order :func:`random_stimulus_batch`
+    allocates its dicts in, and every lane's output dicts come from one
+    list comprehension (:func:`_record_builder`), of which each lane's
+    trace is a slice.  Output slot values are kept per cycle by
+    reference, which is sound only because generated code rebinds slots
+    and never writes into a column or packed value.  Runs in which the
+    lane dicts do not all drive the same ports go through ``step``.
 
     The engine supplies, besides the ``step`` surface and its generated
     ``_evaluate``/``_latch`` over ``_slots``/``_regs``/``_fifos``:
@@ -302,20 +332,15 @@ def run_lanes(
             keep.append(value if take is None else take(value))
         latch(slots, regs, fifos)
         engine.cycle += 1
-    finished = [
-        (port, iter(finish(keep)))
-        for (port, _, _, finish), keep in zip(readers, kept)
+    build = _record_builder(tuple(port for port, _, _, _ in readers))
+    records = build(
+        len(streams) * cycles,
+        *(finish(keep) for (_, _, _, finish), keep in zip(readers, kept)),
+    )
+    return [
+        records[start:start + cycles]
+        for start in range(0, len(records), cycles)
     ]
-    traces: List[List[Dict[str, int]]] = []
-    for _ in streams:
-        trace: List[Dict[str, int]] = [{} for _ in range(cycles)]
-        for port, values in finished:
-            # zip stops at the trace's end before taking a value, so
-            # each lane consumes exactly its own ``cycles`` values.
-            for record, value in zip(trace, values):
-                record[port] = value
-        traces.append(trace)
-    return traces
 
 
 class _FifoState:

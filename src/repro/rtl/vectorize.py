@@ -16,9 +16,12 @@ explicit mask narrows to the net width, division and modulo route
 through ``np.floor_divide``/``np.remainder`` with a ``where=`` guard so
 x/0 == 0, and shift amounts that would be C-level undefined behavior
 (>= 64) are folded to constant zero columns at generation time.  Every
-integer literal is materialized as a ``np.uint64`` scalar in the
-prelude, which keeps numpy 1.x from promoting wide masks to float64 and
-satisfies NEP 50 on 2.x.  Nets wider than 64 bits are lists of word
+mask, shift amount and flip pattern is materialized in the prelude as
+a read-only 0-d ``uint64`` array, which keeps numpy 1.x from promoting
+wide masks to float64, satisfies NEP 50 on 2.x, and spares every ufunc
+call the conversion of a scalar operand (``a & M`` on 1024 lanes took
+0.87–1.47 µs with a ``np.uint64`` scalar ``M`` and 0.62–0.78 µs with a
+0-d one).  Nets wider than 64 bits are lists of word
 columns (only multi-word arithmetic drops to per-lane loops, the same
 escape hatch the SWAR generator uses), and FIFOs keep one deque per
 lane.
@@ -33,11 +36,13 @@ then degrades to ``compiled`` along
 emitted statement rebinds a slot or register to a fresh (or shared,
 unmodified) column and never mutates one in place.  Three things rely
 on it: a register latch is a single reference copy, constant columns
-are shared across slots and cycles, and ``run`` keeps each cycle's
+and 0-d constants are shared across slots, cycles and the engines
+running one memoized program, and ``run`` keeps each cycle's
 output columns by reference until it builds the traces at the end of
 the run (:func:`~repro.rtl.simulate.run_lanes`) — an in-place write
 would silently rewrite earlier cycles' outputs.  The vector tests run
-the kernels over columns marked read-only to hold generators to it.
+the kernels over columns marked read-only to hold generators to it, and
+the 0-d constants are created read-only.
 
 This module holds only the vector encoding.  The rest comes from
 :mod:`repro.rtl.compile`: where a result can leave its width
@@ -140,10 +145,10 @@ def _require_numpy() -> None:
 class _VecConsts:
     """Constant pool for one vector compilation.
 
-    Scalars (masks, shift amounts, flip patterns) and full lane columns
-    (constant cells, the zero column) are emitted once in the generated
-    prelude and threaded into the step functions as keyword defaults, so
-    the hot loop reads them as ``LOAD_FAST``.
+    Scalars (masks, shift amounts, flip patterns; read-only 0-d arrays)
+    and full lane columns (constant cells, the zero column) are emitted
+    once in the generated prelude and threaded into the step functions
+    as keyword defaults, so the hot loop reads them as ``LOAD_FAST``.
     """
 
     def __init__(self):
@@ -159,12 +164,13 @@ class _VecConsts:
         return name
 
     def scalar(self, value: int, hint: str, uses: set) -> str:
-        """A ``np.uint64`` scalar."""
+        """A read-only 0-d ``uint64`` array (built by the prelude's
+        ``_scalar``)."""
         name = self._scalars.get(value)
         if name is None:
             name = self._fresh(hint)
             self._scalars[value] = name
-            self.defs.append(f"{name} = _np.uint64({hex(value)})")
+            self.defs.append(f"{name} = _scalar({hex(value)})")
         uses.add(name)
         return name
 
@@ -642,6 +648,17 @@ def _generate_vector_source(
     prelude = [
         "import numpy as _np", "", "_U64 = _np.uint64", f"_LANES = {lanes}"
     ]
+    if consts._scalars:
+        prelude += [
+            "",
+            "",
+            "def _scalar(value):",
+            "    value = _np.array(value, _U64)",
+            "    value.flags.writeable = False",
+            "    return value",
+            "",
+            "",
+        ]
     prelude += consts.defs
     helper_names = sorted(div_helpers)
     if "_vdiv" in div_helpers:
@@ -798,14 +815,34 @@ class VectorCompiledSimulator(_LaneSimulator):
                 self._regs.append(np.full(self.lanes, np.uint64(init)))
 
     def _pack_wide(self, values: Sequence[int], mask: int, n_words: int):
-        """Masked lane ints → little-endian uint64 word columns."""
+        """Lane values → little-endian uint64 word columns, masked like
+        ``poke``.
+
+        Plain ints that fit ``n_words`` words convert with one
+        ``int.to_bytes`` each; anything else (negative, wider, a float,
+        a numpy int) goes through ``int(v) & mask``.  A value that fits
+        the words can still carry bits above the port's width, so the
+        top word is masked to the port's residual bits.
+        """
         np = self._np
         size = VECTOR_WORD // 8 * n_words
-        raw = b"".join(
-            [(int(value) & mask).to_bytes(size, "little") for value in values]
-        )
+        try:
+            raw = b"".join(
+                map(int.to_bytes, values, repeat(size), repeat("little"))
+            )
+        except (OverflowError, TypeError):
+            raw = b"".join([
+                (int(value) & mask).to_bytes(size, "little")
+                for value in values
+            ])
+        # An explicit copy: at one lane the transpose is already
+        # contiguous, and the ``frombuffer`` view is read-only.
         words = np.frombuffer(raw, "<u8").reshape(len(values), n_words)
-        return list(np.ascontiguousarray(words.T, np.uint64))
+        words = words.T.astype(np.uint64, order="C")
+        residual = mask.bit_length() % VECTOR_WORD
+        if residual:
+            words[-1] &= np.uint64((1 << residual) - 1)
+        return list(words)
 
     def _unpack_wide(self, words) -> List[int]:
         """Word columns back to per-lane Python ints."""
@@ -841,8 +878,8 @@ class VectorCompiledSimulator(_LaneSimulator):
         n_words = self._wide_slots.get(index)
         if n_words is not None:
             # Split into words one cycle at a time: a whole-run word
-            # table for 256-/512-bit ports costs more memory than it
-            # saves time.
+            # table measured no faster on blas, fft and flofft and
+            # raised the ``sim-sweep`` process's peak RSS by 2 MB.
             return (
                 self._pack_wide(values[cycle::cycles], mask, n_words)
                 for cycle in range(cycles)

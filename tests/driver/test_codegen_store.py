@@ -418,3 +418,61 @@ def test_swar_entries_from_before_the_word_view_stay_inert(tmp_path):
     assert expected == [
         CompiledSimulator(module).run(stream) for stream in streams
     ]
+
+
+@pytest.mark.numpy
+def test_vector_entries_from_before_zero_d_constants_stay_inert(tmp_path):
+    """A store written at ``CODEGEN_VERSION`` 7 holds vector programs
+    whose masks are ``np.uint64`` scalars.  Their key carries the old
+    version, so a compile over them misses and stores a new entry, the
+    old one stays digest-valid for fsck, and a program loaded from the
+    new entry binds read-only 0-d constants and runs the cold program's
+    traces."""
+    import re
+
+    from repro.driver import run_fsck
+    from repro.driver.artifact import StageArtifact
+    from repro.rtl import CODEGEN_VERSION, Simulator, VectorCompiledSimulator
+    from repro.rtl.vectorize import _generate_vector_payload
+
+    assert CODEGEN_VERSION > 7
+    module = _adder()
+    structural = module.structural_hash()
+    payload = _generate_vector_payload(module, structural, 4)
+    assert "_M8 = _scalar(0xff)" in payload["source"]
+    # The version-7 program: the same kernels over np.uint64 scalars.
+    legacy_source = re.sub(
+        r"def _scalar\(value\):\n(    .*\n)+\n\n", "", payload["source"]
+    ).replace("_scalar(", "_np.uint64(")
+    assert "_M8 = _np.uint64(0xff)" in legacy_source
+    assert "_scalar" not in legacy_source
+    legacy = dict(payload, source=legacy_source)
+    legacy_key = ("codegen", structural, "vector", 4, 7)
+    disk = DiskCache(str(tmp_path))
+    assert disk.store(legacy_key, StageArtifact("codegen", legacy_key,
+                                                legacy, 0.0))
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 1
+
+    store = _store(tmp_path)
+    streams = random_stimulus_batch(module, 24, 4, seed=9)
+    cold = VectorCompiledSimulator(module, 4, codegen_store=store)
+    assert not cold.program.from_store
+    assert cold.program.source == payload["source"]
+    assert store.disk.stats.counter("codegen.disk_miss") == 1
+    assert store.disk.stats.counter("codegen.store") == 1
+    expected = cold.run(streams)
+    assert expected == Simulator(module).run_batch(streams)
+    report = run_fsck(str(tmp_path))
+    assert report.consistent and report.scanned == 2
+
+    clear_compile_memo()
+    warm = VectorCompiledSimulator(_adder(), 4, codegen_store=store)
+    assert warm.program.from_store
+    assert warm.program.source == payload["source"]
+    (mask,) = [
+        value for value in warm.program.evaluate.__defaults__
+        if getattr(value, "shape", None) == ()
+    ]
+    assert int(mask) == 0xFF and not mask.flags.writeable
+    assert warm.run(streams) == expected

@@ -262,6 +262,27 @@ def test_session_default_lanes_drive_simulate():
     assert trace.outputs[0] == explicit.outputs
 
 
+@pytest.mark.parametrize(
+    "backend", ["batched", pytest.param("vector", marks=pytest.mark.numpy)]
+)
+def test_one_lane_lane_engine_simulate_matches_the_scalar_engines(backend):
+    """A lane engine asked for one lane runs that lane through its lane
+    surface: the trace equals the ``compiled`` and ``interp`` ones, and
+    the artifact names the requested engine."""
+    def simulate(engine):
+        return CompileSession(sim_backend=engine).simulate(
+            FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(), cycles=16,
+            lanes=1,
+        ).value
+
+    trace = simulate(backend)
+    assert trace.backend == backend
+    assert trace.lanes == 1
+    assert len(trace.outputs) == 16
+    assert trace.outputs == simulate("compiled").outputs
+    assert trace.outputs == simulate("interp").outputs
+
+
 def test_session_rejects_bad_lane_counts():
     with pytest.raises(ValueError):
         CompileSession(sim_lanes=0)

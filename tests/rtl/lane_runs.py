@@ -14,6 +14,7 @@ import random
 from repro.rtl import (
     Module,
     NetlistError,
+    Simulator,
     random_stimulus,
     random_stimulus_batch,
 )
@@ -54,7 +55,7 @@ def _assert_same_state(ran, stepped, cycles):
 def assert_run_matches_steps(make_engine, streams):
     """``run`` on one fresh engine vs one ``step`` per cycle on another:
     equal traces of plain ints, then equal cycle counts, port values and
-    next step."""
+    next step.  Returns the traces ``run`` gave."""
     ran, stepped = make_engine(), make_engine()
     traces = ran.run(streams)
     expected = [[] for _ in streams]
@@ -63,6 +64,15 @@ def assert_run_matches_steps(make_engine, streams):
             trace.append(outputs)
     _assert_same_traces(traces, expected)
     _assert_same_state(ran, stepped, len(streams[0]))
+    return traces
+
+
+def assert_run_matches_interpreter(make_engine, module, streams):
+    """:func:`assert_run_matches_steps`, and the traces equal the
+    interpreter's.  ``run`` and ``step`` share the engine's value
+    packing, so only the interpreter shows a fault in it."""
+    traces = assert_run_matches_steps(make_engine, streams)
+    assert traces == Simulator(module).run_batch(streams)
 
 
 def assert_stream_run_matches_steps(make_engine, make_stream):
@@ -218,5 +228,18 @@ def sink(width=8) -> Module:
     a = module.add_input("a", width)
     b = module.add_input("b", width)
     module.register(module.binop("xor", a, b))
+    module.validate()
+    return module
+
+
+def awkward_port_names(width=8) -> Module:
+    """Output ports whose names need escaping in a generated dict
+    display: a quote, a backslash, a double quote and braces."""
+    module = Module("awkward")
+    a = module.add_input("a'", width)
+    b = module.add_input("b\\", width)
+    for name, kind in (("y'", "xor"), ("z\\", "add"), ('q"{0}', "and")):
+        out = module.add_output(name, width)
+        module.add_cell(kind, {"a": a, "b": b, "out": out})
     module.validate()
     return module

@@ -35,7 +35,9 @@ from repro.rtl.compile import _lane_helper_lines, _lane_words
 
 from .lane_runs import (
     LANE_RUN_CASES,
+    assert_run_matches_interpreter,
     assert_run_matches_steps,
+    awkward_port_names,
     free_running_counter,
     lane_run_cases,
     sink,
@@ -255,14 +257,16 @@ def test_batched_rejects_ragged_streams():
         lambda: fifo_pipeline(stages=3, width=16, depth=2),
         free_running_counter,
         sink,
+        awkward_port_names,
     ],
     ids=["w8", "w65", "w100", "w512", "counter", "lane-lists", "fifo",
-         "no-inputs", "no-outputs"],
+         "no-inputs", "no-outputs", "awkward-names"],
 )
 def test_batched_run_matches_step_by_step(make_module, case):
     module = make_module()
-    assert_run_matches_steps(
+    assert_run_matches_interpreter(
         lambda: BatchedCompiledSimulator(module, 3),
+        module,
         lane_run_cases(module, 3, seed=5)[case],
     )
 

@@ -26,7 +26,7 @@ from repro.rtl.compile import CODEGEN_VERSION, _flattened, _generate_payload
 from repro.rtl.vectorize import _generate_vector_payload
 
 #: The ``CODEGEN_VERSION`` the table below was pinned at.
-PINNED_VERSION = 7
+PINNED_VERSION = 8
 
 #: ``(design, opt level, backend, lanes)`` for every pinned program.
 PROGRAMS = [
@@ -44,63 +44,63 @@ PINS = {
     "blas -O0 scalar": "c52faa89d89fe5e4",
     "blas -O0 swar x3": "9247c975a4b48be0",
     "blas -O0 swar x64": "aef163f650d5c5b9",
-    "blas -O0 vector x3": "498eb72cda73afc1",
-    "blas -O0 vector x64": "758e07bcc057dfab",
+    "blas -O0 vector x3": "57a36cc0e116c7e9",
+    "blas -O0 vector x64": "4d909cfe7d557ccb",
     "blas -O2 scalar": "fd31c5364cb37740",
     "blas -O2 swar x3": "535ac5bf94f51d26",
     "blas -O2 swar x64": "20234312f8f4e7e5",
-    "blas -O2 vector x3": "e9f754ed42a547ed",
-    "blas -O2 vector x64": "a4b696671fc64f44",
+    "blas -O2 vector x3": "7a298b94f49dbdcc",
+    "blas -O2 vector x64": "489344b8428ac6af",
     "fft -O0 scalar": "300aec47ca30eff1",
     "fft -O0 swar x3": "33a50eabb70d1690",
     "fft -O0 swar x64": "e855fe8206485b69",
-    "fft -O0 vector x3": "2e9915775f36f2e9",
-    "fft -O0 vector x64": "23e060e78698441c",
+    "fft -O0 vector x3": "0e01107d4530ccd2",
+    "fft -O0 vector x64": "04e059746ded5b9a",
     "fft -O2 scalar": "0ce69b6d8e4ed682",
     "fft -O2 swar x3": "62b1f9fcc70fc771",
     "fft -O2 swar x64": "ed4e492975c86dfa",
-    "fft -O2 vector x3": "3417720cdff2543c",
-    "fft -O2 vector x64": "e9ae1de0b8c39984",
+    "fft -O2 vector x3": "d7037500d64fd545",
+    "fft -O2 vector x64": "53c0a53f0f66078b",
     "flofft -O0 scalar": "ebc10f6f5df61f0a",
     "flofft -O0 swar x3": "58a30af3aaebea41",
     "flofft -O0 swar x64": "b6b454d392ee405f",
-    "flofft -O0 vector x3": "8b6b9af9c228ef99",
-    "flofft -O0 vector x64": "25b0eb745237af53",
+    "flofft -O0 vector x3": "92d4a35ef97cb83e",
+    "flofft -O0 vector x64": "6a2907afb5f879d3",
     "flofft -O2 scalar": "2fc235e2600ef22d",
     "flofft -O2 swar x3": "b2962a11d583de6b",
     "flofft -O2 swar x64": "4322f24b8c4776d4",
-    "flofft -O2 vector x3": "2c76e365c4ad1777",
-    "flofft -O2 vector x64": "906ed8d0d3a61a7c",
+    "flofft -O2 vector x3": "44c2aea189a559eb",
+    "flofft -O2 vector x64": "7920bade8ffaf041",
     "fpu -O0 scalar": "2f4c266c5b172ec6",
     "fpu -O0 swar x3": "0823c6f7e86c0332",
     "fpu -O0 swar x64": "5dd113ab3a875aee",
-    "fpu -O0 vector x3": "28d7b3355ac1137c",
-    "fpu -O0 vector x64": "5024badd75296812",
+    "fpu -O0 vector x3": "4a06bb7ea722f7e7",
+    "fpu -O0 vector x64": "d5e1aaa353e5e06c",
     "fpu -O2 scalar": "8907c0639e2b82b2",
     "fpu -O2 swar x3": "3d18feaf5e22a153",
     "fpu -O2 swar x64": "a8db736e7f90f0b0",
-    "fpu -O2 vector x3": "8f2e0961412bb64e",
-    "fpu -O2 vector x64": "e01fce856a141e8b",
+    "fpu -O2 vector x3": "dff349bb9a108ede",
+    "fpu -O2 vector x64": "f519a7e55f31591b",
     "gbp -O0 scalar": "b88eea4e8e14dabe",
     "gbp -O0 swar x3": "d5eb984f72703d71",
     "gbp -O0 swar x64": "6ccf38ded96022bc",
-    "gbp -O0 vector x3": "9599b399733ee256",
-    "gbp -O0 vector x64": "05c099a16644ef93",
+    "gbp -O0 vector x3": "a58167870bce18e7",
+    "gbp -O0 vector x64": "cf81a20236f158ea",
     "gbp -O2 scalar": "0ebdf06edac67886",
     "gbp -O2 swar x3": "a12f6dec0e1f364e",
     "gbp -O2 swar x64": "a28ee6bc4c439b84",
-    "gbp -O2 vector x3": "b197fcae749a8818",
-    "gbp -O2 vector x64": "81df91b7ee5cfd86",
+    "gbp -O2 vector x3": "89506b3437c74ad5",
+    "gbp -O2 vector x64": "7b2431588249bc55",
     "risc -O0 scalar": "85b445d0137cbf0d",
     "risc -O0 swar x3": "cf5ff2212e966ce8",
     "risc -O0 swar x64": "7c89685a5cb1caef",
-    "risc -O0 vector x3": "59cc3cf5ec810136",
-    "risc -O0 vector x64": "9505c96ca77bf0fa",
+    "risc -O0 vector x3": "a9e6c7c446e5440f",
+    "risc -O0 vector x64": "467f0e65c85ee52b",
     "risc -O2 scalar": "5e268ff373d84891",
     "risc -O2 swar x3": "a3d421a5727cd696",
     "risc -O2 swar x64": "7a2c3be66e5b916f",
-    "risc -O2 vector x3": "8e4e7ce799f13cd9",
-    "risc -O2 vector x64": "7d65372e5d48f422",
+    "risc -O2 vector x3": "ae0f551c4d9e566b",
+    "risc -O2 vector x64": "bcbca3d0f8ab6426",
 }
 
 

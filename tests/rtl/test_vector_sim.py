@@ -30,7 +30,9 @@ from repro.rtl import (
 
 from .lane_runs import (
     LANE_RUN_CASES,
+    assert_run_matches_interpreter,
     assert_run_matches_steps,
+    awkward_port_names,
     free_running_counter,
     lane_run_cases,
     sink,
@@ -178,18 +180,33 @@ def test_vector_matches_interpreter_on_fifo_pipeline(lanes):
 
 @pytest.mark.parametrize("case", LANE_RUN_CASES)
 @pytest.mark.parametrize(
-    "make_module",
-    [lambda width=width: _alu(width) for width in (1, 7, 64, 65, 100, 512)]
-    + [lambda: fifo_pipeline(stages=3, width=16, depth=2),
-       free_running_counter, sink],
-    ids=["w1", "w7", "w64", "w65", "w100", "w512", "fifo", "no-inputs",
-         "no-outputs"],
+    "make_module, lanes",
+    [
+        pytest.param(lambda width=width: _alu(width), 3, id=f"w{width}")
+        for width in (1, 7, 64, 65, 100, 512)
+    ]
+    # One lane: the word columns of a wide port come from a transpose
+    # that is already contiguous.
+    + [
+        pytest.param(
+            lambda width=width: _alu(width), 1, id=f"w{width}-one-lane"
+        )
+        for width in (65, 100, 512)
+    ]
+    + [
+        pytest.param(lambda: fifo_pipeline(stages=3, width=16, depth=2), 3,
+                     id="fifo"),
+        pytest.param(free_running_counter, 3, id="no-inputs"),
+        pytest.param(sink, 3, id="no-outputs"),
+        pytest.param(awkward_port_names, 3, id="awkward-names"),
+    ],
 )
-def test_run_matches_step_by_step(make_module, case):
+def test_run_matches_step_by_step(make_module, lanes, case):
     module = make_module()
-    assert_run_matches_steps(
-        lambda: _read_only(VectorCompiledSimulator(module, 3)),
-        lane_run_cases(module, 3, seed=5)[case],
+    assert_run_matches_interpreter(
+        lambda: _read_only(VectorCompiledSimulator(module, lanes)),
+        module,
+        lane_run_cases(module, lanes, seed=5)[case],
     )
 
 
