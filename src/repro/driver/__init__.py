@@ -57,7 +57,6 @@ from .faults import (
 )
 from .fsck import Finding, FsckReport, run_fsck
 from .grid import EXECUTORS, EvalGrid
-from .journal import IntentJournal, LeaseManager
 from .ledger import RunLedger, graceful_drain, point_key
 from .profiler import RunProfiler, RunReport
 from .session import (
@@ -95,8 +94,6 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "InjectedOSError",
-    "IntentJournal",
-    "LeaseManager",
     "ObligationStore",
     "OptimizedNetlist",
     "RunLedger",

@@ -22,7 +22,6 @@ entries are deleted and treated as misses, never served.
 
 from __future__ import annotations
 
-import atexit
 import copy
 import errno
 import hashlib
@@ -35,7 +34,7 @@ import time
 import warnings
 from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
-from . import faults, journal as journal_mod
+from . import faults
 from .artifact import StageArtifact
 
 #: The disk format's epoch.  Bump whenever old entries must not survive
@@ -89,11 +88,16 @@ DEFAULT_MAX_BYTES = 2 * 1024 * 1024 * 1024
 DISK_RETRY_LIMIT = 3
 DISK_RETRY_BACKOFF_SECONDS = 0.005
 
-#: ``.tmp`` files younger than this are *live writers* (between
-#: ``mkstemp`` and ``os.replace``) as far as :meth:`DiskCache._trim` is
-#: concerned: they count toward the size bound but are never reaped.
-#: Older ones are orphans from writers that died mid-store.
+#: Unstamped ``.tmp`` files (written by earlier versions, whose temp
+#: names carry no writer PID) younger than this may be *live writers*
+#: as far as :meth:`DiskCache._trim` and ``repro fsck`` are concerned:
+#: they count toward the size bound but are never reaped.  Older ones
+#: are orphans from writers that died mid-store.
 TMP_REAP_AGE_SECONDS = 3600.0
+
+#: ``$REPRO_CACHE_FSYNC=0`` turns every fsync in the store and the run
+#: ledger into a no-op.
+FSYNC_ENV = "REPRO_CACHE_FSYNC"
 
 #: errnos that mean "retry might work" vs "this root is done for":
 #: a full or read-only cache directory cannot heal within a run, so
@@ -105,6 +109,74 @@ _TRANSIENT_ERRNOS = frozenset(
 _DEGRADE_ERRNOS = frozenset(
     {errno.ENOSPC, errno.EROFS, errno.EACCES, errno.EPERM, errno.EDQUOT}
 )
+
+
+def fsync_enabled() -> bool:
+    """Whether the store pays for real ``fsync`` calls (default: yes)."""
+    return os.environ.get(FSYNC_ENV, "1") != "0"
+
+
+def fsync_fd(fd: int) -> None:
+    if fsync_enabled():
+        os.fsync(fd)
+
+
+def fsync_dir(path: str) -> None:
+    """Flush a directory's entry table (the rename/replace itself)."""
+    if not fsync_enabled():
+        return
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def pid_alive(pid: int) -> bool:
+    """Best-effort liveness probe (signal 0; EPERM counts as alive)."""
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    except OSError:
+        return False
+    return True
+
+
+def tmp_writer_pid(name: str) -> Optional[int]:
+    """The writer PID stamped into a store temp file's name
+    (``<entry>.pkl.<pid>.<random>.tmp``), or None for any other name —
+    notably the unstamped ``tmp<random>.tmp`` of earlier versions."""
+    parts = name.split(".")
+    if (len(parts) != 5 or parts[1] != "pkl" or parts[4] != "tmp"
+            or not parts[2].isdecimal()):
+        return None
+    return int(parts[2])
+
+
+def split_entry(data: bytes) -> Tuple[dict, bytes]:
+    """``(header, payload)`` of raw entry bytes whose payload matches
+    the header's digest.  Raises ValueError naming the first failure:
+    ``"unparseable header"`` or ``"payload digest mismatch"``.  Whether
+    the header's schema and key fit the entry's path is the caller's
+    concern."""
+    header_line, _, payload = data.partition(b"\n")
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except (ValueError, RecursionError):
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError("unparseable header")
+    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
+        raise ValueError("payload digest mismatch")
+    return header, payload
 
 
 def source_digest(source: str) -> str:
@@ -250,18 +322,18 @@ class DiskCache:
     every load is a miss and every store a no-op, so a full disk slows
     the pipeline down instead of failing it.
 
-    Crash consistency (:mod:`repro.driver.journal`): every store is a
-    journaled transaction — the temp file is fsynced, a write-ahead
-    *intent record* goes durable before the ``os.replace``, the
-    directory entry is fsynced after it, and only then is the record
-    retired.  Attaching a cache replays any dead writer's dangling
-    intents (roll forward when the destination landed intact, roll back
-    otherwise) and reaps dead-PID writer leases, so a SIGKILLed — or
-    power-lost — predecessor leaves this store exactly as consistent
-    as a clean shutdown would have.  ``repro fsck`` runs the same
-    classification offline.  ``$REPRO_CACHE_FSYNC=0`` skips the fsyncs
-    (kill-safety needs only the ordering; power-loss durability needs
-    the syncs).
+    Crash consistency: a store writes a temp file in the entry's own
+    directory, named ``<entry>.pkl.<pid>.<random>.tmp``, fsyncs it,
+    moves it over the entry with ``os.replace`` and fsyncs the
+    directory.  The replace is atomic and every reader checks the
+    entry's digest, so a SIGKILLed — or power-lost — writer leaves at
+    most its temp file, whose name says which process wrote it.
+    Attaching a cache unlinks every temp file stamped with a dead PID
+    (``disk.reaped``), so the store ends exactly as consistent as a
+    clean shutdown would have left it; ``repro fsck`` runs the same
+    classification offline.  ``$REPRO_CACHE_FSYNC=0`` skips the two
+    fsyncs (kill-safety needs only the atomic replace; power-loss
+    durability needs the syncs).
     """
 
     def __init__(
@@ -274,17 +346,6 @@ class DiskCache:
         self.stats = stats or CacheStats()
         self._degraded = False
         self._degrade_lock = threading.Lock()
-        #: write-ahead intent journal + writer leases; both live outside
-        #: the schema-versioned subtree and survive schema bumps.
-        self.journal = journal_mod.IntentJournal(self.root, self.stats)
-        self.leases = journal_mod.LeaseManager(self.root, self.stats)
-        self._lease_held = False
-        if os.path.isdir(self.root):
-            # Crash recovery before anything reads or trims: replay any
-            # dead predecessor's dangling write intents and drop its
-            # lease, so the rest of this session sees a clean store.
-            self.journal.recover()
-            self.leases.reap_stale()
         if max_bytes is None:
             override = os.environ.get("REPRO_CACHE_MAX_MB")
             if override is not None:
@@ -295,8 +356,7 @@ class DiskCache:
             else:
                 max_bytes = DEFAULT_MAX_BYTES
         self.max_bytes = max_bytes
-        if self.max_bytes:
-            self._trim()
+        self._trim()
 
     @staticmethod
     def default_root() -> str:
@@ -315,13 +375,6 @@ class DiskCache:
         return os.path.join(
             self.root, f"v{SCHEMA_VERSION}", stage, f"{digest}.pkl"
         )
-
-    def bind_stats(self, stats: CacheStats) -> None:
-        """Route this layer's counters (and the journal's / leases')
-        into ``stats`` — the session's shared object — from now on."""
-        self.stats = stats
-        self.journal.stats = stats
-        self.leases.stats = stats
 
     @property
     def degraded(self) -> bool:
@@ -385,14 +438,11 @@ class DiskCache:
         if data is None:
             return None
         try:
-            header_line, _, payload = data.partition(b"\n")
-            header = json.loads(header_line.decode("utf-8"))
+            header, payload = split_entry(data)
             if header.get("schema") != SCHEMA_VERSION:
                 raise ValueError("schema version mismatch")
             if header.get("key") != repr(key):
                 raise ValueError("key collision or renamed entry")
-            if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-                raise ValueError("payload digest mismatch")
             faults.inject("pickle.load", self.stats)
             artifact = pickle.loads(payload)
             if not isinstance(artifact, StageArtifact):
@@ -421,57 +471,41 @@ class DiskCache:
             )
 
     def _write_entry(self, path: str, header: bytes, payload: bytes) -> None:
-        """One atomic, journaled write attempt (may raise OSError).
+        """One atomic write attempt (may raise OSError).
 
-        The crash-consistency protocol, in order: (1) temp file written
-        and fsynced — a later replace never publishes torn bytes;
-        (2) write-ahead intent record made durable — any crash from
-        here on is classifiable by recovery/fsck; (3) atomic
-        ``os.replace`` plus a directory fsync — the publish itself
-        survives power loss; (4) the record retired.  The two
-        ``proc.kill.write`` consultations bracket the replace: the
-        first dies in the roll-*back* window (intent durable, entry
-        unpublished), the second in the roll-*forward* window (entry
-        published, commit lost).
+        The temp file is written and fsynced in the entry's directory
+        under a name stamped with this process's PID, moved over the
+        entry with ``os.replace``, and the directory is fsynced.  The
+        two ``proc.kill.write`` consultations bracket the replace: the
+        first dies leaving the stamped temp file, the second leaving
+        the published entry.
         """
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
-        self._ensure_lease()
         faults.inject("disk.write", self.stats)
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        record = None
+        fd, tmp_path = tempfile.mkstemp(
+            dir=directory,
+            prefix=f"{os.path.basename(path)}.{os.getpid()}.",
+            suffix=".tmp",
+        )
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(header)
                 handle.write(b"\n")
                 handle.write(payload)
                 handle.flush()
-                journal_mod.fsync_fd(handle.fileno())
-            record = self.journal.begin(path, tmp_path)
+                fsync_fd(handle.fileno())
             faults.kill_here("proc.kill.write", self.stats)
             faults.inject("disk.replace", self.stats)
             os.replace(tmp_path, path)
-            journal_mod.fsync_dir(directory)
+            fsync_dir(directory)
             faults.kill_here("proc.kill.write", self.stats)
-            self.journal.commit(record)
         except BaseException:
             try:
                 os.remove(tmp_path)
             except OSError:
                 pass
-            self.journal.abort(record)
             raise
-
-    def _ensure_lease(self) -> None:
-        """Hold this process's writer lease (idempotent, first write).
-
-        A clean interpreter exit releases it, so only a writer that died
-        mid-run leaves a lease for fsck to report as stale.
-        """
-        if not self._lease_held:
-            self.leases.acquire()
-            self._lease_held = True
-            atexit.register(self.leases.release)
 
     def _store(self, key: Tuple, artifact: StageArtifact) -> bool:
         try:
@@ -518,49 +552,54 @@ class DiskCache:
             count += sum(1 for f in files if f.endswith(".pkl"))
         return count
 
-    def _trim(self) -> int:
-        """Evict oldest entries (by mtime) until under ``max_bytes``.
+    def _trim(self) -> None:
+        """Reap dead writers' temp files, then evict the oldest entries
+        (by mtime) until the tree is under ``max_bytes``.
 
-        Runs once when the cache is attached, bounding the default-on
-        CLI cache: steady-state iteration on changing sources accretes
-        dead content digests forever otherwise.  Every schema subtree
-        counts toward the bound (stale schemas are pure waste, so they
-        are the first candidates by age).  Returns entries removed.
+        Runs once when the cache is attached.  A temp file stamped with
+        a dead PID is unlinked whatever the bound (``disk.reaped``): its
+        writer died between ``mkstemp`` and ``os.replace``.  A live
+        PID's temp file is never touched, however old (a writer stalled
+        behind a slow pickle is still a writer), and an unstamped one
+        only once it ages past :data:`TMP_REAP_AGE_SECONDS`.  Eviction
+        bounds the default-on CLI cache: steady-state iteration on
+        changing sources accretes dead content digests forever
+        otherwise.  Every schema subtree counts toward the bound (stale
+        schemas are pure waste, so they are the first candidates by
+        age).
         """
         entries = []
         total = 0
+        reaped = 0
         now = time.time()
-        pending = self.journal.pending_tmps()
         for directory, _, files in os.walk(self.root):
             for name in files:
                 if not name.endswith((".pkl", ".tmp")):
                     continue
                 path = os.path.join(directory, name)
+                pid = tmp_writer_pid(name)
+                if pid is not None and not pid_alive(pid):
+                    try:
+                        os.remove(path)
+                        reaped += 1
+                    except OSError:
+                        pass
+                    continue
                 try:
                     info = os.stat(path)
                 except OSError:
                     continue
                 total += info.st_size
-                # A .tmp file may be a *live* writer in another process,
-                # mid-way between mkstemp and os.replace — unlinking it
-                # would lose that writer's entry.  The intent journal
-                # makes this exact, where the age heuristic only guesses:
-                # a tmp whose intent record's owner PID is alive is never
-                # an eviction candidate no matter how old (a writer
-                # stalled behind a slow pickle is still a writer), while
-                # a dead owner's tmp is a reapable orphan immediately.
-                # Unjournaled tmps (a writer that died before its
-                # ``begin()``) fall back to the age heuristic.
-                if name.endswith(".tmp"):
-                    record = pending.get(os.path.abspath(path))
-                    if record is not None:
-                        if journal_mod.pid_alive(record.pid):
-                            continue
-                    elif now - info.st_mtime < TMP_REAP_AGE_SECONDS:
-                        continue
+                if name.endswith(".tmp") and (
+                    pid is not None
+                    or now - info.st_mtime < TMP_REAP_AGE_SECONDS
+                ):
+                    continue
                 entries.append((info.st_mtime, info.st_size, path))
-        if total <= self.max_bytes:
-            return 0
+        if reaped:
+            self.stats.bump("disk.reaped", reaped)
+        if not self.max_bytes or total <= self.max_bytes:
+            return
         removed = 0
         for _, size, path in sorted(entries):
             if total <= self.max_bytes:
@@ -573,7 +612,6 @@ class DiskCache:
             removed += 1
         if removed:
             self.stats.bump("disk.trimmed", removed)
-        return removed
 
 
 class CodegenStore:
@@ -708,7 +746,8 @@ class ArtifactCache:
         self.stats = stats or CacheStats()
         self.disk = disk
         if disk is not None:
-            disk.bind_stats(self.stats)
+            # Route the disk layer's counters into this cache's stats.
+            disk.stats = self.stats
         self._mutex = threading.Lock()
         self._artifacts: Dict[Tuple, StageArtifact] = {}
         self._key_locks: Dict[Tuple, threading.Lock] = {}

@@ -23,9 +23,9 @@ Subcommands:
   the crash-chaos harness launches (and kills, and resumes) as a
   subprocess.
 * ``fsck``   — offline store consistency check: digest-verify every
-  entry, classify orphan temp files against the write-ahead journal,
-  reap dead writers' leases; ``--repair`` quarantines/mends.  Exit 0
-  iff the store is consistent.
+  entry, classify temp files by the writer PID stamped in their names;
+  ``--repair`` quarantines corrupt entries and unlinks dead writers'
+  temp files.  Exit 0 iff the store is consistent.
 * ``all``    — every table, figure and the ablation on one shared
   session, with cache statistics showing the artifacts reused across
   them.
@@ -651,8 +651,8 @@ def build_parser() -> argparse.ArgumentParser:
     fsck = sub.add_parser(
         "fsck",
         help="offline store consistency check: digest-verify entries, "
-             "classify temp files against the write-ahead journal, "
-             "reap dead writers' leases; exit 0 iff consistent",
+             "classify temp files by their writer's PID; exit 0 iff "
+             "consistent",
     )
     fsck.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -662,8 +662,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsck.add_argument(
         "--repair", action="store_true",
         help="mend what a dead writer left behind: quarantine corrupt "
-             "entries, replay dangling write intents, unlink orphan "
-             "temp files, reap stale leases",
+             "entries, unlink orphan temp files",
     )
     fsck.add_argument(
         "--stats", choices=("text", "json"), default="text",

@@ -40,8 +40,9 @@ offline by ``repro fsck`` plus a ``--resume`` of the run::
 
     proc.kill.write   inside DiskCache._write_entry — consulted twice
                       per store (before the atomic replace, and after
-                      it but before the journal commit), so seeds walk
-                      the kill through both crash windows
+                      it and the directory fsync), so seeds walk the
+                      kill through both crash windows: a stamped temp
+                      file left behind, or a published entry
     proc.kill.point   in the EvalGrid parent, after a grid point
                       completes and its ledger checkpoint is recorded
     proc.kill.solver  in ObligationStore.save, as a solver verdict is
@@ -435,10 +436,10 @@ def kill_here(site: str, stats=None) -> None:
 
     Deliberately unsurvivable — no cleanup handler, no atexit, no
     flushing runs: SIGKILL is the fault model.  Whatever state the
-    process leaves behind is exactly what the write-ahead journal,
-    ``repro fsck`` and the run ledger exist to make consistent, which
-    is why ``repro chaos --crash`` schedules these sites only in child
-    processes it launched for that purpose."""
+    process leaves behind is exactly what the PID-stamped temp-file
+    names, ``repro fsck`` and the run ledger exist to make consistent,
+    which is why ``repro chaos --crash`` schedules these sites only in
+    child processes it launched for that purpose."""
     if site not in CRASH_SITES:
         raise ValueError(f"{site!r} is not a crash site; see CRASH_SITES")
     if check(site, stats) is not None:

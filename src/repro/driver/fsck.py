@@ -1,12 +1,12 @@
 """Offline consistency checker for the on-disk artifact store.
 
-``repro fsck`` is the store's independent auditor: where
-:meth:`~repro.driver.journal.IntentJournal.recover` repairs what it can
-at attach time, fsck *classifies everything* — every entry, temp file,
-intent record, and lease under a cache root — and either reports
-(read-only, the default) or repairs (``--repair``).  The crash-chaos
-harness and CI assert on its verdict: after any SIGKILL the store must
-fsck clean, or clean after one ``--repair`` pass.
+``repro fsck`` is the store's independent auditor: where attaching a
+:class:`~repro.driver.cache.DiskCache` reaps what it can, fsck
+*classifies everything* — every entry and temp file under a cache
+root — and either reports (read-only, the default) or repairs
+(``--repair``).  The crash-chaos harness and CI assert on its verdict:
+after any SIGKILL the store must fsck clean, or clean after one
+``--repair`` pass.
 
 Finding kinds, from worst to mildest:
 
@@ -16,19 +16,14 @@ Finding kinds, from worst to mildest:
     ``v<N>/`` directory it sits in.  Repair quarantines the file
     (renamed ``*.quarantine`` so evidence survives for a post-mortem;
     readers ignore it).
-``dangling_intent``
-    An intent record whose owner PID is dead — a writer died
-    mid-transaction.  Repair replays it exactly as attach-time recovery
-    would: destination intact → roll forward, else roll back.
 ``orphan_tmp``
-    A ``.tmp`` with no intent record and no live excuse: its writer died
-    before journaling (or predates the journal).  Repair unlinks it.
-``stale_lease``
-    A lease file naming a dead PID.  Repair reaps it.
+    A ``.tmp`` whose writer is gone: its name is stamped with a dead
+    PID, or it is unstamped (an earlier version's writer) and older
+    than the age threshold.  Repair unlinks it.
 ``live_tmp`` *(informational)*
-    A ``.tmp`` owned by a provably live writer (journaled intent with a
-    live PID, or young enough for the age heuristic).  Never repaired —
-    a concurrent writer is not damage.
+    A ``.tmp`` stamped with a live PID, however old, or an unstamped
+    one young enough for the age rule.  Never repaired — a concurrent
+    writer is not damage.
 ``foreign_schema`` *(informational)*
     A self-consistent entry under a non-current ``v<N>/`` subtree.
     Stale but harmless (trim evicts by age); never repaired.
@@ -48,16 +43,17 @@ import os
 import time
 from typing import Dict, List, Optional
 
-from . import journal as journal_mod
-from .cache import SCHEMA_VERSION, TMP_REAP_AGE_SECONDS
+from .cache import (
+    SCHEMA_VERSION,
+    TMP_REAP_AGE_SECONDS,
+    pid_alive,
+    split_entry,
+    tmp_writer_pid,
+)
+from .ledger import RUNS_DIRNAME
 
 #: Finding kinds that leave the store damaged (vs merely noteworthy).
-DAMAGE_KINDS = (
-    "corrupt_entry",
-    "dangling_intent",
-    "orphan_tmp",
-    "stale_lease",
-)
+DAMAGE_KINDS = ("corrupt_entry", "orphan_tmp")
 INFO_KINDS = ("live_tmp", "foreign_schema")
 
 #: Suffix repair gives corrupt entries instead of deleting them: the
@@ -167,23 +163,15 @@ def _bump(stats, counter: str, amount: int = 1) -> None:
 
 def _classify_entry(path: str, current_subtree: bool) -> Optional[Finding]:
     """A finding for one ``.pkl``, or None when the entry is healthy."""
-    import hashlib
-    import json
-
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except OSError as error:
         return Finding("corrupt_entry", path, f"unreadable: {error}")
-    header_line, _, payload = data.partition(b"\n")
     try:
-        header = json.loads(header_line.decode("utf-8"))
-        if not isinstance(header, dict):
-            raise ValueError("header is not an object")
-    except Exception:
-        return Finding("corrupt_entry", path, "unparseable header")
-    if header.get("sha256") != hashlib.sha256(payload).hexdigest():
-        return Finding("corrupt_entry", path, "payload digest mismatch")
+        header, _ = split_entry(data)
+    except ValueError as error:
+        return Finding("corrupt_entry", path, str(error))
     schema = header.get("schema")
     if current_subtree:
         if schema != SCHEMA_VERSION:
@@ -201,135 +189,77 @@ def _classify_entry(path: str, current_subtree: bool) -> Optional[Finding]:
     )
 
 
+def _classify_tmp(path: str, now: float) -> Optional[Finding]:
+    """A finding for one ``.tmp`` (None if it vanished: its writer
+    published it)."""
+    pid = tmp_writer_pid(os.path.basename(path))
+    if pid is not None:
+        if pid_alive(pid):
+            return Finding("live_tmp", path, f"writer pid {pid} is alive")
+        return Finding("orphan_tmp", path, f"writer pid {pid} is dead")
+    try:
+        age = now - os.stat(path).st_mtime
+    except OSError:
+        return None
+    if age < TMP_REAP_AGE_SECONDS:
+        return Finding(
+            "live_tmp", path,
+            f"unstamped but young ({age:.0f}s); possibly a live writer",
+        )
+    return Finding("orphan_tmp", path, f"unstamped, {age:.0f}s old")
+
+
+def _repair(finding: Finding, stats) -> None:
+    """Quarantine a corrupt entry, or unlink an orphan temp file."""
+    quarantine = finding.kind == "corrupt_entry"
+    try:
+        if quarantine:
+            os.replace(finding.path, finding.path + QUARANTINE_SUFFIX)
+        else:
+            os.remove(finding.path)
+    except OSError as error:
+        finding.detail += f"; repair failed: {error}"
+        return
+    finding.repaired = True
+    finding.action = "quarantined" if quarantine else "unlinked"
+    _bump(stats, "fsck.repaired")
+
+
 def run_fsck(root: str, repair: bool = False, stats=None) -> FsckReport:
     """Scan (and with ``repair=True``, mend) the store at ``root``.
 
     Safe to run against a store other processes are actively writing:
-    repairs only ever touch state whose owning PID is provably dead,
-    quarantined corruption, or unjournaled orphans past the age
-    threshold — the same discretion attach-time recovery exercises.
+    repairs only ever touch quarantined corruption, temp files stamped
+    with a provably dead PID, or unstamped ones past the age threshold
+    — the same discretion attach-time reaping exercises.
     """
     root = os.path.abspath(root)
     report = FsckReport(root, repair)
-    journal = journal_mod.IntentJournal(root, stats)
-    leases = journal_mod.LeaseManager(root, stats)
-    pending = journal.pending_tmps()
     now = time.time()
     current_prefix = os.path.join(root, f"v{SCHEMA_VERSION}") + os.sep
-
-    # -- pass 1: every entry and temp file in every schema subtree -----
     for directory, _, files in os.walk(root):
-        # The journal/lease directories have their own passes.
+        # The run ledger's files are not store entries.
         relative = os.path.relpath(directory, root)
-        top = relative.split(os.sep, 1)[0]
-        if top in (journal_mod.JOURNAL_DIRNAME, journal_mod.LEASE_DIRNAME,
-                   "runs"):
+        if relative.split(os.sep, 1)[0] == RUNS_DIRNAME:
             continue
         for name in sorted(files):
             path = os.path.join(directory, name)
             if name.endswith(".pkl"):
                 report.scanned += 1
                 _bump(stats, "fsck.scanned")
-                in_current = (path.startswith(current_prefix)
-                              or directory == root)
-                finding = _classify_entry(path, in_current)
+                finding = _classify_entry(
+                    path, path.startswith(current_prefix) or directory == root
+                )
                 if finding is None:
                     report.valid += 1
-                    continue
-                report.add(finding)
-                _bump(stats, f"fsck.{finding.kind}")
-                if repair and finding.kind == "corrupt_entry":
-                    try:
-                        os.replace(path, path + QUARANTINE_SUFFIX)
-                        finding.repaired = True
-                        finding.action = "quarantined"
-                        _bump(stats, "fsck.repaired")
-                    except OSError as error:
-                        finding.detail += f"; quarantine failed: {error}"
             elif name.endswith(".tmp"):
-                record = pending.get(os.path.abspath(path))
-                if record is not None and journal_mod.pid_alive(record.pid):
-                    report.add(Finding(
-                        "live_tmp", path,
-                        f"journaled writer pid {record.pid} is alive",
-                    ))
-                    _bump(stats, "fsck.live_tmp")
-                    continue
-                if record is not None:
-                    # Classified (and repaired) with its intent record
-                    # in pass 2; counting it here too would double-book.
-                    continue
-                try:
-                    age = now - os.stat(path).st_mtime
-                except OSError:
-                    continue
-                if age < TMP_REAP_AGE_SECONDS:
-                    report.add(Finding(
-                        "live_tmp", path,
-                        f"unjournaled but young ({age:.0f}s); "
-                        "possibly a pre-journal writer",
-                    ))
-                    _bump(stats, "fsck.live_tmp")
-                    continue
-                finding = report.add(Finding(
-                    "orphan_tmp", path,
-                    f"no intent record, {age:.0f}s old",
-                ))
-                _bump(stats, "fsck.orphan_tmp")
-                if repair:
-                    try:
-                        os.remove(path)
-                        finding.repaired = True
-                        finding.action = "unlinked"
-                        _bump(stats, "fsck.repaired")
-                    except OSError as error:
-                        finding.detail += f"; unlink failed: {error}"
-
-    # -- pass 2: intent records -----------------------------------------
-    for record in journal.records():
-        if journal_mod.pid_alive(record.pid):
-            continue
-        valid_dest = (
-            os.path.exists(record.dest)
-            and journal_mod.validate_entry_file(record.dest)
-        )
-        direction = "roll forward" if valid_dest else "roll back"
-        finding = report.add(Finding(
-            "dangling_intent", record.path or record.txn,
-            f"writer pid {record.pid} is dead; "
-            f"destination {'intact' if valid_dest else 'absent or torn'} "
-            f"({direction})",
-        ))
-        _bump(stats, "fsck.dangling_intent")
-        if not repair:
-            continue
-        try:
-            if not valid_dest and os.path.exists(record.dest):
-                os.remove(record.dest)
-            for leftover in (record.tmp, record.path):
-                if leftover and os.path.exists(leftover):
-                    os.remove(leftover)
-            finding.repaired = True
-            finding.action = direction.replace(" ", "_")
-            _bump(stats, "fsck.repaired")
-        except OSError as error:
-            finding.detail += f"; replay failed: {error}"
-
-    # -- pass 3: leases --------------------------------------------------
-    for pid, lease_path in sorted(leases.holders().items()):
-        if journal_mod.pid_alive(pid):
-            continue
-        finding = report.add(Finding(
-            "stale_lease", lease_path, f"pid {pid} is dead"
-        ))
-        _bump(stats, "fsck.stale_lease")
-        if repair:
-            try:
-                os.remove(lease_path)
-                finding.repaired = True
-                finding.action = "reaped"
-                _bump(stats, "fsck.repaired")
-            except OSError as error:
-                finding.detail += f"; reap failed: {error}"
-
+                finding = _classify_tmp(path, now)
+            else:
+                continue
+            if finding is None:
+                continue
+            report.add(finding)
+            _bump(stats, f"fsck.{finding.kind}")
+            if repair and finding.damage:
+                _repair(finding, stats)
     return report

@@ -83,7 +83,8 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from . import faults, journal as journal_mod, ledger as ledger_mod
+from . import faults, ledger as ledger_mod
+from .cache import pid_alive
 from .session import CompileSession, default_session
 
 Point = TypeVar("Point")
@@ -223,7 +224,7 @@ class _Watchdog:
             if now - info.st_mtime < self.timeout:
                 continue
             pid = beat.get("pid")
-            if not isinstance(pid, int) or not journal_mod.pid_alive(pid):
+            if not isinstance(pid, int) or not pid_alive(pid):
                 continue
             try:
                 os.kill(pid, signal.SIGKILL)

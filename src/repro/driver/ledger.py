@@ -51,7 +51,7 @@ import tempfile
 import threading
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from . import journal as journal_mod
+from .cache import fsync_fd
 
 #: Ledger-format epoch; a ``--resume`` against a ledger from a
 #: different epoch refuses loudly instead of replaying misshapen
@@ -140,7 +140,7 @@ class RunLedger:
         line = json.dumps(payload, sort_keys=True)
         self._handle.write(line + "\n")
         self._handle.flush()
-        journal_mod.fsync_fd(self._handle.fileno())
+        fsync_fd(self._handle.fileno())
 
     def _replay(self) -> None:
         """Load every intact manifest line; drop torn tails and lines
@@ -237,7 +237,7 @@ class RunLedger:
                     with os.fdopen(fd, "wb") as handle:
                         handle.write(payload)
                         handle.flush()
-                        journal_mod.fsync_fd(handle.fileno())
+                        fsync_fd(handle.fileno())
                     os.replace(tmp, self._point_path(key))
                 except BaseException:
                     try:
@@ -264,7 +264,7 @@ class RunLedger:
             if self._handle is not None and not self._handle.closed:
                 try:
                     self._handle.flush()
-                    journal_mod.fsync_fd(self._handle.fileno())
+                    fsync_fd(self._handle.fileno())
                 except (OSError, ValueError):
                     pass
 
@@ -308,8 +308,8 @@ class graceful_drain:
     this, so a polite kill (systemd stop, CI timeout, ``kill <pid>``)
     takes the same path as a keyboard interrupt: the grid flushes the
     ledger and unwinds, and the CLI prints the resume hint.  Only
-    SIGKILL skips the drain — which is exactly what the journal and
-    ledger replay exist for.
+    SIGKILL skips the drain — which is exactly what attach-time
+    temp-file reaping and ledger replay exist for.
 
     The previous SIGTERM disposition is restored on exit.  Bumps
     ``checkpoint.drain`` on the stats object each time a drain signal

@@ -34,13 +34,12 @@ _WAIT_PREFIX = "wait."
 
 #: counter-name prefixes the robustness section splits on: injected
 #: faults, the retries/degradations that absorbed them, and the
-#: crash-consistency machinery (intent journal, fsck, run checkpoints,
-#: worker watchdog).
+#: crash-consistency machinery (fsck, run checkpoints, worker
+#: watchdog).
 _FAULT_PREFIXES = (
     "fault.injected.",
     "retry.",
     "degrade.",
-    "journal.",
     "fsck.",
     "checkpoint.",
     "watchdog.",

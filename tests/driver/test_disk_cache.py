@@ -7,15 +7,35 @@ quarantine) corrupted or schema-mismatched entries instead of serving
 them.
 """
 
+import hashlib
 import json
 import os
+import signal
+import stat
+import subprocess
+import sys
+import time
+
+import pytest
 
 from repro.driver import (
+    CacheStats,
     CompileSession,
     DiskCache,
     SCHEMA_VERSION,
     StageArtifact,
+    faults,
     freeze_params,
+    run_fsck,
+)
+from repro.driver.cache import (
+    DISK_RETRY_LIMIT,
+    FSYNC_ENV,
+    TMP_REAP_AGE_SECONDS,
+    fsync_enabled,
+    pid_alive,
+    split_entry,
+    tmp_writer_pid,
 )
 
 SOURCE = """
@@ -265,8 +285,6 @@ def test_exhausted_read_retries_degrade_to_a_miss(tmp_path):
 
 
 def test_enospc_degrades_to_memory_only_once(tmp_path):
-    import pytest
-
     with pytest.warns(RuntimeWarning, match="memory-only"):
         session = CompileSession(
             cache_dir=str(tmp_path), fault_plan="disk.write#enospc"
@@ -305,8 +323,6 @@ def test_injected_pickle_garbage_is_quarantined(tmp_path):
 
 
 def test_trim_spares_young_tmp_files_of_live_writers(tmp_path):
-    import time as _time
-
     cache = DiskCache(str(tmp_path))
     for index in range(4):
         key = ("parse", f"entry{index}")
@@ -330,55 +346,175 @@ def test_trim_spares_young_tmp_files_of_live_writers(tmp_path):
     assert not _entry_files(tmp_path)
 
 
-# -- trim vs live writers (the journal makes the race exact) ------------
+# -- the write protocol, its crash windows and liveness ------------------
+
+
+def _dead_pid():
+    """A PID that provably belonged to a now-dead process."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
+def _temp_files(root):
+    return [
+        name for _, _, names in os.walk(root)
+        for name in names if name.endswith(".tmp")
+    ]
+
+
+def _plant_tmp(directory, name, mtime=None):
+    path = os.path.join(directory, name)
+    with open(path, "wb") as handle:
+        handle.write(b"half-written payload")
+    if mtime is not None:
+        os.utime(path, (mtime, mtime))
+    return path
+
+
+def test_pid_alive_probes():
+    assert pid_alive(os.getpid())
+    assert not pid_alive(_dead_pid())
+    assert not pid_alive(0)
+    assert not pid_alive(-1)
+
+
+def test_fsync_gate_reads_the_environment(monkeypatch):
+    monkeypatch.setenv(FSYNC_ENV, "0")
+    assert not fsync_enabled()
+    monkeypatch.setenv(FSYNC_ENV, "1")
+    assert fsync_enabled()
+    monkeypatch.delenv(FSYNC_ENV)
+    assert fsync_enabled()  # durable by default
+
+
+def test_split_entry_names_the_first_failure():
+    payload = b"payload"
+    header = {"sha256": hashlib.sha256(payload).hexdigest()}
+    entry = json.dumps(header).encode("utf-8") + b"\n" + payload
+    assert split_entry(entry) == (header, payload)
+    for data, reason in (
+        (b"no header here", "unparseable header"),
+        (b"[1, 2]\n" + payload, "unparseable header"),
+        (entry + b"extra", "payload digest mismatch"),
+    ):
+        with pytest.raises(ValueError, match=reason):
+            split_entry(data)
+
+
+def test_store_fsyncs_the_temp_file_then_replaces_then_fsyncs_the_directory(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setenv(FSYNC_ENV, "1")
+    cache = DiskCache(str(tmp_path))
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        mode = os.fstat(fd).st_mode
+        calls.append(("fsync", "dir" if stat.S_ISDIR(mode) else "file"))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    key = ("parse", "protocol")
+    assert cache.store(key, StageArtifact("parse", key, "x", 0.0))
+
+    assert [call[0] for call in calls] == ["fsync", "replace", "fsync"], calls
+    (_, first), (_, tmp, entry), (_, last) = calls
+    assert (first, last) == ("file", "dir")
+    assert entry == cache._entry_path(key)
+    assert os.path.dirname(tmp) == os.path.dirname(entry)
+    assert tmp_writer_pid(os.path.basename(tmp)) == os.getpid()
+    # The entry is the only file the store left anywhere under the root.
+    assert [
+        os.path.join(directory, name)
+        for directory, _, names in os.walk(str(tmp_path)) for name in names
+    ] == [entry]
+
+
+def test_a_failed_replace_leaves_no_temp_file(tmp_path):
+    cache = DiskCache(str(tmp_path))
+    key = ("parse", "unlucky")
+    plan = faults.FaultPlan.parse(f"disk.replace:{DISK_RETRY_LIMIT}")
+    with faults.installed(plan):
+        assert not cache.store(key, StageArtifact("parse", key, "x", 0.0))
+    assert cache.stats.counter("disk.write_error") == 1
+    assert _temp_files(str(tmp_path)) == []
+    assert cache.load(key) is None
+
+
+_KILLED_WRITER = (
+    "import sys\n"
+    "from repro.driver import faults\n"
+    "from repro.driver.artifact import StageArtifact\n"
+    "from repro.driver.cache import DiskCache\n"
+    "faults.install(faults.FaultPlan.parse(sys.argv[2]))\n"
+    "key = ('stage', 'k')\n"
+    "DiskCache(sys.argv[1]).store(key, StageArtifact('stage', key, 1, 0.0))\n"
+)
+
+
+@pytest.mark.parametrize("skip", [0, 1])
+def test_a_writer_killed_in_either_window_leaves_a_consistent_store(
+    tmp_path, skip
+):
+    """``proc.kill.write@0`` dies before the replace, leaving only the
+    stamped temp file; ``@1`` dies after it, leaving the published
+    entry.  One attach makes either store clean, with no repair."""
+    root = str(tmp_path)
+    child = subprocess.Popen([
+        sys.executable, "-c", _KILLED_WRITER, root,
+        f"proc.kill.write:1@{skip}",
+    ])
+    assert child.wait() == -signal.SIGKILL
+    left = _temp_files(root)
+    if skip == 0:
+        assert len(left) == 1 and tmp_writer_pid(left[0]) == child.pid
+    else:
+        assert left == []
+
+    stats = CacheStats()
+    cache = DiskCache(root, stats)
+    assert _temp_files(root) == []
+    report = run_fsck(root)
+    assert report.consistent and report.findings == []
+    loaded = cache.load(("stage", "k"))
+    if skip == 0:
+        assert loaded is None
+        assert stats.counter("disk.reaped") == 1
+    else:
+        assert loaded.value == 1
+        assert stats.counter("disk.reaped") == 0
 
 
 def test_trim_spares_live_writers_and_reaps_dead_ones(tmp_path):
-    """A ``.tmp`` whose intent record names a live PID is never an
-    eviction candidate no matter how old; a dead writer's is reapable
-    immediately; unjournaled tmps fall back to the age heuristic."""
-    import subprocess
-    import sys
-    import time
-
-    from repro.driver import journal
-    from repro.driver.cache import TMP_REAP_AGE_SECONDS
-
+    """A ``.tmp`` stamped with a live PID is never touched, however old;
+    one stamped with a dead PID is reaped at attach, whatever the size
+    bound; unstamped ones (earlier versions' writers) follow the age
+    rule and are only evicted over the bound."""
     root = str(tmp_path)
-    cache = DiskCache(root=root, max_bytes=1)
     subtree = os.path.join(root, f"v{SCHEMA_VERSION}", "stage")
-    os.makedirs(subtree, exist_ok=True)
+    os.makedirs(subtree)
     ancient = time.time() - 2 * TMP_REAP_AGE_SECONDS
+    entry = "ab" * 32 + ".pkl"
+    live = _plant_tmp(subtree, f"{entry}.{os.getppid()}.a1b2c3d4.tmp", ancient)
+    dead = _plant_tmp(subtree, f"{entry}.{_dead_pid()}.e5f6g7h8.tmp")
+    old_orphan = _plant_tmp(subtree, "tmpold.tmp", ancient)
+    young = _plant_tmp(subtree, "tmpyoung.tmp")
 
-    def plant_tmp(name, pid=None):
-        path = os.path.join(subtree, name)
-        with open(path, "wb") as handle:
-            handle.write(b"half-written payload")
-        os.utime(path, (ancient, ancient))
-        if pid is not None:
-            journal_dir = os.path.join(root, journal.JOURNAL_DIRNAME)
-            os.makedirs(journal_dir, exist_ok=True)
-            record = journal.IntentRecord(
-                f"{pid}-{name}", pid, path[:-4] + ".pkl", path, ancient
-            )
-            with open(
-                os.path.join(journal_dir, f"{record.txn}.json"),
-                "w", encoding="utf-8",
-            ) as handle:
-                json.dump(record.to_dict(), handle)
-        return path
+    attached = DiskCache(root)  # far under the default bound
+    assert attached.stats.counter("disk.reaped") == 1
+    assert attached.stats.counter("disk.trimmed") == 0
+    assert not os.path.exists(dead)
+    assert all(os.path.exists(p) for p in (live, old_orphan, young))
 
-    corpse = subprocess.Popen([sys.executable, "-c", "pass"])
-    corpse.wait()
-    live_tmp = plant_tmp("live.tmp", pid=os.getppid())
-    dead_tmp = plant_tmp("dead.tmp", pid=corpse.pid)
-    old_orphan = plant_tmp("orphan.tmp")
-    young_tmp = os.path.join(subtree, "young.tmp")
-    with open(young_tmp, "wb") as handle:
-        handle.write(b"just born")
-
-    assert cache._trim() == 2
-    assert os.path.exists(live_tmp)        # journaled live writer
-    assert os.path.exists(young_tmp)       # young: benefit of the doubt
-    assert not os.path.exists(dead_tmp)    # journaled corpse
+    trimmed = DiskCache(root, max_bytes=1)  # trim everything trimmable
+    assert trimmed.stats.counter("disk.trimmed") == 1
     assert not os.path.exists(old_orphan)  # aged-out orphan
+    assert os.path.exists(live)            # stamped live writer
+    assert os.path.exists(young)           # young: benefit of the doubt

@@ -5,6 +5,7 @@ a test that manufactures the on-disk shape and asserts both the verdict
 and the repair action.
 """
 
+import builtins
 import hashlib
 import json
 import os
@@ -12,8 +13,13 @@ import subprocess
 import sys
 import time
 
-from repro.driver import CacheStats, SCHEMA_VERSION, run_fsck
-from repro.driver import journal
+from repro.driver import (
+    CacheStats,
+    DiskCache,
+    SCHEMA_VERSION,
+    StageArtifact,
+    run_fsck,
+)
 from repro.driver.cache import TMP_REAP_AGE_SECONDS
 from repro.driver.fsck import QUARANTINE_SUFFIX
 
@@ -35,9 +41,32 @@ def test_a_cleanly_exited_writer_leaves_a_consistent_store(tmp_path):
         "    key, StageArtifact('stage', key, 1, 0.0))\n"
     )
     subprocess.run([sys.executable, "-c", writer, root], check=True)
-    assert journal.LeaseManager(root).holders() == {}
+    (entry,) = [
+        os.path.relpath(os.path.join(directory, name), root)
+        for directory, _, names in os.walk(root) for name in names
+    ]
+    assert entry.startswith(os.path.join(f"v{SCHEMA_VERSION}", "stage", ""))
+    assert entry.endswith(".pkl")
     report = run_fsck(root)
     assert report.consistent and report.scanned == 1
+
+
+def test_a_process_mode_sweep_leaves_a_consistent_store(tmp_path):
+    """Pool workers exit without running ``atexit`` hooks, so nothing a
+    store write leaves behind may depend on a clean exit."""
+    root = str(tmp_path / "store")
+    subprocess.run(
+        [
+            sys.executable, "-m", "repro", "sweep",
+            "--designs", "fpu", "risc", "--cycles", "8",
+            "--executor", "process", "--workers", "2", "--cache-dir", root,
+        ],
+        check=True, stdout=subprocess.DEVNULL,
+    )
+    report = run_fsck(root)
+    assert report.consistent, report.render()
+    assert [f for f in report.findings if f.damage] == []
+    assert report.scanned == report.valid > 0
 
 
 def _write_entry(root, name="a", payload=b"data", schema=None,
@@ -59,19 +88,17 @@ def _write_entry(root, name="a", payload=b"data", schema=None,
     return path
 
 
-def _plant_intent(root, pid, dest, tmp=None):
-    if tmp is None:
-        tmp = os.path.join(root, f"v{SCHEMA_VERSION}", "stage", "w.tmp")
-        os.makedirs(os.path.dirname(tmp), exist_ok=True)
-        with open(tmp, "wb") as handle:
-            handle.write(b"half-written")
-    journal_dir = os.path.join(root, journal.JOURNAL_DIRNAME)
-    os.makedirs(journal_dir, exist_ok=True)
-    record = journal.IntentRecord(f"{pid}-1-x", pid, dest, tmp, 0.0)
-    record.path = os.path.join(journal_dir, f"{record.txn}.json")
-    with open(record.path, "w", encoding="utf-8") as handle:
-        json.dump(record.to_dict(), handle)
-    return record
+def _stamped_tmp(root, pid, mtime=None):
+    """A temp file named the way a store writer with ``pid`` names its
+    own: ``<entry>.pkl.<pid>.<random>.tmp``."""
+    directory = os.path.join(root, f"v{SCHEMA_VERSION}", "stage")
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{'cd' * 32}.pkl.{pid}.q9r8s7t6.tmp")
+    with open(path, "wb") as handle:
+        handle.write(b"half-written")
+    if mtime is not None:
+        os.utime(path, (mtime, mtime))
+    return path
 
 
 def test_clean_store_is_consistent(tmp_path):
@@ -141,60 +168,87 @@ def test_orphan_tmp_ages_into_damage_and_repair_unlinks(tmp_path):
     repaired = run_fsck(root, repair=True)
     assert repaired.consistent
     assert not os.path.exists(old)
-    assert os.path.exists(young)  # possibly a live pre-journal writer
+    assert os.path.exists(young)  # possibly a live earlier-version writer
 
 
-def test_dangling_intent_rolls_back_when_dest_missing(tmp_path):
+def test_dead_writers_tmp_is_an_orphan_and_repair_unlinks(tmp_path):
     root = str(tmp_path)
-    dest = os.path.join(root, f"v{SCHEMA_VERSION}", "stage", "a.pkl")
-    record = _plant_intent(root, _dead_pid(), dest)
+    tmp = _stamped_tmp(root, _dead_pid())  # young, but its writer is gone
     report = run_fsck(root)
-    assert report.counts() == {"dangling_intent": 1}
-    assert "roll back" in report.by_kind("dangling_intent")[0].detail
+    assert report.counts() == {"orphan_tmp": 1}
+    assert not report.consistent
+    assert "is dead" in report.by_kind("orphan_tmp")[0].detail
 
     repaired = run_fsck(root, repair=True)
     assert repaired.consistent
-    assert repaired.by_kind("dangling_intent")[0].action == "roll_back"
-    assert not os.path.exists(record.tmp)
-    assert not os.path.exists(record.path)
+    assert repaired.by_kind("orphan_tmp")[0].action == "unlinked"
+    assert not os.path.exists(tmp)
     assert run_fsck(root).findings == []
-
-
-def test_dangling_intent_rolls_forward_when_dest_is_intact(tmp_path):
-    root = str(tmp_path)
-    dest = _write_entry(root, "a")
-    record = _plant_intent(root, _dead_pid(), dest)
-    repaired = run_fsck(root, repair=True)
-    assert repaired.consistent
-    assert repaired.by_kind("dangling_intent")[0].action == "roll_forward"
-    assert os.path.exists(dest)  # the published entry survives
-    assert not os.path.exists(record.tmp)
 
 
 def test_live_writers_tmp_is_informational(tmp_path):
     root = str(tmp_path)
-    dest = os.path.join(root, f"v{SCHEMA_VERSION}", "stage", "a.pkl")
-    record = _plant_intent(root, os.getppid(), dest)
+    ancient = time.time() - 2 * TMP_REAP_AGE_SECONDS
+    tmp = _stamped_tmp(root, os.getppid(), ancient)
     report = run_fsck(root, repair=True)
     assert report.counts() == {"live_tmp": 1}
     assert report.consistent
-    assert os.path.exists(record.tmp)  # never repaired
+    assert os.path.exists(tmp)  # never repaired, however old
 
 
-def test_stale_lease_is_reaped_live_lease_kept(tmp_path):
+def test_a_store_with_journal_and_lease_leftovers_stays_usable(
+    tmp_path, monkeypatch
+):
+    """Earlier versions kept write-intent records under ``journal/``
+    and writer leases under ``leases/``.  Nothing reads them any more:
+    a store holding them attaches, serves its entries, and fscks
+    consistent after one ``--repair`` of its ancient temp files."""
     root = str(tmp_path)
-    leases = journal.LeaseManager(root)
-    leases.acquire()
+    writer = DiskCache(root)
+    keys = [("stage", "a"), ("stage", "b")]
+    for key in keys:
+        assert writer.store(key, StageArtifact("stage", key, key[1], 0.0))
     dead = _dead_pid()
-    with open(leases.lease_path(dead), "w", encoding="utf-8") as handle:
-        json.dump({"version": journal.JOURNAL_VERSION, "pid": dead}, handle)
+    # The record names entry b as its temp file: replaying it would
+    # have rolled forward and unlinked a valid entry.
+    record = {
+        "version": 1, "txn": f"{dead}-1-x", "pid": dead,
+        "dest": writer._entry_path(keys[0]),
+        "tmp": writer._entry_path(keys[1]), "created": 0.0,
+    }
+    lease = {"version": 1, "pid": dead}
+    ancient = time.time() - 2 * TMP_REAP_AGE_SECONDS
+    for relative, text in (
+        (os.path.join("journal", f"{dead}-1-x.json"), json.dumps(record)),
+        (os.path.join("journal", "tmpab12cd34.rec.tmp"), "{"),
+        (os.path.join("leases", f"{dead}.json"), json.dumps(lease)),
+        (os.path.join(f"v{SCHEMA_VERSION}", "stage", "tmpold.tmp"), "half"),
+    ):
+        path = os.path.join(root, relative)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.utime(path, (ancient, ancient))
 
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)):
+            opened.append(os.path.abspath(os.fsdecode(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    reader = DiskCache(root)
+    assert [reader.load(key).value for key in keys] == ["a", "b"]
     report = run_fsck(root)
-    assert report.counts() == {"stale_lease": 1}
-    repaired = run_fsck(root, repair=True)
-    assert repaired.consistent
-    assert repaired.by_kind("stale_lease")[0].action == "reaped"
-    assert list(leases.holders()) == [os.getpid()]
+    assert report.counts() == {"orphan_tmp": 2}
+    assert run_fsck(root, repair=True).consistent
+    assert run_fsck(root).findings == []
+    old_dirs = tuple(
+        os.path.join(root, name) + os.sep for name in ("journal", "leases")
+    )
+    assert [path for path in opened if path.startswith(old_dirs)] == []
 
 
 def test_report_to_dict_is_machine_readable(tmp_path):
