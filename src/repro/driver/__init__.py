@@ -29,9 +29,8 @@ from .cache import (
     SCHEMA_VERSION,
     ArtifactCache,
     CacheStats,
-    CodegenStore,
     DiskCache,
-    ObligationStore,
+    PseudoStore,
     freeze_params,
     source_digest,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "CacheStats",
     "ChaosReport",
     "ChaosRun",
-    "CodegenStore",
     "CompileResult",
     "CompileSession",
     "CrashChaosReport",
@@ -94,8 +92,8 @@ __all__ = [
     "InjectedCrash",
     "InjectedFault",
     "InjectedOSError",
-    "ObligationStore",
     "OptimizedNetlist",
+    "PseudoStore",
     "RunLedger",
     "RunProfiler",
     "RunReport",

@@ -32,7 +32,7 @@ import tempfile
 import threading
 import time
 import warnings
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import faults
 from .artifact import StageArtifact
@@ -49,7 +49,7 @@ from .artifact import StageArtifact
 #: ``lanes`` attribute (multi-lane batched simulation).
 #:
 #: v3: new ``"smt"`` pseudo-stage (persistent obligation verdicts keyed
-#: ``(digest, SOLVER_VERSION)`` — see :class:`ObligationStore`), and SMT
+#: ``(digest, SOLVER_VERSION)`` — see :class:`PseudoStore`), and SMT
 #: terms inside pickled typecheck artifacts became hash-consed (their
 #: pickle shape re-enters the intern table via ``__reduce__``).
 #:
@@ -95,8 +95,7 @@ DISK_RETRY_BACKOFF_SECONDS = 0.005
 #: are orphans from writers that died mid-store.
 TMP_REAP_AGE_SECONDS = 3600.0
 
-#: ``$REPRO_CACHE_FSYNC=0`` turns every fsync in the store and the run
-#: ledger into a no-op.
+#: ``$REPRO_CACHE_FSYNC=0`` turns every fsync in the store into a no-op.
 FSYNC_ENV = "REPRO_CACHE_FSYNC"
 
 #: errnos that mean "retry might work" vs "this root is done for":
@@ -552,6 +551,31 @@ class DiskCache:
             count += sum(1 for f in files if f.endswith(".pkl"))
         return count
 
+    def stage_headers(self, stage: str) -> List[dict]:
+        """The headers of ``stage``'s entries, in no particular order.
+
+        Reads each entry's header line only: the payload digest it
+        carries is checked when the entry is loaded.  An entry whose
+        header does not parse is left out, as a load would miss it.
+        """
+        directory = os.path.join(self.root, f"v{SCHEMA_VERSION}", stage)
+        try:
+            names = os.listdir(directory)
+        except OSError:
+            return []
+        headers = []
+        for name in names:
+            if not name.endswith(".pkl"):
+                continue
+            try:
+                with open(os.path.join(directory, name), "rb") as handle:
+                    header = json.loads(handle.readline().decode("utf-8"))
+            except (OSError, ValueError):
+                continue
+            if isinstance(header, dict) and "sha256" in header:
+                headers.append(header)
+        return headers
+
     def _trim(self) -> None:
         """Reap dead writers' temp files, then evict the oldest entries
         (by mtime) until the tree is under ``max_bytes``.
@@ -614,122 +638,56 @@ class DiskCache:
             self.stats.bump("disk.trimmed", removed)
 
 
-class CodegenStore:
-    """Persists generated simulation programs in a :class:`DiskCache`.
+class PseudoStore:
+    """One pseudo-stage of a :class:`DiskCache`: payloads that are not a
+    pipeline stage's artifacts, keyed ``(stage, *parts, version)``.
 
-    The adapter the one compile path of all three generators plugs into
-    (``compile_netlist`` and ``compile_vector_netlist`` in
-    :mod:`repro.rtl`): codegen payloads (generated source + slot layout,
-    plain picklable dicts of one shape) are wrapped in a
-    ``StageArtifact`` under the pseudo-stage ``"codegen"`` and keyed by
-    ``(structural_hash, backend, lanes, CODEGEN_VERSION)`` — fully
-    value-based, so every process over a structurally equal netlist
-    shares one levelization + generation.  The backend tag
-    (``"scalar"``, ``"swar"``, ``"vector"``) keeps the three generators'
-    entries apart.  Grid workers in process mode rendezvous here: the
-    first worker to compile a netlist pays codegen, the rest load the
-    source and only pay ``compile()`` + ``exec()``.
+    The session builds two, and every process that reaches an equal key
+    shares one payload:
 
-    Counters on the shared :class:`CacheStats`: ``codegen.disk_hit`` /
-    ``codegen.disk_miss`` per lookup, ``codegen.store`` per write-back
-    (a warm run therefore shows hits and zero stores).
+    * ``"codegen"`` — generated simulation programs (source plus slot
+      layout) of the one compile path of all three generators, ``parts``
+      ``(structural_hash, backend, lanes)`` under ``CODEGEN_VERSION``.
+      A warm process skips levelization and generation and only pays
+      ``compile()`` + ``exec()``; process-mode grid workers rendezvous
+      here.
+    * ``"smt"`` — obligation verdicts (status plus the SAT model in
+      canonical variable names, see :mod:`repro.smt.canon`), ``parts``
+      ``(obligation_digest,)`` under ``SOLVER_VERSION``.  A warm
+      ``repro all`` skips the solver entirely.
+
+    ``valid(payload, *parts)`` is applied on load, before counting, so a
+    ``<stage>.disk_hit`` means a usable payload and a shape-invalid one
+    is a ``<stage>.disk_miss``; ``<stage>.store`` counts write-backs.
+    Corrupt entries are deleted by the :class:`DiskCache` like any other.
     """
 
-    def __init__(self, disk: DiskCache):
+    def __init__(self, disk: DiskCache, stage: str, version,
+                 valid: Callable[..., bool]):
         self.disk = disk
+        self.stage = stage
+        self.version = version
+        self.valid = valid
 
-    @staticmethod
-    def _key(structural_hash: str, lanes, backend: str) -> Tuple:
-        from ..rtl.compile import CODEGEN_VERSION
+    def key(self, *parts) -> Tuple:
+        return (self.stage, *parts, self.version)
 
-        return ("codegen", structural_hash, backend, lanes, CODEGEN_VERSION)
-
-    def load(self, structural_hash: str, lanes, backend: str) -> Optional[dict]:
-        from ..rtl.compile import valid_codegen_payload
-
-        artifact = self.disk.load(self._key(structural_hash, lanes, backend))
-        # Validate *before* counting: a hit means a usable entry, not
-        # merely a readable file.
-        if artifact is None or not valid_codegen_payload(
-            artifact.value, structural_hash, lanes, backend
-        ):
-            self.disk.stats.bump("codegen.disk_miss")
+    def load(self, *parts):
+        """The stored payload for ``parts`` if it is valid, else None."""
+        artifact = self.disk.load(self.key(*parts))
+        if artifact is None or not self.valid(artifact.value, *parts):
+            self.disk.stats.bump(f"{self.stage}.disk_miss")
             return None
-        self.disk.stats.bump("codegen.disk_hit")
+        self.disk.stats.bump(f"{self.stage}.disk_hit")
         return artifact.value
 
-    def save(self, payload: dict) -> bool:
-        key = self._key(
-            payload["structural_hash"], payload["lanes"], payload["backend"]
-        )
+    def save(self, payload, *parts) -> bool:
+        key = self.key(*parts)
         stored = self.disk.store(
-            key, StageArtifact("codegen", key, payload, 0.0)
+            key, StageArtifact(self.stage, key, payload, 0.0)
         )
         if stored:
-            self.disk.stats.bump("codegen.store")
-        return stored
-
-
-class ObligationStore:
-    """Persists SMT obligation verdicts in a :class:`DiskCache`.
-
-    The adapter the type checker's discharge loop plugs into: verdict
-    payloads (status plus the SAT model in *canonical* variable names —
-    see :mod:`repro.smt.canon`) are wrapped in a ``StageArtifact`` under
-    the pseudo-stage ``"smt"`` and keyed by ``(obligation_digest,
-    SOLVER_VERSION)``.  The digest is the alpha-renamed, sorted,
-    structural hash of the full assertion set, so every process that
-    reaches a structurally equal obligation — across components,
-    designs, and runs — shares one solver verdict, and a warm
-    ``repro all`` skips the solver entirely.
-
-    Counters on the shared :class:`CacheStats`: ``smt.disk_hit`` /
-    ``smt.disk_miss`` per lookup, ``smt.store`` per write-back.
-    Corrupt or shape-invalid entries are quarantined by the underlying
-    :class:`DiskCache` exactly like any other artifact.
-    """
-
-    #: statuses a payload may carry (mirrors repro.smt.solver).
-    _STATUSES = ("sat", "unsat")
-
-    def __init__(self, disk: DiskCache):
-        self.disk = disk
-
-    @staticmethod
-    def _key(digest: str) -> Tuple:
-        from ..smt.solver import SOLVER_VERSION
-
-        return ("smt", digest, SOLVER_VERSION)
-
-    def load(self, digest: str) -> Optional[dict]:
-        artifact = self.disk.load(self._key(digest))
-        payload = artifact.value if artifact is not None else None
-        # Validate before counting: a hit means a usable verdict.
-        if (
-            not isinstance(payload, dict)
-            or payload.get("digest") != digest
-            or payload.get("status") not in self._STATUSES
-            or not (
-                payload.get("model") is None
-                or isinstance(payload.get("model"), dict)
-            )
-        ):
-            self.disk.stats.bump("smt.disk_miss")
-            return None
-        self.disk.stats.bump("smt.disk_hit")
-        return payload
-
-    def save(self, digest: str, status: str, model) -> bool:
-        # Crash-chaos site: die with a discharged-but-unpersisted
-        # verdict in hand, the worst possible moment for this store.
-        faults.kill_here("proc.kill.solver", self.disk.stats)
-        key = self._key(digest)
-        payload = {"digest": digest, "status": status, "model": model}
-        stored = self.disk.store(
-            key, StageArtifact("smt", key, payload, 0.0)
-        )
-        if stored:
-            self.disk.stats.bump("smt.store")
+            self.disk.stats.bump(f"{self.stage}.store")
         return stored
 
 

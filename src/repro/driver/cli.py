@@ -31,11 +31,12 @@ Subcommands:
   them.
 
 Grid-shaped subcommands take ``--run-id NAME`` to checkpoint every
-completed grid point into a per-run ledger under
-``<cache>/runs/NAME/``, and ``--resume`` to continue a previous run of
-that name, serving its checkpoints verbatim (bit-identical by
-construction) and computing only what is missing.  SIGINT/SIGTERM
-drain gracefully — the ledger is flushed, exit code 130.
+completed grid point as a disk-cache entry of the run's own stage
+(``<cache>/v<schema>/run.NAME/``), and ``--resume`` to continue a
+previous run of that name, serving its checkpoints verbatim
+(bit-identical by construction) and computing only what is missing.
+SIGINT/SIGTERM drain gracefully with exit code 130; every completed
+point is already on disk.
 
 Every subcommand accepts ``-O{0,1,2}`` to select the netlist
 optimization level (the pass pipeline of :mod:`repro.rtl.passes`),
@@ -107,15 +108,13 @@ def _attach_ledger(session: CompileSession, args) -> None:
         return
     if session.cache_dir is None:
         raise SystemExit(
-            "--run-id needs the disk cache (drop --no-disk-cache): the "
-            "ledger lives under <cache>/runs/"
+            "--run-id needs the disk cache (drop --no-disk-cache): "
+            "checkpoints are disk-cache entries"
         )
     from .ledger import RunLedger
 
     try:
-        session.ledger = RunLedger(
-            session.cache_dir, run_id, session.stats, resume=resume
-        )
+        session.ledger = RunLedger(session.cache.disk, run_id, resume=resume)
     except FileExistsError as error:
         raise SystemExit(str(error))
     except ValueError as error:
@@ -225,22 +224,18 @@ def _run_artifacts(names: List[str], args) -> int:
 
     session = _session_from_args(args)
     _attach_ledger(session, args)
-    try:
-        with graceful_drain(session.stats):
-            for name in names:
-                print(f"== {name} ==")
-                print(
-                    evalx.run_artifact(
-                        name,
-                        session=session,
-                        workers=args.workers,
-                        executor=args.executor,
-                    )
+    with graceful_drain(session.stats):
+        for name in names:
+            print(f"== {name} ==")
+            print(
+                evalx.run_artifact(
+                    name,
+                    session=session,
+                    workers=args.workers,
+                    executor=args.executor,
                 )
-                print()
-    finally:
-        if session.ledger is not None:
-            session.ledger.close()
+            )
+            print()
     if args.stats == "json":
         _print_stats(session, "json")
     else:
@@ -323,16 +318,12 @@ def _cmd_profile(args) -> int:
     grid = EvalGrid(
         session, max_workers=args.workers, executor=args.executor
     )
-    try:
-        with graceful_drain(session.stats):
-            with RunProfiler(session) as profiler:
-                rows = grid.map(
-                    simulate_catalog_point,
-                    [(name, args.cycles, args.opt_level) for name in names],
-                )
-    finally:
-        if session.ledger is not None:
-            session.ledger.close()
+    with graceful_drain(session.stats):
+        with RunProfiler(session) as profiler:
+            rows = grid.map(
+                simulate_catalog_point,
+                [(name, args.cycles, args.opt_level) for name in names],
+            )
     report = profiler.report()
     if args.json:
         payload = report.to_dict()
@@ -380,12 +371,8 @@ def _cmd_sweep(args) -> int:
     grid = EvalGrid(
         session, max_workers=args.workers, executor=args.executor
     )
-    try:
-        with graceful_drain(session.stats):
-            results = grid.map(_chaos_point, points)
-    finally:
-        if session.ledger is not None:
-            session.ledger.close()
+    with graceful_drain(session.stats):
+        results = grid.map(_chaos_point, points)
     payload = session.stats_dict()
     payload["digests"] = {
         design: {part: _digest(value) for part, value in parts.items()}
@@ -691,15 +678,15 @@ def build_parser() -> argparse.ArgumentParser:
         )
         command.add_argument(
             "--run-id", default=None, metavar="NAME",
-            help="checkpoint completed grid points into a per-run "
-                 "ledger at <cache>/runs/NAME/ (requires the disk "
+            help="checkpoint completed grid points as entries of the "
+                 "disk cache's run.NAME stage (requires the disk "
                  "cache)",
         )
         command.add_argument(
             "--resume", action="store_true",
             help="continue the --run-id run: previously completed "
-                 "points are served from the ledger bit-identically, "
-                 "only the remainder computes",
+                 "points are served from their checkpoints "
+                 "bit-identically, only the remainder computes",
         )
     for command in (compile_, table, figure, profile, all_, sweep):
         command.add_argument(

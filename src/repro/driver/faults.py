@@ -44,9 +44,10 @@ offline by ``repro fsck`` plus a ``--resume`` of the run::
                       kill through both crash windows: a stamped temp
                       file left behind, or a published entry
     proc.kill.point   in the EvalGrid parent, after a grid point
-                      completes and its ledger checkpoint is recorded
-    proc.kill.solver  in ObligationStore.save, as a solver verdict is
-                      about to be persisted mid-discharge
+                      completes and its checkpoint is recorded
+    proc.kill.solver  in the type checker's _cached_discharge, as a
+                      freshly solved verdict is about to be saved to
+                      the "smt" store mid-discharge
 
 Plans are spelled in a tiny grammar, one entry per site, comma
 separated::
@@ -437,9 +438,9 @@ def kill_here(site: str, stats=None) -> None:
     Deliberately unsurvivable — no cleanup handler, no atexit, no
     flushing runs: SIGKILL is the fault model.  Whatever state the
     process leaves behind is exactly what the PID-stamped temp-file
-    names, ``repro fsck`` and the run ledger exist to make consistent,
-    which is why ``repro chaos --crash`` schedules these sites only in
-    child processes it launched for that purpose."""
+    names, ``repro fsck`` and the run's checkpoints exist to make
+    consistent, which is why ``repro chaos --crash`` schedules these
+    sites only in child processes it launched for that purpose."""
     if site not in CRASH_SITES:
         raise ValueError(f"{site!r} is not a crash site; see CRASH_SITES")
     if check(site, stats) is not None:

@@ -3,10 +3,13 @@
 ``repro fsck`` is the store's independent auditor: where attaching a
 :class:`~repro.driver.cache.DiskCache` reaps what it can, fsck
 *classifies everything* — every entry and temp file under a cache
-root — and either reports (read-only, the default) or repairs
-(``--repair``).  The crash-chaos harness and CI assert on its verdict:
-after any SIGKILL the store must fsck clean, or clean after one
-``--repair`` pass.
+root, the pseudo-stages' payloads and the ``--run-id`` checkpoints
+included, since all of them are ordinary entries — and either reports
+(read-only, the default) or repairs (``--repair``).  The crash-chaos
+harness and CI assert on its verdict: after any SIGKILL the store must
+fsck clean, or clean after one ``--repair`` pass.  A top-level
+``runs/`` directory holds run ledgers written by earlier versions,
+which nothing reads; fsck skips it.
 
 Finding kinds, from worst to mildest:
 
@@ -50,7 +53,10 @@ from .cache import (
     split_entry,
     tmp_writer_pid,
 )
-from .ledger import RUNS_DIRNAME
+
+#: Where earlier versions kept their run ledgers (a JSONL manifest and
+#: raw-pickle side files, not store entries); nothing reads it now.
+LEGACY_RUNS_DIRNAME = "runs"
 
 #: Finding kinds that leave the store damaged (vs merely noteworthy).
 DAMAGE_KINDS = ("corrupt_entry", "orphan_tmp")
@@ -238,9 +244,8 @@ def run_fsck(root: str, repair: bool = False, stats=None) -> FsckReport:
     now = time.time()
     current_prefix = os.path.join(root, f"v{SCHEMA_VERSION}") + os.sep
     for directory, _, files in os.walk(root):
-        # The run ledger's files are not store entries.
         relative = os.path.relpath(directory, root)
-        if relative.split(os.sep, 1)[0] == RUNS_DIRNAME:
+        if relative.split(os.sep, 1)[0] == LEGACY_RUNS_DIRNAME:
             continue
         for name in sorted(files):
             path = os.path.join(directory, name)

@@ -29,27 +29,27 @@ Two executors:
 has a disk cache to rendezvous through and the worker function pickles,
 else falls back to ``"thread"``.
 
-Checkpointing (:mod:`repro.driver.ledger`): when a
-:class:`~repro.driver.ledger.RunLedger` is attached — explicitly, or on
-the session — every resolved point is recorded under its
-:func:`~repro.driver.ledger.point_key` as it lands, and every rung of
-the degradation ladder *re-filters* the point list against the ledger
-before running.  That one mechanism is resume, requeue, and crash
-recovery at once: a ``--resume`` run skips previously completed points
-(``checkpoint.hit``), a rung that dies mid-sweep only re-runs what its
-predecessor didn't finish, and a SIGKILLed process leaves a ledger the
-next one picks up.  Recorded values are served verbatim, so a resumed
-grid is bit-identical to an uninterrupted one by construction.
-``KeyboardInterrupt`` (and SIGTERM, via
-:class:`~repro.driver.ledger.graceful_drain`) flushes the ledger and
-propagates immediately — no retries, no draining the pool first.
+Checkpointing (:mod:`repro.driver.ledger`): when the session carries
+a :class:`~repro.driver.ledger.RunLedger`, every resolved point is
+checkpointed under its :func:`~repro.driver.ledger.point_key` as it
+lands — a disk-cache entry, durable once recorded — and every rung of
+the degradation ladder *re-filters* the point list against the
+checkpoints before running.  That one mechanism is resume, requeue, and
+crash recovery at once: a ``--resume`` run skips previously completed
+points (``checkpoint.hit``), a rung that dies mid-sweep only re-runs
+what its predecessor didn't finish, and a SIGKILLed process leaves
+checkpoints the next one picks up.  Recorded values are served
+verbatim, so a resumed grid is bit-identical to an uninterrupted one by
+construction.  ``KeyboardInterrupt`` (and SIGTERM, via
+:class:`~repro.driver.ledger.graceful_drain`) propagates immediately —
+no retries, no draining the pool first.
 
 The worker watchdog (process mode, opt-in via ``watchdog_timeout``):
 workers write per-PID heartbeat files around each point; a parent-side
 thread SIGKILLs any worker that has sat *busy* past the timeout
 (``watchdog.kill``).  The kill surfaces as ``BrokenProcessPool``, which
 rides the existing degradation ladder — and with a ledger attached the
-re-run skips completed points, so a hung point costs one rung and one
+re-run skips checkpointed points, so a hung point costs one rung and one
 requeue (``watchdog.requeue``), not the whole sweep.
 
 Fault tolerance (the degradation ladder *process → thread → serial*):
@@ -83,8 +83,9 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from . import faults, ledger as ledger_mod
+from . import faults
 from .cache import pid_alive
+from .ledger import point_key
 from .session import CompileSession, default_session
 
 Point = TypeVar("Point")
@@ -255,12 +256,12 @@ class EvalGrid:
     per-point failure is retried before it propagates;
     ``retry_backoff`` seeds the exponential backoff between attempts.
 
-    ``ledger`` attaches a :class:`~repro.driver.ledger.RunLedger` for
-    checkpoint/resume; when None, the session's ``ledger`` attribute is
-    used (the CLI sets it for ``--run-id`` runs), and when that is also
-    None the grid runs unledgered.  ``watchdog_timeout`` arms the
-    hung-worker watchdog in process mode (seconds a single point may
-    stay busy; None — the default — disarms it).
+    The session's ``ledger`` (a :class:`~repro.driver.ledger.RunLedger`
+    the CLI attaches for ``--run-id`` runs) checkpoints every resolved
+    point; when it is None the grid runs unledgered.
+    ``watchdog_timeout`` arms the hung-worker watchdog in process mode
+    (seconds a single point may stay busy; None — the default —
+    disarms it).
     """
 
     def __init__(
@@ -271,7 +272,6 @@ class EvalGrid:
         point_timeout: Optional[float] = None,
         point_retries: int = 2,
         retry_backoff: float = 0.05,
-        ledger: Optional["ledger_mod.RunLedger"] = None,
         watchdog_timeout: Optional[float] = None,
     ):
         if executor not in EXECUTORS:
@@ -284,7 +284,6 @@ class EvalGrid:
         self.point_timeout = point_timeout
         self.point_retries = int(point_retries)
         self.retry_backoff = float(retry_backoff)
-        self.ledger = ledger
         self.watchdog_timeout = watchdog_timeout
 
     def _worker_count(self, points: int) -> int:
@@ -320,17 +319,13 @@ class EvalGrid:
         process, a refused spawn, a watchdog kill) degrade the pool
         down the process → thread → serial ladder and re-run the sweep
         instead of propagating — with a ledger attached, the re-run
-        skips every already-recorded point.  ``KeyboardInterrupt``
-        flushes the ledger and propagates immediately.
+        skips every already-checkpointed point.  ``KeyboardInterrupt``
+        propagates immediately.
         """
         points = list(points)
-        ledger = (
-            self.ledger
-            if self.ledger is not None
-            else getattr(self.session, "ledger", None)
-        )
+        ledger = self.session.ledger
         keys = (
-            [ledger_mod.point_key(fn, point) for point in points]
+            [point_key(fn, point) for point in points]
             if ledger is not None
             else None
         )
@@ -355,8 +350,8 @@ class EvalGrid:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-            # The ledger re-filter: resume on the first rung, requeue on
-            # every later one — either way, recorded points are served
+            # The checkpoint re-filter: resume on the first rung, requeue
+            # on every later one — either way, recorded points are served
             # verbatim and only the remainder runs.
             if ledger is not None:
                 pending = []
@@ -378,12 +373,10 @@ class EvalGrid:
             )
             try:
                 if rung == "serial":
-                    sub_results = self._map_serial(
-                        fn, sub_points, ledger, sub_keys
-                    )
+                    sub_results = self._map_serial(fn, sub_points, sub_keys)
                 else:
                     sub_results = self._map_pool(
-                        rung, fn, sub_points, workers, ledger, sub_keys
+                        rung, fn, sub_points, workers, sub_keys
                     )
             except _ExecutorFailure as error:
                 failure = error
@@ -393,60 +386,46 @@ class EvalGrid:
             return results
         raise failure.cause  # unreachable: serial never raises this
 
-    def _record_point(self, ledger, key, result) -> None:
+    def _record_point(self, key, result) -> None:
         """Checkpoint one resolved point, then consult the crash site.
 
         The kill site sits *after* the record on purpose: a chaos kill
         here proves the checkpoint survived the death of the process
         that wrote it.
         """
-        if ledger is not None and key is not None:
-            ledger.record(key, result)
+        if key is not None:
+            self.session.ledger.record(key, result)
         faults.kill_here("proc.kill.point", self.session.stats)
 
     # -- the three executor rungs ---------------------------------------
 
     def _map_serial(
-        self, fn, points: Sequence[Point], ledger=None, keys=None
+        self, fn, points: Sequence[Point], keys=None
     ) -> List[Result]:
         stats = self.session.stats
         results: List[Result] = []
-        try:
-            for offset, point in enumerate(points):
-                attempts = 0
-                while True:
-                    try:
-                        if faults.should_fire("worker.crash", stats):
-                            raise faults.InjectedCrash(
-                                "injected fault at worker.crash"
-                            )
-                        result = fn(self.session, point)
-                        results.append(result)
-                        self._record_point(
-                            ledger, keys[offset] if keys else None, result
+        for offset, point in enumerate(points):
+            attempts = 0
+            while True:
+                try:
+                    if faults.should_fire("worker.crash", stats):
+                        raise faults.InjectedCrash(
+                            "injected fault at worker.crash"
                         )
-                        break
-                    except KeyboardInterrupt:
+                    result = fn(self.session, point)
+                    results.append(result)
+                    self._record_point(keys[offset] if keys else None, result)
+                    break
+                except _TRANSIENT:
+                    attempts += 1
+                    if attempts > self.point_retries:
                         raise
-                    except _TRANSIENT:
-                        attempts += 1
-                        if attempts > self.point_retries:
-                            raise
-                        stats.bump("retry.worker")
-                        time.sleep(
-                            self.retry_backoff * (2 ** (attempts - 1))
-                        )
-        except KeyboardInterrupt:
-            # Ctrl-C / drain: flush what completed and exit promptly —
-            # never down the retry path, never on to the next point.
-            if ledger is not None:
-                ledger.flush()
-            raise
+                    stats.bump("retry.worker")
+                    time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
         return results
 
     def _map_pool(
-        self, mode: str, fn, points: Sequence[Point], workers: int,
-        ledger=None, keys=None,
+        self, mode: str, fn, points: Sequence[Point], workers: int, keys=None
     ) -> List[Result]:
         stats = self.session.stats
         watchdog: Optional[_Watchdog] = None
@@ -501,61 +480,55 @@ class EvalGrid:
             with pool:
                 futures = [submit(point) for point in points]
                 results: List[Optional[Result]] = [None] * len(points)
-                try:
-                    for index, point in enumerate(points):
-                        attempts = 0
-                        while True:
-                            try:
-                                results[index] = resolve(futures[index])
-                                self._record_point(
-                                    ledger,
-                                    keys[index] if keys else None,
-                                    results[index],
-                                )
-                                break
-                            except BrokenProcessPool as error:
-                                self._cancel(futures)
-                                failure = _ExecutorFailure(
-                                    "worker process crashed", error
-                                )
-                                failure.watchdog_kills = (
-                                    watchdog.kills if watchdog else 0
-                                )
-                                raise failure
-                            except _TRANSIENT as error:
-                                attempts += 1
-                                if attempts > self.point_retries:
-                                    self._cancel(futures)
-                                    raise
-                                stats.bump("retry.worker")
-                                time.sleep(
-                                    self.retry_backoff
-                                    * (2 ** (attempts - 1))
-                                )
-                                try:
-                                    futures[index] = submit(point)
-                                except (
-                                    BrokenProcessPool, RuntimeError
-                                ) as broken:
-                                    # The pool died between the failure
-                                    # and the resubmit: escalate down
-                                    # the ladder.
-                                    self._cancel(futures)
-                                    raise _ExecutorFailure(
-                                        "pool lost during retry", broken
-                                    )
-                            except BaseException:
-                                # Genuine worker failure: prune the
-                                # queue before the pool shutdown joins
-                                # running workers — already-running
-                                # futures finish, never-started ones
-                                # are dropped.
+                for index, point in enumerate(points):
+                    attempts = 0
+                    while True:
+                        try:
+                            results[index] = resolve(futures[index])
+                            self._record_point(
+                                keys[index] if keys else None,
+                                results[index],
+                            )
+                            break
+                        except BrokenProcessPool as error:
+                            self._cancel(futures)
+                            failure = _ExecutorFailure(
+                                "worker process crashed", error
+                            )
+                            failure.watchdog_kills = (
+                                watchdog.kills if watchdog else 0
+                            )
+                            raise failure
+                        except _TRANSIENT as error:
+                            attempts += 1
+                            if attempts > self.point_retries:
                                 self._cancel(futures)
                                 raise
-                except KeyboardInterrupt:
-                    if ledger is not None:
-                        ledger.flush()
-                    raise
+                            stats.bump("retry.worker")
+                            time.sleep(
+                                self.retry_backoff
+                                * (2 ** (attempts - 1))
+                            )
+                            try:
+                                futures[index] = submit(point)
+                            except (
+                                BrokenProcessPool, RuntimeError
+                            ) as broken:
+                                # The pool died between the failure
+                                # and the resubmit: escalate down
+                                # the ladder.
+                                self._cancel(futures)
+                                raise _ExecutorFailure(
+                                    "pool lost during retry", broken
+                                )
+                        except BaseException:
+                            # Genuine worker failure: prune the
+                            # queue before the pool shutdown joins
+                            # running workers — already-running
+                            # futures finish, never-started ones
+                            # are dropped.
+                            self._cancel(futures)
+                            raise
                 return results
         finally:
             if watchdog is not None:

@@ -52,8 +52,10 @@ from ..lilac.elaborate import Elaborator
 from ..lilac.stdlib import stdlib_program
 from ..lilac.parser import parse_program
 from ..lilac.typecheck import check_component, check_program
+from ..lilac.typecheck.check import valid_verdict_payload
 from ..rtl import (
     BACKEND_FALLBACKS,
+    CODEGEN_VERSION,
     SimBackendUnavailable,
     auto_backend,
     backend_fingerprint,
@@ -62,7 +64,9 @@ from ..rtl import (
     make_simulator,
     random_stimulus_batch,
 )
+from ..rtl.compile import valid_codegen_payload
 from ..rtl.passes import PassManager, PassStats, pipeline_for_level
+from ..smt import SOLVER_VERSION
 from ..synth import synthesize
 from . import faults
 from .artifact import (
@@ -75,9 +79,8 @@ from .artifact import (
 from .cache import (
     ArtifactCache,
     CacheStats,
-    CodegenStore,
     DiskCache,
-    ObligationStore,
+    PseudoStore,
     freeze_params,
     source_digest,
 )
@@ -156,25 +159,24 @@ class CompileSession:
         disk = DiskCache(cache_dir, self.stats) if cache_dir else None
         self.cache_dir = disk.root if disk is not None else None
         self.cache = ArtifactCache(self.stats, disk=disk)
-        #: persistent step-source store for the compiled backend; the
+        #: persistent program store of the code-generating backends; the
         #: simulate stage hands it to make_simulator so warm processes
         #: skip levelization + code generation.
-        self._codegen_store = (
-            CodegenStore(self.cache.disk)
-            if self.cache.disk is not None
-            else None
-        )
+        self._codegen_store = None
         #: persistent obligation-verdict store for the typecheck stage;
-        #: warm sessions answer solver queries from disk (the "smt"
-        #: pseudo-stage) instead of running DPLL(T).
-        self._obligation_store = (
-            ObligationStore(self.cache.disk)
-            if self.cache.disk is not None
-            else None
-        )
+        #: warm sessions answer solver queries from disk instead of
+        #: running DPLL(T).
+        self._obligation_store = None
+        if disk is not None:
+            self._codegen_store = PseudoStore(
+                disk, "codegen", CODEGEN_VERSION, valid_codegen_payload
+            )
+            self._obligation_store = PseudoStore(
+                disk, "smt", SOLVER_VERSION, valid_verdict_payload
+            )
         #: run ledger for checkpoint/resume (attached by the CLI's
-        #: ``--run-id``/``--resume`` plumbing; grids pick it up via
-        #: ``getattr(session, "ledger", None)``).
+        #: ``--run-id``/``--resume`` plumbing; every grid over this
+        #: session checkpoints through it).
         self.ledger = None
         self._mutex = threading.Lock()
         #: every PassStats any optimize stage produced, in completion
@@ -264,8 +266,8 @@ class CompileSession:
         artifact is returned either way; inspect ``artifact.ok``.
 
         Obligation verdicts are answered through the session's
-        persistent :class:`~repro.driver.cache.ObligationStore` when a
-        disk cache is attached, so a warm session skips the SMT solver.
+        persistent ``"smt"`` :class:`~repro.driver.cache.PseudoStore` when
+        a disk cache is attached, so a warm session skips the SMT solver.
         Components are checked one after another in this thread.
         """
         key = ("typecheck", self._source_key(source, stdlib), component)
@@ -769,23 +771,25 @@ class CompileSession:
         }
 
     def checkpoint_stats(self) -> Dict[str, object]:
-        """The resume picture: ledger identity and checkpoint traffic.
+        """The resume picture: run identity and checkpoint traffic.
 
-        ``hits`` are points served from a previous (or this) process's
-        ledger without recomputation, ``stores`` are fresh checkpoints,
+        ``recorded`` counts the run's checkpoints on disk, ``hits`` are
+        points served from a previous (or this) process's checkpoints
+        without recomputation, ``stores`` are fresh checkpoints,
         ``drains`` counts graceful SIGINT/SIGTERM unwinds.
         ``results_digest`` is the order-independent digest over all
         recorded results — the cross-run bit-identity witness.
         """
         counters = self.stats.snapshot()["counters"]
+        ledger = self.ledger
         return {
-            "run_id": self.ledger.run_id if self.ledger else None,
-            "recorded": len(self.ledger) if self.ledger else 0,
+            "run_id": ledger.run_id if ledger is not None else None,
+            "recorded": len(ledger) if ledger is not None else 0,
             "hits": counters.get("checkpoint.hit", 0),
             "stores": counters.get("checkpoint.store", 0),
             "drains": counters.get("checkpoint.drain", 0),
             "results_digest": (
-                self.ledger.results_digest if self.ledger else None
+                ledger.results_digest if ledger is not None else None
             ),
         }
 

@@ -72,13 +72,31 @@ _ENGINE_TAG = "inc"
 
 
 #: Process-wide obligation-verdict memo: canonical digest -> (status,
-#: model in canonical names).  Sits above the persistent
-#: ``ObligationStore``; hit on every alpha-equivalent re-discharge.
+#: model in canonical names).  Sits above the persistent verdict store
+#: (the disk cache's ``"smt"`` pseudo-stage); hit on every
+#: alpha-equivalent re-discharge.
 _OBLIGATION_MEMO: Dict[str, Tuple[str, Optional[Dict[str, int]]]] = {}
 
 
 def clear_obligation_memo() -> None:
     _OBLIGATION_MEMO.clear()
+
+
+def valid_verdict_payload(payload, digest: str) -> bool:
+    """Is ``payload`` a well-formed persisted verdict for ``digest``?
+
+    The verdict store applies it on load, so a shape-invalid entry is a
+    miss, never a verdict.
+    """
+    return (
+        isinstance(payload, dict)
+        and payload.get("digest") == digest
+        and payload.get("status") in ("sat", "unsat")
+        and (
+            payload.get("model") is None
+            or isinstance(payload.get("model"), dict)
+        )
+    )
 
 
 class Obligation:
@@ -196,11 +214,13 @@ class ComponentChecker:
     """Checks a single ``comp`` component against its signature.
 
     ``obligation_store`` (optional) is a persistent verdict store with
-    ``load(digest)``/``save(digest, status, model)`` — normally a
-    :class:`repro.driver.cache.ObligationStore`; ``stats`` (optional) is
-    a counter sink with ``bump(name, amount)`` — normally the session's
+    ``load(digest)`` (a payload that passes
+    :func:`valid_verdict_payload`, or None) and ``save(payload,
+    digest)`` — normally the session's ``"smt"``
+    :class:`repro.driver.cache.PseudoStore`; ``stats`` (optional) is a
+    counter sink with ``bump(name, amount)`` — normally the session's
     :class:`repro.driver.cache.CacheStats`.  Both are duck-typed so this
-    module never imports the driver.
+    module never imports the driver at import time.
     """
 
     def __init__(
@@ -1083,7 +1103,8 @@ class ComponentChecker:
         Layering: canonical digest → in-process memo → persistent store
         → ``solve()`` (the actual engine).  Verdicts are stored with
         models in canonical names; a hit translates the model back into
-        this query's own names.
+        this query's own names.  The ``proc.kill.solver`` crash site is
+        consulted just before a fresh verdict is saved.
         """
         start = time.perf_counter()
         canon = smt.canonical_query(assertions, tag=_ENGINE_TAG)
@@ -1106,8 +1127,19 @@ class ComponentChecker:
             )
             _OBLIGATION_MEMO[canon.digest] = (result.status, canonical_model)
             if self.obligation_store is not None:
+                # Lazy import: the driver package imports this module.
+                from ...driver import faults
+
+                # Die with a discharged-but-unsaved verdict in hand, the
+                # worst possible moment for the store.
+                faults.kill_here("proc.kill.solver", self.stats)
                 self.obligation_store.save(
-                    canon.digest, result.status, canonical_model
+                    {
+                        "digest": canon.digest,
+                        "status": result.status,
+                        "model": canonical_model,
+                    },
+                    canon.digest,
                 )
             return result
         status, canonical_model = entry

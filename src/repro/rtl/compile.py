@@ -98,13 +98,13 @@ from designs whose ineligible cells predict a slowdown (the scalar
 **Persistent codegen.**  Generating the step source levelizes the
 netlist and builds a netlist-sized string — for large modules that is
 the dominant cost of a cold simulator.  The compile path therefore
-accepts a ``store`` (see ``repro.driver.cache.CodegenStore``): the
-generated source and slot layout are persisted keyed by
-``(structural_hash, backend, lanes, CODEGEN_VERSION)`` — the backend
-tag (``"scalar"``, ``"swar"``, ``"vector"``) keeps the three
-generators' entries from shadowing each other — so a warm process
-skips levelization and code generation entirely and only pays
-``compile()`` + ``exec()``.
+accepts a ``store`` (the session's ``"codegen"``
+``repro.driver.cache.PseudoStore``): the generated source and slot
+layout are persisted keyed by ``(structural_hash, backend, lanes,
+CODEGEN_VERSION)`` — the backend tag (``"scalar"``, ``"swar"``,
+``"vector"``) keeps the three generators' entries from shadowing each
+other — so a warm process skips levelization and code generation
+entirely and only pays ``compile()`` + ``exec()``.
 """
 
 from __future__ import annotations
@@ -1253,7 +1253,7 @@ def _generate_batched_source(
 _MEMO: Dict[Tuple[str, Optional[int], str], CompiledNetlist] = {}
 _MEMO_LOCK = threading.Lock()
 
-#: Required keys of a persisted codegen payload (see ``CodegenStore``).
+#: Required keys of a persisted codegen payload.
 _PAYLOAD_FIELDS = frozenset(
     (
         "structural_hash",
@@ -1271,14 +1271,13 @@ _PAYLOAD_FIELDS = frozenset(
 
 
 def valid_codegen_payload(
-    payload, structural_hash: str, lanes, backend: str
+    payload, structural_hash: str, backend: str, lanes
 ) -> bool:
     """Is ``payload`` a well-formed codegen entry for this exact key?
 
     The single validation authority for persisted codegen (all three
-    generators route through it): the store applies it on load (so its
-    hit/miss counters reflect *usable* entries) and the compile path
-    re-applies it as a cheap guard against arbitrary duck-typed stores.
+    generators route through it): the store applies it on load, so its
+    hit/miss counters reflect *usable* entries.
     """
     return (
         isinstance(payload, dict)
@@ -1369,10 +1368,9 @@ def _compile_program(module: Module, lanes: Optional[int], backend: str,
                      generate, store) -> CompiledNetlist:
     """The compile path of all three generators.
 
-    Serves the memo; else loads the payload from ``store`` (checked by
-    :func:`valid_codegen_payload`), or generates it with
-    ``generate(module, structural_hash, lanes)`` and writes it back;
-    then ``exec``'s it and memoizes the program.
+    Serves the memo; else loads the payload from ``store``, or
+    generates it with ``generate(module, structural_hash, lanes)`` and
+    writes it back; then ``exec``'s it and memoizes the program.
     """
     structural = module.structural_hash()
     key = (structural, lanes, backend)
@@ -1383,17 +1381,13 @@ def _compile_program(module: Module, lanes: Optional[int], backend: str,
     start = time.perf_counter()
     payload = None
     if store is not None:
-        payload = store.load(structural, lanes, backend)
-        if payload is not None and not valid_codegen_payload(
-            payload, structural, lanes, backend
-        ):
-            payload = None
+        payload = store.load(structural, backend, lanes)
     loaded = payload is not None
     if payload is None:
         payload = generate(module, structural, lanes)
     compiled = _materialize(payload, module.name, start, loaded)
     if store is not None and not loaded:
-        store.save(payload)
+        store.save(payload, structural, backend, lanes)
     with _MEMO_LOCK:
         # A racing thread may have published first; either object is
         # valid (pure function of the structural key), keep the winner.
@@ -1411,11 +1405,12 @@ def compile_netlist(
     integer ``lanes >= 1`` selects the packed multi-lane generator for
     exactly that many lanes (a one-lane packed program is distinct from
     the scalar one — it still uses the packed encoding).  ``store``
-    (duck-typed: ``load(structural_hash, lanes, backend) -> payload |
-    None`` and ``save(payload)``, see
-    ``repro.driver.cache.CodegenStore``) lets a warm process reuse
-    previously generated source instead of levelizing and generating
-    again.
+    lets a warm process reuse previously generated source instead of
+    levelizing and generating again.  Its contract (the session's
+    ``"codegen"`` ``repro.driver.cache.PseudoStore`` keeps it):
+    ``load(structural_hash, backend, lanes)`` returns a payload that
+    passes :func:`valid_codegen_payload` for exactly that key, or None;
+    ``save(payload, structural_hash, backend, lanes)`` writes one back.
     """
     if lanes is not None:
         lanes = int(lanes)
@@ -2036,8 +2031,8 @@ def make_simulator(
 ):
     """Instantiate the named engine over ``module``.
 
-    ``codegen_store`` (a persistent source store, see
-    ``repro.driver.cache.CodegenStore``) only matters to the codegen
+    ``codegen_store`` (a persistent source store with the contract
+    :func:`compile_netlist` states) only matters to the codegen
     backends; the interpreter ignores it.  ``lanes > 1`` on the
     ``compiled`` backend returns a :class:`BatchedCompiledSimulator`
     *when* :func:`swar_profitable` predicts a win, else the scalar

@@ -6,8 +6,8 @@ differ only in machine-generated variable names (renamed loop indices
 query — sorting its conjuncts by a variable-blind skeleton, renaming
 variables positionally, and hashing the result — collapses such
 alpha-variants onto one digest, which keys both the in-process verdict
-memo and the persistent :class:`~repro.driver.cache.ObligationStore`
-("smt" pseudo-stage of the disk cache).
+memo and the persistent verdict store (the ``"smt"``
+:class:`~repro.driver.cache.PseudoStore` of the disk cache).
 
 The collapse is *best-effort*, not a decision procedure for
 alpha-equivalence: skeleton-equal conjuncts tie-break on their original

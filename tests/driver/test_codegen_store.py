@@ -1,8 +1,9 @@
 """Persistent codegen: step-function source survives the process.
 
 ``compile_netlist`` persists its generated source (plus slot layout)
-through :class:`CodegenStore` keyed by ``(structural_hash, lanes)``, so
-a warm process skips levelization and code generation entirely — the
+through the ``"codegen"`` :class:`PseudoStore` keyed by
+``(structural_hash, backend, lanes)``, so a warm process skips
+levelization and code generation entirely — the
 ``codegen.disk_hit`` / ``codegen.store`` counters and the
 ``CompiledNetlist.from_store`` flag make the path observable.  Corrupt
 entries are quarantined by the underlying ``DiskCache`` and regenerated,
@@ -13,8 +14,9 @@ import os
 
 import pytest
 
-from repro.driver import CodegenStore, CompileSession, DiskCache
-from repro.rtl import clear_compile_memo, compile_netlist
+from repro.driver import CompileSession, DiskCache, PseudoStore
+from repro.rtl import CODEGEN_VERSION, clear_compile_memo, compile_netlist
+from repro.rtl.compile import valid_codegen_payload
 from repro.rtl import (
     BatchedCompiledSimulator,
     CompiledSimulator,
@@ -83,8 +85,11 @@ def _unpeekable(simulator) -> set:
     return refused
 
 
-def _store(tmp_path) -> CodegenStore:
-    return CodegenStore(DiskCache(str(tmp_path)))
+def _store(tmp_path) -> PseudoStore:
+    return PseudoStore(
+        DiskCache(str(tmp_path)), "codegen", CODEGEN_VERSION,
+        valid_codegen_payload,
+    )
 
 
 def test_codegen_round_trips_through_the_store(tmp_path):
@@ -250,7 +255,7 @@ def test_retired_tuner_and_vector_numpy_entries_stay_inert(tmp_path):
     assert not program.from_store
     assert store.disk.stats.counter("codegen.disk_miss") == 1
     assert store.disk.stats.counter("codegen.store") == 1
-    assert store.load(structural, 4, "vector")["backend"] == "vector"
+    assert store.load(structural, "vector", 4)["backend"] == "vector"
     report = run_fsck(str(tmp_path))
     assert report.consistent and report.scanned == 3
 
@@ -281,12 +286,15 @@ def test_scalar_entries_from_before_the_run_loop_stay_inert(tmp_path):
     assert report.consistent and report.scanned == 1
 
     store = _store(tmp_path)
+    assert store.key(structural, "scalar", None) == (
+        legacy_key[:-1] + (CODEGEN_VERSION,)
+    )
     program = compile_netlist(module, store=store)
     assert not program.from_store
     assert program.run is not None
     assert store.disk.stats.counter("codegen.disk_miss") == 1
     assert store.disk.stats.counter("codegen.store") == 1
-    assert store.load(structural, None, "scalar")["source"] == payload["source"]
+    assert store.load(structural, "scalar", None)["source"] == payload["source"]
     report = run_fsck(str(tmp_path))
     assert report.consistent and report.scanned == 2
 

@@ -264,15 +264,14 @@ def _triple(session, point):
 def test_ledgered_grid_resumes_without_recomputing(tmp_path):
     cache = str(tmp_path / "cache")
     cold = CompileSession(cache_dir=cache)
-    ledger = RunLedger(cache, "run-a", cold.stats)
-    assert EvalGrid(cold, max_workers=1, ledger=ledger).map(
+    cold.ledger = RunLedger(cold.cache.disk, "run-a")
+    assert EvalGrid(cold, max_workers=1).map(
         _triple, [1, 2, 3]
     ) == [3, 6, 9]
     assert cold.stats.counter("checkpoint.store") == 3
-    ledger.close()
 
     warm = CompileSession(cache_dir=cache)
-    resumed = RunLedger(cache, "run-a", warm.stats, resume=True)
+    warm.ledger = RunLedger(warm.cache.disk, "run-a", resume=True)
     calls = []
 
     def tracked(session, point):
@@ -281,43 +280,40 @@ def test_ledgered_grid_resumes_without_recomputing(tmp_path):
 
     tracked.__module__ = _triple.__module__
     tracked.__qualname__ = _triple.__qualname__  # same point identity
-    assert EvalGrid(warm, max_workers=1, ledger=resumed).map(
+    assert EvalGrid(warm, max_workers=1).map(
         tracked, [1, 2, 3]
     ) == [3, 6, 9]
     assert calls == []  # every point served from the ledger
     assert warm.stats.counter("checkpoint.hit") == 3
-    assert resumed.results_digest == ledger.results_digest
-    resumed.close()
+    assert warm.ledger.results_digest == cold.ledger.results_digest
 
 
 def test_grid_picks_up_the_session_attached_ledger(tmp_path):
     session = CompileSession(cache_dir=str(tmp_path))
-    session.ledger = RunLedger(str(tmp_path), "run-s", session.stats)
+    session.ledger = RunLedger(session.cache.disk, "run-s")
     assert EvalGrid(session, max_workers=1).map(_triple, [1, 2]) == [3, 6]
     assert session.stats.counter("checkpoint.store") == 2
-    session.ledger.close()
 
 
 def test_keyboard_interrupt_flushes_the_ledger_and_propagates(tmp_path):
-    """Satellite: Ctrl-C exits promptly — no retry, no next point — and
-    what already completed is on disk for ``--resume``."""
+    """Ctrl-C exits promptly — no retry, no next point — and what
+    already completed is on disk for ``--resume``, with nothing left to
+    flush."""
     session = CompileSession(cache_dir=str(tmp_path))
-    ledger = RunLedger(str(tmp_path), "run-ki", session.stats)
+    session.ledger = RunLedger(session.cache.disk, "run-ki")
 
     def interrupt(sess, point):
         if point == 2:
             raise KeyboardInterrupt()
         return point
 
-    grid = EvalGrid(session, max_workers=1, ledger=ledger, point_retries=5)
+    grid = EvalGrid(session, max_workers=1, point_retries=5)
     with pytest.raises(KeyboardInterrupt):
         grid.map(interrupt, [1, 2, 3])
     assert session.stats.counter("retry.worker") == 0
     assert session.stats.counter("checkpoint.store") == 1
-    ledger.close()
-    resumed = RunLedger(str(tmp_path), "run-ki", resume=True)
+    resumed = RunLedger(session.cache.disk, "run-ki", resume=True)
     assert len(resumed) == 1  # point 1 survived the interrupt
-    resumed.close()
 
 
 # -- the hung-worker watchdog -------------------------------------------
@@ -336,14 +332,13 @@ def _hang_in_worker(session, point):
 def test_watchdog_kills_hung_workers_and_requeues(tmp_path):
     cache = str(tmp_path / "cache")
     session = CompileSession(cache_dir=cache)
-    ledger = RunLedger(cache, "run-w", session.stats)
+    session.ledger = RunLedger(session.cache.disk, "run-w")
     grid = EvalGrid(
         session, max_workers=2, executor="process",
-        watchdog_timeout=0.3, ledger=ledger,
+        watchdog_timeout=0.3,
     )
     with pytest.warns(RuntimeWarning, match="degraded process -> thread"):
         assert grid.map(_hang_in_worker, [1, 2, 3]) == [2, 4, 6]
     assert session.stats.counter("watchdog.kill") >= 1
     assert session.stats.counter("watchdog.requeue") >= 1
     assert session.stats.counter("degrade.executor") >= 1
-    ledger.close()

@@ -1,123 +1,209 @@
-"""The run ledger: checkpoint, replay, identity, digests, drains."""
+"""The run ledger: checkpoints as disk-cache entries, identity, digests,
+drains."""
 
+import builtins
 import functools
+import hashlib
 import json
 import os
+import pickle
 import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
-from repro.driver import CacheStats, RunLedger, graceful_drain, point_key
-from repro.driver.ledger import describe_fn, iter_run_ids
+from repro.driver import (
+    CacheStats,
+    DiskCache,
+    RunLedger,
+    StageArtifact,
+    graceful_drain,
+    point_key,
+    run_fsck,
+)
+from repro.driver.cache import TMP_REAP_AGE_SECONDS
+from repro.driver.ledger import describe_fn
 
 
 def _fn(session, point):
     return point
 
 
+def _disk(tmp_path) -> DiskCache:
+    return DiskCache(str(tmp_path), CacheStats())
+
+
+def _checkpoint_path(ledger, key) -> str:
+    return ledger.disk._entry_path((ledger.stage, key))
+
+
+def _dead_pid():
+    """A PID that provably belonged to a now-dead process."""
+    proc = subprocess.Popen([sys.executable, "-c", "pass"])
+    proc.wait()
+    return proc.pid
+
+
 def test_record_then_lookup_round_trips(tmp_path):
-    stats = CacheStats()
-    ledger = RunLedger(str(tmp_path), "run-a", stats)
+    ledger = RunLedger(_disk(tmp_path), "run-a")
+    stats = ledger.disk.stats
     key = point_key(_fn, 7)
     assert ledger.lookup(key) == (False, None)
     assert ledger.record(key, {"value": 7})
     assert ledger.lookup(key) == (True, {"value": 7})
-    assert key in ledger and len(ledger) == 1
+    assert len(ledger) == 1
     assert stats.counter("checkpoint.miss") == 1
     assert stats.counter("checkpoint.hit") == 1
     assert stats.counter("checkpoint.store") == 1
-    # Re-recording an already-checkpointed key is a cheap no-op.
-    assert ledger.record(key, {"value": 7})
-    assert stats.counter("checkpoint.store") == 1
-    ledger.close()
 
 
 def test_fresh_run_refuses_an_existing_ledger(tmp_path):
-    RunLedger(str(tmp_path), "run-a").close()
+    RunLedger(_disk(tmp_path), "run-a").record(point_key(_fn, 1), 1)
     with pytest.raises(FileExistsError, match="pass --resume"):
-        RunLedger(str(tmp_path), "run-a")
+        RunLedger(_disk(tmp_path), "run-a")
 
 
 def test_resume_replays_recorded_points(tmp_path):
-    first = RunLedger(str(tmp_path), "run-a")
+    first = RunLedger(_disk(tmp_path), "run-a")
     keys = [point_key(_fn, n) for n in range(3)]
     for n, key in enumerate(keys):
         first.record(key, n * 10)
-    first.close()
 
-    resumed = RunLedger(str(tmp_path), "run-a", resume=True)
+    resumed = RunLedger(_disk(tmp_path), "run-a", resume=True)
     assert len(resumed) == 3
     for n, key in enumerate(keys):
         assert resumed.lookup(key) == (True, n * 10)
     assert resumed.results_digest == first.results_digest
-    resumed.close()
 
 
-def test_torn_tail_line_is_tolerated(tmp_path):
-    ledger = RunLedger(str(tmp_path), "run-a")
+def test_resumed_run_reports_the_first_runs_picture_before_any_lookup(
+    tmp_path
+):
+    first = RunLedger(_disk(tmp_path), "run-a")
+    for n in range(3):
+        first.record(point_key(_fn, n), {"n": n})
+    resumed = RunLedger(_disk(tmp_path), "run-a", resume=True)
+    assert len(resumed) == len(first) == 3
+    assert resumed.results_digest == first.results_digest
+    assert resumed.disk.stats.counter("checkpoint.hit") == 0
+
+
+def test_recorded_checkpoint_is_an_entry_fsck_finds_valid(tmp_path):
+    ledger = RunLedger(_disk(tmp_path), "run-a")
+    key = point_key(_fn, 1)
+    assert ledger.record(key, "kept")
+    assert os.path.exists(_checkpoint_path(ledger, key))
+    report = run_fsck(str(tmp_path))
+    assert report.consistent
+    assert report.scanned == report.valid == 1
+
+
+def test_corrupted_checkpoint_is_flagged_by_fsck_and_misses(tmp_path):
+    ledger = RunLedger(_disk(tmp_path), "run-a")
+    key = point_key(_fn, 1)
+    ledger.record(key, "damaged")
+    path = _checkpoint_path(ledger, key)
+    with open(path, "ab") as handle:
+        handle.write(b"bitrot")
+    assert run_fsck(str(tmp_path)).counts() == {"corrupt_entry": 1}
+
+    resumed = RunLedger(_disk(tmp_path), "run-a", resume=True)
+    # A dropped checkpoint degrades to a recompute, never a wrong result.
+    assert resumed.lookup(key) == (False, None)
+    assert resumed.disk.stats.counter("disk.corrupt") == 1
+    assert resumed.disk.stats.counter("checkpoint.miss") == 1
+    assert not os.path.exists(path)
+
+
+def test_dead_writers_temp_file_in_a_run_is_reaped_at_attach(tmp_path):
+    ledger = RunLedger(_disk(tmp_path), "run-a")
     key = point_key(_fn, 1)
     ledger.record(key, "kept")
-    ledger.close()
-    with open(ledger.manifest_path, "a", encoding="utf-8") as handle:
-        handle.write('{"type": "point", "key": "torn')  # killed mid-append
+    path = _checkpoint_path(ledger, key)
+    tmp = f"{path}.{_dead_pid()}.a1b2c3d4.tmp"
+    with open(tmp, "wb") as handle:
+        handle.write(b"half-written checkpoint")
+    assert run_fsck(str(tmp_path)).counts() == {"orphan_tmp": 1}
 
-    resumed = RunLedger(str(tmp_path), "run-a", resume=True)
-    assert len(resumed) == 1
-    assert resumed.lookup(key) == (True, "kept")
-    resumed.close()
-
-
-def test_missing_side_file_degrades_to_a_recompute(tmp_path):
-    ledger = RunLedger(str(tmp_path), "run-a")
-    key = point_key(_fn, 1)
-    ledger.record(key, "gone")
-    ledger.close()
-    os.remove(os.path.join(ledger.points_dir, f"{key}.pkl"))
-    resumed = RunLedger(str(tmp_path), "run-a", resume=True)
-    assert len(resumed) == 0  # dropped checkpoint, never a wrong result
-    resumed.close()
-
-
-def test_version_mismatch_refuses_loudly(tmp_path):
-    ledger = RunLedger(str(tmp_path), "run-a")
-    ledger.close()
-    with open(ledger.manifest_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(
-            {"type": "header", "version": 99, "run_id": "run-a"}
-        ) + "\n")
-    with pytest.raises(ValueError, match="version"):
-        RunLedger(str(tmp_path), "run-a", resume=True)
-
-
-def test_headerless_manifest_refuses(tmp_path):
-    ledger = RunLedger(str(tmp_path), "run-a")
-    ledger.close()
-    with open(ledger.manifest_path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(
-            {"type": "point", "key": "k", "sha256": "0" * 64, "seq": 1}
-        ) + "\n")
-    with pytest.raises(ValueError, match="no intact header"):
-        RunLedger(str(tmp_path), "run-a", resume=True)
+    attached = _disk(tmp_path)
+    assert attached.stats.counter("disk.reaped") == 1
+    assert not os.path.exists(tmp)
+    assert RunLedger(attached, "run-a", resume=True).lookup(key) == (
+        True, "kept"
+    )
+    assert run_fsck(str(tmp_path)).findings == []
 
 
 @pytest.mark.parametrize("bad", ["", ".", "..", "a/b"])
 def test_hostile_run_ids_are_rejected(tmp_path, bad):
     with pytest.raises(ValueError, match="invalid run id"):
-        RunLedger(str(tmp_path), bad)
+        RunLedger(_disk(tmp_path), bad)
 
 
 def test_results_digest_is_order_independent(tmp_path):
-    forward = RunLedger(str(tmp_path), "fwd")
-    backward = RunLedger(str(tmp_path), "bwd")
+    forward = RunLedger(_disk(tmp_path), "fwd")
+    backward = RunLedger(_disk(tmp_path), "bwd")
     keys = [point_key(_fn, n) for n in range(4)]
     for n, key in enumerate(keys):
         forward.record(key, n)
     for n, key in reversed(list(enumerate(keys))):
         backward.record(key, n)
     assert forward.results_digest == backward.results_digest
-    assert forward.digest_map() == backward.digest_map()
-    forward.close()
-    backward.close()
+
+
+def test_a_store_in_the_old_ledger_layout_stays_usable(
+    tmp_path, monkeypatch
+):
+    """Earlier versions kept a run's checkpoints under ``runs/<id>/``:
+    a JSONL manifest plus raw-pickle side files.  Nothing reads them
+    any more: fsck skips the directory, the old checkpoint misses, and
+    the run id is free for a fresh run."""
+    root = str(tmp_path)
+    writer = _disk(tmp_path)
+    keys = [("stage", "a"), ("stage", "b")]
+    for key in keys:
+        assert writer.store(key, StageArtifact("stage", key, key[1], 0.0))
+    point = point_key(_fn, 1)
+    payload = pickle.dumps("old result", protocol=4)
+    run_dir = os.path.join(root, "runs", "nightly")
+    os.makedirs(os.path.join(run_dir, "points"))
+    with open(os.path.join(run_dir, "ledger.jsonl"), "w") as handle:
+        for line in (
+            {"type": "header", "version": 1, "run_id": "nightly"},
+            {"type": "point", "key": point,
+             "sha256": hashlib.sha256(payload).hexdigest(), "seq": 1},
+        ):
+            handle.write(json.dumps(line, sort_keys=True) + "\n")
+    side_file = os.path.join(run_dir, "points", f"{point}.pkl")
+    with open(side_file, "wb") as handle:
+        handle.write(payload)
+    ancient = time.time() - 2 * TMP_REAP_AGE_SECONDS
+    stale = os.path.join(run_dir, "points", "tmpX.tmp")
+    with open(stale, "wb") as handle:
+        handle.write(b"half")
+    os.utime(stale, (ancient, ancient))
+
+    opened = []
+    real_open = builtins.open
+
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, bytes, os.PathLike)):
+            opened.append(os.path.abspath(os.fsdecode(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    report = run_fsck(root)
+    assert report.consistent and report.scanned == report.valid == 2
+    disk = _disk(tmp_path)
+    assert [disk.load(key).value for key in keys] == ["a", "b"]
+    assert RunLedger(disk, "nightly", resume=True).lookup(point) == (
+        False, None
+    )
+    assert len(RunLedger(disk, "nightly")) == 0  # a fresh run is allowed
+    runs = os.path.join(root, "runs") + os.sep
+    assert [path for path in opened if path.startswith(runs)] == []
 
 
 def test_point_key_separates_functions_points_and_bindings():
@@ -139,11 +225,3 @@ def test_graceful_drain_turns_sigterm_into_keyboard_interrupt():
     assert drain.drained
     assert stats.counter("checkpoint.drain") == 1
     assert signal.getsignal(signal.SIGTERM) == previous
-
-
-def test_iter_run_ids_lists_only_real_ledgers(tmp_path):
-    RunLedger(str(tmp_path), "run-b").close()
-    RunLedger(str(tmp_path), "run-a").close()
-    os.makedirs(os.path.join(str(tmp_path), "runs", "empty-dir"))
-    assert list(iter_run_ids(str(tmp_path))) == ["run-a", "run-b"]
-    assert list(iter_run_ids(str(tmp_path / "nowhere"))) == []

@@ -2,18 +2,28 @@
 
 import os
 
-from repro.driver import CacheStats, DiskCache, ObligationStore
+from repro.driver import CacheStats, DiskCache, PseudoStore
+from repro.lilac.typecheck.check import valid_verdict_payload
+from repro.smt import SOLVER_VERSION
+
+
+def _smt_store(disk) -> PseudoStore:
+    return PseudoStore(disk, "smt", SOLVER_VERSION, valid_verdict_payload)
 
 
 def _store(tmp_path):
-    return ObligationStore(DiskCache(str(tmp_path / "cache"), CacheStats()))
+    return _smt_store(DiskCache(str(tmp_path / "cache"), CacheStats()))
+
+
+def _verdict(digest, status, model):
+    return {"digest": digest, "status": status, "model": model}
 
 
 def test_round_trip(tmp_path):
     store = _store(tmp_path)
     digest = "d" * 64
     assert store.load(digest) is None
-    assert store.save(digest, "unsat", None)
+    assert store.save(_verdict(digest, "unsat", None), digest)
     payload = store.load(digest)
     assert payload == {"digest": digest, "status": "unsat", "model": None}
 
@@ -22,7 +32,7 @@ def test_sat_model_round_trip(tmp_path):
     store = _store(tmp_path)
     digest = "e" * 64
     model = {"?v000000": 3, "(FPAdd.#L ?v000001)": 2}
-    store.save(digest, "sat", model)
+    store.save(_verdict(digest, "sat", model), digest)
     assert store.load(digest)["model"] == model
 
 
@@ -30,7 +40,7 @@ def test_counters(tmp_path):
     store = _store(tmp_path)
     digest = "f" * 64
     store.load(digest)
-    store.save(digest, "unsat", None)
+    store.save(_verdict(digest, "unsat", None), digest)
     store.load(digest)
     stats = store.disk.stats
     assert stats.counter("smt.disk_miss") == 1
@@ -42,15 +52,26 @@ def test_invalid_payload_is_a_miss(tmp_path):
     store = _store(tmp_path)
     digest = "a" * 64
     # store under one digest, ask for another: key mismatch, miss.
-    store.save(digest, "unsat", None)
+    store.save(_verdict(digest, "unsat", None), digest)
     assert store.load("b" * 64) is None
+    # A readable entry of the wrong shape is a miss, never a verdict.
+    for bad in (
+        _verdict(digest, "maybe", None),
+        _verdict("b" * 64, "unsat", None),
+        _verdict(digest, "sat", ["not", "a", "model"]),
+        "unsat",
+    ):
+        assert store.save(bad, digest)
+        assert store.load(digest) is None
+    assert store.disk.stats.counter("smt.disk_miss") == 5
+    assert store.disk.stats.counter("smt.disk_hit") == 0
 
 
 def test_corrupt_entry_quarantined(tmp_path):
     store = _store(tmp_path)
     digest = "c" * 64
-    store.save(digest, "unsat", None)
-    path = store.disk._entry_path(ObligationStore._key(digest))
+    store.save(_verdict(digest, "unsat", None), digest)
+    path = store.disk._entry_path(store.key(digest))
     with open(path, "r+b") as handle:
         handle.seek(0, os.SEEK_END)
         size = handle.tell()
@@ -62,11 +83,10 @@ def test_corrupt_entry_quarantined(tmp_path):
 
 
 def test_key_carries_solver_version(tmp_path):
-    from repro.smt import SOLVER_VERSION
-
-    key = ObligationStore._key("x" * 64)
+    key = _store(tmp_path).key("x" * 64)
     assert key[0] == "smt"
     assert key[-1] == SOLVER_VERSION
+    assert key == ("smt", "x" * 64, SOLVER_VERSION)
 
 
 #: One obligation fails (the adder's output is read before its latency
@@ -99,18 +119,17 @@ def test_verdicts_from_before_the_elimination_fix_stay_inert(
     from repro.lilac.stdlib import stdlib_program
     from repro.lilac.typecheck import check as check_mod
     from repro.lilac.typecheck import check_program
-    from repro.smt import SOLVER_VERSION
 
     assert SOLVER_VERSION == 2
     program = stdlib_program(_FAILING_SOURCE)
     saved = []
-    original_save = ObligationStore.save
+    original_save = PseudoStore.save
 
-    def recording_save(self, digest, status, model):
-        saved.append((digest, status, model))
-        return original_save(self, digest, status, model)
+    def recording_save(self, payload, *parts):
+        saved.append((payload["digest"], payload["status"], payload["model"]))
+        return original_save(self, payload, *parts)
 
-    monkeypatch.setattr(ObligationStore, "save", recording_save)
+    monkeypatch.setattr(PseudoStore, "save", recording_save)
     check_mod.clear_obligation_memo()
     fresh = check_program(
         program, raise_on_error=False,
@@ -137,7 +156,7 @@ def test_verdicts_from_before_the_elimination_fix_stay_inert(
     check_mod.clear_obligation_memo()
     saved.clear()
     stats = CacheStats()
-    store = ObligationStore(DiskCache(root, stats))
+    store = _smt_store(DiskCache(root, stats))
     reports = check_program(
         program, raise_on_error=False, obligation_store=store, stats=stats,
     )

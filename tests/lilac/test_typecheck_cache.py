@@ -10,10 +10,17 @@ import pytest
 
 from repro import smt
 from repro.designs.catalog import DESIGNS, design_point
-from repro.driver import CacheStats, DiskCache, ObligationStore
+from repro.driver import CacheStats, DiskCache, PseudoStore
 from repro.lilac.stdlib import stdlib_program
 from repro.lilac.typecheck import check_program
 from repro.lilac.typecheck import check as check_mod
+
+
+def _smt_store(root, stats) -> PseudoStore:
+    return PseudoStore(
+        DiskCache(root, stats), "smt", smt.SOLVER_VERSION,
+        check_mod.valid_verdict_payload,
+    )
 
 
 @pytest.fixture(autouse=True)
@@ -52,7 +59,7 @@ def test_cached_equals_fresh_across_catalog(design, tmp_path, monkeypatch):
     )
 
     stats_cold = CacheStats()
-    store = ObligationStore(DiskCache(str(tmp_path / "smt"), stats_cold))
+    store = _smt_store(str(tmp_path / "smt"), stats_cold)
     cold_reports = check_program(
         program, raise_on_error=False, obligation_store=store,
         stats=stats_cold,
@@ -65,9 +72,7 @@ def test_cached_equals_fresh_across_catalog(design, tmp_path, monkeypatch):
     check_mod.clear_obligation_memo()
     recorded.clear()
     stats_warm = CacheStats()
-    warm_store = ObligationStore(
-        DiskCache(str(tmp_path / "smt"), stats_warm)
-    )
+    warm_store = _smt_store(str(tmp_path / "smt"), stats_warm)
     warm_reports = check_program(
         program, raise_on_error=False, obligation_store=warm_store,
         stats=stats_warm,
@@ -125,7 +130,7 @@ comp Bad[#W]<G:1>(l: [G, G+1] #W, r: [G, G+1] #W) -> (o: [G, G+1] #W) {
         check_mod.ComponentChecker, "_cached_discharge", patched
     )
     stats = CacheStats()
-    store = ObligationStore(DiskCache(str(tmp_path / "smt"), stats))
+    store = _smt_store(str(tmp_path / "smt"), stats)
     cold_reports = check_program(
         program, raise_on_error=False, obligation_store=store, stats=stats
     )
@@ -137,9 +142,7 @@ comp Bad[#W]<G:1>(l: [G, G+1] #W, r: [G, G+1] #W) -> (o: [G, G+1] #W) {
     recorded.clear()
     warm_reports = check_program(
         program, raise_on_error=False,
-        obligation_store=ObligationStore(
-            DiskCache(str(tmp_path / "smt"), CacheStats())
-        ),
+        obligation_store=_smt_store(str(tmp_path / "smt"), CacheStats()),
     )
     assert recorded == cold
     assert [e.counterexample for r in warm_reports for e in r.errors] == [

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from repro.designs import fifo_pipeline
 from repro.designs.catalog import DESIGNS, design_point
-from repro.driver import CodegenStore, CompileSession, DiskCache
+from repro.driver import CompileSession, DiskCache, PseudoStore
 from repro.rtl import (
+    CODEGEN_VERSION,
     Module,
     NetlistError,
     Simulator,
@@ -27,6 +28,7 @@ from repro.rtl import (
     differential_check,
     random_stimulus_batch,
 )
+from repro.rtl.compile import valid_codegen_payload
 
 from .lane_runs import (
     LANE_RUN_CASES,
@@ -245,8 +247,15 @@ def test_vector_rejects_bad_lane_counts():
 # -- persistent kernels in the codegen pseudo-stage ---------------------
 
 
+def _store(tmp_path) -> PseudoStore:
+    return PseudoStore(
+        DiskCache(str(tmp_path)), "codegen", CODEGEN_VERSION,
+        valid_codegen_payload,
+    )
+
+
 def test_vector_codegen_round_trips_through_the_store(tmp_path):
-    store = CodegenStore(DiskCache(str(tmp_path)))
+    store = _store(tmp_path)
     cold = compile_vector_netlist(_alu(10), 16, store=store)
     assert not cold.from_store
     assert store.disk.stats.counter("codegen.store") == 1
@@ -261,7 +270,7 @@ def test_vector_codegen_round_trips_through_the_store(tmp_path):
 
 
 def test_vector_store_entries_are_keyed_per_lanes(tmp_path):
-    store = CodegenStore(DiskCache(str(tmp_path)))
+    store = _store(tmp_path)
     module = _alu(10)
     compile_vector_netlist(module, 4, store=store)
     compile_vector_netlist(module, 8, store=store)
@@ -275,7 +284,7 @@ def test_vector_store_entries_are_keyed_per_lanes(tmp_path):
 def test_vector_and_swar_kernels_share_the_store_without_collisions(tmp_path):
     from repro.rtl import clear_compile_memo, compile_netlist
 
-    store = CodegenStore(DiskCache(str(tmp_path)))
+    store = _store(tmp_path)
     module = _alu(10)
     clear_compile_memo()
     try:
