@@ -34,10 +34,8 @@ Finding kinds, from worst to mildest:
 Only the non-informational kinds make a store inconsistent.  Exit code
 (see :attr:`FsckReport.exit_code`): 0 when consistent — including after
 repairs, which is what "repairable" means — 1 when damage remains.
-
-Counters (on a caller-supplied ``CacheStats``): ``fsck.scanned`` per
-``.pkl`` examined, ``fsck.<kind>`` per finding, ``fsck.repaired`` per
-repair action taken.
+The :class:`FsckReport` carries the scan and finding counts, and each
+finding its repair action.
 """
 
 from __future__ import annotations
@@ -162,11 +160,6 @@ class FsckReport:
         return "\n".join(lines)
 
 
-def _bump(stats, counter: str, amount: int = 1) -> None:
-    if stats is not None:
-        stats.bump(counter, amount)
-
-
 def _classify_entry(path: str, current_subtree: bool) -> Optional[Finding]:
     """A finding for one ``.pkl``, or None when the entry is healthy."""
     try:
@@ -215,7 +208,7 @@ def _classify_tmp(path: str, now: float) -> Optional[Finding]:
     return Finding("orphan_tmp", path, f"unstamped, {age:.0f}s old")
 
 
-def _repair(finding: Finding, stats) -> None:
+def _repair(finding: Finding) -> None:
     """Quarantine a corrupt entry, or unlink an orphan temp file."""
     quarantine = finding.kind == "corrupt_entry"
     try:
@@ -228,10 +221,9 @@ def _repair(finding: Finding, stats) -> None:
         return
     finding.repaired = True
     finding.action = "quarantined" if quarantine else "unlinked"
-    _bump(stats, "fsck.repaired")
 
 
-def run_fsck(root: str, repair: bool = False, stats=None) -> FsckReport:
+def run_fsck(root: str, repair: bool = False) -> FsckReport:
     """Scan (and with ``repair=True``, mend) the store at ``root``.
 
     Safe to run against a store other processes are actively writing:
@@ -251,7 +243,6 @@ def run_fsck(root: str, repair: bool = False, stats=None) -> FsckReport:
             path = os.path.join(directory, name)
             if name.endswith(".pkl"):
                 report.scanned += 1
-                _bump(stats, "fsck.scanned")
                 finding = _classify_entry(
                     path, path.startswith(current_prefix) or directory == root
                 )
@@ -264,7 +255,6 @@ def run_fsck(root: str, repair: bool = False, stats=None) -> FsckReport:
             if finding is None:
                 continue
             report.add(finding)
-            _bump(stats, f"fsck.{finding.kind}")
             if repair and finding.damage:
-                _repair(finding, stats)
+                _repair(finding)
     return report

@@ -44,14 +44,6 @@ construction.  ``KeyboardInterrupt`` (and SIGTERM, via
 :class:`~repro.driver.ledger.graceful_drain`) propagates immediately —
 no retries, no draining the pool first.
 
-The worker watchdog (process mode, opt-in via ``watchdog_timeout``):
-workers write per-PID heartbeat files around each point; a parent-side
-thread SIGKILLs any worker that has sat *busy* past the timeout
-(``watchdog.kill``).  The kill surfaces as ``BrokenProcessPool``, which
-rides the existing degradation ladder — and with a ledger attached the
-re-run skips checkpointed points, so a hung point costs one rung and one
-requeue (``watchdog.requeue``), not the whole sweep.
-
 Fault tolerance (the degradation ladder *process → thread → serial*):
 a worker-process crash (:class:`BrokenProcessPool` — real, or injected
 via the ``worker.crash`` fault site, which in process mode kills the
@@ -59,32 +51,27 @@ worker with ``os._exit``) or a failed pool spawn (``worker.spawn``)
 no longer cancels the run.  The grid re-runs the sweep one rung down
 the ladder — every rung produces bit-identical results, the in-memory
 and disk caches make re-visiting completed points cheap — warning once
-and bumping ``degrade.executor``.  Within a rung, *transient* per-point
-failures (an injected crash in thread/serial mode, a ``point_timeout``
-expiry) are retried with exponential backoff up to ``point_retries``
-times (``retry.worker`` counter).  Genuine worker exceptions keep their
-PR 4 semantics: first failure in point order propagates, outstanding
-points are cancelled.
+and bumping ``degrade.executor``.  On the thread and serial rungs an
+injected ``worker.crash`` raises
+:class:`~repro.driver.faults.InjectedCrash` instead, the one per-point
+failure retried in place: up to :data:`POINT_RETRY_LIMIT` times with
+exponential backoff (``retry.worker`` counter).  Every other worker
+exception is genuine: the first failure in point order propagates and
+outstanding points are cancelled.  A point has no wall-clock bound, so
+a hung worker hangs the sweep.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
-import shutil
-import signal
-import tempfile
-import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from . import faults
-from .cache import pid_alive
 from .ledger import point_key
 from .session import CompileSession, default_session
 
@@ -93,10 +80,12 @@ Result = TypeVar("Result")
 
 EXECUTORS = ("thread", "process", "auto")
 
-#: Per-point transient failures, retried in place (never escalated to
-#: a different executor): an injected worker crash surfacing as an
-#: exception, or a ``point_timeout`` expiry.
-_TRANSIENT = (faults.InjectedCrash, FuturesTimeout, TimeoutError)
+#: Per-point retry policy: an injected worker crash surfacing as an
+#: exception is retried in place (never escalated to a different
+#: executor) this many times, with exponential backoff, before it
+#: propagates.
+POINT_RETRY_LIMIT = 2
+POINT_RETRY_BACKOFF_SECONDS = 0.05
 
 #: spec-key → session, one per worker *process* (module globals are
 #: per-process, so this is the workers' session memo, not the parent's).
@@ -125,25 +114,8 @@ def _worker_session(spec: Dict[str, object]) -> CompileSession:
     return session
 
 
-def _heartbeat(hb_dir: Optional[str], state: str) -> None:
-    """Worker-side liveness beacon: overwrite this PID's heartbeat file.
-
-    The file's mtime is the beat; ``state`` says whether a point is in
-    flight (only *busy* workers can be hung).  Best-effort — a worker
-    that can't write heartbeats just isn't watchdog-protected.
-    """
-    if hb_dir is None:
-        return
-    try:
-        path = os.path.join(hb_dir, f"{os.getpid()}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump({"pid": os.getpid(), "state": state}, handle)
-    except OSError:
-        pass
-
-
 def _process_point(spec: Dict[str, object], fn, point, submitted=None,
-                   crash: bool = False, hb_dir: Optional[str] = None):
+                   crash: bool = False):
     """Executed inside a pool worker: rebuild the session, run the point.
 
     Returns ``(queue_wait_seconds, result)``: how long the point sat in
@@ -156,87 +128,12 @@ def _process_point(spec: Dict[str, object], fn, point, submitted=None,
     ``crash`` is the parent-side ``worker.crash`` injection decision:
     the worker dies for real (``os._exit``), so the parent observes a
     genuine :class:`BrokenProcessPool` — the exact failure the
-    degradation ladder exists for.  ``hb_dir`` is the watchdog's
-    heartbeat directory (None when no watchdog is running).
+    degradation ladder exists for.
     """
     if crash:
         os._exit(13)
     wait = 0.0 if submitted is None else max(0.0, time.time() - submitted)
-    _heartbeat(hb_dir, "busy")
-    try:
-        result = fn(_worker_session(spec), point)
-    finally:
-        _heartbeat(hb_dir, "idle")
-    return wait, result
-
-
-class _Watchdog:
-    """Parent-side hung-worker detector for process pools.
-
-    A background thread polls the heartbeat directory; any worker whose
-    file says *busy* and whose mtime is older than the timeout gets
-    SIGKILLed (``watchdog.kill``).  The pool then reports
-    ``BrokenProcessPool``, and the degradation ladder — with the ledger
-    re-filter — turns the kill into a requeue instead of a lost run.
-    The timeout therefore bounds a single point's wall clock in process
-    mode: pick one comfortably above the slowest legitimate point.
-    """
-
-    def __init__(self, hb_dir: str, timeout: float, stats):
-        self.hb_dir = hb_dir
-        self.timeout = float(timeout)
-        self.stats = stats
-        self.kills = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._run, name="grid-watchdog", daemon=True
-        )
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._thread.join(timeout=2.0)
-
-    def _run(self) -> None:
-        interval = max(0.02, min(self.timeout / 4.0, 1.0))
-        while not self._stop.wait(interval):
-            self._scan()
-
-    def _scan(self) -> None:
-        now = time.time()
-        try:
-            names = os.listdir(self.hb_dir)
-        except OSError:
-            return
-        for name in names:
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.hb_dir, name)
-            try:
-                info = os.stat(path)
-                with open(path, "r", encoding="utf-8") as handle:
-                    beat = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(beat, dict) or beat.get("state") != "busy":
-                continue
-            if now - info.st_mtime < self.timeout:
-                continue
-            pid = beat.get("pid")
-            if not isinstance(pid, int) or not pid_alive(pid):
-                continue
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:
-                continue
-            self.kills += 1
-            self.stats.bump("watchdog.kill")
-            try:
-                os.remove(path)
-            except OSError:
-                pass
+    return wait, fn(_worker_session(spec), point)
 
 
 def _picklable(fn) -> bool:
@@ -250,18 +147,12 @@ def _picklable(fn) -> bool:
 class EvalGrid:
     """Maps a worker function over grid points, preserving point order.
 
-    ``point_timeout`` bounds each point's wall clock (None — the
-    default — disables the bound; expiries count as transient failures
-    and are retried).  ``point_retries`` is how many times a transient
-    per-point failure is retried before it propagates;
-    ``retry_backoff`` seeds the exponential backoff between attempts.
-
-    The session's ``ledger`` (a :class:`~repro.driver.ledger.RunLedger`
-    the CLI attaches for ``--run-id`` runs) checkpoints every resolved
+    ``max_workers`` caps the pool (None — the default — means the CPU
+    count); a sweep never gets more workers than points.  ``executor``
+    is one of :data:`EXECUTORS` (see the module docstring).  The
+    session's ``ledger`` (a :class:`~repro.driver.ledger.RunLedger` the
+    CLI attaches for ``--run-id`` runs) checkpoints every resolved
     point; when it is None the grid runs unledgered.
-    ``watchdog_timeout`` arms the hung-worker watchdog in process mode
-    (seconds a single point may stay busy; None — the default —
-    disarms it).
     """
 
     def __init__(
@@ -269,10 +160,6 @@ class EvalGrid:
         session: Optional[CompileSession] = None,
         max_workers: Optional[int] = None,
         executor: str = "thread",
-        point_timeout: Optional[float] = None,
-        point_retries: int = 2,
-        retry_backoff: float = 0.05,
-        watchdog_timeout: Optional[float] = None,
     ):
         if executor not in EXECUTORS:
             raise ValueError(
@@ -281,10 +168,6 @@ class EvalGrid:
         self.session = session if session is not None else default_session()
         self.max_workers = max_workers
         self.executor = executor
-        self.point_timeout = point_timeout
-        self.point_retries = int(point_retries)
-        self.retry_backoff = float(retry_backoff)
-        self.watchdog_timeout = watchdog_timeout
 
     def _worker_count(self, points: int) -> int:
         if self.max_workers is not None:
@@ -316,11 +199,11 @@ class EvalGrid:
         by a worker (in point order) propagates to the caller; pending
         points that have not started yet are cancelled rather than run
         to completion first.  Executor-level failures (a crashed worker
-        process, a refused spawn, a watchdog kill) degrade the pool
-        down the process → thread → serial ladder and re-run the sweep
-        instead of propagating — with a ledger attached, the re-run
-        skips every already-checkpointed point.  ``KeyboardInterrupt``
-        propagates immediately.
+        process, a refused spawn) degrade the pool down the process →
+        thread → serial ladder and re-run the sweep instead of
+        propagating — with a ledger attached, the re-run skips every
+        already-checkpointed point.  ``KeyboardInterrupt`` propagates
+        immediately.
         """
         points = list(points)
         ledger = self.session.ledger
@@ -363,8 +246,6 @@ class EvalGrid:
                         pending.append(index)
             else:
                 pending = list(range(len(points)))
-            if step and getattr(failure, "watchdog_kills", 0):
-                self.session.stats.bump("watchdog.requeue", len(pending))
             if not pending:
                 return results
             sub_points = [points[i] for i in pending]
@@ -416,43 +297,36 @@ class EvalGrid:
                     results.append(result)
                     self._record_point(keys[offset] if keys else None, result)
                     break
-                except _TRANSIENT:
+                except faults.InjectedCrash:
                     attempts += 1
-                    if attempts > self.point_retries:
+                    if attempts > POINT_RETRY_LIMIT:
                         raise
                     stats.bump("retry.worker")
-                    time.sleep(self.retry_backoff * (2 ** (attempts - 1)))
+                    time.sleep(
+                        POINT_RETRY_BACKOFF_SECONDS * (2 ** (attempts - 1))
+                    )
         return results
 
     def _map_pool(
         self, mode: str, fn, points: Sequence[Point], workers: int, keys=None
     ) -> List[Result]:
         stats = self.session.stats
-        watchdog: Optional[_Watchdog] = None
-        hb_dir: Optional[str] = None
         if mode == "process":
             try:
                 faults.inject("worker.spawn", stats)
                 pool = ProcessPoolExecutor(max_workers=workers)
             except OSError as error:
                 raise _ExecutorFailure("process pool unavailable", error)
-            if self.watchdog_timeout:
-                hb_dir = tempfile.mkdtemp(prefix="repro-heartbeat-")
-                watchdog = _Watchdog(
-                    hb_dir, self.watchdog_timeout, stats
-                )
-                watchdog.start()
             spec = self.session.spec()
 
             def submit(point):
                 crash = faults.should_fire("worker.crash", stats)
                 return pool.submit(
-                    _process_point, spec, fn, point, time.time(), crash,
-                    hb_dir,
+                    _process_point, spec, fn, point, time.time(), crash
                 )
 
             def resolve(future):
-                wait, result = future.result(self.point_timeout)
+                wait, result = future.result()
                 stats.add_seconds("wait.pool_queue", wait)
                 return result
 
@@ -474,67 +348,51 @@ class EvalGrid:
                 return pool.submit(run_point, point, time.time(), crash)
 
             def resolve(future):
-                return future.result(self.point_timeout)
+                return future.result()
 
-        try:
-            with pool:
-                futures = [submit(point) for point in points]
-                results: List[Optional[Result]] = [None] * len(points)
-                for index, point in enumerate(points):
-                    attempts = 0
-                    while True:
-                        try:
-                            results[index] = resolve(futures[index])
-                            self._record_point(
-                                keys[index] if keys else None,
-                                results[index],
-                            )
-                            break
-                        except BrokenProcessPool as error:
-                            self._cancel(futures)
-                            failure = _ExecutorFailure(
-                                "worker process crashed", error
-                            )
-                            failure.watchdog_kills = (
-                                watchdog.kills if watchdog else 0
-                            )
-                            raise failure
-                        except _TRANSIENT as error:
-                            attempts += 1
-                            if attempts > self.point_retries:
-                                self._cancel(futures)
-                                raise
-                            stats.bump("retry.worker")
-                            time.sleep(
-                                self.retry_backoff
-                                * (2 ** (attempts - 1))
-                            )
-                            try:
-                                futures[index] = submit(point)
-                            except (
-                                BrokenProcessPool, RuntimeError
-                            ) as broken:
-                                # The pool died between the failure
-                                # and the resubmit: escalate down
-                                # the ladder.
-                                self._cancel(futures)
-                                raise _ExecutorFailure(
-                                    "pool lost during retry", broken
-                                )
-                        except BaseException:
-                            # Genuine worker failure: prune the
-                            # queue before the pool shutdown joins
-                            # running workers — already-running
-                            # futures finish, never-started ones
-                            # are dropped.
+        with pool:
+            futures = [submit(point) for point in points]
+            results: List[Optional[Result]] = [None] * len(points)
+            for index, point in enumerate(points):
+                attempts = 0
+                while True:
+                    try:
+                        results[index] = resolve(futures[index])
+                        self._record_point(
+                            keys[index] if keys else None, results[index]
+                        )
+                        break
+                    except BrokenProcessPool as error:
+                        self._cancel(futures)
+                        raise _ExecutorFailure(
+                            "worker process crashed", error
+                        )
+                    except faults.InjectedCrash:
+                        attempts += 1
+                        if attempts > POINT_RETRY_LIMIT:
                             self._cancel(futures)
                             raise
-                return results
-        finally:
-            if watchdog is not None:
-                watchdog.stop()
-            if hb_dir is not None:
-                shutil.rmtree(hb_dir, ignore_errors=True)
+                        stats.bump("retry.worker")
+                        time.sleep(
+                            POINT_RETRY_BACKOFF_SECONDS * (2 ** (attempts - 1))
+                        )
+                        try:
+                            futures[index] = submit(point)
+                        except (BrokenProcessPool, RuntimeError) as broken:
+                            # The pool died between the failure and the
+                            # resubmit: escalate down the ladder.
+                            self._cancel(futures)
+                            raise _ExecutorFailure(
+                                "pool lost during retry", broken
+                            )
+                    except BaseException:
+                        # Genuine worker failure: prune the queue
+                        # before the pool shutdown joins running
+                        # workers — already-running futures finish,
+                        # never-started ones are dropped.
+                        self._cancel(futures)
+                        raise
+            return results
 
     @staticmethod
     def _cancel(futures) -> None:

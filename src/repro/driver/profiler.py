@@ -33,16 +33,13 @@ _COMPUTE_PREFIX = "compute."
 _WAIT_PREFIX = "wait."
 
 #: counter-name prefixes the robustness section splits on: injected
-#: faults, the retries/degradations that absorbed them, and the
-#: crash-consistency machinery (fsck, run checkpoints, worker
-#: watchdog).
+#: faults, the retries/degradations that absorbed them, and the run
+#: checkpoints.
 _FAULT_PREFIXES = (
     "fault.injected.",
     "retry.",
     "degrade.",
-    "fsck.",
     "checkpoint.",
-    "watchdog.",
 )
 
 

@@ -212,16 +212,6 @@ def butterfly_network(
     return m
 
 
-def combinational_block(name: str, width: int, op: str) -> Module:
-    """Single-cycle (latency 0) two-input block used by simpler tools."""
-    m = Module(name)
-    a = m.add_input("l", width)
-    b = m.add_input("r", width)
-    out = m.add_output("o", width)
-    m.add_cell(op, {"a": a, "b": b, "out": out})
-    return m
-
-
 def delayed_block(name: str, width: int, op: str, latency: int) -> Module:
     """A two-input op followed by ``latency`` alignment registers."""
     m = Module(name)

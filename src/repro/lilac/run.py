@@ -112,12 +112,3 @@ class TransactionRunner:
                         results[txn_index][port.name] = raw
             self.simulator.tick()
         return results
-
-
-def run_transactions(
-    elab: ElabResult,
-    transactions: List[Dict[str, Value]],
-    spacing: Optional[int] = None,
-) -> List[Dict[str, Value]]:
-    """One-shot convenience wrapper around :class:`TransactionRunner`."""
-    return TransactionRunner(elab).run(transactions, spacing)

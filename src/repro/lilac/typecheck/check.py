@@ -28,6 +28,7 @@ occupancy windows across all pipelined re-executions.
 from __future__ import annotations
 
 import itertools
+import threading
 import time
 import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -35,7 +36,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ... import smt
 from ...params import (
     Constraint,
-    ParamError,
     PExpr,
     encode as encode_pexpr_raw,
     encode_constraint as encode_constraint_raw,
@@ -76,6 +76,12 @@ _ENGINE_TAG = "inc"
 #: (the disk cache's ``"smt"`` pseudo-stage); hit on every
 #: alpha-equivalent re-discharge.
 _OBLIGATION_MEMO: Dict[str, Tuple[str, Optional[Dict[str, int]]]] = {}
+
+#: Makes a memo miss single-flight: held while one thread loads or
+#: solves and saves a verdict, so a second thread missing on the same
+#: digest waits and then hits the memo instead of solving it again.
+#: The solver is pure Python, so no two solves ever overlapped anyway.
+_DISCHARGE_LOCK = threading.Lock()
 
 
 def clear_obligation_memo() -> None:
@@ -1104,48 +1110,61 @@ class ComponentChecker:
         → ``solve()`` (the actual engine).  Verdicts are stored with
         models in canonical names; a hit translates the model back into
         this query's own names.  The ``proc.kill.solver`` crash site is
-        consulted just before a fresh verdict is saved.
+        consulted just before a fresh verdict is saved.  A memo miss is
+        single-flight across threads (:data:`_DISCHARGE_LOCK`), so each
+        verdict is solved, saved and counted once per process however
+        many grid threads check components that share it.
         """
         start = time.perf_counter()
         canon = smt.canonical_query(assertions, tag=_ENGINE_TAG)
         self._time("smt.canonicalize", start)
         entry = _OBLIGATION_MEMO.get(canon.digest)
-        if entry is not None:
-            self._bump("smt.memo_hit")
-        elif self.obligation_store is not None:
-            payload = self.obligation_store.load(canon.digest)
-            if payload is not None:
-                entry = (payload["status"], payload["model"])
-                _OBLIGATION_MEMO[canon.digest] = entry
         if entry is None:
-            self._bump("smt.queries")
-            start = time.perf_counter()
-            result = solve()
-            self._time("smt.solve", start)
-            canonical_model = smt.translate_model(
-                result.model, canon.to_canonical
-            )
-            _OBLIGATION_MEMO[canon.digest] = (result.status, canonical_model)
-            if self.obligation_store is not None:
-                # Lazy import: the driver package imports this module.
-                from ...driver import faults
-
-                # Die with a discharged-but-unsaved verdict in hand, the
-                # worst possible moment for the store.
-                faults.kill_here("proc.kill.solver", self.stats)
-                self.obligation_store.save(
-                    {
-                        "digest": canon.digest,
-                        "status": result.status,
-                        "model": canonical_model,
-                    },
-                    canon.digest,
-                )
-            return result
+            with _DISCHARGE_LOCK:
+                entry = _OBLIGATION_MEMO.get(canon.digest)
+                if entry is None:
+                    return self._load_or_solve(canon, solve)
+        self._bump("smt.memo_hit")
         status, canonical_model = entry
         return smt.Result(
             status, smt.translate_model(canonical_model, canon.to_original)
         )
+
+    def _load_or_solve(self, canon, solve) -> "smt.Result":
+        """A memo miss: the persistent store, else ``solve()`` and save.
+        Runs under :data:`_DISCHARGE_LOCK`."""
+        if self.obligation_store is not None:
+            payload = self.obligation_store.load(canon.digest)
+            if payload is not None:
+                status, model = payload["status"], payload["model"]
+                _OBLIGATION_MEMO[canon.digest] = (status, model)
+                return smt.Result(
+                    status, smt.translate_model(model, canon.to_original)
+                )
+        self._bump("smt.queries")
+        start = time.perf_counter()
+        result = solve()
+        self._time("smt.solve", start)
+        canonical_model = smt.translate_model(
+            result.model, canon.to_canonical
+        )
+        _OBLIGATION_MEMO[canon.digest] = (result.status, canonical_model)
+        if self.obligation_store is not None:
+            # Lazy import: the driver package imports this module.
+            from ...driver import faults
+
+            # Die with a discharged-but-unsaved verdict in hand, the
+            # worst possible moment for the store.
+            faults.kill_here("proc.kill.solver", self.stats)
+            self.obligation_store.save(
+                {
+                    "digest": canon.digest,
+                    "status": result.status,
+                    "model": canonical_model,
+                },
+                canon.digest,
+            )
+        return result
 
     def _recovering_discharge(
         self, obligation, assertions, solve, on_degrade

@@ -13,7 +13,6 @@ from typing import List
 
 from .terms import (
     Term,
-    And,
     Eq,
     Ge,
     Implies,
@@ -123,10 +122,3 @@ def _axioms_for(applications) -> List[Term]:
             axioms.append(Eq(app, IntVal(arg.value.bit_length() - 1)))
 
     return [a for a in axioms if a is not None]
-
-
-def conjoin_axioms(formula: Term) -> Term:
-    axioms = instantiate_axioms(formula)
-    if not axioms:
-        return formula
-    return And(formula, *axioms)

@@ -40,10 +40,6 @@ _TOKEN = re.compile(r"[^\s()]+")
 _SKELETON_MEMO: Dict[Term, str] = {}
 
 
-def clear_canon_memo() -> None:
-    _SKELETON_MEMO.clear()
-
-
 def _skeleton(term: Term) -> str:
     """Render with every variable replaced by ``?``.
 

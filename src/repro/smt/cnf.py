@@ -48,9 +48,6 @@ class AtomTable:
             self._by_id[var] = atom
         return var
 
-    def atom_of(self, var: int) -> Term:
-        return self._by_id.get(abs(var))
-
     def theory_atoms(self) -> Dict[int, Term]:
         """All atom ids that correspond to theory predicates."""
         return {

@@ -37,9 +37,6 @@ class SatSolver:
         self.clauses: List[Clause] = []
         self._occurrences: Dict[int, List[int]] = {}
 
-    def ensure_vars(self, num_vars: int) -> None:
-        self.num_vars = max(self.num_vars, num_vars)
-
     def add_clause(self, clause: Clause) -> Optional[int]:
         """Add a clause; returns its index (None if dropped as tautology)."""
         clause = tuple(dict.fromkeys(clause))  # dedup, keep order

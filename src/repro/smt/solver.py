@@ -19,7 +19,6 @@ parameterization).
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ackermann import Ackermannizer, ackermannize
@@ -44,8 +43,6 @@ from .sat import SatSolver
 from .terms import (
     Term,
     And,
-    BoolVal,
-    IntVal,
     Not,
     TRUE,
     free_vars,
@@ -68,23 +65,11 @@ UNSAT = "unsat"
 #: step, so version-1 verdicts over such systems may be wrong.
 SOLVER_VERSION = 2
 
-#: Default work budget; override with ``$REPRO_SMT_BUDGET``.  The budget
-#: bounds the DPLL(T) conflict count per query (exhaustion raises
-#: :class:`SolverError`, as the old hard-coded ``max_iterations`` did)
-#: and separately caps the theory checks spent minimizing conflict
-#: cores per query (exhaustion just returns unminimized cores — sound,
-#: merely weaker blocking clauses).
+#: Work budget of every query.  It bounds the DPLL(T) conflict count
+#: (exhaustion raises :class:`SolverError`) and separately caps the
+#: theory checks spent minimizing conflict cores (exhaustion just
+#: returns unminimized cores — sound, merely weaker blocking clauses).
 DEFAULT_SMT_BUDGET = 5000
-
-
-def smt_budget() -> int:
-    raw = os.environ.get("REPRO_SMT_BUDGET")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_SMT_BUDGET
 
 
 # -- solver-wide statistics (cheap counters, read by `--stats json`) -----
@@ -208,15 +193,12 @@ class Result:
 class Solver:
     """One-shot satisfiability checker over a set of assertions.
 
-    ``max_iterations`` bounds the DPLL(T) conflict count; the default
-    comes from ``$REPRO_SMT_BUDGET`` (see :data:`DEFAULT_SMT_BUDGET`).
+    Each :meth:`check` runs on a budget of :data:`DEFAULT_SMT_BUDGET`
+    DPLL(T) conflicts.
     """
 
-    def __init__(self, max_iterations: Optional[int] = None):
+    def __init__(self):
         self.assertions: List[Term] = []
-        self.max_iterations = (
-            smt_budget() if max_iterations is None else max_iterations
-        )
 
     def add(self, *terms: Term) -> "Solver":
         for term in terms:
@@ -261,7 +243,7 @@ class Solver:
         # DPLL(T) with early pruning: the hook checks the integer theory on
         # every propagation-complete partial assignment and learns a
         # minimized conflict clause on inconsistency.
-        hook = _TheoryHook(theory_atoms, self.max_iterations)
+        hook = _TheoryHook(theory_atoms, DEFAULT_SMT_BUDGET)
         state = hook.state
 
         assignment = sat.solve(theory_hook=hook)
@@ -432,10 +414,7 @@ class IncrementalSolver:
     obligation, not the history.
     """
 
-    def __init__(self, max_iterations: Optional[int] = None):
-        self.max_iterations = (
-            smt_budget() if max_iterations is None else max_iterations
-        )
+    def __init__(self):
         self.atoms = AtomTable()
         self.builder = CnfBuilder(self.atoms)
         self.sat = SatSolver()
@@ -634,7 +613,7 @@ class IncrementalSolver:
             for var, atom in self.atoms.theory_atoms().items()
             if var in decision_set
         }
-        hook = _TheoryHook(active_atoms, self.max_iterations)
+        hook = _TheoryHook(active_atoms, DEFAULT_SMT_BUDGET)
         assignment = self.sat.solve(
             theory_hook=hook,
             assumptions=(assumption,) if assumption is not None else (),

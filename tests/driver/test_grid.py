@@ -160,7 +160,7 @@ def test_auto_executor_falls_back_to_thread_for_closures(tmp_path):
     assert uncached._resolve_executor(_simulate_trace, 4, 4) == "thread"
 
 
-# -- fault tolerance: retries, timeouts, the degradation ladder ---------
+# -- fault tolerance: retries, the degradation ladder -------------------
 
 
 def test_injected_crash_is_retried_in_thread_mode():
@@ -179,31 +179,37 @@ def test_injected_crash_is_retried_serially():
     assert session.stats.counter("retry.worker") == 1
 
 
-def test_crash_retries_exhaust_and_propagate():
+def test_crash_retries_exhaust_and_propagate(monkeypatch):
+    from repro.driver import grid as grid_module
     from repro.driver.faults import InjectedCrash
 
+    monkeypatch.setattr(grid_module, "POINT_RETRY_BACKOFF_SECONDS", 0.001)
     session = CompileSession(fault_plan="worker.crash:9")
-    grid = EvalGrid(
-        session, max_workers=2, point_retries=2, retry_backoff=0.001
-    )
+    grid = EvalGrid(session, max_workers=2)
     with pytest.raises(InjectedCrash):
         grid.map(lambda s, p: p, [1, 2, 3])
+    assert session.stats.counter("retry.worker") == (
+        grid_module.POINT_RETRY_LIMIT
+    )
 
 
-def test_point_timeout_retries_then_succeeds():
-    attempts = []
+def test_a_worker_timeout_error_is_a_genuine_failure():
+    """Only an injected crash is retried in place: a ``TimeoutError``
+    the worker raises itself propagates on its first raise."""
+    calls = []
 
-    def slow_once(session, point):
-        attempts.append(point)
-        if len(attempts) == 1:
-            time.sleep(0.5)
+    def times_out(session, point):
+        calls.append(point)
+        if point == 2:
+            raise TimeoutError("worker gave up")
         return point
 
-    grid = EvalGrid(
-        CompileSession(), max_workers=2,
-        point_timeout=0.2, point_retries=2, retry_backoff=0.001,
-    )
-    assert grid.map(slow_once, [1, 2]) == [1, 2]
+    session = CompileSession()
+    grid = EvalGrid(session, max_workers=2)
+    with pytest.raises(TimeoutError, match="worker gave up"):
+        grid.map(times_out, [1, 2, 3])
+    assert calls.count(2) == 1
+    assert session.stats.counter("retry.worker") == 0
 
 
 def test_spawn_failure_degrades_process_to_thread(tmp_path):
@@ -307,38 +313,10 @@ def test_keyboard_interrupt_flushes_the_ledger_and_propagates(tmp_path):
             raise KeyboardInterrupt()
         return point
 
-    grid = EvalGrid(session, max_workers=1, point_retries=5)
+    grid = EvalGrid(session, max_workers=1)
     with pytest.raises(KeyboardInterrupt):
         grid.map(interrupt, [1, 2, 3])
     assert session.stats.counter("retry.worker") == 0
     assert session.stats.counter("checkpoint.store") == 1
     resumed = RunLedger(session.cache.disk, "run-ki", resume=True)
     assert len(resumed) == 1  # point 1 survived the interrupt
-
-
-# -- the hung-worker watchdog -------------------------------------------
-
-
-def _hang_in_worker(session, point):
-    """Hangs only inside a pool worker *process* — the thread rung the
-    ladder degrades to (and any requeue) completes instantly."""
-    import multiprocessing
-
-    if multiprocessing.current_process().name != "MainProcess":
-        time.sleep(60)
-    return point * 2
-
-
-def test_watchdog_kills_hung_workers_and_requeues(tmp_path):
-    cache = str(tmp_path / "cache")
-    session = CompileSession(cache_dir=cache)
-    session.ledger = RunLedger(session.cache.disk, "run-w")
-    grid = EvalGrid(
-        session, max_workers=2, executor="process",
-        watchdog_timeout=0.3,
-    )
-    with pytest.warns(RuntimeWarning, match="degraded process -> thread"):
-        assert grid.map(_hang_in_worker, [1, 2, 3]) == [2, 4, 6]
-    assert session.stats.counter("watchdog.kill") >= 1
-    assert session.stats.counter("watchdog.requeue") >= 1
-    assert session.stats.counter("degrade.executor") >= 1

@@ -58,7 +58,7 @@ def test_injected_budget_exhaustion_degrades_not_fails():
 def test_double_exhaustion_escapes_with_attribution(monkeypatch):
     """With a one-conflict budget the one-shot fallback re-exhausts:
     the escaping error must carry the attribution context."""
-    monkeypatch.setenv("REPRO_SMT_BUDGET", "1")
+    monkeypatch.setattr(smt.solver, "DEFAULT_SMT_BUDGET", 1)
     _cold_solver_state()
     source, _, _, _ = design_point("fpu")
     with pytest.warns(RuntimeWarning, match="degrading to a fresh"):

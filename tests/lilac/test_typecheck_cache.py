@@ -175,3 +175,56 @@ def test_memo_dedupes_alpha_equivalent_obligations():
     assert stats.counter("smt.queries") < (
         stats.counter("smt.queries") + stats.counter("smt.memo_hit")
     )
+
+
+def test_concurrent_misses_on_one_obligation_solve_it_once(tmp_path):
+    """Grid threads missing the memo on one assertion set: the first
+    solves and stores the verdict, and the others wait for it instead
+    of solving and storing it again."""
+    import sys
+    import threading
+    import time
+
+    source, component, _, _ = design_point("fpu")
+    program = stdlib_program(source)
+    stats = CacheStats()
+    store = _smt_store(str(tmp_path / "smt"), stats)
+    x = smt.Int("x")
+    assertions = [smt.Ge(x, 3), smt.Le(x, 5)]
+    solves = []
+
+    def solve():
+        solves.append(threading.current_thread().name)
+        time.sleep(0.2)  # every other thread misses the memo meanwhile
+        return smt.check_sat(smt.And(*assertions))
+
+    verdicts = {}
+
+    def discharge():
+        checker = check_mod.ComponentChecker(
+            program, program.get(component),
+            obligation_store=store, stats=stats,
+        )
+        verdicts[threading.current_thread().name] = (
+            checker._cached_discharge(assertions, solve)
+        )
+
+    threads = [threading.Thread(target=discharge) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(solves) == 1, solves
+    first, *rest = verdicts.values()
+    assert len(rest) == 3 and first.status == smt.SAT
+    assert all((v.status, v.model) == (first.status, first.model)
+               for v in rest)
+    assert stats.counter("smt.queries") == 1
+    assert stats.counter("smt.memo_hit") == 3
+    assert stats.counter("smt.store") == 1

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import smt
 from repro.smt import IncrementalSolver, SolverError
-from repro.smt.solver import smt_budget
 
 x, y, z = smt.Int("x"), smt.Int("y"), smt.Int("z")
 
@@ -102,15 +101,9 @@ def test_parity_with_one_shot(lo, hi, probe):
         assert one.model["x"] == probe == inc.model["x"]
 
 
-def test_budget_env_overrides_default(monkeypatch):
-    monkeypatch.setenv("REPRO_SMT_BUDGET", "123")
-    assert smt_budget() == 123
-    monkeypatch.setenv("REPRO_SMT_BUDGET", "not-a-number")
-    assert smt_budget() == smt.solver.DEFAULT_SMT_BUDGET
-
-
-def test_budget_exhaustion_raises():
-    solver = smt.Solver(max_iterations=1)
+def test_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(smt.solver, "DEFAULT_SMT_BUDGET", 1)
+    solver = smt.Solver()
     solver.add(smt.Ge(x, 1), smt.Le(x, 0))
     with pytest.raises(SolverError):
         solver.check()
