@@ -22,8 +22,7 @@ from typing import Dict, List, Optional
 from ..driver import CompileSession, default_session
 from ..generators.flopoco import FloPoCoGenerator
 from ..lilac.elaborate import ElabResult
-from ..li import LIDriver, bit_and, wrap_latency_sensitive
-from ..li.wrapper import LIWrapped
+from ..li import bit_and, wrap_latency_sensitive
 from ..rtl import Module, Simulator
 
 FPU_LA_SOURCE = """

@@ -21,7 +21,7 @@ sliding window (our Aetherling stand-in's contract).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..driver import CompileSession, default_session
 from ..generators import GeneratorRegistry

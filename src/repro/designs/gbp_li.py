@@ -18,7 +18,7 @@ measure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..driver import CompileSession, default_session
 from ..generators.aetherling import AetherlingGenerator

@@ -18,7 +18,7 @@ this reproduces.  Instruction format::
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from ..driver import CompileSession, default_session
 from ..lilac.elaborate import ElabResult

@@ -151,7 +151,7 @@ class SimTrace:
         self.seed = seed
         self.opt_level = opt_level
         #: time spent inside the backend's ``run`` (netlist construction
-        #: and stimulus generation excluded) — the figure speedups compare.
+        #: and stimulus generation excluded) — ``repro profile`` reports it.
         self.run_seconds = run_seconds
         self.cells = cells
         #: which engine produced the trace ("interp" or "compiled") —

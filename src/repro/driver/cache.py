@@ -73,7 +73,9 @@ from .artifact import StageArtifact
 #: / ``vector-stdlib`` codegen tags went away: no key looks them up any
 #: more (vector kernels are stored under the ``"vector"`` tag), so old
 #: entries are dead weight the size bound trims, not a hazard, and
-#: they stay digest-valid for ``repro fsck``.
+#: they stay digest-valid for ``repro fsck``.  The same holds for the
+#: ``elaborate``/``optimize``/``simulate``/``emit_verilog``/``synthesize``
+#: entries whose keys still carry the retired session ``verify`` flag.
 SCHEMA_VERSION = 6
 
 #: Soft size bound for a cache root, in bytes; the oldest entries are

@@ -7,8 +7,8 @@ Subcommands:
   synthesis report, and (optionally) Verilog.
 * ``table``  — regenerate Table 1, 2 or 3.
 * ``figure`` — regenerate Figure 8 or 13.
-* ``ablation`` — the optimization ablation (pre/post cell counts,
-  differential-simulation equivalence, sim speedup per design).
+* ``ablation`` — the optimization ablation (pre/post cell counts and
+  differential-simulation equivalence per design).
 * ``profile`` — simulate catalog designs over the evaluation grid under
   the whole-run wall-time profiler, printing a flame-style attribution
   of compute vs waiting (pool queue, disk I/O, cache-lock contention).
@@ -73,7 +73,6 @@ from .cache import DiskCache
 from .chaos import SITE_GROUPS
 from .grid import EXECUTORS
 from .session import CompileSession
-from .artifact import CompileResult
 
 #: Bundled design presets for ``compile --design`` (the catalog's keys).
 PRESETS = DESIGNS
@@ -260,9 +259,7 @@ def _cmd_typecheck(args) -> int:
         with open(args.source) as handle:
             source = handle.read()
     else:
-        source, _, _, _ = design_point(
-            args.design, args.freq, args.parallelism
-        )
+        source = design_point(args.design)[0]
     artifact = session.typecheck(source, component=args.component)
     reports = artifact.value
     if not isinstance(reports, list):
@@ -493,14 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--component", default=None,
         help="check one component only (default: every comp)",
     )
-    typecheck.add_argument(
-        "--freq", type=int, default=400,
-        help="FloPoCo frequency goal in MHz (default: 400)",
-    )
-    typecheck.add_argument(
-        "--parallelism", type=int, default=16,
-        help="Aetherling parallelism for the gbp preset (default: 16)",
-    )
     typecheck.set_defaults(fn=_cmd_typecheck, opt_level=0)
 
     table = sub.add_parser("table", help="regenerate a paper table")
@@ -513,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablation = sub.add_parser(
         "ablation",
-        help="optimization ablation: cells, speedup and differential "
-             "simulation per design (always compares -O2 against -O0, "
+        help="optimization ablation: cells and differential simulation "
+             "per design (always compares -O2 against -O0, "
              "so it takes no -O flag)",
     )
     ablation.set_defaults(fn=_cmd_ablation, opt_level=0)

@@ -25,8 +25,8 @@ stimulus for a requested number of cycles; two simulate artifacts that
 differ only in optimization level are therefore directly comparable —
 the differential-simulation check the ablation harness builds on.
 
-Elaborator instances are shared per ``(source, registry, verify)``
-triple: elaborating ``FPU`` and then ``FPAdd`` from the same program
+Elaborator instances are shared per ``(source, registry)`` pair:
+elaborating ``FPU`` and then ``FPAdd`` from the same program
 reuses the child artifacts the first call already produced, on top of
 the session-level artifact cache.
 
@@ -123,14 +123,12 @@ class CompileSession:
 
     def __init__(
         self,
-        verify: bool = True,
         opt_level: int = 0,
         sim_backend: str = "interp",
         cache_dir: Optional[str] = None,
         sim_lanes: int = 1,
         fault_plan: Union["faults.FaultPlan", str, None] = None,
     ):
-        self.verify = verify
         self.opt_level = int(opt_level)
         pipeline_for_level(self.opt_level)  # reject bad levels eagerly
         # Reject bad backends eagerly too; fingerprinting accepts every
@@ -182,7 +180,7 @@ class CompileSession:
         #: every PassStats any optimize stage produced, in completion
         #: order — the CLI's end-of-run per-pass report reads this.
         self._pass_log: List[PassStats] = []
-        # (source digest, registry fingerprint, verify)
+        # (source digest, registry fingerprint)
         #   -> (Elaborator, per-elaborator lock)
         self._elaborators: Dict[Tuple, Tuple[Elaborator, threading.Lock]] = {}
 
@@ -198,7 +196,6 @@ class CompileSession:
         rendezvous on artifacts through the disk layer.
         """
         return {
-            "verify": self.verify,
             "opt_level": self.opt_level,
             "sim_backend": self.sim_backend,
             "sim_lanes": self.sim_lanes,
@@ -312,11 +309,7 @@ class CompileSession:
     def _elaborator_for(
         self, source: str, stdlib: bool, registry: GeneratorRegistry
     ) -> Tuple[Elaborator, threading.Lock]:
-        ekey = (
-            self._source_key(source, stdlib),
-            registry.fingerprint(),
-            self.verify,
-        )
+        ekey = (self._source_key(source, stdlib), registry.fingerprint())
         # Parse outside the session mutex: it is single-flighted by the
         # artifact cache, and holding _mutex across it would serialize
         # every grid worker on an unrelated source's first parse.
@@ -324,10 +317,7 @@ class CompileSession:
         with self._mutex:
             entry = self._elaborators.get(ekey)
             if entry is None:
-                entry = (
-                    Elaborator(program, registry, verify=self.verify),
-                    threading.Lock(),
-                )
+                entry = (Elaborator(program, registry), threading.Lock())
                 self._elaborators[ekey] = entry
             return entry
 
@@ -347,7 +337,6 @@ class CompileSession:
             component,
             freeze_params(params),
             registry.fingerprint(),
-            self.verify,
         )
 
         def compute() -> StageArtifact:
@@ -396,7 +385,6 @@ class CompileSession:
             component,
             freeze_params(params),
             registry.fingerprint(),
-            self.verify,
             pipeline.fingerprint(),
         )
 
@@ -468,7 +456,6 @@ class CompileSession:
             component,
             freeze_params(params),
             registry.fingerprint(),
-            self.verify,
             pipeline.fingerprint(),
             int(cycles),
             int(seed),
@@ -550,7 +537,6 @@ class CompileSession:
             component,
             freeze_params(params),
             registry.fingerprint(),
-            self.verify,
             pipeline.fingerprint(),
         )
 
@@ -591,7 +577,6 @@ class CompileSession:
             component,
             freeze_params(params),
             registry.fingerprint(),
-            self.verify,
             pipeline.fingerprint(),
         )
 

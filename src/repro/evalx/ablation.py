@@ -3,10 +3,11 @@
 For every design in the catalog, the staged driver produces the
 flattened-but-unoptimized netlist (``-O0``) and the pass-optimized one
 (``-O2``), then drives both with the *same* seeded random stimulus for
-the same number of cycles.  The table reports pre/post cell counts, the
-per-design simulation speedup, and — the correctness gate — whether the
-optimized netlist's outputs are bit-identical to the unoptimized one's
-on every cycle (differential simulation).
+the same number of cycles.  The table reports pre/post cell counts
+and — the correctness gate — whether the optimized netlist's outputs
+are bit-identical to the unoptimized one's on every cycle (differential
+simulation).  Simulation speed is not reported here: one short run per
+level is too noisy to compare, and ``perfbench/`` measures the engines.
 
 The same machinery gates the compiled simulation backend: for every
 design, both optimization levels are re-simulated on the ``compiled``
@@ -60,8 +61,6 @@ class AblationRow:
         cells_base: int,
         cells_opt: int,
         equivalent: bool,
-        sim_base_seconds: float,
-        sim_opt_seconds: float,
         removed_by: Dict[str, int],
         backends_agree: bool = True,
         lanes_agree: bool = True,
@@ -71,8 +70,6 @@ class AblationRow:
         self.cells_base = cells_base
         self.cells_opt = cells_opt
         self.equivalent = equivalent
-        self.sim_base_seconds = sim_base_seconds
-        self.sim_opt_seconds = sim_opt_seconds
         #: pass name → cells removed by that pass on this design.
         self.removed_by = dict(removed_by)
         #: compiled backend bit-identical to the interpreter at both
@@ -92,12 +89,6 @@ class AblationRow:
             return 0.0
         return 1.0 - self.cells_opt / self.cells_base
 
-    @property
-    def speedup(self) -> float:
-        if not self.sim_opt_seconds:
-            return 1.0
-        return self.sim_base_seconds / self.sim_opt_seconds
-
     def cleanup_removed(self) -> int:
         """Cells removed by dead-cell elimination + common-cell sharing."""
         return self.removed_by.get("dead-cell-elim", 0) + self.removed_by.get(
@@ -110,7 +101,6 @@ class AblationRow:
             self.cells_base,
             self.cells_opt,
             f"{self.reduction * 100.0:.1f}%",
-            f"{self.speedup:.2f}x",
             _verdict(self.equivalent),
             _verdict(self.backends_agree),
             _verdict(self.lanes_agree),
@@ -204,8 +194,6 @@ def _build_row(
         base.cells_after,
         opt.cells_after,
         trace_base.outputs == trace_opt.outputs,
-        trace_base.run_seconds,
-        trace_opt.run_seconds,
         removed_by,
         backends_agree=backends_agree,
         lanes_agree=lanes_agree,
@@ -232,8 +220,8 @@ def build_rows(
 
 def render(rows: List[AblationRow]) -> str:
     return format_table(
-        ["Design", "Cells -O0", "Cells -O2", "Reduction", "Sim speedup",
-         "Equivalent", "Backends", "Lanes", "Vector"],
+        ["Design", "Cells -O0", "Cells -O2", "Reduction", "Equivalent",
+         "Backends", "Lanes", "Vector"],
         [row.cells() for row in rows],
     )
 

@@ -16,7 +16,7 @@ designs.  Line counts are of the Lilac sources in this repository.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional
 
 from ..designs.blas import BLAS_SOURCE
 from ..designs.fft import FFT_FLOPOCO, FFT_LILAC

@@ -17,7 +17,7 @@ in :func:`check_shape`.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..designs.fpu import FPU_LA_SOURCE, LiFpu, fpu_generators
 from ..driver import CompileSession, EvalGrid

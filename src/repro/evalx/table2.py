@@ -17,7 +17,7 @@ artifact kinds in this repository:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..designs.fpu import FPU_LA_SOURCE, LiFpu, elaborate_fpu_ls
 from ..driver import CompileSession, default_session

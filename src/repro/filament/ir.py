@@ -11,7 +11,7 @@ proved symbolically.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 
 class FilamentError(Exception):

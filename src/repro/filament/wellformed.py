@@ -16,7 +16,6 @@ from .ir import (
     FilamentError,
     FInvoke,
     FModule,
-    FPort,
     InputRef,
     InvokeOutRef,
     PackRef,

@@ -24,7 +24,6 @@ reachable): at 100 MHz a 32-bit adder fits in one stage (A=1, M=1); at
 
 from __future__ import annotations
 
-from math import ceil
 from typing import Dict
 
 from .base import GeneratedModule, Generator, GeneratorError

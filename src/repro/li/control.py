@@ -8,7 +8,7 @@ that this logic is pure overhead when timing is statically known.
 from __future__ import annotations
 
 from math import ceil, log2
-from typing import Optional, Tuple
+from typing import Tuple
 
 from ..rtl import Module, Net
 

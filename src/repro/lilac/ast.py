@@ -16,9 +16,9 @@ and ``end`` parameter expressions.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
-from ..params import Constraint, PExpr, PInt, pretty, wrap
+from ..params import Constraint, PExpr, pretty, wrap
 
 
 class LilacError(Exception):
@@ -441,10 +441,8 @@ class Component:
 class Program:
     """A set of components; the unit of type checking and elaboration."""
 
-    def __init__(self, components: Sequence[Component] = ()):
+    def __init__(self):
         self.components: Dict[str, Component] = {}
-        for comp in components:
-            self.define(comp)
 
     def define(self, comp: Component) -> None:
         if comp.name in self.components:
@@ -458,15 +456,6 @@ class Program:
 
     def has(self, name: str) -> bool:
         return name in self.components
-
-    def merge(self, other: "Program") -> "Program":
-        merged = Program()
-        for comp in self.components.values():
-            merged.define(comp)
-        for comp in other.components.values():
-            if comp.name not in merged.components:
-                merged.define(comp)
-        return merged
 
     def __iter__(self):
         return iter(self.components.values())

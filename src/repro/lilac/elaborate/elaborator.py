@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ...filament import (
     ConstRef,
     FConnect,
-    FilamentError,
     FInvoke,
     FModule,
     FPort,
@@ -39,11 +38,9 @@ from ...filament import (
 from ...generators.base import GeneratorRegistry
 from ...params import (
     PAccess,
-    ParamError,
     PInstOut,
     evaluate,
     evaluate_constraint,
-    pretty,
 )
 from ...rtl import Module
 from ..ast import (
@@ -59,7 +56,6 @@ from ..ast import (
     CmdInvoke,
     CmdLet,
     CmdOutBind,
-    COMP,
     Component,
     ConstSig,
     EXTERN,
@@ -151,12 +147,10 @@ class Elaborator:
         self,
         program: Program,
         registry: Optional[GeneratorRegistry] = None,
-        verify: bool = True,
         observer=None,
     ):
         self.program = program
         self.registry = registry
-        self.verify = verify
         #: duck-typed hook with ``component_elaborated(name, env)`` and
         #: ``stage_time(stage, seconds)`` — used by the driver layer to
         #: count genuine elaborations and split out wellformed/lower time.
@@ -450,11 +444,10 @@ class _BodyElaborator:
         fmodule.invokes = self.invokes
         fmodule.connects = self.connects
         observer = self.elab.observer
-        if self.elab.verify:
-            start = time.perf_counter()
-            check_module(fmodule)
-            if observer is not None:
-                observer.stage_time("wellformed", time.perf_counter() - start)
+        start = time.perf_counter()
+        check_module(fmodule)
+        if observer is not None:
+            observer.stage_time("wellformed", time.perf_counter() - start)
         start = time.perf_counter()
         module = lower_module(fmodule)
         if observer is not None:

@@ -13,7 +13,7 @@ Comments run from ``//`` to end of line.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple
+from typing import List, NamedTuple
 
 
 class LexError(Exception):

@@ -26,7 +26,7 @@ indexed with braces (``w{#k}``) to keep brackets free for parameter lists.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ...params import (
     CAnd,

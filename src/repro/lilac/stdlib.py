@@ -13,7 +13,7 @@ small structural helpers used by the larger designs.
 
 from __future__ import annotations
 
-from .ast import Program
+from .ast import LilacError, Program
 from .parser import parse_program
 
 STDLIB_SOURCE = """
@@ -196,12 +196,21 @@ def standard_library() -> Program:
 
 
 def stdlib_program(*extra_sources: str) -> Program:
-    """The standard library merged with additional Lilac source texts."""
+    """The standard library merged with additional Lilac source texts.
+
+    A source component may not reuse a name the standard library defines:
+    the design would otherwise elaborate against the library's version.
+    """
+    library = standard_library()
     merged = Program()
-    for comp in standard_library():
+    for comp in library:
         merged.define(comp)
     for source in extra_sources:
         for comp in parse_program(source):
-            if not merged.has(comp.name):
-                merged.define(comp)
+            if library.has(comp.name):
+                raise LilacError(
+                    f"component {comp.name!r} is already defined by the "
+                    "standard library"
+                )
+            merged.define(comp)
     return merged

@@ -4,7 +4,7 @@ and symbolic encoding into SMT terms (used by the type checker).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, Optional
 
 from .. import smt
 from .expr import (

@@ -20,7 +20,7 @@ instance already in scope (``Add::#L``).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Union
+from typing import Dict, Sequence, Set, Union
 
 
 class ParamError(Exception):

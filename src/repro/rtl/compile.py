@@ -123,7 +123,6 @@ from typing import Protocol, runtime_checkable
 from .netlist import Cell, Module, NetlistError, comb_topo_order, flatten
 from .simulate import (
     Simulator,
-    derive_lane_seed,
     lane_major,
     random_stimulus,
     random_stimulus_batch,

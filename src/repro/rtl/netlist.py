@@ -45,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 SEQUENTIAL_KINDS = frozenset({"reg", "regen", "fifo"})
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from ..rtl import Module
 from .area import AreaReport, area

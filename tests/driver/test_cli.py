@@ -115,7 +115,7 @@ def test_artifact_stats_json(capsys):
 def test_ablation_command(capsys):
     assert main(["ablation", "--workers", "4"]) == 0
     out = capsys.readouterr().out
-    assert "Sim speedup" in out
+    assert "Equivalent" in out and "Sim speedup" not in out
     assert "NO" not in out  # every design differentially equivalent
     assert "pass statistics" in out
 

@@ -329,9 +329,7 @@ def test_stats_dict_has_no_tuner_section(tmp_path):
 
 
 def test_session_spec_round_trips():
-    session = CompileSession(
-        verify=False, opt_level=2, sim_backend="compiled", sim_lanes=4
-    )
+    session = CompileSession(opt_level=2, sim_backend="compiled", sim_lanes=4)
     clone = CompileSession.from_spec(session.spec())
     assert clone.spec() == session.spec()
 

@@ -58,6 +58,16 @@ def test_cli_typecheck_subcommand(capsys):
     assert "obligations" in out and "solver queries" in out
 
 
+@pytest.mark.parametrize("flag", ["--freq=100", "--parallelism=4"])
+def test_cli_typecheck_takes_no_design_point_flags(flag, capsys):
+    """A catalog design's source text is the same at every frequency and
+    parallelism, so neither flag could change what typecheck prints."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["typecheck", "--design", "fpu", flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_typecheck_stats_json(capsys):
     code = main(
         ["typecheck", "--design", "fpu", "--no-disk-cache",

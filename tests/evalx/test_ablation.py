@@ -27,18 +27,15 @@ def test_ablation_rows_cover_the_catalog_and_hold_shape():
 
 
 def test_ablation_render_marks_equivalence():
-    row = ablation.AblationRow(
-        "toy", 100, 80, True, 2.0, 1.0, {"dead-cell-elim": 20}
-    )
+    row = ablation.AblationRow("toy", 100, 80, True, {"dead-cell-elim": 20})
     assert abs(row.reduction - 0.2) < 1e-12
-    assert row.speedup == 2.0
     assert row.cleanup_removed() == 20
     text = ablation.render([row])
     assert "toy" in text and "20.0%" in text and "yes" in text
 
 
 def test_ablation_check_shape_rejects_divergence():
-    bad = ablation.AblationRow("toy", 100, 100, False, 1.0, 1.0, {})
+    bad = ablation.AblationRow("toy", 100, 100, False, {})
     try:
         ablation.check_shape([bad])
     except AssertionError as error:
@@ -48,9 +45,7 @@ def test_ablation_check_shape_rejects_divergence():
 
 
 def test_ablation_check_shape_rejects_backend_divergence():
-    bad = ablation.AblationRow(
-        "toy", 100, 90, True, 1.0, 1.0, {}, backends_agree=False
-    )
+    bad = ablation.AblationRow("toy", 100, 90, True, {}, backends_agree=False)
     try:
         ablation.check_shape([bad])
     except AssertionError as error:
@@ -62,9 +57,7 @@ def test_ablation_check_shape_rejects_backend_divergence():
 
 
 def test_ablation_check_shape_rejects_vector_divergence():
-    bad = ablation.AblationRow(
-        "toy", 100, 90, True, 1.0, 1.0, {}, vector_agree=False
-    )
+    bad = ablation.AblationRow("toy", 100, 90, True, {}, vector_agree=False)
     try:
         ablation.check_shape([bad])
     except AssertionError as error:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.generators import GeneratorRegistry
 from repro.generators.flopoco import FloPoCoGenerator, adder_depth, multiplier_depth
+from repro.lilac import LilacError
 from repro.lilac.elaborate import ElabError, Elaborator
 from repro.lilac.run import TransactionRunner, pack_elements, unpack_elements
 from repro.lilac.stdlib import standard_library, stdlib_program
@@ -45,6 +46,19 @@ def test_max_component_is_parameter_function():
     assert elab.out_params["#Out"] == 9
     elab = make_elaborator().elaborate("Max", {"#A": 10, "#B": 9})
     assert elab.out_params["#Out"] == 10
+
+
+def test_source_components_may_not_shadow_the_standard_library():
+    shadow = (
+        "comp Shift[#W]<G:1>(in: [G, G+1] #W) -> (out: [G, G+1] #W) "
+        "{ out = in; }"
+    )
+    with pytest.raises(LilacError, match="'Shift' is already defined"):
+        stdlib_program(shadow)
+    wire = shadow.replace("Shift", "Wire")
+    assert stdlib_program(wire).has("Wire")
+    with pytest.raises(LilacError, match="duplicate component 'Wire'"):
+        stdlib_program(wire, wire)
 
 
 def test_flopoco_depth_model():

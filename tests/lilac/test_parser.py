@@ -14,6 +14,7 @@ from repro.lilac import (
     COMP,
     EXTERN,
     GEN,
+    LilacError,
     parse_component,
     parse_program,
 )
@@ -197,6 +198,11 @@ def test_parse_multiple_components_program():
     assert len(program) == 2
     assert program.has("FPAdd")
     assert program.has("Shift")
+
+
+def test_parse_program_rejects_duplicate_component():
+    with pytest.raises(LilacError, match="duplicate component 'Shift'"):
+        parse_program(SHIFT + SHIFT)
 
 
 def test_parse_error_reports_location():
