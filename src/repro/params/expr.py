@@ -219,9 +219,6 @@ class Constraint:
     def land(self, other) -> "Constraint":
         return CAnd(self, other)
 
-    def lor(self, other) -> "Constraint":
-        return COr(self, other)
-
     def neg(self) -> "Constraint":
         return CNot(self)
 

@@ -21,6 +21,7 @@ Models are rebuilt by back-substitution through the recorded eliminations.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
@@ -70,19 +71,17 @@ class LinExpr:
             return LinExpr._raw({}, 0)
         return LinExpr._raw({var: coeff}, 0)
 
-    def copy(self) -> "LinExpr":
-        return LinExpr._raw(dict(self.coeffs), self.const)
-
-    def add(self, other: "LinExpr") -> "LinExpr":
+    def add(self, other: "LinExpr", factor: int = 1) -> "LinExpr":
+        """``self + factor * other`` for a non-zero ``factor``."""
         coeffs = dict(self.coeffs)
         get = coeffs.get
         for var, coeff in other.coeffs.items():
-            new = get(var, 0) + coeff
+            new = get(var, 0) + coeff * factor
             if new:
                 coeffs[var] = new
             else:
                 del coeffs[var]
-        return LinExpr._raw(coeffs, self.const + other.const)
+        return LinExpr._raw(coeffs, self.const + other.const * factor)
 
     def scale(self, factor: int) -> "LinExpr":
         if factor == 0:
@@ -95,15 +94,7 @@ class LinExpr:
         )
 
     def sub(self, other: "LinExpr") -> "LinExpr":
-        coeffs = dict(self.coeffs)
-        get = coeffs.get
-        for var, coeff in other.coeffs.items():
-            new = get(var, 0) - coeff
-            if new:
-                coeffs[var] = new
-            else:
-                del coeffs[var]
-        return LinExpr._raw(coeffs, self.const - other.const)
+        return self.add(other, -1)
 
     def is_const(self) -> bool:
         return not self.coeffs
@@ -120,17 +111,13 @@ class LinExpr:
         coeff = self.coeffs.get(var)
         if coeff is None:
             return self
-        out = self.without(var)
-        return out.add(replacement.scale(coeff))
+        return self.without(var).add(replacement, coeff)
 
     def evaluate(self, model: Model) -> int:
         total = self.const
         for var, coeff in self.coeffs.items():
             total += coeff * model[var]
         return total
-
-    def variables(self):
-        return self.coeffs.keys()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinExpr):
@@ -205,18 +192,18 @@ def _linexpr_of_term(term: Term) -> LinExpr:
     raise NonLinearError(term.sexpr())
 
 
-def _normalize_ineq(expr: LinExpr) -> Optional[LinExpr]:
+def _normalize_ineq(expr: LinExpr) -> LinExpr:
     """Normalize ``expr <= 0`` by dividing through the coefficient gcd.
 
-    Returns None when the constraint is trivially true, and an expression
-    with const > 0 and no variables means trivially false (caller checks).
-    Integer tightening: ``g*sum <= -c`` becomes ``sum <= floor(-c/g)``.
+    A constant comes back as is: the caller reads const > 0 as trivially
+    false and anything else as trivially true.  Integer tightening:
+    ``g*sum <= -c`` becomes ``sum <= floor(-c/g)``.
     """
-    if expr.is_const():
-        return expr
     g = 0
     for coeff in expr.coeffs.values():
-        g = gcd(g, abs(coeff))
+        g = gcd(g, coeff)
+        if g == 1:
+            return expr
     if g > 1:
         bound = -expr.const
         tightened = bound // g  # floor division: sum <= floor(bound/g)
@@ -272,8 +259,7 @@ _INFEASIBLE = object()
 
 def _apply_map(expr: LinExpr, mapping: Dict[Term, LinExpr]) -> LinExpr:
     """Simultaneous substitution of variables by linear expressions."""
-    touched = [var for var in expr.coeffs if var in mapping]
-    if not touched:
+    if mapping.keys().isdisjoint(expr.coeffs):
         return expr
     coeffs: Dict[Term, int] = {}
     const = expr.const
@@ -371,51 +357,125 @@ def _eliminate_equalities(
             if eq.const != 0:
                 return False
             continue
-        g = 0
-        for coeff in eq.coeffs.values():
-            g = gcd(g, abs(coeff))
-        if eq.const % g != 0:
+        step = _equality_step(eq)
+        if step is None:
             return False
-        if g > 1:
-            eq = LinExpr(
-                {var: coeff // g for var, coeff in eq.coeffs.items()},
-                eq.const // g,
-            )
-        var = _pick_equality_var(eq)
-        coeff = eq.coeffs[var]
-        if abs(coeff) == 1:
-            # var = -sign(coeff) * (eq - coeff*var)
-            rest = eq.without(var).scale(-1 if coeff > 0 else 1)
-            substitutions.append((var, rest))
-            eqs = [e.substitute(var, rest) for e in eqs]
-            continue
-        # Euclidean reduction: substitute var := var' - sum(q_i * x_i) where
-        # q_i = round-to-floor quotient of other coefficients by |coeff|.
-        # This is unimodular, so integer solution sets are preserved.
-        replacement = LinExpr.of_var(var)
-        changed = False
-        for other, other_coeff in list(eq.coeffs.items()):
-            if other is var:
-                continue
-            quotient = other_coeff // coeff
-            if quotient:
-                replacement = replacement.add(LinExpr.of_var(other, -quotient))
-                changed = True
-        const_quotient = eq.const // coeff
-        if const_quotient:
-            # Fold part of the constant into the variable as well.
-            replacement = replacement.add(LinExpr.constant(-const_quotient))
-            changed = True
-        if not changed:
-            # Unreachable: ``var`` has the minimum absolute coefficient, so
-            # every other coefficient has |a_i| >= |coeff| and a non-zero
-            # floor quotient; with a single variable the gcd division above
-            # already forced |coeff| == 1.
-            raise AssertionError("equality elimination made no progress")
+        var, replacement, residue = step
         substitutions.append((var, replacement))
         eqs = [e.substitute(var, replacement) for e in eqs]
-        eqs.append(eq.substitute(var, replacement))
+        if residue is not None:
+            eqs.append(residue)
     return True
+
+
+def _equality_step(eq: LinExpr):
+    """One elimination step on a non-constant ``eq == 0``.
+
+    None when ``eq`` has no integer solution (gcd test).  Otherwise
+    ``(var, replacement, residue)``: with a unit coefficient ``eq``
+    solves ``var`` outright and ``residue`` is None; else the
+    replacement is a unimodular change of variables and ``residue`` the
+    rewritten ``eq``, whose coefficients shrank, still to eliminate.
+    """
+    g = 0
+    for coeff in eq.coeffs.values():
+        g = gcd(g, abs(coeff))
+    if eq.const % g != 0:
+        return None
+    if g > 1:
+        eq = LinExpr(
+            {var: coeff // g for var, coeff in eq.coeffs.items()},
+            eq.const // g,
+        )
+    var = _pick_equality_var(eq)
+    coeff = eq.coeffs[var]
+    if abs(coeff) == 1:
+        # var = -sign(coeff) * (eq - coeff*var)
+        return var, eq.without(var).scale(-1 if coeff > 0 else 1), None
+    # Euclidean reduction: substitute var := var' - sum(q_i * x_i) where
+    # q_i = round-to-floor quotient of other coefficients by |coeff|.
+    # This is unimodular, so integer solution sets are preserved.
+    replacement = LinExpr.of_var(var)
+    changed = False
+    for other, other_coeff in list(eq.coeffs.items()):
+        if other is var:
+            continue
+        quotient = other_coeff // coeff
+        if quotient:
+            replacement = replacement.add(LinExpr.of_var(other, -quotient))
+            changed = True
+    const_quotient = eq.const // coeff
+    if const_quotient:
+        # Fold part of the constant into the variable as well.
+        replacement = replacement.add(LinExpr.constant(-const_quotient))
+        changed = True
+    if not changed:
+        # Unreachable: ``var`` has the minimum absolute coefficient, so
+        # every other coefficient has |a_i| >= |coeff| and a non-zero
+        # floor quotient; with a single variable the gcd division above
+        # already forced |coeff| == 1.
+        raise AssertionError("equality elimination made no progress")
+    return var, replacement, eq.substitute(var, replacement)
+
+
+def _peel(rows: list, exprs: List[LinExpr]):
+    """Peel the variables that ``exprs <= 0`` bounds from one side only.
+
+    Such a variable can always be satisfied once the rest is, so it
+    leaves with every row that holds it, which can leave others
+    one-sided; each step takes the one with the smallest s-expression.
+    ``rows`` are the caller's rows, parallel to ``exprs``.  Returns
+    ``(peeled, kept, counts)``: ``(var, its rows)`` in peel order, the
+    rows left, and their ``var -> [lower, upper]`` bound counts.
+    """
+    counts: Dict[Term, List[int]] = {}
+    for expr in exprs:
+        for var, coeff in expr.coeffs.items():
+            pair = counts.get(var)
+            if pair is None:
+                counts[var] = pair = [0, 0]
+            pair[coeff > 0] += 1  # a negative coefficient: a lower bound
+    heap = [
+        (var.sexpr(), index, var)
+        for index, (var, (lows, ups)) in enumerate(counts.items())
+        if not (lows and ups)
+    ]
+    if not heap:
+        return [], rows, counts
+    heapify(heap)
+    pushed = len(counts)
+    live = range(len(exprs))
+    peeled = []
+    while heap:
+        var = heappop(heap)[2]
+        if var not in counts:
+            continue  # its rows all left with other variables
+        del counts[var]
+        held = [i for i in live if var in exprs[i].coeffs]
+        live = [i for i in live if var not in exprs[i].coeffs]
+        for i in held:
+            for other, coeff in exprs[i].coeffs.items():
+                pair = counts.get(other)
+                if pair is None:
+                    continue
+                side = coeff > 0
+                pair[side] -= 1
+                if pair[side]:
+                    continue
+                if pair[not side]:
+                    heappush(heap, (other.sexpr(), pushed, other))
+                    pushed += 1
+                else:
+                    del counts[other]
+        peeled.append((var, [rows[i] for i in held]))
+    return peeled, [rows[i] for i in live], counts
+
+
+def _elimination_var(counts: Dict[Term, List[int]]) -> Term:
+    """Fourier--Motzkin's variable: fewest generated rows, then name."""
+    return min(
+        counts, key=lambda var: (counts[var][0] * counts[var][1], var.sexpr())
+    )
 
 
 def _solve_inequalities(
@@ -443,32 +503,27 @@ def _solve_inequalities(
     work = list(tightest.values())
     if not work:
         return {}
+    # Unconstrained-direction elimination: a variable with only lower
+    # bounds or only upper bounds can always be satisfied; peel those
+    # first and assign them last, the last peeled first.
+    peeled, work, counts = _peel(work, work)
+    model = _eliminate_inequalities(work, counts, fresh, depth) if work else {}
+    if model is None:
+        return None
+    for var, held in reversed(peeled):
+        _assign_free_var(model, var, held)
+    return model
 
-    variables = set()
-    for ineq in work:
-        variables.update(ineq.variables())
 
-    # Unconstrained-direction elimination: a variable with only lower bounds
-    # or only upper bounds can always be satisfied; peel those first.
-    for var in sorted(variables, key=lambda v: v.sexpr()):
-        lowers = [i for i in work if i.coeff(var) < 0]
-        uppers = [i for i in work if i.coeff(var) > 0]
-        if lowers and uppers:
-            continue
-        rest = [i for i in work if i.coeff(var) == 0]
-        model = _solve_inequalities(rest, fresh, depth)
-        if model is None:
-            return None
-        _assign_free_var(model, var, lowers, uppers)
-        return model
-
-    # Pick the variable minimizing the number of generated constraints.
-    def cost(var: Term) -> Tuple[int, str]:
-        lows = sum(1 for i in work if i.coeff(var) < 0)
-        ups = sum(1 for i in work if i.coeff(var) > 0)
-        return (lows * ups, var.sexpr())
-
-    var = min(variables, key=cost)
+def _eliminate_inequalities(
+    work: List[LinExpr],
+    counts: Dict[Term, List[int]],
+    fresh: _FreshVars,
+    depth: int,
+) -> Optional[Model]:
+    """One Fourier--Motzkin step on rows that bound every variable from
+    both sides."""
+    var = _elimination_var(counts)
     lowers = []  # (a, b): b <= a * var, a > 0
     uppers = []  # (c, d): c * var <= d, c > 0
     rest = []
@@ -490,7 +545,7 @@ def _solve_inequalities(
     for a, b in lowers:
         for c, d in uppers:
             # real: c*b <= a*d ; dark adds (a-1)(c-1) slack requirement.
-            expr = b.scale(c).sub(d.scale(a))
+            expr = b.scale(c).add(d, -a)
             if not exact:
                 expr = expr.add(LinExpr.constant((a - 1) * (c - 1)))
             shadow.append(expr)
@@ -542,8 +597,6 @@ def core_of_system(
     Returns None when the system is satisfiable *or* no certificate
     could be established.
     """
-    eqs = [(expr.copy(), tags) for expr, tags in eqs]
-    ineqs = [(expr.copy(), tags) for expr, tags in ineqs]
     out = _core_eliminate_equalities(eqs, ineqs)
     if isinstance(out, frozenset):
         return out
@@ -554,59 +607,42 @@ def _core_eliminate_equalities(eqs, ineqs):
     """Tagged equality elimination; returns a core or the rewritten
     inequality rows."""
     eqs = list(eqs)
-    ineqs = list(ineqs)
     while eqs:
         eq, tags = eqs.pop()
         if eq.is_const():
             if eq.const != 0:
                 return tags
             continue
-        g = 0
-        for coeff in eq.coeffs.values():
-            g = gcd(g, abs(coeff))
-        if eq.const % g != 0:
+        step = _equality_step(eq)
+        if step is None:
             return tags
-        if g > 1:
-            eq = LinExpr(
-                {var: coeff // g for var, coeff in eq.coeffs.items()},
-                eq.const // g,
-            )
-        var = _pick_equality_var(eq)
-        coeff = eq.coeffs[var]
-        if abs(coeff) == 1:
-            rest = eq.without(var).scale(-1 if coeff > 0 else 1)
-            eqs = [
-                (e.substitute(var, rest), t | tags if var in e.coeffs else t)
-                for e, t in eqs
-            ]
-            ineqs = [
-                (i.substitute(var, rest), t | tags if var in i.coeffs else t)
-                for i, t in ineqs
-            ]
+        var, replacement, residue = step
+        if residue is None:
+            eqs = _substitute_tagged(eqs, var, replacement, tags)
+            ineqs = _substitute_tagged(ineqs, var, replacement, tags)
             continue
-        replacement = LinExpr.of_var(var)
-        changed = False
-        for other, other_coeff in list(eq.coeffs.items()):
-            if other is var:
-                continue
-            quotient = other_coeff // coeff
-            if quotient:
-                replacement = replacement.add(LinExpr.of_var(other, -quotient))
-                changed = True
-        const_quotient = eq.const // coeff
-        if const_quotient:
-            replacement = replacement.add(LinExpr.constant(-const_quotient))
-            changed = True
-        if not changed:
-            raise AssertionError("equality elimination made no progress")
         # The unimodular rewrite redefines ``var`` in terms of itself and
-        # the other variables for every row, pending equalities included;
-        # a change of variables derives nothing, so each row keeps its
-        # own tags.
-        eqs = [(e.substitute(var, replacement), t) for e, t in eqs]
-        eqs.append((eq.substitute(var, replacement), tags))
-        ineqs = [(i.substitute(var, replacement), t) for i, t in ineqs]
+        # the other variables for every row, pending equalities included.
+        eqs = _substitute_tagged(eqs, var, replacement)
+        eqs.append((residue, tags))
+        ineqs = _substitute_tagged(ineqs, var, replacement)
     return ineqs
+
+
+def _substitute_tagged(rows, var: Term, replacement: LinExpr, tags=None):
+    """Substitute ``var`` in the tagged rows that hold it; the others
+    stay as they are.  A row rewritten through an equality also takes
+    the equality's ``tags``; a change of variables (``tags`` None)
+    derives nothing, so the row keeps its own."""
+    out = []
+    for row in rows:
+        expr, held = row
+        if var in expr.coeffs:
+            if tags is not None:
+                held = held | tags
+            row = (expr.substitute(var, replacement), held)
+        out.append(row)
+    return out
 
 
 def _core_inequalities(rows, depth: int) -> Optional[frozenset]:
@@ -624,28 +660,12 @@ def _core_inequalities(rows, depth: int) -> Optional[frozenset]:
         if prev is None or norm.const > prev[0].const:
             tightest[key] = (norm, tags)
     work = list(tightest.values())
+    # One-sided variables cannot participate in a contradiction; peel.
+    _, work, counts = _peel(work, [expr for expr, _ in work])
     if not work:
         return None  # satisfiable
 
-    variables = set()
-    for expr, _ in work:
-        variables.update(expr.variables())
-
-    # One-sided variables cannot participate in a contradiction; peel.
-    for var in sorted(variables, key=lambda v: v.sexpr()):
-        lowers = [row for row in work if row[0].coeff(var) < 0]
-        uppers = [row for row in work if row[0].coeff(var) > 0]
-        if lowers and uppers:
-            continue
-        rest = [row for row in work if row[0].coeff(var) == 0]
-        return _core_inequalities(rest, depth)
-
-    def cost(var: Term) -> Tuple[int, str]:
-        lows = sum(1 for row in work if row[0].coeff(var) < 0)
-        ups = sum(1 for row in work if row[0].coeff(var) > 0)
-        return (lows * ups, var.sexpr())
-
-    var = min(variables, key=cost)
+    var = _elimination_var(counts)
     lowers = []
     uppers = []
     rest = []
@@ -669,31 +689,30 @@ def _core_inequalities(rows, depth: int) -> Optional[frozenset]:
     shadow = list(rest)
     for a, b, tags_low in lowers:
         for c, d, tags_up in uppers:
-            shadow.append((b.scale(c).sub(d.scale(a)), tags_low | tags_up))
+            shadow.append((b.scale(c).add(d, -a), tags_low | tags_up))
     return _core_inequalities(shadow, depth - 1)
 
 
-def _assign_free_var(model: Model, var: Term, lowers, uppers) -> None:
-    """Assign a variable constrained only from one side (or not at all)."""
-    value = 0
-    if lowers:
-        # lowers are LinExpr with coeff(var) < 0: b_expr - a*var <= 0.
-        bounds = []
-        for ineq in lowers:
-            a = -ineq.coeff(var)
-            b = ineq.without(var)
-            bval = _eval_default(b, model)
-            bounds.append(-(-bval // a))  # ceil(bval / a)
-        value = max(bounds + [0])
-    elif uppers:
-        bounds = []
-        for ineq in uppers:
-            c = ineq.coeff(var)
-            d = ineq.without(var).scale(-1)
-            dval = _eval_default(d, model)
-            bounds.append(dval // c)  # floor(dval / c)
-        value = min(bounds + [0])
-    model[var] = value
+def _assign_free_var(model: Model, var: Term, rows: List[LinExpr]) -> None:
+    """Assign a variable that ``rows`` (``expr <= 0``) bound from one
+    side only: the tightest bound, or 0 when 0 satisfies every row."""
+    lower = rows[0].coeffs[var] < 0
+    bounds = [0]
+    for row in rows:
+        # The row is ``rest + coeff*var <= 0``; evaluate ``rest`` with the
+        # variables the reduced system left free defaulting to 0.
+        total = row.const
+        coeff = 0
+        for other, weight in row.coeffs.items():
+            if other is var:
+                coeff = weight
+            else:
+                total += weight * model.setdefault(other, 0)
+        if lower:
+            bounds.append(-(total // coeff))  # ceil(total / -coeff)
+        else:
+            bounds.append(-total // coeff)  # floor(-total / coeff)
+    model[var] = max(bounds) if lower else min(bounds)
 
 
 def _choose_between_bounds(model: Model, lowers, uppers) -> Optional[int]:

@@ -742,9 +742,11 @@ def _split_atoms(atoms: Sequence[Term]):
             parent[var], var = root, parent[var]
         return root
 
+    firsts = []  # each atom's first variable, None for a constant atom
     for atom in atoms:
         iterator = iter(_atom_vars(atom))
         first = next(iterator, None)
+        firsts.append(first)
         if first is None:
             continue
         if first not in parent:
@@ -760,14 +762,13 @@ def _split_atoms(atoms: Sequence[Term]):
     groups: Dict[Term, List[Term]] = {}
     order: List[List[Term]] = []
     constants: List[Term] = []
-    for atom in atoms:
-        variables = _atom_vars(atom)
-        if not variables:
+    for atom, first in zip(atoms, firsts):
+        if first is None:
             if not constants:
                 order.append(constants)
             constants.append(atom)
             continue
-        root = find(next(iter(variables)))
+        root = find(first)
         group = groups.get(root)
         if group is None:
             group = groups[root] = []
@@ -922,9 +923,9 @@ def _provenance_core(literals) -> Optional[list]:
     for index, (atom, value) in enumerate(literals):
         tags = frozenset((index,))
         eqs, ineqs, diseqs = _atom_constraints(atom, value)
-        equalities.extend((expr, tags) for expr in eqs)
-        inequalities.extend((expr, tags) for expr in ineqs)
-        disequalities.extend((expr, tags) for expr in diseqs)
+        equalities += [(expr, tags) for expr in eqs]
+        inequalities += [(expr, tags) for expr in ineqs]
+        disequalities += [(expr, tags) for expr in diseqs]
 
     def search(ineq_rows, diseq_rows, depth) -> Optional[frozenset]:
         core = core_of_system(equalities, ineq_rows)

@@ -5,22 +5,26 @@ queries over linear integer arithmetic extended with uninterpreted functions
 (used to encode output parameters and ``log2``/``exp2``).  This module defines
 the term representation shared by every stage of the solver pipeline.
 
-Terms are immutable, structurally hashable, and *hash-consed*: the
-constructor interns every term in a process-wide table, so two
-structurally equal terms are one object.  That buys three things the
-solver pipeline leans on heavily:
+Terms are immutable and *hash-consed*: the constructor interns every
+term in a process-wide table, so two structurally equal terms are one
+object, and identity is both the hash and the equality (Filliâtre &
+Conchon, "Type-Safe Modular Hash-Consing", 2006).  That buys three
+things the solver pipeline leans on heavily:
 
-* equality is (almost always) a pointer comparison, and the structural
-  hash is computed exactly once per distinct term;
+* equality is a pointer comparison and the hash derives from the
+  object's address, both computed in C, never in a Python method;
 * per-term analyses (``free_vars``, ``apps``) are cached on the term
   itself, and shared subterms are processed once by every memoizing
   pass (substitution, div/mod elimination, Tseitin conversion, …);
 * dictionaries keyed by terms (atom tables, theory-check memos, the
   canonical obligation cache) hash and probe in O(1) per node.
 
-Pickling survives interning: ``__reduce__`` routes unpickling back
-through the constructor, so terms loaded from the persistent artifact
-cache re-intern and the identity invariant holds across processes.
+Interning has a single winner: a term enters the table through one
+``dict.setdefault``, so threads racing to build the same term all get
+the object that landed first.  Pickling and copying survive interning:
+``__reduce__`` routes them back through the constructor, so terms
+loaded from the persistent artifact cache re-intern and the identity
+invariant holds across processes.
 
 Smart constructors perform light normalization (constant folding,
 flattening of associative operators) so that downstream passes see a
@@ -57,24 +61,15 @@ _ARITH_OPS = frozenset({OP_ADD, OP_MUL, OP_DIV, OP_MOD, OP_NEG})
 _PRED_OPS = frozenset({OP_EQ, OP_LE, OP_LT})
 _BOOL_OPS = frozenset({OP_NOT, OP_AND, OP_OR, OP_IMPLIES})
 
-#: The hash-consing table: (op, args, name, value, sort) -> Term.
-#: Concurrent interning from grid threads is benign — the worst case is
-#: a transient duplicate whose structural __eq__ fallback still holds.
+#: The hash-consing table: (op, args, name, value, sort) -> Term.  It
+#: holds every term for the life of the process, so no two live terms
+#: ever share a structure.
 _INTERN: Dict[tuple, "Term"] = {}
 
 
 def intern_size() -> int:
     """Number of distinct live terms in the intern table."""
     return len(_INTERN)
-
-
-def clear_intern() -> None:
-    """Drop the intern table (benchmarks' cold-start; long processes).
-
-    Terms created before the clear remain valid — they compare equal to
-    re-interned copies structurally, just no longer by identity.
-    """
-    _INTERN.clear()
 
 
 class Term:
@@ -88,12 +83,12 @@ class Term:
         sort: ``INT`` or ``BOOL``.
 
     Construction goes through ``__new__``: structurally equal terms are
-    the *same object* (hash-consing), so identity comparison decides
-    equality and per-term caches (``_fvs``, ``_apps``) are shared by
-    every holder of the term.
+    the *same object* (hash-consing), so the class keeps ``object``'s
+    identity hash and equality, and per-term caches (``_fvs``,
+    ``_apps``) are shared by every holder of the term.
     """
 
-    __slots__ = ("op", "args", "name", "value", "sort", "_hash",
+    __slots__ = ("op", "args", "name", "value", "sort",
                  "_fvs", "_apps", "_sexpr")
 
     def __new__(
@@ -116,37 +111,17 @@ class Term:
         self.name = name
         self.value = value
         self.sort = sort
-        self._hash = hash(key)
         self._fvs = None
         self._apps = None
         self._sexpr = None
-        _INTERN[key] = self
-        return self
+        # One atomic insert: a thread that lost the race since the
+        # probe above gets the winner's term and drops its own.
+        return _INTERN.setdefault(key, self)
 
     def __reduce__(self):
-        # Unpickling re-enters __new__, so terms loaded from the disk
-        # cache re-intern and the identity invariant survives pickling.
+        # Unpickling and copy/deepcopy re-enter __new__, so terms loaded
+        # from the disk cache re-intern and identity survives pickling.
         return (Term, (self.op, self.args, self.name, self.value, self.sort))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Term):
-            return NotImplemented
-        # Interning makes structurally equal terms identical, so this
-        # fallback only matters for terms that straddle a cleared intern
-        # table; keep it structural for robustness.
-        return (
-            self._hash == other._hash
-            and self.op == other.op
-            and self.name == other.name
-            and self.value == other.value
-            and self.sort == other.sort
-            and self.args == other.args
-        )
 
     def __repr__(self) -> str:
         return f"Term({self.sexpr()})"

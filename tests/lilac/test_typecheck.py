@@ -62,6 +62,109 @@ comp FPU[#W]<G:1>(
 }
 """
 
+RESOURCE_CONFLICT = """
+comp Bad[#W]<G:2>(a: [G, G+1] #W) -> (o: [G, G+1] #W) {
+  A := new Add[#W];
+  x := A<G>(a, a);
+  y := A<G>(a, a);
+  o = y.out;
+}
+"""
+
+PIPELINE_DELAY_VIOLATION = """
+extern comp SlowUnit[#W]<G:4>(a: [G, G+1] #W) -> (o: [G+2, G+3] #W);
+comp Fast[#W]<G:1>(a: [G, G+1] #W) -> (o: [G+2, G+3] #W) {
+  S := new SlowUnit[#W];
+  x := S<G>(a);
+  o = x.o;
+}
+"""
+
+DOUBLE_DRIVE = """
+comp Dup[#W]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W) {
+  o = a;
+  o = a;
+}
+"""
+
+BUNDLE_OUT_OF_BOUNDS = """
+comp OOB[#W, #N]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W)
+    where #N >= 1 {
+  bundle<#i> w[#N]: [G, G+1] #W;
+  w{#N} = a;
+  o = a;
+}
+"""
+
+BUNDLE_DOUBLE_WRITE = """
+comp DW[#W, #N]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W)
+    where #N >= 2 {
+  bundle<#i> w[#N]: [G, G+1] #W;
+  for #k in 0..#N {
+    w{0} = a;
+  }
+  o = a;
+}
+"""
+
+WIDTH_MISMATCH = """
+comp WM<G:1>(a: [G, G+1] 8) -> (o: [G, G+1] 16) {
+  o = a;
+}
+"""
+
+WHERE_CLAUSE_VIOLATION = """
+comp Neg[#W]<G:1>(a: [G, G+1] #W) -> (o: [G+1, G+2] #W) {
+  s := new Shift[#W, 0 - 1]<G>(a);
+  o = s.out;
+}
+"""
+
+MISSING_ASSUME = """
+comp NoFact[#W, #N]<G:1>(a: [G, G+1] #W) -> (o: [G+#N, G+#N+1] #W) {
+  s := new Shift[#W, #N]<G>(a);
+  o = s.out;
+}
+"""
+
+UNBOUND_OUTPUT_PARAM = """
+comp NoBind[#W]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W)
+    with { some #L where #L >= 1; } {
+  o = a;
+}
+"""
+
+UNDRIVEN_OUTPUT = """
+comp NoDrive[#W]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W) {
+  r := new Reg[#W]<G>(a);
+}
+"""
+
+FAILING_ASSERT = """
+comp BadAssert[#N]<G:1>(a: [G, G+1] 8) -> (o: [G, G+1] 8) {
+  assert #N >= 1;
+  o = a;
+}
+"""
+
+#: Every source above that the checker rejects, with the component it
+#: checks; ``tests/smt/test_search_pins.py`` discharges them all.
+REJECTED = [
+    (FPU_WRONG, "FPU"),
+    (FPU_HALF_FIXED, "FPU"),
+    (RESOURCE_CONFLICT, "Bad"),
+    (PIPELINE_DELAY_VIOLATION, "Fast"),
+    (DOUBLE_DRIVE, "Dup"),
+    (BUNDLE_OUT_OF_BOUNDS, "OOB"),
+    (BUNDLE_DOUBLE_WRITE, "DW"),
+    (WIDTH_MISMATCH, "WM"),
+    (WHERE_CLAUSE_VIOLATION, "Neg"),
+    (MISSING_ASSUME, "NoFact"),
+    (UNBOUND_OUTPUT_PARAM, "NoBind"),
+    (UNDRIVEN_OUTPUT, "NoDrive"),
+    (FAILING_ASSERT, "BadAssert"),
+]
+
 
 def check(source: str, name: str):
     program = stdlib_program(source)
@@ -113,15 +216,7 @@ def test_shift_register_figure6():
 
 def test_resource_conflict_detected():
     """Invoking a delay-1 instance twice in the same cycle is rejected."""
-    source = """
-    comp Bad[#W]<G:2>(a: [G, G+1] #W) -> (o: [G, G+1] #W) {
-      A := new Add[#W];
-      x := A<G>(a, a);
-      y := A<G>(a, a);
-      o = y.out;
-    }
-    """
-    report = check(source, "Bad")
+    report = check(RESOURCE_CONFLICT, "Bad")
     assert not report.ok
     assert any(e.kind == "resource" for e in report.errors)
 
@@ -144,27 +239,13 @@ def test_resource_spacing_accepted():
 
 def test_pipeline_delay_violation():
     """A child with delay 4 cannot live inside a delay-1 parent."""
-    source = """
-    extern comp SlowUnit[#W]<G:4>(a: [G, G+1] #W) -> (o: [G+2, G+3] #W);
-    comp Fast[#W]<G:1>(a: [G, G+1] #W) -> (o: [G+2, G+3] #W) {
-      S := new SlowUnit[#W];
-      x := S<G>(a);
-      o = x.o;
-    }
-    """
-    report = check(source, "Fast")
+    report = check(PIPELINE_DELAY_VIOLATION, "Fast")
     assert not report.ok
     assert any(e.kind == "pipeline" for e in report.errors)
 
 
 def test_double_drive_rejected():
-    source = """
-    comp Dup[#W]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W) {
-      o = a;
-      o = a;
-    }
-    """
-    report = check(source, "Dup")
+    report = check(DOUBLE_DRIVE, "Dup")
     assert not report.ok
     assert any(e.kind == "conflict" for e in report.errors)
 
@@ -181,54 +262,25 @@ def test_conditional_drives_on_disjoint_paths_ok():
 
 
 def test_bundle_out_of_bounds_rejected():
-    source = """
-    comp OOB[#W, #N]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W)
-        where #N >= 1 {
-      bundle<#i> w[#N]: [G, G+1] #W;
-      w{#N} = a;
-      o = a;
-    }
-    """
-    report = check(source, "OOB")
+    report = check(BUNDLE_OUT_OF_BOUNDS, "OOB")
     assert not report.ok
     assert any(e.kind == "bounds" for e in report.errors)
 
 
 def test_bundle_double_write_rejected():
-    source = """
-    comp DW[#W, #N]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W)
-        where #N >= 2 {
-      bundle<#i> w[#N]: [G, G+1] #W;
-      for #k in 0..#N {
-        w{0} = a;
-      }
-      o = a;
-    }
-    """
-    report = check(source, "DW")
+    report = check(BUNDLE_DOUBLE_WRITE, "DW")
     assert not report.ok
     assert any(e.kind == "conflict" for e in report.errors)
 
 
 def test_width_mismatch_rejected():
-    source = """
-    comp WM<G:1>(a: [G, G+1] 8) -> (o: [G, G+1] 16) {
-      o = a;
-    }
-    """
-    report = check(source, "WM")
+    report = check(WIDTH_MISMATCH, "WM")
     assert not report.ok
     assert any(e.kind == "width" for e in report.errors)
 
 
 def test_where_clause_violation_on_instantiation():
-    source = """
-    comp Neg[#W]<G:1>(a: [G, G+1] #W) -> (o: [G+1, G+2] #W) {
-      s := new Shift[#W, 0 - 1]<G>(a);
-      o = s.out;
-    }
-    """
-    report = check(source, "Neg")
+    report = check(WHERE_CLAUSE_VIOLATION, "Neg")
     assert not report.ok
     assert any(e.kind == "where" for e in report.errors)
 
@@ -247,45 +299,22 @@ def test_assume_discharges_obligation():
 
 
 def test_missing_assume_is_an_error():
-    source = """
-    comp NoFact[#W, #N]<G:1>(a: [G, G+1] #W) -> (o: [G+#N, G+#N+1] #W) {
-      s := new Shift[#W, #N]<G>(a);
-      o = s.out;
-    }
-    """
-    report = check(source, "NoFact")
+    report = check(MISSING_ASSUME, "NoFact")
     assert not report.ok
 
 
 def test_unbound_output_param_is_error():
-    source = """
-    comp NoBind[#W]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W)
-        with { some #L where #L >= 1; } {
-      o = a;
-    }
-    """
-    report = check(source, "NoBind")
+    report = check(UNBOUND_OUTPUT_PARAM, "NoBind")
     assert not report.ok
 
 
 def test_undriven_output_is_error():
-    source = """
-    comp NoDrive[#W]<G:1>(a: [G, G+1] #W) -> (o: [G, G+1] #W) {
-      r := new Reg[#W]<G>(a);
-    }
-    """
-    report = check(source, "NoDrive")
+    report = check(UNDRIVEN_OUTPUT, "NoDrive")
     assert not report.ok
 
 
 def test_assert_command_checked():
-    source = """
-    comp BadAssert[#N]<G:1>(a: [G, G+1] 8) -> (o: [G, G+1] 8) {
-      assert #N >= 1;
-      o = a;
-    }
-    """
-    report = check(source, "BadAssert")
+    report = check(FAILING_ASSERT, "BadAssert")
     assert not report.ok
     assert any(e.kind == "assert" for e in report.errors)
 

@@ -1,6 +1,9 @@
-"""Hash-consing invariants: identity, caching, pickling."""
+"""Hash-consing invariants: identity, caching, pickling, threads."""
 
+import copy
 import pickle
+import sys
+import threading
 
 from repro import smt
 from repro.smt.terms import Term, intern_size
@@ -33,6 +36,22 @@ def test_equality_and_hash_are_structural():
     t1, t2 = smt.Plus(x, 1), smt.Plus(x, 1)
     assert t1 == t2 and hash(t1) == hash(t2)
     assert t1 != smt.Plus(x, 2)
+
+
+def test_identity_is_the_hash_and_the_equality():
+    # Interning makes structure and identity coincide, so terms keep
+    # object's C-level hash and equality.
+    assert "__hash__" not in vars(Term) and "__eq__" not in vars(Term)
+    term = smt.Plus(smt.Int("x"), 1)
+    assert hash(term) == object.__hash__(term)
+    assert term != "(+ x 1)" and term != 1
+
+
+def test_copies_reintern():
+    term = smt.Implies(smt.Ge(smt.App("f", smt.Int("x")), 0), smt.TRUE)
+    assert copy.copy(term) is term
+    assert copy.deepcopy(term) is term
+    assert copy.deepcopy([term, term])[0] is term
 
 
 def test_pickle_round_trip_reinterns():
@@ -74,11 +93,86 @@ def test_subterms_deduplicates_shared_nodes():
     assert len(nodes) == len(set(map(id, nodes)))
 
 
-def test_intern_size_grows_and_clears():
+def test_intern_size_grows():
     before = intern_size()
     smt.Int("a-very-unlikely-test-variable-name")
     assert intern_size() == before + 1
-    # clear_intern keeps existing terms valid (structural equality).
-    x = smt.Int("x")
-    smt.clear_intern()
-    assert smt.Int("x") == x
+    smt.Int("a-very-unlikely-test-variable-name")
+    assert intern_size() == before + 1
+
+
+def test_lockstep_builders_intern_one_term():
+    """Two threads that both miss on one key still share one term.
+
+    The name's hash waits for the other thread, so every hash of the key
+    happens in lockstep: both builders probe the table before either
+    stores its term, whatever the scheduler does.
+    """
+    barrier = threading.Barrier(2, timeout=10)
+
+    class Lockstep(str):
+        armed = True
+
+        def __hash__(self):
+            if self.armed:
+                barrier.wait()
+            return str.__hash__(self)
+
+    name = Lockstep("intern-lockstep")
+    built = [None, None]
+
+    def build(slot):
+        built[slot] = smt.Int(name)
+
+    workers = [threading.Thread(target=build, args=(slot,)) for slot in (0, 1)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+    Lockstep.armed = False
+    assert not any(worker.is_alive() for worker in workers)
+    assert built[0] is built[1] is smt.Int("intern-lockstep")
+
+
+def test_racing_threads_intern_one_term_per_key():
+    """Threads building the same fresh terms all get one object per key.
+
+    A probe-then-store intern table lets two threads both miss on one
+    key and each keep its own term.  Switching threads every microsecond
+    while wide keys hash, with a barrier before each round of fresh
+    keys, hits that window often: such a table split 2 to 170 of these
+    1,600 keys per run on a 2-vCPU VM, depending on the host's load.
+    """
+    threads, rounds, width, count = 4, 8, 32, 200
+    built = [[] for _ in range(threads)]
+    barrier = threading.Barrier(threads, timeout=30)
+
+    def build(out):
+        for round_ in range(rounds):
+            # Fresh variables each round, so every key starts uninterned.
+            pool = [
+                smt.Int(f"intern-race-{round_}-{index}")
+                for index in range(width)
+            ]
+            barrier.wait()
+            out.extend(smt.Plus(*pool, k) for k in range(1, count + 1))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [
+            threading.Thread(target=build, args=(out,)) for out in built
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert all(len(out) == rounds * count for out in built)
+    split = [
+        index for index, terms in enumerate(zip(*built))
+        if any(term is not terms[0] for term in terms)
+    ]
+    assert not split, f"{len(split)} of {rounds * count} keys built twice"
