@@ -154,9 +154,10 @@ class SimTrace:
         #: and stimulus generation excluded) — ``repro profile`` reports it.
         self.run_seconds = run_seconds
         self.cells = cells
-        #: which engine produced the trace ("interp" or "compiled") —
-        #: traces are bit-identical across backends by contract, but the
-        #: perf numbers are only comparable within one backend.
+        #: which engine produced the trace (a ``SIM_BACKENDS`` name, never
+        #: "auto") — traces are bit-identical across backends by
+        #: contract, but the perf numbers are only comparable within one
+        #: backend.
         self.backend = backend
         #: stimulus lanes simulated together (1 = plain single run).
         self.lanes = lanes

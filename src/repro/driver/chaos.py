@@ -8,8 +8,9 @@ fresh throwaway disk cache, and holds the run to three obligations:
 
 1. **Bit-identical** — every design's trace (and typecheck report)
    digest equals the fault-free baseline's.  The degradation ladders
-   (disk→memory, process→thread→serial, vector→compiled→interp,
-   incremental→one-shot solver) are allowed to cost time, never bits.
+   (disk→memory, process→thread→serial, incremental→one-shot solver,
+   and a vector run's fallback to ``auto``'s other engines) are allowed
+   to cost time, never bits.
 2. **Accounted** — every fault the plan fired shows up as a
    ``fault.injected.<site>`` counter on the session's stats, so no
    injection was silently swallowed (or silently skipped).
@@ -226,23 +227,6 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _fault_slices(stats) -> Tuple[Dict[str, int], ...]:
-    counters = stats.snapshot()["counters"]
-
-    def _slice(prefix: str) -> Dict[str, int]:
-        return {
-            name[len(prefix):]: count
-            for name, count in counters.items()
-            if name.startswith(prefix)
-        }
-
-    return (
-        _slice("fault.injected."),
-        _slice("degrade."),
-        _slice("retry."),
-    )
-
-
 def _run_once(
     label: str,
     plan: Optional["faults.FaultPlan"],
@@ -292,7 +276,10 @@ def _run_once(
                 }
         except BaseException as escaped:  # containment IS the test
             error = f"{type(escaped).__name__}: {escaped}"
-        injected, degrades, retries = _fault_slices(session.stats)
+        picture = session.fault_stats()
+        injected = picture["injected"]
+        degrades = picture["degrades"]
+        retries = picture["retries"]
     finally:
         faults.uninstall()
         shutil.rmtree(cache_dir, ignore_errors=True)

@@ -38,22 +38,24 @@ previous run of that name, serving its checkpoints verbatim
 SIGINT/SIGTERM drain gracefully with exit code 130; every completed
 point is already on disk.
 
-Every subcommand accepts ``-O{0,1,2}`` to select the netlist
+The pipeline subcommands accept ``-O{0,1,2}`` to select the netlist
 optimization level (the pass pipeline of :mod:`repro.rtl.passes`),
-``--sim-backend {auto,batched,compiled,interp,vector}`` to pick the
-simulation engine (``auto`` picks ``vector`` from 64 lanes up when
-numpy is installed, ``compiled`` otherwise), ``--sim-lanes K`` to
-batch K stimulus lanes through each simulate run (one lane-parallel
-step function advances all of them on the codegen backends),
 ``--cache-dir``/``--no-disk-cache`` to steer the persistent
 artifact cache (on by default — a second ``repro all -O2`` run is
-served from disk, including the compiled backend's generated step
+served from disk, including the codegen backends' generated step
 sources), and ``--stats json`` to emit cache + disk + per-pass
-statistics as a single JSON line at the end of the run.  Grid-shaped
-subcommands additionally take ``--executor {thread,process,auto}``:
-process mode fans the evaluation grid over worker processes that
-rendezvous through the disk cache instead of a shared in-memory
-session.
+statistics as a single JSON line at the end of the run.  The
+simulation flags go only where they select something: ``profile`` and
+``sweep`` simulate on the session's engine, picked by ``--sim-backend
+{auto,batched,compiled,interp,vector}`` (``auto`` resolves per design
+and lane count by :func:`repro.rtl.auto_backend`), and take
+``--sim-lanes K`` to batch K stimulus lanes through each simulate run;
+``ablation`` and ``all`` take ``--sim-lanes K`` to widen the
+ablation's lane differentials to K lanes.  ``chaos`` has its own
+``--sim-backend``.  Grid-shaped subcommands additionally take
+``--executor {thread,process}``: process mode fans the evaluation grid
+over worker processes that rendezvous through the disk cache instead
+of a shared in-memory session.
 """
 
 from __future__ import annotations
@@ -91,9 +93,9 @@ def _session_from_args(args) -> CompileSession:
         cache_dir = args.cache_dir or DiskCache.default_root()
     return CompileSession(
         opt_level=args.opt_level,
-        sim_backend=args.sim_backend,
+        sim_backend=getattr(args, "sim_backend", "interp"),
         cache_dir=cache_dir,
-        sim_lanes=args.sim_lanes,
+        sim_lanes=getattr(args, "sim_lanes", 1),
     )
 
 
@@ -662,8 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--executor", choices=EXECUTORS, default="thread",
             help="evaluation-grid pool: 'thread' shares one in-memory "
                  "session; 'process' sidesteps the GIL, workers "
-                 "rendezvous through the disk cache; 'auto' picks "
-                 "process for cacheable CPU-bound sweeps",
+                 "rendezvous through the disk cache",
         )
         command.add_argument(
             "--run-id", default=None, metavar="NAME",
@@ -691,20 +692,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "one machine-readable line",
         )
         command.add_argument(
-            "--sim-backend", choices=backend_choices(), default="interp",
-            help="simulation engine for the simulate stage (default: "
-                 "interp; 'compiled'/'batched'/'vector' code-generate "
-                 "scalar, SWAR-packed or mega-lane vectorized step "
-                 "functions; 'auto' picks vector from 64 lanes up when "
-                 "numpy is installed, compiled otherwise)",
-        )
-        command.add_argument(
-            "--sim-lanes", type=_positive_int, default=1, metavar="K",
-            help="stimulus lanes batched per simulate run (default: 1; "
-                 "on the compiled backend K lanes advance through one "
-                 "lane-packed step function per cycle)",
-        )
-        command.add_argument(
             "--cache-dir", default=None, metavar="PATH",
             help="persistent artifact cache directory (default: "
                  "$REPRO_CACHE_DIR, else the user cache dir)",
@@ -712,6 +699,22 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument(
             "--no-disk-cache", action="store_true",
             help="disable the persistent artifact cache for this run",
+        )
+    for command in (profile, sweep):
+        command.add_argument(
+            "--sim-backend", choices=backend_choices(), default="interp",
+            help="simulation engine for the simulate stage (default: "
+                 "interp; 'compiled'/'batched'/'vector' code-generate "
+                 "scalar, SWAR-packed or mega-lane vectorized step "
+                 "functions; 'auto' picks one per design and lane count)",
+        )
+    for command in (ablation, profile, all_, sweep):
+        command.add_argument(
+            "--sim-lanes", type=_positive_int, default=1, metavar="K",
+            help="stimulus lanes per simulate run (default: 1; the "
+                 "batched and vector engines advance all K per step, "
+                 "compiled and interp run them one after another; the "
+                 "ablation's lane differentials use K lanes when K > 1)",
         )
     return parser
 

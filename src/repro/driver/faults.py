@@ -9,11 +9,12 @@ This module is the injection substrate: a :class:`FaultPlan` names
 *sites* (fixed strings compiled into the hardened code) and decides —
 deterministically, from explicit counts and skip offsets or from a
 seed — which invocations of each site fail.  The hardened layers then
-recover along the degradation ladder (disk→memory,
-vector→compiled→interp, incremental→one-shot solver, process→thread→
-serial grid), all of whose rungs are bit-identical by the differential
-contracts PRs 2–8 established, so an injected fault costs speed, never
-correctness.
+recover along the degradation ladder (disk→memory, incremental→
+one-shot solver, process→thread→serial grid), all of whose rungs are
+bit-identical by the differential contracts, so an injected fault
+costs speed, never correctness.  (A simulation engine has no fault
+site: only a vector engine without numpy degrades, to the engine
+``auto`` picks without it.)
 
 Sites (the complete set — the hardened code asserts membership)::
 

@@ -25,10 +25,6 @@ Two executors:
   over them) and results travel back through pickles, so both must be
   plain data.
 
-``"auto"`` picks ``"process"`` for multi-point sweeps when the session
-has a disk cache to rendezvous through and the worker function pickles,
-else falls back to ``"thread"``.
-
 Checkpointing (:mod:`repro.driver.ledger`): when the session carries
 a :class:`~repro.driver.ledger.RunLedger`, every resolved point is
 checkpointed under its :func:`~repro.driver.ledger.point_key` as it
@@ -64,7 +60,6 @@ a hung worker hangs the sweep.
 from __future__ import annotations
 
 import os
-import pickle
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -78,7 +73,7 @@ from .session import CompileSession, default_session
 Point = TypeVar("Point")
 Result = TypeVar("Result")
 
-EXECUTORS = ("thread", "process", "auto")
+EXECUTORS = ("thread", "process")
 
 #: Per-point retry policy: an injected worker crash surfacing as an
 #: exception is retried in place (never escalated to a different
@@ -136,14 +131,6 @@ def _process_point(spec: Dict[str, object], fn, point, submitted=None,
     return wait, fn(_worker_session(spec), point)
 
 
-def _picklable(fn) -> bool:
-    try:
-        pickle.dumps(fn)
-        return True
-    except Exception:
-        return False
-
-
 class EvalGrid:
     """Maps a worker function over grid points, preserving point order.
 
@@ -174,20 +161,6 @@ class EvalGrid:
             return max(1, min(self.max_workers, points))
         return max(1, min(os.cpu_count() or 1, points))
 
-    def _resolve_executor(self, fn, points: int, workers: int) -> str:
-        if self.executor != "auto":
-            return self.executor
-        # Process mode only pays off when there is real fan-out, the
-        # workers can rendezvous on a shared disk cache, and the worker
-        # function survives a pickle round-trip.
-        if workers <= 1 or points <= 1:
-            return "thread"
-        if self.session.cache_dir is None:
-            return "thread"
-        if not _picklable(fn):
-            return "thread"
-        return "process"
-
     def map(
         self,
         fn: Callable[[CompileSession, Point], Result],
@@ -217,10 +190,9 @@ class EvalGrid:
         if workers <= 1 or len(points) <= 1:
             ladder: Tuple[str, ...] = ("serial",)
         else:
-            mode = self._resolve_executor(fn, len(points), workers)
             ladder = (
                 ("process", "thread", "serial")
-                if mode == "process"
+                if self.executor == "process"
                 else ("thread", "serial")
             )
         failure: Optional[_ExecutorFailure] = None

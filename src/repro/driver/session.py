@@ -33,8 +33,8 @@ the session-level artifact cache.
 Two session-level knobs extend the reach of all this: ``sim_backend``
 selects the simulation engine — ``"interp"``, the codegen engines
 ``"compiled"``/``"batched"``/``"vector"`` (bit-identical by
-differential contract), or ``"auto"``, which resolves by the static
-lane-count rule :func:`repro.rtl.auto_backend` — and
+differential contract), or ``"auto"``, which resolves per netlist and
+lane count by the static rule :func:`repro.rtl.auto_backend` — and
 ``cache_dir`` layers a persistent
 :class:`~repro.driver.cache.DiskCache` under the in-memory cache so
 artifacts survive the process and a second run starts warm.
@@ -54,7 +54,6 @@ from ..lilac.parser import parse_program
 from ..lilac.typecheck import check_component, check_program
 from ..lilac.typecheck.check import valid_verdict_payload
 from ..rtl import (
-    BACKEND_FALLBACKS,
     CODEGEN_VERSION,
     SimBackendUnavailable,
     auto_backend,
@@ -63,6 +62,7 @@ from ..rtl import (
     flatten,
     make_simulator,
     random_stimulus_batch,
+    swar_profitable,
 )
 from ..rtl.compile import valid_codegen_payload
 from ..rtl.passes import PassManager, PassStats, pipeline_for_level
@@ -113,9 +113,9 @@ class CompileSession:
     ``opt_level`` is the session default for every stage downstream of
     lowering; individual stage calls can override it per request.  The
     same holds for ``sim_backend`` (the engines of
-    :data:`repro.rtl.SIM_BACKENDS`, or ``"auto"`` for the static
-    lane-count rule) and the ``simulate`` stage.  A non-None
-    ``cache_dir`` layers a persistent
+    :data:`repro.rtl.SIM_BACKENDS`, or ``"auto"`` for the static rule
+    of :func:`repro.rtl.auto_backend`) and the ``simulate`` stage.  A
+    non-None ``cache_dir`` layers a persistent
     :class:`~repro.driver.cache.DiskCache` under the in-memory artifact
     cache, so artifacts survive the process and a second session over
     the same sources starts warm.
@@ -432,17 +432,20 @@ class CompileSession:
         and its wall-clock, and the differential gates exist precisely
         to compare the two sides as independently computed traces.
         ``"auto"`` resolves to a concrete engine inside the computation
-        via :func:`repro.rtl.auto_backend` (``vector`` from 64 lanes up
-        when numpy is installed, ``compiled`` otherwise); the produced
-        ``SimTrace.backend`` records the resolved engine.
+        via :func:`repro.rtl.auto_backend`, and ``SimTrace.backend``
+        records the engine that ran.  A ``vector`` engine that cannot
+        be built (numpy missing) warns, counts ``degrade.sim_backend``
+        and runs the engine ``auto`` picks without the vector engine;
+        the trace and the cache key, which carries the *requested*
+        engine, are unchanged.
 
         ``lanes`` (session's ``sim_lanes`` when None) batches that many
-        independent stimulus streams through one run — on the compiled
-        backend a single lane-packed step function advances all of them
-        per call.  The artifact's ``SimTrace.outputs`` then holds one
-        trace per lane; lane seeds derive deterministically from
-        ``seed`` (lane 0 *is* ``seed``, so its trace equals the
-        single-lane artifact's).
+        independent stimulus streams through one run — the lane engines
+        (``batched``, ``vector``) advance all of them per call, the
+        others run them one after another.  The artifact's
+        ``SimTrace.outputs`` then holds one trace per lane; lane seeds
+        derive deterministically from ``seed`` (lane 0 *is* ``seed``, so
+        its trace equals the single-lane artifact's).
         """
         registry = self._registry_of(generators)
         level, pipeline = self._pipeline(opt_level)
@@ -470,40 +473,42 @@ class CompileSession:
                 source, component, params, registry, stdlib, opt_level=level
             ).value
             start = time.perf_counter()
-            resolved = auto_backend(n_lanes) if engine == "auto" else engine
-            # Degradation ladder vector -> compiled -> interp: a
-            # backend that cannot run here (missing numpy, a faulted
-            # codegen path) falls to the next rung instead of failing
-            # the stage.  Every rung is bit-identical by the
-            # differential contract, so the trace — and the cache key,
-            # which carries the *requested* engine — is unchanged; only
-            # SimTrace.backend records where the run actually landed.
-            while True:
-                try:
-                    simulator = make_simulator(
-                        optimized.module, resolved,
-                        lanes=n_lanes,
-                        codegen_store=self._codegen_store,
-                    )
-                    break
-                except SimBackendUnavailable as error:
-                    fallback = BACKEND_FALLBACKS.get(resolved)
-                    if fallback is None:
-                        raise
-                    self.stats.bump("degrade.sim_backend")
-                    warnings.warn(
-                        f"sim backend {resolved!r} unavailable "
-                        f"({error}); degrading to {fallback!r}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    resolved = fallback
+            module = optimized.module
+            resolved = (
+                auto_backend(module, n_lanes) if engine == "auto" else engine
+            )
+            try:
+                simulator = make_simulator(
+                    module, resolved, lanes=n_lanes,
+                    codegen_store=self._codegen_store,
+                )
+            except SimBackendUnavailable as error:
+                if resolved != "vector":
+                    raise
+                # The one engine that can be missing runs what auto
+                # would pick without it.  Every engine is bit-identical
+                # by the differential contract, so the degraded run
+                # costs throughput, never bits.
+                fallback = (
+                    "batched" if swar_profitable(module, n_lanes)
+                    else "compiled"
+                )
+                self.stats.bump("degrade.sim_backend")
+                warnings.warn(
+                    f"sim backend {resolved!r} unavailable ({error}); "
+                    f"degrading to {fallback!r}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+                resolved = fallback
+                simulator = make_simulator(
+                    module, resolved, lanes=n_lanes,
+                    codegen_store=self._codegen_store,
+                )
             # Every engine takes one stream per lane through
             # ``run_batch`` (a lane engine's ``run`` does too, even at
             # one lane); a one-lane trace is lane 0's.
-            streams = random_stimulus_batch(
-                optimized.module, cycles, n_lanes, seed
-            )
+            streams = random_stimulus_batch(module, cycles, n_lanes, seed)
             run_start = time.perf_counter()
             outputs = simulator.run_batch(streams)
             run_seconds = time.perf_counter() - run_start
@@ -511,7 +516,7 @@ class CompileSession:
                 (outputs,) = outputs
             value = SimTrace(
                 outputs, cycles, seed, level, run_seconds,
-                len(optimized.module.cells), backend=resolved, lanes=n_lanes,
+                len(module.cells), backend=resolved, lanes=n_lanes,
             )
             return StageArtifact(
                 "simulate", key, value, time.perf_counter() - start
@@ -723,9 +728,9 @@ class CompileSession:
         ``injected`` maps each fault site to fires accounted on this
         session, ``retries`` counts in-place recoveries, and
         ``degrades`` counts rungs taken down the degradation ladders
-        (disk→memory, process→thread→serial, vector→compiled→interp,
-        incremental→one-shot solver).  All zero / empty in a fault-free
-        run.
+        (disk→memory, process→thread→serial, incremental→one-shot
+        solver) and vector runs that fell back to ``auto``'s other
+        engines.  All zero / empty in a fault-free run.
         """
         counters = self.stats.snapshot()["counters"]
 

@@ -151,12 +151,12 @@ def _build_row(
         ).value.outputs == interp.outputs
         for level, interp in ((0, trace_base), (2, trace_opt))
     )
-    # The batching differential: one K-lane pass over the optimized
-    # netlist, checked lane-by-lane against the K independent runs at
-    # the derived lane seeds (lane 0's seed is the batch seed, so that
-    # lane also revalidates against trace-opt's stimulus).  The per-lane
-    # reference traces are computed once and shared with the vector
-    # differential below.
+    # The batching differential: one K-lane SWAR pass over the
+    # optimized netlist, checked lane-by-lane against the K independent
+    # scalar runs at the derived lane seeds (lane 0's seed is the batch
+    # seed, so that lane also revalidates against trace-opt's
+    # stimulus).  The per-lane reference traces are computed once and
+    # shared with the vector differential below.
     lane_refs = [
         session.simulate(
             source, component, params, generators,
@@ -167,7 +167,7 @@ def _build_row(
     ]
     batch = session.simulate(
         source, component, params, generators,
-        cycles=cycles, seed=seed, opt_level=2, backend="compiled",
+        cycles=cycles, seed=seed, opt_level=2, backend="batched",
         lanes=lanes,
     ).value
     lanes_agree = list(batch.outputs) == lane_refs

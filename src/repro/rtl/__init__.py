@@ -20,7 +20,6 @@ from .simulate import (
 )
 from .compile import (
     AUTO_VECTOR_LANES,
-    BACKEND_FALLBACKS,
     CODEGEN_VERSION,
     SIM_BACKENDS,
     SIM_BACKEND_VERSIONS,
@@ -50,7 +49,6 @@ from .verilog import emit_verilog
 
 __all__ = [
     "AUTO_VECTOR_LANES",
-    "BACKEND_FALLBACKS",
     "BatchedCompiledSimulator",
     "CODEGEN_VERSION",
     "Cell",

@@ -36,8 +36,8 @@ mirrors :func:`~repro.rtl.simulate.eval_comb_cell` (unsigned modulo
 bit-for-bit on every output, every cycle.
 
 Both backends present the same :class:`SimBackend` surface
-(poke/evaluate/peek/peek_net/tick/step/run/run_random, plus the batched
-run_batch/run_random_batch), selected by name through
+(poke/evaluate/peek/peek_net/tick/step/run, plus run_batch for one
+trace per stimulus stream), selected by name through
 :data:`SIM_BACKENDS` / :func:`make_simulator` — which is how
 ``CompileSession(sim_backend=...)`` and the CLI's ``--sim-backend``
 choose an engine without caring which one they got.
@@ -60,8 +60,8 @@ one extended-slice store into a zeroed word array; only wider values
 take one byte slice per lane.  Register state latches as a single
 reference copy per cell — K lanes for the cost of one — which is why
 register-heavy netlists batch best.  :class:`BatchedCompiledSimulator`
-owns the packed state; scalar backends reach it through
-``run_batch``.
+owns the packed state; it is the ``batched`` backend (the scalar
+backends' ``run_batch`` runs lanes one after another).
 
 **Three codegen targets, one compile path.**  This module owns two of
 them — the scalar generator (``_generate_source``: one straight-line
@@ -87,13 +87,15 @@ surface for the two lane engines (``_LaneSimulator``).  All three emit
 bit-identical traces — the same :func:`differential_check` gates each
 one against the interpreter.
 
-Backend selection is a static rule, checked against measurements on
-the catalog: :func:`auto_backend` sends ``"auto"`` to the vector engine
-from :data:`AUTO_VECTOR_LANES` lanes up when numpy is installed and to
-``compiled`` otherwise, and the compiled lane path applies the
-calibrated :func:`swar_profitable` predicate, which keeps SWAR away
-from designs whose ineligible cells predict a slowdown (the scalar
-``run_batch`` runs lanes sequentially there).
+Each backend name is one engine: ``interp`` the interpreter,
+``compiled`` the scalar program (K lanes run one after another),
+``batched`` SWAR and ``vector`` numpy columns.  :func:`auto_backend` is
+the one place that picks, by a static rule checked against
+measurements on the catalog: ``compiled`` at one lane, ``vector`` from
+:data:`AUTO_VECTOR_LANES` lanes up when numpy is installed, and below
+that ``batched`` where the calibrated :func:`swar_profitable` predicate
+predicts a win over sequential scalar lanes, ``compiled`` where it
+does not.
 
 **Persistent codegen.**  Generating the step source levelizes the
 netlist and builds a netlist-sized string — for large modules that is
@@ -121,13 +123,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from typing import Protocol, runtime_checkable
 
 from .netlist import Cell, Module, NetlistError, comb_topo_order, flatten
-from .simulate import (
-    Simulator,
-    lane_major,
-    random_stimulus,
-    random_stimulus_batch,
-    run_lanes,
-)
+from .simulate import Simulator, lane_major, random_stimulus_batch, run_lanes
 
 #: Version of the *generated code's* shape.  Part of every persisted
 #: codegen entry's key: bump it whenever a generator changes what it
@@ -157,8 +153,10 @@ class SimBackend(Protocol):
 
     ``Simulator`` (the per-cycle interpreter) and ``CompiledSimulator``
     (this module) are interchangeable behind it: identical poke/peek
-    name spaces, identical two-phase evaluate/tick semantics, identical
-    seeded-stimulus ``run_random``.
+    name spaces and identical two-phase evaluate/tick semantics.  The
+    lane engines take per-lane forms of the same calls (see
+    ``_LaneSimulator``); ``run_batch``, one trace per stimulus stream,
+    has one shape on all of them.
     """
 
     module: Module
@@ -178,16 +176,8 @@ class SimBackend(Protocol):
 
     def run(self, input_stream: List[Dict[str, int]]) -> List[Dict[str, int]]: ...
 
-    def run_random(
-        self, cycles: int, seed: int = 0, bias: float = 0.0
-    ) -> List[Dict[str, int]]: ...
-
     def run_batch(
         self, input_streams: Sequence[List[Dict[str, int]]]
-    ) -> List[List[Dict[str, int]]]: ...
-
-    def run_random_batch(
-        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
     ) -> List[List[Dict[str, int]]]: ...
 
 
@@ -758,8 +748,9 @@ def batched_stride(module: Module, lanes: int = 16) -> int:
 def swar_profitable(module: Module, lanes: int) -> bool:
     """Does the SWAR batched encoding beat sequential scalar lanes?
 
-    The compiled backend's half of backend selection (see
-    :func:`auto_backend`): a calibrated per-cell cost comparison
+    What :func:`auto_backend` asks below the vector engine's lane
+    count, to pick ``batched`` or ``compiled``: a calibrated per-cell
+    cost comparison
     between one lane-packed step and ``lanes`` scalar steps.  A packed
     cell costs a small constant plus a term linear in the packed
     integer's word count; an ineligible cell pays the per-lane loop
@@ -1439,7 +1430,6 @@ class CompiledSimulator:
 
     def __init__(self, module: Module, codegen_store=None):
         self.module = _flattened(module)
-        self._codegen_store = codegen_store
         self.program = compile_netlist(self.module, store=codegen_store)
         self._inlined = frozenset(self.program.inlined_nets)
         self._evaluate = self.program.evaluate
@@ -1564,40 +1554,14 @@ class CompiledSimulator:
         except (KeyError, TypeError):  # a missing port, or not a dict
             return None
 
-    def run_random(
-        self, cycles: int, seed: int = 0, bias: float = 0.0
-    ) -> List[Dict[str, int]]:
-        return self.run(random_stimulus(self.module, cycles, seed, bias))
-
     def run_batch(
         self, input_streams: Sequence[List[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
-        """One trace per stream, each lane from reset.
-
-        Lane-packs the streams through one SWAR step function when
-        :func:`swar_profitable` predicts a win; otherwise runs the
-        streams sequentially, each on fresh state over this simulator's
-        program — same traces (both paths are differential-gated),
-        strictly faster on designs like ``blas`` where packing measured
-        slower than scalar.
-        """
-        if not input_streams:
-            return []  # mirror the interpreter's empty-batch behavior
-        if swar_profitable(self.module, len(input_streams)):
-            batched = BatchedCompiledSimulator(
-                self.module,
-                len(input_streams),
-                codegen_store=self._codegen_store,
-            )
-            return batched.run(input_streams)
+        """One trace per stream: the streams run one after another,
+        each on fresh state over this simulator's program, as
+        ``Simulator.run_batch`` does.  The SWAR engine is the
+        ``batched`` backend."""
         return [self._lane().run(stream) for stream in input_streams]
-
-    def run_random_batch(
-        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        return self.run_batch(
-            random_stimulus_batch(self.module, cycles, lanes, seed, bias)
-        )
 
 
 class _LaneSimulator:
@@ -1746,30 +1710,12 @@ class _LaneSimulator:
         self.cycle += 1
         return outputs
 
-    def run_random(
-        self, cycles: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        """Seeded per-lane stimulus (lane seeds via derive_lane_seed)."""
-        return self.run(
-            random_stimulus_batch(self.module, cycles, self.lanes, seed, bias)
-        )
-
     def run_batch(
         self, input_streams: Sequence[List[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
         """Alias for ``run``, matching the scalar backends' batch surface
         so callers can hold either kind of engine uniformly."""
         return self.run(input_streams)
-
-    def run_random_batch(
-        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        if int(lanes) != self.lanes:
-            raise NetlistError(
-                f"{self.module.name}: simulator compiled for {self.lanes} "
-                f"lanes, asked to run {lanes}"
-            )
-        return self.run_random(cycles, seed, bias)
 
 
 class BatchedCompiledSimulator(_LaneSimulator):
@@ -1940,25 +1886,14 @@ SIM_BACKENDS = {
 #: misses instead of silently masking the fix (the differential gates
 #: compare *computed* traces, not stale ones).  ``"auto"`` versions the
 #: *selection* rule (:func:`auto_backend`), not an engine of its own;
-#: v2: the static rule replaced the measured tuner.
+#: v2: the static rule replaced the measured tuner; v3: an ``auto``
+#: trace names the engine that ran (``batched`` where SWAR ran, which
+#: v2 recorded as ``compiled``).
 SIM_BACKEND_VERSIONS = {
     "interp": 1,
     "compiled": 1,
     "batched": 1,
-    "auto": 2,
-}
-
-
-#: The simulation-backend degradation ladder: when an engine cannot be
-#: instantiated (its runtime support is missing, or a fault-injection
-#: run knocked it out), the session falls back one rung at a time until
-#: it reaches the dependency-free interpreter.  Every rung is
-#: bit-identical by the differential contract, so degrading costs
-#: throughput, never correctness.
-BACKEND_FALLBACKS = {
-    "vector": "compiled",
-    "batched": "compiled",
-    "compiled": "interp",
+    "auto": 3,
 }
 
 
@@ -2000,25 +1935,25 @@ def resolve_backend(name: str):
 
 #: Lane count from which ``"auto"`` picks the numpy vector engine: from
 #: 64 lanes up it measured fastest on every catalog design (up to
-#: noise), while below it the compiled lane path wins on the
-#: SWAR-friendly ones.
+#: noise), while below it SWAR or sequential scalar lanes win.
 AUTO_VECTOR_LANES = 64
 
 
-def auto_backend(lanes: int) -> str:
-    """The engine ``"auto"`` resolves to for ``lanes`` stimulus lanes.
+def auto_backend(module: Module, lanes: int) -> str:
+    """The engine ``"auto"`` runs ``module`` on with ``lanes`` stimulus
+    lanes — the one place that picks an engine.
 
-    ``"vector"`` when numpy is importable and ``lanes >=
-    AUTO_VECTOR_LANES``, else ``"compiled"`` — one lane included — whose
-    lane path picks SWAR or sequential scalar lanes by
-    :func:`swar_profitable`.  The same inputs always give the same
-    engine.
+    ``"compiled"`` at one lane; ``"vector"`` from
+    :data:`AUTO_VECTOR_LANES` lanes up when numpy is importable; below
+    that (or without numpy) ``"batched"`` where :func:`swar_profitable`
+    predicts that SWAR beats sequential scalar lanes, else
+    ``"compiled"``.  The same inputs always give the same engine.
     """
     from .vectorize import _numpy
 
     if int(lanes) >= AUTO_VECTOR_LANES and _numpy() is not None:
         return "vector"
-    return "compiled"
+    return "batched" if swar_profitable(module, lanes) else "compiled"
 
 
 def make_simulator(
@@ -2030,29 +1965,22 @@ def make_simulator(
 ):
     """Instantiate the named engine over ``module``.
 
+    Each name is one engine at every lane count: ``interp`` and
+    ``compiled`` return their single-lane engine, whose ``run_batch``
+    runs the lanes one after another; the lane engines (``batched``,
+    and ``vector`` registered by :mod:`repro.rtl.vectorize`) take
+    ``(module, lanes, codegen_store=...)``.  ``"auto"`` is not an
+    engine: resolve it with :func:`auto_backend` first.
     ``codegen_store`` (a persistent source store with the contract
     :func:`compile_netlist` states) only matters to the codegen
-    backends; the interpreter ignores it.  ``lanes > 1`` on the
-    ``compiled`` backend returns a :class:`BatchedCompiledSimulator`
-    *when* :func:`swar_profitable` predicts a win, else the scalar
-    engine whose ``run_batch`` runs lanes sequentially (same traces,
-    faster on SWAR-hostile designs).  ``batched`` forces the SWAR
-    engine regardless; lane engines registered by other modules
-    (``vector``) take ``(module, lanes, codegen_store=...)``.  The
-    interpreter has no lane parallelism, so there it returns the plain
-    engine whose ``run_batch`` loops.
+    backends; the interpreter ignores it.
     """
     cls = resolve_backend(backend)
-    lanes = max(1, int(lanes))
-    if cls is CompiledSimulator:
-        if lanes > 1 and swar_profitable(module, lanes):
-            return BatchedCompiledSimulator(
-                module, lanes, codegen_store=codegen_store
-            )
-        return cls(module, codegen_store=codegen_store)
     if cls is Simulator:
         return cls(module)
-    return cls(module, lanes, codegen_store=codegen_store)
+    if cls is CompiledSimulator:
+        return cls(module, codegen_store=codegen_store)
+    return cls(module, max(1, int(lanes)), codegen_store=codegen_store)
 
 
 def differential_check(
@@ -2065,16 +1993,15 @@ def differential_check(
 ) -> bool:
     """True iff both backends agree bit-for-bit under shared stimulus.
 
-    The correctness gate for every codegen backend: identical seeded
-    input vectors drive a fresh interpreter and a fresh engine of the
-    named backend; every output must match on every cycle.  With
-    ``lanes > 1`` (or a lane engine) the interpreter runs the K
-    derived-seed streams sequentially while the engine under test
-    advances them together, and all K traces must agree — which
-    simultaneously proves the engine's outputs bit-identical to K
-    independent single-lane runs.  ``backend`` may be ``"compiled"``
-    (scalar at ``lanes == 1``, SWAR above), ``"batched"`` (SWAR even at
-    one lane) or ``"vector"``.
+    The correctness gate for every codegen backend: ``lanes`` seeded
+    stimulus streams (:func:`random_stimulus_batch`; lane 0 is the
+    single-lane stream of ``seed``) drive the interpreter, one stream
+    after another from reset, and a fresh engine of the named backend
+    through ``run_batch``; every output of every lane must match on
+    every cycle.  On a lane engine that also proves its outputs
+    bit-identical to K independent single-lane runs.  ``backend`` names
+    one engine (see :func:`make_simulator`): ``"compiled"`` gates the
+    scalar program, ``"batched"`` SWAR and ``"vector"`` numpy columns.
     """
     if backend == "interp":
         raise NetlistError(
@@ -2082,15 +2009,6 @@ def differential_check(
             "interpreter; backend='interp' would compare it to itself"
         )
     interp = Simulator(module)
-    if lanes == 1 and backend == "compiled":
-        compiled = CompiledSimulator(interp.module)
-        stimulus = random_stimulus(interp.module, cycles, seed, bias)
-        return interp.run(stimulus) == compiled.run(stimulus)
-    # Build the lane engine directly: only the lane-parallel program is
-    # compiled, never a scalar one this check wouldn't run.
-    if backend in ("compiled", "batched"):
-        engine = BatchedCompiledSimulator(interp.module, lanes)
-    else:
-        engine = resolve_backend(backend)(interp.module, lanes)
+    engine = make_simulator(interp.module, backend, lanes=lanes)
     streams = random_stimulus_batch(interp.module, cycles, lanes, seed, bias)
-    return interp.run_batch(streams) == engine.run(streams)
+    return interp.run_batch(streams) == engine.run_batch(streams)

@@ -475,29 +475,14 @@ class Simulator:
         """Feed a sequence of input maps; collect outputs for each cycle."""
         return [self.step(inputs) for inputs in input_stream]
 
-    def run_random(
-        self, cycles: int, seed: int = 0, bias: float = 0.0
-    ) -> List[Dict[str, int]]:
-        """Drive ``cycles`` of seeded random stimulus (reproducible)."""
-        return self.run(random_stimulus(self.module, cycles, seed, bias))
-
     def run_batch(
         self, input_streams: Sequence[List[Dict[str, int]]]
     ) -> List[List[Dict[str, int]]]:
         """Simulate each stream independently from reset; one trace per
         stream.  The interpreter has no lane parallelism — this is the
-        sequential reference the batched compiled backend is verified
-        against, each lane on fresh state over this simulator's
-        evaluation order."""
+        sequential reference every engine is verified against, each
+        lane on fresh state over this simulator's evaluation order."""
         return [self._lane().run(stream) for stream in input_streams]
-
-    def run_random_batch(
-        self, cycles: int, lanes: int, seed: int = 0, bias: float = 0.0
-    ) -> List[List[Dict[str, int]]]:
-        """``lanes`` independent seeded runs (see ``derive_lane_seed``)."""
-        return self.run_batch(
-            random_stimulus_batch(self.module, cycles, lanes, seed, bias)
-        )
 
     # ------------------------------------------------------------------
 

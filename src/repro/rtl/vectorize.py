@@ -29,8 +29,8 @@ lane.
 numpy is an optional dependency (the ``vector`` extra).  Without it,
 building a vector program raises :class:`SimBackendUnavailable`; a
 :class:`~repro.driver.session.CompileSession` asked for ``vector``
-then degrades to ``compiled`` along
-:data:`~repro.rtl.compile.BACKEND_FALLBACKS`.
+then runs the engine ``auto`` picks with the vector engine out of the
+question (:func:`~repro.rtl.compile.auto_backend`).
 
 **Requirement: generated code never writes into a column.**  Every
 emitted statement rebinds a slot or register to a fresh (or shared,
@@ -111,8 +111,9 @@ def _nwords(width: int) -> int:
 class SimBackendUnavailable(NetlistError):
     """A simulation backend's required runtime support is not installed.
 
-    Raised when a vector program is built without numpy.  Sessions
-    catch it and fall back one rung down ``BACKEND_FALLBACKS``.
+    Raised when a vector program is built without numpy, the one
+    engine that can be unavailable.  Sessions catch it and run the
+    engine ``auto`` picks without the vector engine.
     """
 
 

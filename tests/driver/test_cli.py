@@ -127,8 +127,8 @@ def test_unknown_command_is_rejected():
 
 def test_sim_lanes_flag_reaches_the_session(capsys):
     assert main([
-        "table", "3", "--sim-lanes", "4", "--sim-backend", "compiled",
-        "--stats", "json",
+        "sweep", "--designs", "fpu", "--cycles", "8",
+        "--sim-lanes", "4", "--sim-backend", "compiled",
     ]) == 0
     payload = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert payload["sim_lanes"] == 4
@@ -138,16 +138,48 @@ def test_sim_lanes_flag_reaches_the_session(capsys):
 def test_ablation_with_lanes_and_process_executor(capsys):
     assert main([
         "ablation", "--workers", "2", "--executor", "process",
-        "--sim-lanes", "2", "--sim-backend", "compiled",
+        "--sim-lanes", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert "Lanes" in out
     assert "NO" not in out  # batched lanes bit-identical everywhere
 
 
-def test_executor_flag_rejects_unknown_pool():
-    with pytest.raises(SystemExit):
-        main(["ablation", "--executor", "fiber"])
+#: How each subcommand that lost a simulation flag is invoked.
+_COMMANDS = {
+    "compile": ["compile", "--design", "fpu"],
+    "typecheck": ["typecheck", "--design", "fpu"],
+    "table": ["table", "3"],
+    "figure": ["figure", "13"],
+    "ablation": ["ablation"],
+    "all": ["all"],
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    *[(command, "--sim-backend") for command in _COMMANDS],
+    *[(command, "--sim-lanes")
+      for command in ("compile", "typecheck", "table", "figure")],
+])
+def test_sim_flags_exist_only_where_they_select_something(
+    command, flag, capsys
+):
+    """Only ``profile`` and ``sweep`` simulate on the session's engine,
+    and ``ablation``/``all`` read only the lane count, so elsewhere a
+    simulation flag would be accepted and ignored."""
+    value = "compiled" if flag == "--sim-backend" else "4"
+    with pytest.raises(SystemExit) as exit_info:
+        main(_COMMANDS[command] + [flag, value])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_executor_flag_rejects_unknown_pool(capsys):
+    for executor in ("fiber", "auto"):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["ablation", "--executor", executor])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_profile_command_renders_attribution(capsys):

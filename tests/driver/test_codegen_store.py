@@ -109,7 +109,9 @@ def test_codegen_round_trips_through_the_store(tmp_path):
     # The rematerialized program still computes.
     from repro.rtl import differential_check
 
-    assert differential_check(_adder(), cycles=32, seed=2, lanes=4)
+    assert differential_check(
+        _adder(), cycles=32, seed=2, lanes=4, backend="batched"
+    )
 
 
 def test_scalar_program_keeps_its_fused_nets_through_the_store(tmp_path):

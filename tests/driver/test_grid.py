@@ -91,8 +91,9 @@ def test_failing_worker_cancels_outstanding_points():
 
 
 def test_grid_rejects_unknown_executor():
-    with pytest.raises(ValueError, match="unknown executor"):
-        EvalGrid(CompileSession(), executor="fiber")
+    for executor in ("fiber", "auto"):
+        with pytest.raises(ValueError, match="unknown executor"):
+            EvalGrid(CompileSession(), executor=executor)
 
 
 # -- process executor ---------------------------------------------------
@@ -146,18 +147,6 @@ def test_process_workers_rendezvous_through_the_disk_cache(tmp_path):
     )
     assert artifact.from_cache
     assert warm.stats.counter("disk.hit") >= 1
-
-
-def test_auto_executor_falls_back_to_thread_for_closures(tmp_path):
-    cached = CompileSession(cache_dir=str(tmp_path / "c"))
-    grid = EvalGrid(cached, max_workers=4, executor="auto")
-    # Closures don't pickle -> thread; module-level fns -> process.
-    assert grid._resolve_executor(lambda s, p: p, 4, 4) == "thread"
-    assert grid._resolve_executor(_simulate_trace, 4, 4) == "process"
-    assert grid._resolve_executor(_simulate_trace, 1, 1) == "thread"
-    # No disk cache to rendezvous through -> thread.
-    uncached = EvalGrid(CompileSession(), max_workers=4, executor="auto")
-    assert uncached._resolve_executor(_simulate_trace, 4, 4) == "thread"
 
 
 # -- fault tolerance: retries, the degradation ladder -------------------

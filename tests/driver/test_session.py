@@ -335,33 +335,42 @@ def test_session_spec_round_trips():
 
 
 # ---------------------------------------------------------------------------
-# The simulation-backend degradation ladder.
+# The simulation-backend degradation: only a vector engine can be
+# missing, and it falls back in one step.
 
 
 def test_unavailable_backend_degrades_down_the_ladder(monkeypatch):
-    """A backend that cannot run here (missing numpy, a broken codegen
-    path) falls vector -> compiled -> interp with an identical trace
-    under the *requested* engine's cache key."""
+    """A vector engine that cannot be built runs the engine ``auto``
+    picks without it, with an identical trace under the *requested*
+    engine's cache key."""
     from repro.driver import session as session_mod
-    from repro.rtl import SimBackendUnavailable
+    from repro.rtl import SimBackendUnavailable, auto_backend
 
     baseline = CompileSession(sim_backend="compiled").simulate(
         FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(), cycles=16
     ).value.outputs
 
     real = session_mod.make_simulator
+    asked = []
 
     def flaky(module, backend, **kwargs):
+        asked.append(backend)
         if backend == "vector":
             raise SimBackendUnavailable("vector backend disabled")
         return real(module, backend, **kwargs)
 
     monkeypatch.setattr(session_mod, "make_simulator", flaky)
     degraded = CompileSession(sim_backend="vector", sim_lanes=4)
-    with pytest.warns(RuntimeWarning, match="degrading to 'compiled'"):
+    module = degraded.optimize(
+        FPU_LA_SOURCE, "FPU", {"#W": 32}, generators()
+    ).value.module
+    fallback = auto_backend(module, 4)  # vector only from 64 lanes up
+    with pytest.warns(RuntimeWarning, match=f"degrading to '{fallback}'"):
         trace = degraded.simulate(
             FPU_LA_SOURCE, "FPU", {"#W": 32}, generators(), cycles=16
         ).value
+    assert asked == ["vector", fallback]
+    assert trace.backend == fallback
     assert degraded.stats.counter("degrade.sim_backend") == 1
     assert trace.outputs[0] == baseline
 
@@ -374,11 +383,18 @@ def test_ladder_exhaustion_reraises(monkeypatch):
         raise SimBackendUnavailable(f"{backend} disabled")
 
     monkeypatch.setattr(session_mod, "make_simulator", broken)
-    # vector -> compiled -> interp, then nothing left: the error
-    # escapes (two degradations happened along the way).
+    # vector falls back once; when the engine it falls back to cannot
+    # be built either, that error escapes.
     session = CompileSession(sim_backend="vector", sim_lanes=4)
     with pytest.warns(RuntimeWarning):
-        with pytest.raises(SimBackendUnavailable, match="interp disabled"):
+        with pytest.raises(SimBackendUnavailable,
+                           match="(compiled|batched) disabled"):
             session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32},
                              generators(), cycles=8)
-    assert session.stats.counter("degrade.sim_backend") == 2
+    assert session.stats.counter("degrade.sim_backend") == 1
+    # Only vector degrades: any other engine's error escapes at once.
+    session = CompileSession(sim_backend="batched", sim_lanes=4)
+    with pytest.raises(SimBackendUnavailable, match="batched disabled"):
+        session.simulate(FPU_LA_SOURCE, "FPU", {"#W": 32},
+                         generators(), cycles=8)
+    assert session.stats.counter("degrade.sim_backend") == 0

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.designs.catalog import design_point
+from repro.driver import CompileSession
 from repro.evalx import ablation
-from repro.rtl import vectorize
+from repro.rtl import BatchedCompiledSimulator, vectorize
 
 
 def test_ablation_rows_cover_the_catalog_and_hold_shape():
@@ -24,6 +26,37 @@ def test_ablation_rows_cover_the_catalog_and_hold_shape():
     assert all(row.vector_agree is vector_ran for row in rows)
     # The headline claim: cleanup passes shrink at least three designs.
     assert sum(1 for row in rows if row.cleanup_removed() > 0) >= 3
+
+
+def test_ablation_lanes_column_runs_swar_on_every_design(monkeypatch):
+    """The "Lanes" column gates the SWAR engine on all six designs: its
+    lanes run asks for ``batched``, and the trace says that engine ran."""
+    ran = set()
+    real_run = BatchedCompiledSimulator.run
+
+    def recorded(self, input_streams):
+        ran.add(self.module.name)
+        return real_run(self, input_streams)
+
+    monkeypatch.setattr(BatchedCompiledSimulator, "run", recorded)
+    session = CompileSession()
+    rows = ablation.build_rows(session=session, cycles=16)
+    assert all(row.lanes_agree for row in rows)
+    points = [design_point(name) for name in ablation.ABLATION_DESIGNS]
+    assert ran == {
+        session.optimize(
+            source, component, params, generators, opt_level=2
+        ).value.module.name
+        for source, component, generators, params in points
+    }
+    for source, component, generators, params in points:
+        lanes_run = session.simulate(
+            source, component, params, generators, cycles=16,
+            seed=ablation.SEED, opt_level=2, backend="batched",
+            lanes=ablation.LANES,
+        )
+        assert lanes_run.from_cache  # the ablation's own run
+        assert lanes_run.value.backend == "batched"
 
 
 def test_ablation_render_marks_equivalence():
@@ -67,12 +100,13 @@ def test_ablation_check_shape_rejects_vector_divergence():
 
 
 def test_ablation_reports_na_for_vector_without_numpy(monkeypatch):
-    """Without numpy the vector run degrades to ``compiled``: the
-    "Vector" column says ``n/a`` instead of vouching for kernels that
-    never ran, and the other three columns still hold."""
+    """Without numpy the vector run degrades to the engine ``auto``
+    picks without it: the "Vector" column says ``n/a`` instead of
+    vouching for kernels that never ran, and the other three columns
+    still hold."""
     monkeypatch.setattr(vectorize, "_NUMPY", None)
     monkeypatch.setattr(vectorize, "_NUMPY_PROBED", True)
-    with pytest.warns(RuntimeWarning, match="degrading to 'compiled'"):
+    with pytest.warns(RuntimeWarning, match="'vector' unavailable"):
         rows = ablation.build_rows(cycles=16)
     ablation.check_shape(rows)
     assert all(row.vector_agree is None for row in rows)

@@ -134,21 +134,28 @@ def test_stimulus_batch_rejects_bad_lanes():
 
 @pytest.mark.parametrize("lanes", [1, 3, 16, 64])
 def test_batched_matches_interpreter_on_comb_logic(lanes):
-    assert differential_check(_alu(), cycles=100, seed=3, lanes=lanes)
+    assert differential_check(
+        _alu(), cycles=100, seed=3, lanes=lanes, backend="batched"
+    )
 
 
 @pytest.mark.parametrize("lanes", [2, 7])
 def test_batched_matches_interpreter_on_registers(lanes):
     assert differential_check(
-        _registered_counter(), cycles=150, seed=4, lanes=lanes
+        _registered_counter(), cycles=150, seed=4, lanes=lanes,
+        backend="batched",
     )
 
 
 def test_batched_matches_interpreter_on_fifo_pipeline():
     module = fifo_pipeline(stages=5, width=16, depth=3)
-    assert differential_check(module, cycles=250, seed=11, lanes=4)
+    assert differential_check(
+        module, cycles=250, seed=11, lanes=4, backend="batched"
+    )
     # Corner-biased stimulus stresses full/empty transitions per lane.
-    assert differential_check(module, cycles=250, seed=11, bias=0.5, lanes=4)
+    assert differential_check(
+        module, cycles=250, seed=11, bias=0.5, lanes=4, backend="batched"
+    )
 
 
 def test_batched_handles_wide_nets_via_lane_lists():
@@ -157,7 +164,9 @@ def test_batched_handles_wide_nets_via_lane_lists():
     # exceed every lane field...
     assert batched_stride(module, 16) - 2 < 200
     # ...yet the lane-list fallback keeps the semantics exact.
-    assert differential_check(module, cycles=60, seed=9, lanes=5)
+    assert differential_check(
+        module, cycles=60, seed=9, lanes=5, backend="batched"
+    )
 
 
 def test_batched_equals_independent_single_lane_runs():
@@ -173,8 +182,9 @@ def test_batched_equals_independent_single_lane_runs():
 
 def test_run_batch_interfaces_agree_across_backends():
     module = _alu()
-    interp = Simulator(module).run_random_batch(50, 5, seed=2)
-    compiled = CompiledSimulator(module).run_random_batch(50, 5, seed=2)
+    streams = random_stimulus_batch(module, 50, 5, seed=2)
+    interp = Simulator(module).run_batch(streams)
+    compiled = CompiledSimulator(module).run_batch(streams)
     assert interp == compiled
     assert len(interp) == 5
 
@@ -308,7 +318,9 @@ def test_stride_prefers_narrow_fields_over_wide_outliers():
     module.add_cell("shl", {"a": value, "out": out}, {"amount": 0})
     stride = batched_stride(module, 16)
     assert stride <= 128
-    assert differential_check(module, cycles=30, seed=1, lanes=4)
+    assert differential_check(
+        module, cycles=30, seed=1, lanes=4, backend="batched"
+    )
 
 
 # -- the full catalog, both levels --------------------------------------
@@ -322,7 +334,9 @@ def test_catalog_designs_batched_bit_identical(name, opt_level):
     module = session.optimize(
         source, component, params, generators
     ).value.module
-    assert differential_check(module, cycles=24, seed=0xA5, lanes=3)
+    assert differential_check(
+        module, cycles=24, seed=0xA5, lanes=3, backend="batched"
+    )
     assert_run_matches_steps(
         lambda: BatchedCompiledSimulator(module, 3),
         random_stimulus_batch(module, 24, 3, seed=0xA5),

@@ -33,7 +33,7 @@ from repro.rtl import (
     random_stimulus_batch,
     resolve_backend,
 )
-from repro.rtl.compile import FUSE_OP_CAP, swar_profitable
+from repro.rtl.compile import FUSE_OP_CAP
 from repro.rtl.simulate import eval_comb_cell
 
 from .lane_runs import (
@@ -642,7 +642,6 @@ def test_sequential_lanes_share_one_program(monkeypatch):
     source, component, generators, params = design_point("blas")
     session = CompileSession(opt_level=2)
     module = session.optimize(source, component, params, generators).value.module
-    assert not swar_profitable(module, 8)  # lanes run one after another
     streams = random_stimulus_batch(module, 32, 8, seed=7)
     expected = [Simulator(module).run(stream) for stream in streams]
     hashes = []
@@ -681,7 +680,7 @@ def test_backend_registry_resolves_every_engine():
     from repro.rtl import backend_choices, backend_fingerprint
 
     assert backend_choices() == sorted(SIM_BACKENDS) + ["auto"]
-    assert backend_fingerprint("auto") == "auto@2"
+    assert backend_fingerprint("auto") == "auto@3"
     with pytest.raises(ValueError):
         resolve_backend("auto")
 
@@ -694,9 +693,9 @@ def test_make_simulator_instances_satisfy_the_protocol():
         sim = make_simulator(module, name, lanes=2)
         assert isinstance(sim, SimBackend)
         # The lane engines fix their width at construction; the scalar
-        # engines accept any.  run_random_batch is the one surface with
-        # a uniform shape across all four.
-        traces = sim.run_random_batch(16, 2, seed=1)
+        # engines accept any.  run_batch is the one surface with a
+        # uniform shape across all four.
+        traces = sim.run_batch(random_stimulus_batch(module, 16, 2, seed=1))
         if reference is None:
             reference = traces
         assert traces == reference

@@ -1,6 +1,7 @@
 """Without numpy: the vector engine refuses to build, a session asked
-for ``vector`` degrades to ``compiled``, and ``auto`` stays on
-``compiled`` at any lane count.
+for ``vector`` degrades once to the engine ``auto`` picks without it
+(``compiled`` at one lane, SWAR where the predicate says so), and
+``auto`` never picks ``vector``.
 
 Each test switches the numpy probe of :mod:`repro.rtl.vectorize` off,
 which is exactly what a numpy-less install sees, so this path is
@@ -55,9 +56,8 @@ def test_vector_engine_raises_without_numpy():
 
 def test_session_vector_degrades_to_compiled():
     interp = CompileSession(sim_backend="interp")
-    base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12,
-                           lanes=4).value
-    session = CompileSession(sim_backend="vector", sim_lanes=4)
+    base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12).value
+    session = CompileSession(sim_backend="vector")
     with pytest.warns(RuntimeWarning, match="degrading to 'compiled'"):
         trace = session.simulate(SOURCE, "Double", {"#W": 8},
                                  cycles=12).value
@@ -66,12 +66,43 @@ def test_session_vector_degrades_to_compiled():
     assert session.stats.counter("degrade.sim_backend") == 1
 
 
-def test_auto_stays_compiled_at_mega_lane_counts():
-    assert auto_backend(1024) == "compiled"
+def test_session_vector_degrades_to_the_lane_engine_auto_picks(
+    monkeypatch,
+):
+    """At 4 lanes ``auto`` without the vector engine picks SWAR for this
+    design, so that is where the vector run goes, in one step: nothing
+    calls back into the vector engine."""
+    interp = CompileSession(sim_backend="interp")
+    base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12,
+                           lanes=4).value
+    built = []
+    real = VectorCompiledSimulator.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorCompiledSimulator, "__init__", counted)
+    session = CompileSession(sim_backend="vector", sim_lanes=4)
+    module = session.optimize(SOURCE, "Double", {"#W": 8}).value.module
+    assert auto_backend(module, 4) == "batched"
+    with pytest.warns(RuntimeWarning, match="degrading to 'batched'"):
+        trace = session.simulate(SOURCE, "Double", {"#W": 8},
+                                 cycles=12).value
+    assert trace.backend == "batched"
+    assert trace.outputs == base.outputs
+    assert session.stats.counter("degrade.sim_backend") == 1
+    assert len(built) == 1
+
+
+def test_auto_never_picks_vector_without_numpy():
     session = CompileSession(sim_backend="auto", sim_lanes=1024)
+    module = session.optimize(SOURCE, "Double", {"#W": 8}).value.module
+    assert auto_backend(module, 1024) == "batched"
+    assert auto_backend(_adder(), 1024) == "batched"
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no degrade warning either
         trace = session.simulate(SOURCE, "Double", {"#W": 8},
                                  cycles=4).value
-    assert trace.backend == "compiled"
+    assert trace.backend == "batched"
     assert session.stats.counter("degrade.sim_backend") == 0
