@@ -282,6 +282,15 @@ class CacheStats:
                 "timers": dict(self.timers),
             }
 
+    def merge(self, snapshot: Dict[str, Dict[str, object]]) -> None:
+        """Add another stats object's :meth:`snapshot` (say, one taken
+        in a helper process) into these counts and timers."""
+        with self._lock:
+            for field in ("hits", "misses", "counters", "timers"):
+                totals = getattr(self, field)
+                for name, value in snapshot[field].items():
+                    totals[name] = totals.get(name, 0) + value
+
     def render(self) -> str:
         snap = self.snapshot()
         stages = sorted(set(snap["hits"]) | set(snap["misses"]))

@@ -28,7 +28,10 @@ Subcommands:
   temp files.  Exit 0 iff the store is consistent.
 * ``all``    — every table, figure and the ablation on one shared
   session, with cache statistics showing the artifacts reused across
-  them.
+  them.  Where the process may run on two or more CPUs, Figure 8's
+  type checks run in a helper process beside the other five
+  artifacts; its rows are timed there and its statistics merged into
+  the session's before they print.
 
 Grid-shaped subcommands take ``--run-id NAME`` to checkpoint every
 completed grid point as a disk-cache entry of the run's own stage
@@ -62,7 +65,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 from ..designs.catalog import DESIGNS, design_point
@@ -219,24 +226,139 @@ def _cmd_compile(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (so ``taskset -c 0`` counts one), else the
+    machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _figure8_in_helper(spec: Dict[str, object]):
+    """Figure 8 on a session rebuilt from ``spec``, in the helper
+    process: the rendered table, the session's stats snapshot and its
+    fault-site consultation counts, for the parent to fold in."""
+    from .. import evalx
+
+    session = CompileSession.from_spec(spec)
+    table = evalx.run_artifact("figure8", session=session)
+    plan = session.fault_plan
+    calls = dict(plan.calls) if plan is not None else {}
+    return table, session.stats.snapshot(), calls
+
+
+class _Figure8Helper:
+    """Figure 8 in a one-worker process pool beside the parent's run.
+
+    Figure 8 is one serial, GIL-bound stage whose output no other
+    artifact reads; it shares only parse results, and it owns no grid,
+    checkpoint or drain path, so it is the part of ``repro all`` that a
+    second CPU takes over.  Its rows are timed in the helper.  The pool
+    starts before the parent creates any grid thread, so the platform's
+    default start method is safe here, and the worker function and its
+    argument are picklable for the start methods that do not fork.
+    """
+
+    def __init__(self, session: CompileSession):
+        self.session = session
+        self.pool = self.future = self.failure = None
+        # A forked helper would write the parent's pending output a
+        # second time when it exits.
+        sys.stdout.flush()
+        try:
+            self.pool = ProcessPoolExecutor(max_workers=1)
+            self.future = self.pool.submit(_figure8_in_helper, session.spec())
+        except OSError as error:
+            self.failure = error
+
+    def collect(self) -> Optional[str]:
+        """The helper's table, its stats folded into the session's; None
+        (warned, ``degrade.executor``) when the helper could not start or
+        died, so the caller runs Figure 8 itself.  An exception raised by
+        Figure 8 propagates."""
+        session = self.session
+        if self.failure is None:
+            try:
+                table, snapshot, calls = self.future.result()
+            except BrokenProcessPool as error:
+                self.failure = error
+            else:
+                session.stats.merge(snapshot)
+                plan = session.fault_plan
+                if plan is not None:
+                    for site, count in calls.items():
+                        plan.calls[site] = plan.calls.get(site, 0) + count
+                return table
+        session.stats.bump("degrade.executor")
+        warnings.warn(
+            f"figure8 helper process failed ({self.failure!r}); running "
+            f"it in this process",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+        return None
+
+    def close(self) -> None:
+        """Reap the helper.  One still running means the parent is
+        unwinding (an exception or a drain signal), so it is killed
+        rather than waited for; the disk cache is safe against that."""
+        if self.pool is None:
+            return
+        if self.future is not None and not self.future.done():
+            # The executor has no public way to stop a running worker
+            # before Python 3.14.
+            for process in list(self.pool._processes.values()):
+                process.kill()
+        self.pool.shutdown(wait=True, cancel_futures=True)
+
+
 def _run_artifacts(names: List[str], args) -> int:
+    """Run and print the named artifacts, in order, on one session.
+
+    When Figure 8 and at least one other artifact are requested and
+    the process may run on two or more CPUs, Figure 8 runs in a helper
+    process (:class:`_Figure8Helper`) while this one runs the rest;
+    every artifact still prints in the requested order, and the
+    helper's stats are merged before they print.
+    """
     from .. import evalx
     from .ledger import graceful_drain
 
     session = _session_from_args(args)
     _attach_ledger(session, args)
-    with graceful_drain(session.stats):
-        for name in names:
+    tables: Dict[str, str] = {}
+    unprinted = list(names)
+
+    def run(name: str) -> str:
+        return evalx.run_artifact(
+            name, session=session, workers=args.workers,
+            executor=args.executor,
+        )
+
+    def flush() -> None:
+        while unprinted and unprinted[0] in tables:
+            name = unprinted.pop(0)
             print(f"== {name} ==")
-            print(
-                evalx.run_artifact(
-                    name,
-                    session=session,
-                    workers=args.workers,
-                    executor=args.executor,
-                )
-            )
+            print(tables[name])
             print()
+
+    with graceful_drain(session.stats):
+        helper = None
+        if "figure8" in names and len(names) > 1 and _usable_cpus() > 1:
+            helper = _Figure8Helper(session)
+        try:
+            for name in names:
+                if helper is None or name != "figure8":
+                    tables[name] = run(name)
+                    flush()
+            if helper is not None:
+                table = helper.collect()
+                tables["figure8"] = run("figure8") if table is None else table
+                flush()
+        finally:
+            if helper is not None:
+                helper.close()
     if args.stats == "json":
         _print_stats(session, "json")
     else:

@@ -494,11 +494,13 @@ class CompileSession:
                     else "compiled"
                 )
                 self.stats.bump("degrade.sim_backend")
+                # Frames: compute, ArtifactCache.get_or_compute,
+                # simulate, and then the code that called simulate.
                 warnings.warn(
                     f"sim backend {resolved!r} unavailable ({error}); "
                     f"degrading to {fallback!r}",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=4,
                 )
                 resolved = fallback
                 simulator = make_simulator(

@@ -17,9 +17,8 @@ with K stimulus lanes in one pass, which must agree lane for lane with
 K independent single-lane runs at the derived lane seeds — the SWAR
 batched engine in the "Lanes" column and the word-packed vector
 backend in the "Vector" column, both against the same per-lane
-reference traces.  Without numpy the vector run degrades to another
-engine, and the "Vector" column reads ``n/a``: there is no vector run
-to vouch for.
+reference traces.  Without numpy there is no vector engine, no vector
+run is made, and the "Vector" column reads ``n/a``.
 
 :func:`check_shape` asserts the claims this artifact exists for:
 
@@ -38,7 +37,7 @@ from typing import Dict, List, Optional
 
 from ..designs.catalog import DESIGNS, design_point
 from ..driver import CompileSession, EvalGrid
-from ..rtl import derive_lane_seed
+from ..rtl import derive_lane_seed, vectorize
 from ..synth import format_table
 
 #: Deterministic row order over the whole catalog.
@@ -79,8 +78,8 @@ class AblationRow:
         #: corresponding independent single-lane runs.
         self.lanes_agree = lanes_agree
         #: word-packed vector run bit-identical, lane for lane, to the
-        #: same independent single-lane reference traces; None when the
-        #: vector run landed on another engine (numpy missing).
+        #: same independent single-lane reference traces; None when no
+        #: vector engine ran (numpy missing).
         self.vector_agree = vector_agree
 
     @property
@@ -172,18 +171,19 @@ def _build_row(
     ).value
     lanes_agree = list(batch.outputs) == lane_refs
     # The vector differential: same contract, word-packed columns
-    # instead of SWAR words, against the very same reference traces —
-    # unless the run degraded to another engine, which proves nothing
-    # about the vector kernels.
-    vector = session.simulate(
-        source, component, params, generators,
-        cycles=cycles, seed=seed, opt_level=2, backend="vector",
-        lanes=lanes,
-    ).value
-    vector_agree = (
-        list(vector.outputs) == lane_refs
-        if vector.backend == "vector" else None
-    )
+    # instead of SWAR words, against the very same reference traces.
+    # A run on another engine proves nothing about the vector kernels:
+    # without numpy none is made, and a degraded trace that a numpy-less
+    # process left in a shared store is not counted either.
+    vector_agree = None
+    if vectorize._numpy() is not None:
+        vector = session.simulate(
+            source, component, params, generators,
+            cycles=cycles, seed=seed, opt_level=2, backend="vector",
+            lanes=lanes,
+        ).value
+        if vector.backend == "vector":
+            vector_agree = list(vector.outputs) == lane_refs
     removed_by: Dict[str, int] = {}
     for stat in opt.pass_stats:
         removed_by[stat.name] = (

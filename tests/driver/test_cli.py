@@ -1,10 +1,18 @@
 """The ``python -m repro`` command-line front door."""
 
+import errno
 import json
+import multiprocessing
+import os
+import re
+import time
 
 import pytest
 
+from repro.driver import cli
 from repro.driver.cli import main
+from repro.evalx import figure8, table2
+from repro.lilac.typecheck import check
 
 
 def test_compile_preset(capsys):
@@ -341,3 +349,151 @@ def test_fsck_flags_and_repairs_damage(tmp_path, capsys):
 def test_chaos_sites_flag_requires_crash_mode():
     with pytest.raises(SystemExit, match="--sites only applies"):
         main(["chaos", "--sites", "proc.kill.write"])
+
+
+# -- repro all's Figure 8 helper process ------------------------------------
+
+
+@pytest.fixture
+def short_figure8(monkeypatch):
+    """Figure 8 over its first design only; a forked helper inherits the
+    shortened list."""
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the helper inherits the shortened list only by fork")
+    monkeypatch.setattr(figure8, "DESIGNS", figure8.DESIGNS[:1])
+
+
+def _mask_ms(lines):
+    """The shortened Figure 8's one row with its wall-clock cell starred
+    out: the one cell a rerun may change."""
+    row = re.escape(figure8.DESIGNS[0][0])
+    return [
+        re.sub(rf"^({row}\s+\d+\s+)\d+", r"\1*", line) for line in lines
+    ]
+
+
+def _table2_and_figure8(monkeypatch, capsys, cpus, *argv):
+    """``_run_artifacts`` over Table 2 and Figure 8 as if ``cpus`` CPUs
+    were usable: the masked tables and the ``--stats json`` payload."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    args = cli.build_parser().parse_args(["all", "--stats", "json", *argv])
+    assert cli._run_artifacts(["table2", "figure8"], args) == 0
+    assert multiprocessing.active_children() == []
+    lines = capsys.readouterr().out.splitlines()
+    return _mask_ms(lines[:-1]), json.loads(lines[-1])
+
+
+def _counted(stats):
+    """A ``--stats json`` payload less what may differ between a helper
+    run and a sequential one: timers, the parse stage's counts and the
+    cache directory."""
+    cache = {
+        "hits": stats["cache"]["hits"],
+        "misses": stats["cache"]["misses"],
+        "counters": stats["cache"]["counters"],
+    }
+    for field in ("hits", "misses"):
+        cache[field] = {
+            stage: count for stage, count in cache[field].items()
+            if stage != "parse"
+        }
+    disk = {key: value for key, value in stats["disk"].items()
+            if key != "dir"}
+    return dict(stats, cache=cache, disk=disk)
+
+
+def test_all_runs_figure8_in_a_helper_process(
+    short_figure8, monkeypatch, capsys, tmp_path
+):
+    """With two CPUs Figure 8 runs in a helper process; the tables equal
+    a one-CPU run's once its ms column is masked, and the merged stats
+    count what the sequential run counts."""
+    collected = []
+    real_collect = cli._Figure8Helper.collect
+
+    def collect(helper):
+        collected.append(real_collect(helper))
+        return collected[-1]
+
+    monkeypatch.setattr(cli._Figure8Helper, "collect", collect)
+    # Both runs solve from an empty verdict memo (the helper forks with
+    # the one set here).
+    monkeypatch.setattr(check, "_OBLIGATION_MEMO", {})
+    helper_tables, helper_stats = _table2_and_figure8(
+        monkeypatch, capsys, 2, "--cache-dir", str(tmp_path / "helper")
+    )
+    monkeypatch.setattr(check, "_OBLIGATION_MEMO", {})
+    serial_tables, serial_stats = _table2_and_figure8(
+        monkeypatch, capsys, 1, "--cache-dir", str(tmp_path / "serial")
+    )
+    assert len(collected) == 1 and collected[0] is not None
+    assert "== figure8 ==" in helper_tables
+    assert helper_tables == serial_tables
+    assert helper_stats["typecheck"]["solver_queries"] > 0
+    assert _counted(helper_stats) == _counted(serial_stats)
+
+
+@pytest.mark.parametrize("failure", ["dies", "cannot start"])
+def test_a_failed_helper_leaves_figure8_to_the_parent(
+    short_figure8, monkeypatch, capsys, failure
+):
+    if failure == "dies":
+        parent = os.getpid()
+        real_build = figure8.build_rows
+
+        def build_rows(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(13)
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(figure8, "build_rows", build_rows)
+    else:
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "no process for the helper")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    with pytest.warns(RuntimeWarning, match="figure8 helper process failed"):
+        tables, stats = _table2_and_figure8(
+            monkeypatch, capsys, 2, "--no-disk-cache"
+        )
+    assert tables.index("== table2 ==") < tables.index("== figure8 ==")
+    assert any(line.startswith("RISC 3-stage Base") for line in tables)
+    assert stats["faults"]["degrades"] == {"executor": 1}
+
+
+def test_an_assertion_in_figure8_reaches_the_caller(
+    short_figure8, monkeypatch, capsys
+):
+    def check_shape(rows):
+        raise AssertionError("planted Figure 8 failure")
+
+    monkeypatch.setattr(figure8, "check_shape", check_shape)
+    with pytest.raises(AssertionError, match="planted Figure 8 failure"):
+        _table2_and_figure8(monkeypatch, capsys, 2, "--no-disk-cache")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_parent_kills_the_helper_instead_of_waiting(
+    short_figure8, monkeypatch, capsys, error
+):
+    """An exception in the parent, or the KeyboardInterrupt a drain
+    signal raises, stops a helper that would otherwise run a minute."""
+    parent = os.getpid()
+    real_build = figure8.build_rows
+
+    def build_rows(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return real_build(*args, **kwargs)
+
+    def classify(*args, **kwargs):
+        raise error("the parent fails")
+
+    monkeypatch.setattr(figure8, "build_rows", build_rows)
+    monkeypatch.setattr(table2, "classify", classify)
+    started = time.perf_counter()
+    with pytest.raises(error, match="the parent fails"):
+        _table2_and_figure8(monkeypatch, capsys, 2, "--no-disk-cache")
+    assert time.perf_counter() - started < 30
+    assert multiprocessing.active_children() == []

@@ -1,6 +1,6 @@
 """The optimization ablation: differential simulation across designs."""
 
-import pytest
+import warnings
 
 from repro.designs.catalog import design_point
 from repro.driver import CompileSession
@@ -100,13 +100,13 @@ def test_ablation_check_shape_rejects_vector_divergence():
 
 
 def test_ablation_reports_na_for_vector_without_numpy(monkeypatch):
-    """Without numpy the vector run degrades to the engine ``auto``
-    picks without it: the "Vector" column says ``n/a`` instead of
-    vouching for kernels that never ran, and the other three columns
-    still hold."""
+    """Without numpy no vector run is made, so nothing degrades or
+    warns: the "Vector" column says ``n/a`` instead of vouching for
+    kernels that never ran, and the other three columns still hold."""
     monkeypatch.setattr(vectorize, "_NUMPY", None)
     monkeypatch.setattr(vectorize, "_NUMPY_PROBED", True)
-    with pytest.warns(RuntimeWarning, match="'vector' unavailable"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         rows = ablation.build_rows(cycles=16)
     ablation.check_shape(rows)
     assert all(row.vector_agree is None for row in rows)

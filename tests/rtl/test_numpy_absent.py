@@ -1,7 +1,7 @@
 """Without numpy: the vector engine refuses to build, a session asked
 for ``vector`` degrades once to the engine ``auto`` picks without it
-(``compiled`` at one lane, SWAR where the predicate says so), and
-``auto`` never picks ``vector``.
+(``compiled`` at one lane, SWAR where the predicate says so), ``auto``
+never picks ``vector``, and the ablation makes no vector run.
 
 Each test switches the numpy probe of :mod:`repro.rtl.vectorize` off,
 which is exactly what a numpy-less install sees, so this path is
@@ -13,6 +13,7 @@ import warnings
 import pytest
 
 from repro.driver import CompileSession
+from repro.evalx import ablation
 from repro.rtl import (
     Module,
     NetlistError,
@@ -58,9 +59,12 @@ def test_session_vector_degrades_to_compiled():
     interp = CompileSession(sim_backend="interp")
     base = interp.simulate(SOURCE, "Double", {"#W": 8}, cycles=12).value
     session = CompileSession(sim_backend="vector")
-    with pytest.warns(RuntimeWarning, match="degrading to 'compiled'"):
+    with pytest.warns(RuntimeWarning,
+                      match="degrading to 'compiled'") as record:
         trace = session.simulate(SOURCE, "Double", {"#W": 8},
                                  cycles=12).value
+    # The warning names the code that called simulate.
+    assert [warning.filename for warning in record] == [__file__]
     assert trace.backend == "compiled"
     assert trace.outputs == base.outputs
     assert session.stats.counter("degrade.sim_backend") == 1
@@ -86,9 +90,11 @@ def test_session_vector_degrades_to_the_lane_engine_auto_picks(
     session = CompileSession(sim_backend="vector", sim_lanes=4)
     module = session.optimize(SOURCE, "Double", {"#W": 8}).value.module
     assert auto_backend(module, 4) == "batched"
-    with pytest.warns(RuntimeWarning, match="degrading to 'batched'"):
+    with pytest.warns(RuntimeWarning,
+                      match="degrading to 'batched'") as record:
         trace = session.simulate(SOURCE, "Double", {"#W": 8},
                                  cycles=12).value
+    assert [warning.filename for warning in record] == [__file__]
     assert trace.backend == "batched"
     assert trace.outputs == base.outputs
     assert session.stats.counter("degrade.sim_backend") == 1
@@ -105,4 +111,26 @@ def test_auto_never_picks_vector_without_numpy():
         trace = session.simulate(SOURCE, "Double", {"#W": 8},
                                  cycles=4).value
     assert trace.backend == "batched"
+    assert session.stats.counter("degrade.sim_backend") == 0
+
+
+def test_ablation_makes_no_vector_run_without_numpy(monkeypatch):
+    """The ablation's "Vector" column reads ``n/a`` without a run: it
+    never asks the session for the vector engine, so nothing degrades,
+    nothing warns, and the design stores no simulate entry for it."""
+    session = CompileSession()
+    backends = []
+    simulate = session.simulate
+
+    def recorded(*args, **kwargs):
+        backends.append(kwargs.get("backend"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(session, "simulate", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = ablation._build_row(session, "fpu", cycles=8)
+    assert row.vector_agree is None
+    assert row.cells()[-4:] == ["yes", "yes", "yes", "n/a"]
+    assert set(backends) == {"interp", "compiled", "batched"}
     assert session.stats.counter("degrade.sim_backend") == 0
