@@ -50,12 +50,11 @@ from .faults import (
     FaultPlan,
     FaultPlanError,
     FaultSite,
-    InjectedCrash,
     InjectedFault,
     InjectedOSError,
 )
 from .fsck import Finding, FsckReport, run_fsck
-from .grid import EXECUTORS, EvalGrid
+from .grid import EvalGrid
 from .ledger import RunLedger, graceful_drain, point_key
 from .profiler import RunProfiler, RunReport
 from .session import (
@@ -67,7 +66,6 @@ from .session import (
 
 __all__ = [
     "CRASH_SITES",
-    "EXECUTORS",
     "FAULT_MODES",
     "FAULT_SITES",
     "SCHEMA_VERSION",
@@ -89,7 +87,6 @@ __all__ = [
     "FaultSite",
     "Finding",
     "FsckReport",
-    "InjectedCrash",
     "InjectedFault",
     "InjectedOSError",
     "OptimizedNetlist",

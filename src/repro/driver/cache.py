@@ -224,10 +224,10 @@ class CacheStats:
     for stage computations, ``wait.disk_read`` / ``wait.disk_write``
     for disk-cache I/O, ``wait.cache_lock`` for time blocked behind
     another thread's single-flight computation, ``wait.pool_queue`` for
-    grid tasks sitting unstarted in the executor queue.  Nested sites
-    both record (a stage computation that reads the disk counts under
-    both names), so timers attribute wall time by *site*, they do not
-    partition it.
+    grid points sitting unstarted in the grid's thread-pool queue.
+    Nested sites both record (a stage computation that reads the disk
+    counts under both names), so timers attribute wall time by *site*,
+    they do not partition it.
     """
 
     def __init__(self):
@@ -660,12 +660,12 @@ class PseudoStore:
       layout) of the one compile path of all three generators, ``parts``
       ``(structural_hash, backend, lanes)`` under ``CODEGEN_VERSION``.
       A warm process skips levelization and generation and only pays
-      ``compile()`` + ``exec()``; process-mode grid workers rendezvous
-      here.
+      ``compile()`` + ``exec()``.
     * ``"smt"`` — obligation verdicts (status plus the SAT model in
       canonical variable names, see :mod:`repro.smt.canon`), ``parts``
       ``(obligation_digest,)`` under ``SOLVER_VERSION``.  A warm
-      ``repro all`` skips the solver entirely.
+      ``repro all`` skips the solver entirely; its Figure 8 helper
+      process saves the verdicts it solves here.
 
     ``valid(payload, *parts)`` is applied on load, before counting, so a
     ``<stage>.disk_hit`` means a usable payload and a shape-invalid one
@@ -749,15 +749,6 @@ class ArtifactCache:
                 self.stats.record_hit(stage)
                 return self._reused(artifact)
             key_lock = self._key_locks.setdefault(key, threading.Lock())
-        try:
-            faults.inject("cache.lock", self.stats)
-        except faults.InjectedFault:
-            # Single-flight dedup lost for this request: degrade to a
-            # private lock (no contention, no sharing).  At worst the
-            # same artifact is computed twice — identical content, so
-            # correctness is untouched; last publisher wins in memory.
-            self.stats.bump("degrade.cache_lock")
-            key_lock = threading.Lock()
         lock_started = time.perf_counter()
         with key_lock:
             self.stats.add_seconds(

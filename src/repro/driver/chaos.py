@@ -7,10 +7,10 @@ every group, plus the SMT typecheck for the solver group — into a
 fresh throwaway disk cache, and holds the run to three obligations:
 
 1. **Bit-identical** — every design's trace (and typecheck report)
-   digest equals the fault-free baseline's.  The degradation ladders
-   (disk→memory, process→thread→serial, incremental→one-shot solver,
-   and a vector run's fallback to ``auto``'s other engines) are allowed
-   to cost time, never bits.
+   digest equals the fault-free baseline's.  The recoveries (disk
+   retries, disk→memory, incremental→one-shot solver, and a vector
+   run's fallback to ``auto``'s other engines) are allowed to cost
+   time, never bits.
 2. **Accounted** — every fault the plan fired shows up as a
    ``fault.injected.<site>`` counter on the session's stats, so no
    injection was silently swallowed (or silently skipped).
@@ -20,15 +20,14 @@ fresh throwaway disk cache, and holds the run to three obligations:
 Fault plans are grouped by the subsystem they attack, one run per
 (group, seed)::
 
-    disk    disk.read, disk.write, disk.replace, pickle.load, cache.lock
-    worker  worker.spawn, worker.crash
+    disk    disk.read, disk.write, disk.replace, pickle.load
     solver  solver.budget
 
 Seeds choose *which* invocation of each site fails
 (:meth:`FaultPlan.seeded` — skip offsets derived from
 ``sha256(seed:site)``), so a seed sweep walks the failure through cold
-reads, warm reads, first writes, mid-grid points… while staying exactly
-reproducible: the same seed always breaks the same calls.
+reads, warm reads, first writes, later obligations… while staying
+exactly reproducible: the same seed always breaks the same calls.
 
 Every run gets its own ``mkdtemp`` cache directory — determinism of the
 call indices requires starting cold — and uninstalls its plan on the
@@ -55,11 +54,7 @@ from . import faults
 #: sites SIGKILL the process, so only :func:`run_crash_chaos` (which
 #: schedules them in child processes) may plan them.
 SITE_GROUPS = {
-    "disk": (
-        "disk.read", "disk.write", "disk.replace", "pickle.load",
-        "cache.lock",
-    ),
-    "worker": ("worker.spawn", "worker.crash"),
+    "disk": ("disk.read", "disk.write", "disk.replace", "pickle.load"),
     "solver": ("solver.budget",),
 }
 
@@ -71,7 +66,7 @@ def _digest(payload) -> str:
 
 
 def _chaos_point(session, point):
-    """Grid worker (module-level: process pools must pickle it).
+    """Grid worker of the chaos sweep and of ``repro sweep``.
 
     ``point`` is ``(design, cycles, opt_level, check)``; returns
     ``(design, payload)`` where payload holds the *bits the run is
@@ -111,9 +106,7 @@ class ChaosRun:
     always carries the typecheck part, so solver-group runs have
     something to match).  ``accounted`` holds iff, for every site, the
     plan's own fire count equals the session's
-    ``fault.injected.<site>`` counter — in process-executor runs both
-    views are parent-side by construction (worker processes rebuild
-    the plan with their own counters), so the equality stays exact.
+    ``fault.injected.<site>`` counter.
     """
 
     def __init__(
@@ -236,7 +229,6 @@ def _run_once(
     check: bool,
     sim_backend: str,
     workers: Optional[int],
-    executor: str,
 ) -> ChaosRun:
     """One sweep over the designs in a fresh session + fresh cold cache."""
     from .. import smt
@@ -268,7 +260,7 @@ def _run_once(
             fault_plan=plan if plan is not None else faults.FaultPlan(),
         )
         try:
-            grid = EvalGrid(session, max_workers=workers, executor=executor)
+            grid = EvalGrid(session, max_workers=workers)
             points = [(name, cycles, opt_level, check) for name in designs]
             for design, payload in grid.map(_chaos_point, points):
                 digests[design] = {
@@ -299,13 +291,12 @@ def _run_once(
 def run_chaos(
     designs: Optional[Sequence[str]] = None,
     seeds: Iterable[int] = (0,),
-    groups: Sequence[str] = ("disk", "worker", "solver"),
+    groups: Sequence[str] = ("disk", "solver"),
     cycles: int = 64,
     opt_level: int = 2,
     count: int = 2,
     sim_backend: str = "interp",
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> ChaosReport:
     """The full sweep: a fault-free baseline, then one faulted run per
     (group, seed), every run judged for bit-identity, accounting and
@@ -326,7 +317,7 @@ def run_chaos(
         )
     baseline = _run_once(
         "baseline", None, designs, cycles, opt_level, True,
-        sim_backend, workers, executor,
+        sim_backend, workers,
     )
     runs: List[ChaosRun] = []
     for seed in seeds:
@@ -343,7 +334,6 @@ def run_chaos(
                 group == "solver",
                 sim_backend,
                 workers,
-                executor,
             )
             run.judge(baseline)
             runs.append(run)

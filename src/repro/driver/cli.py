@@ -13,7 +13,7 @@ Subcommands:
   the whole-run wall-time profiler, printing a flame-style attribution
   of compute vs waiting (pool queue, disk I/O, cache-lock contention).
 * ``chaos``  — the fault-injection sweep: catalog designs under seeded
-  fault plans (disk, worker, solver groups), each run asserted
+  fault plans (disk and solver groups), each run asserted
   bit-identical to a fault-free baseline with every injected fault
   accounted and no exception escaping.  ``--crash`` switches to the
   kill-9 harness: real child processes SIGKILLed at seeded
@@ -55,17 +55,14 @@ and lane count by :func:`repro.rtl.auto_backend`), and take
 ``--sim-lanes K`` to batch K stimulus lanes through each simulate run;
 ``ablation`` and ``all`` take ``--sim-lanes K`` to widen the
 ablation's lane differentials to K lanes.  ``chaos`` has its own
-``--sim-backend``.  Grid-shaped subcommands additionally take
-``--executor {thread,process}``: process mode fans the evaluation grid
-over worker processes that rendezvous through the disk cache instead
-of a shared in-memory session.
+``--sim-backend``.  Grid-shaped subcommands take ``--workers N`` to
+size the evaluation grid's thread pool.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -80,7 +77,6 @@ from ..rtl import backend_choices
 from ..rtl.passes import OPT_LEVELS
 from .cache import DiskCache
 from .chaos import SITE_GROUPS
-from .grid import EXECUTORS
 from .session import CompileSession
 
 #: Bundled design presets for ``compile --design`` (the catalog's keys).
@@ -226,15 +222,6 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the
-    platform has one (so ``taskset -c 0`` counts one), else the
-    machine's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _figure8_in_helper(spec: Dict[str, object]):
     """Figure 8 on a session rebuilt from ``spec``, in the helper
     process: the rendered table, the session's stats snapshot and its
@@ -323,6 +310,7 @@ def _run_artifacts(names: List[str], args) -> int:
     helper's stats are merged before they print.
     """
     from .. import evalx
+    from .grid import usable_cpus
     from .ledger import graceful_drain
 
     session = _session_from_args(args)
@@ -331,10 +319,7 @@ def _run_artifacts(names: List[str], args) -> int:
     unprinted = list(names)
 
     def run(name: str) -> str:
-        return evalx.run_artifact(
-            name, session=session, workers=args.workers,
-            executor=args.executor,
-        )
+        return evalx.run_artifact(name, session=session, workers=args.workers)
 
     def flush() -> None:
         while unprinted and unprinted[0] in tables:
@@ -345,7 +330,7 @@ def _run_artifacts(names: List[str], args) -> int:
 
     with graceful_drain(session.stats):
         helper = None
-        if "figure8" in names and len(names) > 1 and _usable_cpus() > 1:
+        if "figure8" in names and len(names) > 1 and usable_cpus() > 1:
             helper = _Figure8Helper(session)
         try:
             for name in names:
@@ -436,9 +421,7 @@ def _cmd_profile(args) -> int:
     session = _session_from_args(args)
     _attach_ledger(session, args)
     names = args.designs or sorted(PRESETS)
-    grid = EvalGrid(
-        session, max_workers=args.workers, executor=args.executor
-    )
+    grid = EvalGrid(session, max_workers=args.workers)
     with graceful_drain(session.stats):
         with RunProfiler(session) as profiler:
             rows = grid.map(
@@ -489,9 +472,7 @@ def _cmd_sweep(args) -> int:
     points = [
         (name, args.cycles, args.opt_level, args.check) for name in names
     ]
-    grid = EvalGrid(
-        session, max_workers=args.workers, executor=args.executor
-    )
+    grid = EvalGrid(session, max_workers=args.workers)
     with graceful_drain(session.stats):
         results = grid.map(_chaos_point, points)
     payload = session.stats_dict()
@@ -544,7 +525,6 @@ def _cmd_chaos(args) -> int:
         count=args.count,
         sim_backend=args.sim_backend,
         workers=args.workers,
-        executor=args.executor,
     )
     if args.json:
         print(json.dumps(report.to_dict(), sort_keys=True))
@@ -656,7 +636,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="fault-injection sweep: run the catalog designs under "
-             "seeded fault plans (disk, worker, solver groups) into "
+             "seeded fault plans (disk and solver groups) into "
              "fresh throwaway caches and assert every run is "
              "bit-identical to a fault-free baseline, every injected "
              "fault accounted, no exception escaping",
@@ -673,9 +653,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--groups", nargs="*", choices=sorted(SITE_GROUPS),
-        default=["disk", "worker", "solver"], metavar="GROUP",
+        default=sorted(SITE_GROUPS), metavar="GROUP",
         help="fault-site groups to sweep, one plan per (group, seed) "
-             "(default: all three)",
+             "(default: both)",
     )
     chaos.add_argument(
         "--cycles", type=_positive_int, default=64,
@@ -687,13 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--workers", type=int, default=None,
-        help="evaluation-grid workers per run (default: cpu count)",
-    )
-    chaos.add_argument(
-        "--executor", choices=EXECUTORS, default="thread",
-        help="evaluation-grid pool for each run; 'process' exercises "
-             "real worker-process deaths and the process->thread->"
-             "serial degradation ladder (default: thread)",
+        help="evaluation-grid worker threads per run (default: the "
+             "CPUs this process may run on)",
     )
     chaos.add_argument(
         "-O", dest="opt_level", type=int, choices=OPT_LEVELS, default=2,
@@ -780,13 +755,8 @@ def build_parser() -> argparse.ArgumentParser:
     for command in (table, figure, ablation, profile, all_, sweep):
         command.add_argument(
             "--workers", type=int, default=None,
-            help="evaluation-grid worker threads (default: cpu count)",
-        )
-        command.add_argument(
-            "--executor", choices=EXECUTORS, default="thread",
-            help="evaluation-grid pool: 'thread' shares one in-memory "
-                 "session; 'process' sidesteps the GIL, workers "
-                 "rendezvous through the disk cache",
+            help="evaluation-grid worker threads (default: the CPUs "
+                 "this process may run on)",
         )
         command.add_argument(
             "--run-id", default=None, metavar="NAME",

@@ -1,20 +1,18 @@
 """Deterministic, seeded fault injection for the whole accelerator stack.
 
 The reliability mirror of the perf work: every layer that got a fast
-path (disk cache, codegen/obligation stores, batched and
-vectorized simulation, the incremental solver, the process grid) also
-has a *failure* path, and nothing short of injecting the failures
+path (disk cache, codegen/obligation stores, the incremental solver)
+also has a *failure* path, and nothing short of injecting the failures
 proves those paths degrade gracefully instead of corrupting results.
 This module is the injection substrate: a :class:`FaultPlan` names
 *sites* (fixed strings compiled into the hardened code) and decides —
 deterministically, from explicit counts and skip offsets or from a
 seed — which invocations of each site fail.  The hardened layers then
-recover along the degradation ladder (disk→memory, incremental→
-one-shot solver, process→thread→serial grid), all of whose rungs are
-bit-identical by the differential contracts, so an injected fault
-costs speed, never correctness.  (A simulation engine has no fault
-site: only a vector engine without numpy degrades, to the engine
-``auto`` picks without it.)
+recover (disk retries, disk→memory, incremental→one-shot solver), and
+every recovery is bit-identical by the differential contracts, so an
+injected fault costs speed, never correctness.  (A simulation engine
+has no fault site: only a vector engine without numpy degrades, to the
+engine ``auto`` picks without it.)
 
 Sites (the complete set — the hardened code asserts membership)::
 
@@ -24,12 +22,6 @@ Sites (the complete set — the hardened code asserts membership)::
     disk.replace   the atomic os.replace publishing an entry fails
     pickle.load    a stored payload deserializes as garbage
                    (quarantined like any corrupt entry)
-    cache.lock     a single-flight key lock is unavailable (dedup lost,
-                   the requester computes privately)
-    worker.spawn   the process pool cannot be created (grid degrades
-                   to threads)
-    worker.crash   a grid worker dies mid-point (a real ``os._exit``
-                   in process mode; the grid retries / degrades)
     solver.budget  an obligation's DPLL(T) conflict budget exhausts
                    (typecheck falls back to the one-shot engine)
 
@@ -44,8 +36,8 @@ offline by ``repro fsck`` plus a ``--resume`` of the run::
                       it and the directory fsync), so seeds walk the
                       kill through both crash windows: a stamped temp
                       file left behind, or a published entry
-    proc.kill.point   in the EvalGrid parent, after a grid point
-                      completes and its checkpoint is recorded
+    proc.kill.point   in EvalGrid, after a grid point completes and
+                      its checkpoint is recorded
     proc.kill.solver  in the type checker's _cached_discharge, as a
                       freshly solved verdict is about to be saved to
                       the "smt" store mid-discharge
@@ -58,13 +50,13 @@ separated::
 ``count`` is how many invocations fail (default 1), ``skip`` how many
 invocations pass before the first failure (default 0), and ``mode``
 refines the failure kind (``transient`` — the default — or ``enospc``
-/ ``erofs`` on the write sites).  ``disk.read:2@1,worker.crash`` fails
-the second and third disk reads and the first grid point.  The same
-grammar rides ``$REPRO_FAULTS`` (picked up by every
-:class:`~repro.driver.session.CompileSession` that isn't given an
-explicit plan) and round-trips through ``session.spec()`` so process-
-pool workers rebuild the plan — with their own fresh counters — in
-their own interpreter.
+/ ``erofs`` on the write sites).  ``disk.read:2@1,solver.budget``
+fails the second and third disk reads and the first obligation's
+incremental solve.  The same grammar rides ``$REPRO_FAULTS`` (picked
+up by every :class:`~repro.driver.session.CompileSession` that isn't
+given an explicit plan) and round-trips through ``session.spec()``,
+so ``repro all``'s Figure 8 helper process rebuilds the plan — with
+its own fresh counters — in its own interpreter.
 
 Injection is *accounted*: every fired fault bumps
 ``fault.injected.<site>`` on the plan and on the stats object the
@@ -92,9 +84,6 @@ FAULT_SITES = (
     "disk.write",
     "disk.replace",
     "pickle.load",
-    "cache.lock",
-    "worker.spawn",
-    "worker.crash",
     "solver.budget",
     "proc.kill.write",
     "proc.kill.point",
@@ -126,18 +115,13 @@ class FaultPlanError(ValueError):
 
 
 class InjectedFault(RuntimeError):
-    """An injected failure with no OS-level analogue (``pickle.load``,
-    ``cache.lock``).  Hardened sites catch it exactly where they catch
-    the real failure it stands in for."""
+    """An injected failure with no OS-level analogue (``pickle.load``).
+    Hardened sites catch it exactly where they catch the real failure
+    it stands in for."""
 
     def __init__(self, site: str):
         super().__init__(f"injected fault at {site}")
         self.site = site
-
-
-class InjectedCrash(RuntimeError):
-    """A grid worker death, as seen by a thread or serial executor
-    (process executors die for real via ``os._exit``)."""
 
 
 class InjectedOSError(OSError):
@@ -206,10 +190,6 @@ class FaultSite:
         """The exception an :func:`inject` at this site raises."""
         if self.site in ("disk.read", "disk.write", "disk.replace"):
             return InjectedOSError(_MODE_ERRNO[self.mode], self.site)
-        if self.site == "worker.spawn":
-            return InjectedOSError(errno.EAGAIN, self.site)
-        if self.site == "worker.crash":
-            return InjectedCrash(f"injected fault at {self.site}")
         return InjectedFault(self.site)
 
     def __repr__(self) -> str:
@@ -240,9 +220,9 @@ class FaultPlan:
     """A deterministic schedule of injected failures, with accounting.
 
     The plan is pure data plus per-site invocation counters: the
-    ``n``-th time a site is consulted (per plan instance — a process-
-    pool worker rebuilding the plan from its spec string starts its
-    own count) it fires iff some :class:`FaultSite` entry covers
+    ``n``-th time a site is consulted (per plan instance — a helper
+    process rebuilding the plan from its spec string starts its own
+    count) it fires iff some :class:`FaultSite` entry covers
     ``n``.  Thread-safe; every fire is recorded in :attr:`fired` and,
     when a stats object is supplied or bound, bumped as
     ``fault.injected.<site>`` there — which is what lets ``repro
@@ -419,7 +399,7 @@ def check(site: str, stats=None) -> Optional[FaultSite]:
 
 def should_fire(site: str, stats=None) -> bool:
     """For sites whose failure is not an exception raised *here* (a
-    worker deciding to die, a solver budget registering as exhausted):
+    solver budget registering as exhausted):
     True when this invocation fails, with the fire fully accounted."""
     return check(site, stats) is not None
 

@@ -5,10 +5,11 @@ timers at every instrumented site — ``compute.<stage>`` around each
 stage computation, ``wait.disk_read``/``wait.disk_write`` around disk
 cache I/O, ``wait.cache_lock`` for time blocked behind another thread's
 single-flight computation, ``wait.pool_queue`` for grid points sitting
-unstarted in the executor queue.  :class:`RunProfiler` brackets a run
-(a ``repro all``, one evaluation grid, a single compile) and turns the
-timer *deltas* into a :class:`RunReport`: compute vs waiting, with a
-flame-style text rendering and a JSON form for machines.
+unstarted in the grid's thread-pool queue.  :class:`RunProfiler`
+brackets a run (a ``repro all``, one evaluation grid, a single compile)
+and turns the timer *deltas* into a :class:`RunReport`: compute vs
+waiting, with a flame-style text rendering and a JSON form for
+machines.
 
 Two caveats the report states explicitly rather than hiding:
 
@@ -199,9 +200,9 @@ class RunProfiler:
 
 
 def simulate_catalog_point(session, point):
-    """Grid worker for ``repro profile`` (module-level: process pools
-    must pickle it).  ``point`` is ``(design_name, cycles, opt_level)``;
-    returns plain data for the per-design summary line."""
+    """Grid worker for ``repro profile``.  ``point`` is
+    ``(design_name, cycles, opt_level)``; returns plain data for the
+    per-design summary line."""
     from ..designs.catalog import design_point
 
     name, cycles, opt_level = point

@@ -184,23 +184,23 @@ class CompileSession:
         #   -> (Elaborator, per-elaborator lock)
         self._elaborators: Dict[Tuple, Tuple[Elaborator, threading.Lock]] = {}
 
-    # -- process-pool plumbing ------------------------------------------
+    # -- helper-process plumbing ----------------------------------------
 
     def spec(self) -> Dict[str, object]:
         """The picklable recipe for an equivalent session.
 
         Sessions hold live unpicklable state (programs, locks, netlist
-        objects), so :class:`~repro.driver.grid.EvalGrid`'s process mode
-        ships this dict to each worker instead and rebuilds with
-        :meth:`from_spec`; workers sharing a ``cache_dir`` then
-        rendezvous on artifacts through the disk layer.
+        objects), so ``repro all`` ships this dict to its Figure 8
+        helper process instead, which rebuilds the session with
+        :meth:`from_spec`; sharing the ``cache_dir``, the two processes
+        meet on artifacts and verdicts through the disk layer.
         """
         return {
             "opt_level": self.opt_level,
             "sim_backend": self.sim_backend,
             "sim_lanes": self.sim_lanes,
             "cache_dir": self.cache_dir,
-            # Workers rebuild the plan from its grammar spelling with
+            # The helper rebuilds the plan from its grammar spelling with
             # fresh counters — each process schedules its own failures.
             "fault_plan": (
                 self.fault_plan.spec_string()
@@ -730,9 +730,10 @@ class CompileSession:
         ``injected`` maps each fault site to fires accounted on this
         session, ``retries`` counts in-place recoveries, and
         ``degrades`` counts rungs taken down the degradation ladders
-        (disk→memory, process→thread→serial, incremental→one-shot
-        solver) and vector runs that fell back to ``auto``'s other
-        engines.  All zero / empty in a fault-free run.
+        (disk→memory, incremental→one-shot solver), vector runs that
+        fell back to ``auto``'s other engines and a ``repro all`` whose
+        Figure 8 helper process failed (``executor``).  All zero /
+        empty in a fault-free run.
         """
         counters = self.stats.snapshot()["counters"]
 

@@ -8,12 +8,10 @@ Every artifact module exposes the same surface:
   :class:`~repro.driver.EvalGrid`);
 * ``render(rows)`` — the formatted table;
 * ``check_shape(rows)`` — assert the paper's relative claims;
-* ``run(session=None, workers=None, executor="thread")`` — build +
-  check + render in one call (what ``python -m repro table/figure/all``
-  invokes via :func:`run_artifact`).  ``executor`` selects the
-  :class:`~repro.driver.EvalGrid` pool — ``"process"`` fans the grid
-  out over worker processes that rendezvous through the session's disk
-  cache; artifacts without a grid accept and ignore it.
+* ``run(session=None, workers=None)`` — build + check + render in one
+  call (what ``python -m repro table/figure/all`` invokes via
+  :func:`run_artifact`); artifacts without a grid accept and ignore
+  ``workers``.
 """
 
 from typing import Optional
@@ -32,10 +30,7 @@ ARTIFACTS = {
 
 
 def run_artifact(
-    name: str,
-    session=None,
-    workers: Optional[int] = None,
-    executor: str = "thread",
+    name: str, session=None, workers: Optional[int] = None
 ) -> str:
     """Build, shape-check and render one table/figure by name."""
     module = ARTIFACTS.get(name)
@@ -43,7 +38,7 @@ def run_artifact(
         raise KeyError(
             f"unknown artifact {name!r}; available: {sorted(ARTIFACTS)}"
         )
-    return module.run(session=session, workers=workers, executor=executor)
+    return module.run(session=session, workers=workers)
 
 
 __all__ = [

@@ -207,11 +207,10 @@ def build_rows(
     cycles: int = CYCLES,
     seed: int = SEED,
     lanes: int = LANES,
-    executor: str = "thread",
 ) -> List[AblationRow]:
-    grid = EvalGrid(session, max_workers=workers, executor=executor)
-    # partial over the module-level builder (not a lambda) so the grid's
-    # process mode can pickle the worker function.
+    grid = EvalGrid(session, max_workers=workers)
+    # partial over the module-level builder (not a lambda): a checkpoint's
+    # point key names the function and its bound arguments.
     return grid.map(
         functools.partial(_build_row, cycles=cycles, seed=seed, lanes=lanes),
         ABLATION_DESIGNS,
@@ -262,16 +261,13 @@ def check_shape(rows: List[AblationRow]) -> Dict[str, float]:
 def run(
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> str:
     # A session tuned for more lanes (--sim-lanes) widens the batched
     # differential accordingly.
     lanes = LANES
     if session is not None and session.sim_lanes > 1:
         lanes = session.sim_lanes
-    rows = build_rows(
-        session=session, workers=workers, lanes=lanes, executor=executor
-    )
+    rows = build_rows(session=session, workers=workers, lanes=lanes)
     stats = check_shape(rows)
     lines = [render(rows), "", "shape statistics:"]
     for key, value in stats.items():

@@ -49,11 +49,10 @@ def build_rows(
     width: int = 16,
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> List[Figure13Row]:
-    grid = EvalGrid(session, max_workers=workers, executor=executor)
-    # partial over the module-level builder (not a lambda) so the grid's
-    # process mode can pickle the worker function.
+    grid = EvalGrid(session, max_workers=workers)
+    # partial over the module-level builder (not a lambda): a checkpoint's
+    # point key names the function and its bound arguments.
     return grid.map(
         functools.partial(_build_point, width=width), parallelisms
     )
@@ -92,9 +91,8 @@ def summary(rows: List[Figure13Row]) -> Dict[str, float]:
 def run(
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> str:
-    rows = build_rows(session=session, workers=workers, executor=executor)
+    rows = build_rows(session=session, workers=workers)
     stats = check_shape(rows)
     lines = [render(rows), "", "section 7.2 headline statistics:"]
     for key, value in stats.items():

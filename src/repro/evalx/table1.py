@@ -61,11 +61,10 @@ def build_rows(
     width: int = 32,
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> List[Table1Row]:
-    grid = EvalGrid(session, max_workers=workers, executor=executor)
-    # partial over the module-level builder (not a lambda) so the grid's
-    # process mode can pickle the worker function.
+    grid = EvalGrid(session, max_workers=workers)
+    # partial over the module-level builder (not a lambda): a checkpoint's
+    # point key names the function and its bound arguments.
     per_point = grid.map(
         functools.partial(_build_point, width=width), DESIGN_POINTS
     )
@@ -82,10 +81,9 @@ def render(rows: List[Table1Row]) -> str:
 def run(
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> str:
     """Build, verify and render the table (the CLI entry point)."""
-    rows = build_rows(session=session, workers=workers, executor=executor)
+    rows = build_rows(session=session, workers=workers)
     stats = check_shape(rows)
     lines = [render(rows), "", "shape statistics:"]
     for key, value in stats.items():

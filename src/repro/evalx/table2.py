@@ -102,10 +102,9 @@ def check_shape(rows) -> None:
 def run(
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> str:
-    # No grid here: workers/executor accepted for the uniform artifact
-    # surface and ignored.
+    # No grid here: workers accepted for the uniform artifact surface
+    # and ignored.
     rows = classify(session=session)
     check_shape(rows)
     return render(rows)

@@ -128,10 +128,9 @@ def render(rows: List[Tuple[str, str]]) -> str:
 def run(
     session: Optional[CompileSession] = None,
     workers: Optional[int] = None,
-    executor: str = "thread",
 ) -> str:
-    # No grid here: workers/executor accepted for the uniform artifact
-    # surface and ignored.
+    # No grid here: workers accepted for the uniform artifact surface
+    # and ignored.
     rows = build_rows(session=session)
     check_shape(rows)
     return render(rows)

@@ -36,7 +36,7 @@ class TypeCheckError(LilacError):
         # Exception's default reduce replays ``args`` (the rendered
         # text) into __init__, which does not match this signature —
         # reports carrying errors must survive pickling for the disk
-        # cache and the process-pool typecheck executor.
+        # cache.
         return (
             TypeCheckError,
             (self.component, self.reason, self.counterexample, self.kind),

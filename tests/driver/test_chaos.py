@@ -28,7 +28,7 @@ def test_chaos_sweep_is_bit_identical_and_accounted():
     assert report.ok
     assert report.baseline.error is None
     assert {run.label for run in report.runs} == {
-        "disk@seed=0", "worker@seed=0", "solver@seed=0"
+        "disk@seed=0", "solver@seed=0"
     }
     for run in report.runs:
         assert run.error is None
@@ -36,7 +36,7 @@ def test_chaos_sweep_is_bit_identical_and_accounted():
         assert run.accounted
         # Judged against a baseline that carries both payload parts.
         assert run.digests
-    # The disk group schedules five sites over a store-heavy sweep:
+    # The disk group schedules four sites over a store-heavy sweep:
     # some of them must actually have fired.
     disk = next(r for r in report.runs if r.label == "disk@seed=0")
     assert sum(disk.injected.values()) >= 1
@@ -44,7 +44,7 @@ def test_chaos_sweep_is_bit_identical_and_accounted():
 
     payload = report.to_dict()
     assert payload["ok"] is True
-    assert len(payload["runs"]) == 3
+    assert len(payload["runs"]) == 2
     rendered = report.render()
     assert "all runs bit-identical, all faults accounted" in rendered
     assert "disk@seed=0" in rendered
@@ -100,6 +100,6 @@ def test_run_once_leaves_no_plan_installed():
 
     plan = FaultPlan.seeded(0, sites=("disk.read",), count=1)
     _run_once(
-        "probe", plan, ("fpu",), 8, 2, False, "interp", None, "thread"
+        "probe", plan, ("fpu",), 8, 2, False, "interp", None
     )
     assert faults.active_plan() is None

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.driver import cli
+from repro.driver import cli, grid, run_fsck
 from repro.driver.cli import main
 from repro.evalx import figure8, table2
 from repro.lilac.typecheck import check
@@ -143,10 +143,9 @@ def test_sim_lanes_flag_reaches_the_session(capsys):
     assert payload["sim_backend"] == "compiled"
 
 
-def test_ablation_with_lanes_and_process_executor(capsys):
+def test_ablation_with_lanes_on_two_workers(capsys):
     assert main([
-        "ablation", "--workers", "2", "--executor", "process",
-        "--sim-lanes", "2",
+        "ablation", "--workers", "2", "--sim-lanes", "2",
     ]) == 0
     out = capsys.readouterr().out
     assert "Lanes" in out
@@ -182,12 +181,26 @@ def test_sim_flags_exist_only_where_they_select_something(
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_executor_flag_rejects_unknown_pool(capsys):
-    for executor in ("fiber", "auto"):
-        with pytest.raises(SystemExit) as exit_info:
-            main(["ablation", "--executor", executor])
-        assert exit_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+@pytest.mark.parametrize("pool", ["thread", "process"])
+@pytest.mark.parametrize("command", [
+    ["table", "2"], ["figure", "13"], ["ablation"], ["profile"], ["all"],
+    ["sweep"], ["chaos"],
+], ids=lambda command: command[0])
+def test_cli_rejects_the_removed_executor_flag(command, pool, capsys):
+    """The evaluation grid runs on threads only: no subcommand takes
+    ``--executor`` any more, and argparse rejects it (exit 2) before any
+    work starts."""
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command, "--executor", pool])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_chaos_has_no_worker_group(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["chaos", "--groups", "worker"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'worker'" in capsys.readouterr().err
 
 
 def test_profile_command_renders_attribution(capsys):
@@ -375,7 +388,7 @@ def _mask_ms(lines):
 def _table2_and_figure8(monkeypatch, capsys, cpus, *argv):
     """``_run_artifacts`` over Table 2 and Figure 8 as if ``cpus`` CPUs
     were usable: the masked tables and the ``--stats json`` payload."""
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(grid, "usable_cpus", lambda: cpus)
     args = cli.build_parser().parse_args(["all", "--stats", "json", *argv])
     assert cli._run_artifacts(["table2", "figure8"], args) == 0
     assert multiprocessing.active_children() == []
@@ -431,6 +444,12 @@ def test_all_runs_figure8_in_a_helper_process(
     assert helper_tables == serial_tables
     assert helper_stats["typecheck"]["solver_queries"] > 0
     assert _counted(helper_stats) == _counted(serial_stats)
+    # Pool workers exit without running atexit hooks, so no store write
+    # may depend on a clean exit: the store that the helper and this
+    # process wrote must audit clean.
+    report = run_fsck(str(tmp_path / "helper"))
+    assert report.consistent, report.render()
+    assert report.scanned == report.valid > 0
 
 
 @pytest.mark.parametrize("failure", ["dies", "cannot start"])

@@ -15,7 +15,6 @@ from repro.driver.faults import (
     FAULT_SITES,
     FaultPlanError,
     FaultSite,
-    InjectedCrash,
     InjectedFault,
     InjectedOSError,
     active_plan,
@@ -27,22 +26,24 @@ from repro.driver.faults import (
 
 
 def test_entry_grammar_round_trips():
-    for spec in ("disk.read", "disk.write#enospc", "worker.crash:3",
+    for spec in ("disk.read", "disk.write#enospc", "solver.budget:3",
                  "pickle.load:2@5", "disk.write#erofs:2@1"):
         plan = FaultPlan.parse(spec)
         assert plan.spec_string() == spec
 
 
 def test_plan_parses_multiple_entries_and_sorts_by_site():
-    plan = FaultPlan.parse("worker.crash, disk.read:2@1")
-    assert plan.sites() == ("disk.read", "worker.crash")
+    plan = FaultPlan.parse("solver.budget, disk.read:2@1")
+    assert plan.sites() == ("disk.read", "solver.budget")
     assert plan.planned("disk.read") == 2
-    assert plan.planned("worker.crash") == 1
-    assert plan.planned("solver.budget") == 0
+    assert plan.planned("solver.budget") == 1
+    assert plan.planned("pickle.load") == 0
 
 
 @pytest.mark.parametrize("bad", [
     "disk.reed",            # typo'd site
+    "worker.crash",         # the grid has no worker site
+    "cache.lock",           # nor the single-flight lock
     "disk.read#eio",        # unknown mode
     "disk.read:zero",       # non-integer count
     "disk.read@x",          # non-integer skip
@@ -64,10 +65,8 @@ def test_site_exceptions_match_their_real_failures():
     assert isinstance(FaultSite("disk.read").exception(), InjectedOSError)
     assert FaultSite("disk.write", mode="enospc").exception().errno == \
         errno.ENOSPC
-    assert FaultSite("worker.spawn").exception().errno == errno.EAGAIN
-    assert isinstance(FaultSite("worker.crash").exception(), InjectedCrash)
+    assert isinstance(FaultSite("disk.replace").exception(), InjectedOSError)
     assert isinstance(FaultSite("pickle.load").exception(), InjectedFault)
-    assert isinstance(FaultSite("cache.lock").exception(), InjectedFault)
 
 
 def test_check_counts_invocations_and_fires_deterministically():
@@ -100,8 +99,8 @@ def test_inject_raises_the_site_exception():
 
 
 def test_seeded_plans_are_stable_and_seed_sensitive():
-    first = FaultPlan.seeded(7, sites=("disk.read", "worker.crash"))
-    again = FaultPlan.seeded(7, sites=("disk.read", "worker.crash"))
+    first = FaultPlan.seeded(7, sites=("disk.read", "solver.budget"))
+    again = FaultPlan.seeded(7, sites=("disk.read", "solver.budget"))
     other = FaultPlan.seeded(8, sites=FAULT_SITES)
     assert first.spec_string() == again.spec_string()
     assert other.sites() == tuple(sorted(FAULT_SITES))
@@ -124,21 +123,21 @@ def test_installed_restores_the_previous_plan():
 
 def test_session_installs_and_ships_its_plan(tmp_path):
     session = CompileSession(
-        cache_dir=str(tmp_path), fault_plan="disk.read:2@1,worker.crash"
+        cache_dir=str(tmp_path), fault_plan="disk.read:2@1,solver.budget"
     )
     assert active_plan() is session.fault_plan
-    assert session.spec()["fault_plan"] == "disk.read:2@1,worker.crash"
+    assert session.spec()["fault_plan"] == "disk.read:2@1,solver.budget"
     rebuilt = CompileSession.from_spec(session.spec())
-    assert rebuilt.fault_plan.spec_string() == "disk.read:2@1,worker.crash"
+    assert rebuilt.fault_plan.spec_string() == "disk.read:2@1,solver.budget"
     # The rebuilt plan starts its own counters (fresh per process).
     assert rebuilt.fault_plan.calls == {}
 
 
 def test_session_picks_up_the_env_plan(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_FAULTS", "cache.lock@2")
+    monkeypatch.setenv("REPRO_FAULTS", "pickle.load@2")
     session = CompileSession(cache_dir=str(tmp_path))
     assert session.fault_plan is not None
-    assert session.fault_plan.spec_string() == "cache.lock@2"
+    assert session.fault_plan.spec_string() == "pickle.load@2"
     monkeypatch.delenv("REPRO_FAULTS")
     assert CompileSession(cache_dir=str(tmp_path)).fault_plan is None
 

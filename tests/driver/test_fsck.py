@@ -14,13 +14,17 @@ import sys
 import time
 
 from repro.driver import (
+    CompileSession,
     DiskCache,
     SCHEMA_VERSION,
     StageArtifact,
+    cli,
     run_fsck,
 )
 from repro.driver.cache import TMP_REAP_AGE_SECONDS
 from repro.driver.fsck import QUARANTINE_SUFFIX
+from repro.evalx import figure8
+from repro.lilac.typecheck import check
 
 
 def _dead_pid():
@@ -50,18 +54,21 @@ def test_a_cleanly_exited_writer_leaves_a_consistent_store(tmp_path):
     assert report.consistent and report.scanned == 1
 
 
-def test_a_process_mode_sweep_leaves_a_consistent_store(tmp_path):
+def test_a_process_mode_sweep_leaves_a_consistent_store(tmp_path, monkeypatch):
     """Pool workers exit without running ``atexit`` hooks, so nothing a
-    store write leaves behind may depend on a clean exit."""
+    store write leaves behind may depend on a clean exit: the store that
+    ``repro all``'s Figure 8 helper process alone fills audits clean."""
+    # A forked helper inherits the shortened sweep and the empty verdict
+    # memo (so it solves, and saves, every verdict); under another start
+    # method it runs all of Figure 8.
+    monkeypatch.setattr(figure8, "DESIGNS", figure8.DESIGNS[:1])
+    monkeypatch.setattr(check, "_OBLIGATION_MEMO", {})
     root = str(tmp_path / "store")
-    subprocess.run(
-        [
-            sys.executable, "-m", "repro", "sweep",
-            "--designs", "fpu", "risc", "--cycles", "8",
-            "--executor", "process", "--workers", "2", "--cache-dir", root,
-        ],
-        check=True, stdout=subprocess.DEVNULL,
-    )
+    helper = cli._Figure8Helper(CompileSession(cache_dir=root))
+    try:
+        assert helper.collect() is not None
+    finally:
+        helper.close()
     report = run_fsck(root)
     assert report.consistent, report.render()
     assert [f for f in report.findings if f.damage] == []

@@ -1,5 +1,6 @@
 """EvalGrid: parallel fan-out with worker-count-independent results."""
 
+import os
 import threading
 import time
 
@@ -91,100 +92,28 @@ def test_failing_worker_cancels_outstanding_points():
 
 
 def test_grid_rejects_unknown_executor():
-    for executor in ("fiber", "auto"):
-        with pytest.raises(ValueError, match="unknown executor"):
+    """The grid has one pool, threads: ``EvalGrid(session, max_workers)``
+    is the whole constructor, so an executor choice is refused."""
+    for executor in ("thread", "process"):
+        with pytest.raises(TypeError, match="executor"):
             EvalGrid(CompileSession(), executor=executor)
 
 
-# -- process executor ---------------------------------------------------
-
-
-def _simulate_trace(session, name):
-    """Module-level (hence picklable) worker: a compiled simulate."""
-    from repro.designs.catalog import design_point
-
-    source, component, generators, params = design_point(name)
-    return session.simulate(
-        source, component, params, generators,
-        cycles=24, seed=0xA5, opt_level=2, backend="compiled",
-    ).value.outputs
-
-
-def test_process_grid_matches_thread_grid(tmp_path):
-    """Workers rebuilt from session.spec() in separate processes must
-    produce bit-identical results, rendezvousing via the disk cache."""
-    cache = str(tmp_path / "grid-cache")
-    points = ("fpu", "risc", "blas")
-    thread = EvalGrid(
-        CompileSession(opt_level=2, cache_dir=cache),
-        max_workers=3,
-        executor="thread",
-    ).map(_simulate_trace, points)
-    process = EvalGrid(
-        CompileSession(opt_level=2, cache_dir=cache),
-        max_workers=3,
-        executor="process",
-    ).map(_simulate_trace, points)
-    assert process == thread
-
-
-def test_process_workers_rendezvous_through_the_disk_cache(tmp_path):
-    cache = str(tmp_path / "grid-cache")
-    EvalGrid(
-        CompileSession(opt_level=2, cache_dir=cache),
-        max_workers=2,
-        executor="process",
-    ).map(_simulate_trace, ("fpu", "risc"))
-    # The children persisted their artifacts: a warm in-process session
-    # over the same directory is served without computing anything.
-    from repro.designs.catalog import design_point
-
-    warm = CompileSession(opt_level=2, cache_dir=cache)
-    source, component, generators, params = design_point("fpu")
-    artifact = warm.simulate(
-        source, component, params, generators,
-        cycles=24, seed=0xA5, opt_level=2, backend="compiled",
+def test_worker_count_follows_the_affinity_mask(monkeypatch):
+    """Without ``max_workers`` the pool gets the CPUs this process may
+    run on (``taskset -c 0`` leaves one), not the machine's count."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: {0}, raising=False
     )
-    assert artifact.from_cache
-    assert warm.stats.counter("disk.hit") >= 1
-
-
-# -- fault tolerance: retries, the degradation ladder -------------------
-
-
-def test_injected_crash_is_retried_in_thread_mode():
-    session = CompileSession(fault_plan="worker.crash:2@1")
-    grid = EvalGrid(session, max_workers=2)
-    assert grid.map(lambda s, p: p * 10, [1, 2, 3, 4]) == [10, 20, 30, 40]
-    assert session.stats.counter("retry.worker") == 2
-    assert session.stats.counter("fault.injected.worker.crash") == 2
-    assert session.stats.counter("degrade.executor") == 0
-
-
-def test_injected_crash_is_retried_serially():
-    session = CompileSession(fault_plan="worker.crash")
-    grid = EvalGrid(session, max_workers=1)
-    assert grid.map(lambda s, p: p + 1, [1, 2]) == [2, 3]
-    assert session.stats.counter("retry.worker") == 1
-
-
-def test_crash_retries_exhaust_and_propagate(monkeypatch):
-    from repro.driver import grid as grid_module
-    from repro.driver.faults import InjectedCrash
-
-    monkeypatch.setattr(grid_module, "POINT_RETRY_BACKOFF_SECONDS", 0.001)
-    session = CompileSession(fault_plan="worker.crash:9")
-    grid = EvalGrid(session, max_workers=2)
-    with pytest.raises(InjectedCrash):
-        grid.map(lambda s, p: p, [1, 2, 3])
-    assert session.stats.counter("retry.worker") == (
-        grid_module.POINT_RETRY_LIMIT
-    )
+    grid = EvalGrid(CompileSession())
+    assert grid._worker_count(6) == 1
+    assert EvalGrid(CompileSession(), max_workers=4)._worker_count(6) == 4
 
 
 def test_a_worker_timeout_error_is_a_genuine_failure():
-    """Only an injected crash is retried in place: a ``TimeoutError``
-    the worker raises itself propagates on its first raise."""
+    """Nothing is retried: a ``TimeoutError`` the worker raises itself
+    propagates on its first raise."""
     calls = []
 
     def times_out(session, point):
@@ -193,40 +122,10 @@ def test_a_worker_timeout_error_is_a_genuine_failure():
             raise TimeoutError("worker gave up")
         return point
 
-    session = CompileSession()
-    grid = EvalGrid(session, max_workers=2)
+    grid = EvalGrid(CompileSession(), max_workers=2)
     with pytest.raises(TimeoutError, match="worker gave up"):
         grid.map(times_out, [1, 2, 3])
     assert calls.count(2) == 1
-    assert session.stats.counter("retry.worker") == 0
-
-
-def test_spawn_failure_degrades_process_to_thread(tmp_path):
-    session = CompileSession(
-        cache_dir=str(tmp_path), fault_plan="worker.spawn"
-    )
-    grid = EvalGrid(session, max_workers=2, executor="process")
-    with pytest.warns(RuntimeWarning, match="degraded process -> thread"):
-        assert grid.map(_double, [1, 2, 3]) == [2, 4, 6]
-    assert session.stats.counter("degrade.executor") == 1
-    assert session.stats.counter("fault.injected.worker.spawn") == 1
-
-
-def test_worker_process_death_degrades_to_thread(tmp_path):
-    """A real worker death (os._exit via the injected crash) surfaces
-    as BrokenProcessPool; the grid re-runs the sweep on threads with
-    identical results."""
-    session = CompileSession(
-        cache_dir=str(tmp_path), fault_plan="worker.crash"
-    )
-    grid = EvalGrid(session, max_workers=2, executor="process")
-    with pytest.warns(RuntimeWarning, match="degraded process -> thread"):
-        assert grid.map(_double, [1, 2, 3]) == [2, 4, 6]
-    assert session.stats.counter("degrade.executor") == 1
-
-
-def _double(session, point):
-    return point * 2
 
 
 def test_figure13_rows_match_across_worker_counts():
@@ -291,8 +190,8 @@ def test_grid_picks_up_the_session_attached_ledger(tmp_path):
 
 
 def test_keyboard_interrupt_flushes_the_ledger_and_propagates(tmp_path):
-    """Ctrl-C exits promptly — no retry, no next point — and what
-    already completed is on disk for ``--resume``, with nothing left to
+    """Ctrl-C exits promptly — no next point — and what already
+    completed is on disk for ``--resume``, with nothing left to
     flush."""
     session = CompileSession(cache_dir=str(tmp_path))
     session.ledger = RunLedger(session.cache.disk, "run-ki")
@@ -305,7 +204,6 @@ def test_keyboard_interrupt_flushes_the_ledger_and_propagates(tmp_path):
     grid = EvalGrid(session, max_workers=1)
     with pytest.raises(KeyboardInterrupt):
         grid.map(interrupt, [1, 2, 3])
-    assert session.stats.counter("retry.worker") == 0
     assert session.stats.counter("checkpoint.store") == 1
     resumed = RunLedger(session.cache.disk, "run-ki", resume=True)
     assert len(resumed) == 1  # point 1 survived the interrupt

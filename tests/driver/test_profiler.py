@@ -68,7 +68,7 @@ def test_unattributed_time_clamps_at_zero():
 
 def test_grid_worker_reports_pool_queue_waits(tmp_path):
     session = CompileSession(cache_dir=str(tmp_path))
-    grid = EvalGrid(session, max_workers=2, executor="thread")
+    grid = EvalGrid(session, max_workers=2)
     with RunProfiler(session) as profiler:
         rows = grid.map(
             simulate_catalog_point,
